@@ -24,13 +24,12 @@ from fractions import Fraction
 
 from . import lfun, predict
 from .expsum import (DEFAULT_BUDGET, BudgetExceededError, VarietySpec,
-                     count_points, default_threads, power_sum_table,
-                     scaled_degree_check)
+                     default_threads, power_sum_table, scaled_degree_check)
 from .ffield import build_field
 from .lfun import ReconstructionError
 from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, NonStabilizedError, PiNumber,
                     RationalFunctionPi, radius_profile, robba_index)
-from .verify import CASES, UnknownCaseError, verify_suite
+from .verify import CASES, UnknownCaseError, _jsonable, verify_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -50,21 +49,6 @@ def _require(doc: dict, key: str, kind=None):
     if kind is not None and not isinstance(doc[key], kind):
         raise SchemaError(f"field {key!r} has the wrong type")
     return doc[key]
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
-            else v.numerator
-    if isinstance(v, bool) or isinstance(v, int) or v is None:
-        return v
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, float):
-        return v
-    return str(v)
 
 
 def _dump_report(report: dict) -> str:
@@ -179,8 +163,7 @@ def _run_sum(payload: dict, budget: int, threads: int):
     M = int(_require(payload, "levels"))
     seq = power_sum_table(v, base, M, budget=budget, threads=threads)[0]
     report = {"command": "sum", **seq.to_json(),
-              "points": [count_points(v, base, m, budget=budget)
-                         for m in range(1, M + 1)],
+              "points": [pr["counted"] for pr in seq.progress],
               "progress": [{"m": pr["m"], "points": pr["points"]}
                            for pr in seq.progress]}
     rows = [("m", "S_m coordinates")] + [

@@ -234,9 +234,7 @@ def count_points(v: VarietySpec, base: FieldCtx, m: int,
     if v.kind == SL2:
         return q ** 3 - q
     if v.kind == COMPLEMENT:
-        counts = _histograms(v, base, m, scales=(1,), budget=budget,
-                             count_only=True)
-        return counts
+        return sum(_histograms(v, base, m, scales=(1,), budget=budget)[0])
     raise ValueError(f"unsupported variety kind {v.kind!r}")
 
 
@@ -333,11 +331,11 @@ def _block_ranges(total: int, block: int):
 
 def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
                 budget: int = DEFAULT_BUDGET, threads: int = 1,
-                tower: Optional[FieldCtx] = None, count_only: bool = False):
+                tower: Optional[FieldCtx] = None):
     """Trace histograms of c*f over X(k_m) for each scale c.
 
     Returns a list of integer count-vectors of length p aligned with
-    `scales` (or, with count_only, just the number of points)."""
+    `scales`; each sums to the number of points #X(k_m)."""
     p = base.p
     if m < 1:
         raise ValueError("level must be >= 1")
@@ -361,8 +359,6 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
 
     def run(task):
         f_codes, keep = task()
-        if count_only:
-            return int(f_codes.size if keep is None else int(keep.sum()))
         counts = []
         for sc in scale_codes:
             vals = f_codes if sc == 0 else T.vmul_code(f_codes, sc)
@@ -378,8 +374,6 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     else:
         results = [run(t) for t in tasks]
 
-    if count_only:
-        return sum(results)
     totals = [[0] * p for _ in scales]
     for counts in results:
         for i, c in enumerate(counts):
@@ -540,6 +534,7 @@ def power_sum_table(v: VarietySpec, base: FieldCtx, M: int, *,
                              threads=threads)
         progress.append({"m": m,
                          "points": _enumeration_work(v, base.q ** m),
+                         "counted": sum(counts[0]),
                          "seconds": time.perf_counter() - t0})
         for i, c in enumerate(counts):
             per_scale[i].append(_counts_to_cyclotomic(base.p, c))

@@ -95,18 +95,25 @@ def _ppowmod(a, e, m, p):
     return result
 
 
+def _pdivmod(a, b, p):
+    """Quotient and remainder of a by a trimmed nonzero b over Z/p."""
+    inv_lead = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(_ptrim(r)) >= len(b):
+        r = _ptrim(r)
+        shift = len(r) - len(b)
+        c = (r[-1] * inv_lead) % p
+        q[shift] = c
+        for i, y in enumerate(b):
+            r[i + shift] = (r[i + shift] - c * y) % p
+    return q, _ptrim(r)
+
+
 def _pgcd(a, b, p):
     a, b = _ptrim(a), _ptrim(b)
     while b:
-        inv_lead = pow(b[-1], -1, p)
-        r = list(a)
-        while len(_ptrim(r)) >= len(b):
-            r = _ptrim(r)
-            shift = len(r) - len(b)
-            c = (r[-1] * inv_lead) % p
-            for i, y in enumerate(b):
-                r[i + shift] = (r[i + shift] - c * y) % p
-        a, b = b, _ptrim(r)
+        a, b = b, _pdivmod(a, b, p)[1]
     return a
 
 
@@ -115,16 +122,7 @@ def _pinvmod(a, m, p):
     r0, r1 = _ptrim(m), _ptrim(a)
     t0, t1 = [], [1]
     while r1:
-        inv_lead = pow(r1[-1], -1, p)
-        q = [0] * max(0, len(r0) - len(r1) + 1)
-        r = list(r0)
-        while len(_ptrim(r)) >= len(r1):
-            r = _ptrim(r)
-            shift = len(r) - len(r1)
-            c = (r[-1] * inv_lead) % p
-            q[shift] = c
-            for i, y in enumerate(r1):
-                r[i + shift] = (r[i + shift] - c * y) % p
+        q, r = _pdivmod(r0, r1, p)
         # t_next = t0 - q*t1
         qt = [0] * (len(q) + len(t1))
         for i, x in enumerate(q):
@@ -136,7 +134,7 @@ def _pinvmod(a, m, p):
             t_next[i] = x
         for i, x in enumerate(qt):
             t_next[i] = (t_next[i] - x) % p
-        r0, r1 = r1, _ptrim(r)
+        r0, r1 = r1, r
         t0, t1 = t1, _ptrim(t_next)
     if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible")
@@ -374,93 +372,32 @@ def _reduce_zeta_power(p: int, k: int):
     return coords
 
 
-class CyclotomicInt:
+@lru_cache(maxsize=None)
+def _cyclotomic_modulus(p: int) -> tuple:
+    """1 + y + ... + y^(p-1), the minimal polynomial of zeta_p."""
+    return (1,) * p
+
+
+class CyclotomicInt(_exactpoly.QuotientRingElem):
     """Element of Z[zeta_p]: integer coordinates for 1, zeta, ..., zeta^(p-2).
 
     For p = 2 the ring degenerates to Z with zeta = -1; coordinate vectors
     then have length 1.
     """
 
-    __slots__ = ("p", "coords")
-
-    def __init__(self, p: int, coords: Sequence[int]):
-        if len(coords) != p - 1:
-            raise ValueError(f"need {p - 1} coordinates for p = {p}")
-        self.p = p
-        self.coords = tuple(int(c) for c in coords)
-
-    @classmethod
-    def zero(cls, p: int) -> "CyclotomicInt":
-        return cls(p, [0] * (p - 1))
-
-    @classmethod
-    def one(cls, p: int) -> "CyclotomicInt":
-        return cls(p, [1] + [0] * (p - 2))
+    __slots__ = ()
+    _coord = int
+    _modulus = staticmethod(_cyclotomic_modulus)
+    _scalars = (int,)
+    _mixed = "mixed cyclotomic levels"
 
     @classmethod
     def from_int(cls, p: int, a: int) -> "CyclotomicInt":
-        return cls(p, [a] + [0] * (p - 2))
+        return cls.constant(p, a)
 
     @classmethod
     def zeta(cls, p: int) -> "CyclotomicInt":
         return cls(p, _reduce_zeta_power(p, 1))
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed cyclotomic levels")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(self.p, other)
-        if not isinstance(other, CyclotomicInt):
-            return NotImplemented
-        self._check(other)
-        return CyclotomicInt(self.p, [a + b for a, b in zip(self.coords, other.coords)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicInt(self.p, [-a for a in self.coords])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(self.p, other)
-        if not isinstance(other, CyclotomicInt):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicInt(self.p, [a * other for a in self.coords])
-        if not isinstance(other, CyclotomicInt):
-            return NotImplemented
-        self._check(other)
-        p = self.p
-        # convolution in exponents 0..2p-4, then rewrite zeta^k canonically
-        conv = [0] * (2 * p - 3)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    conv[i + j] += a * b
-        out = [0] * (p - 1)
-        for k, c in enumerate(conv):
-            if not c:
-                continue
-            kk = k % p
-            if kk < p - 1:
-                out[kk] += c
-            else:
-                for i in range(p - 1):
-                    out[i] -= c
-        return CyclotomicInt(p, out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def as_int(self) -> int:
         """The value as a plain integer; only valid for rational elements."""
@@ -468,138 +405,33 @@ class CyclotomicInt:
             raise ValueError("element is not rational")
         return self.coords[0]
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(self.p, other)
-        if not isinstance(other, CyclotomicInt):
-            return NotImplemented
-        return self.p == other.p and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.p, self.coords))
-
     def __repr__(self):
         return f"Cyc({self.p}){list(self.coords)}"
 
 
-class CyclotomicRat:
+class CyclotomicRat(_exactpoly.QuotientFieldElem):
     """Element of Q(zeta_p) with exact Fraction coordinates.  A field:
     inversion goes through the extended Euclid against 1 + y + ... + y^(p-1)."""
 
-    __slots__ = ("p", "coords")
-
-    def __init__(self, p: int, coords: Sequence):
-        if len(coords) != p - 1:
-            raise ValueError(f"need {p - 1} coordinates for p = {p}")
-        self.p = p
-        self.coords = tuple(Fraction(c) for c in coords)
-
-    @classmethod
-    def zero(cls, p: int) -> "CyclotomicRat":
-        return cls(p, [0] * (p - 1))
-
-    @classmethod
-    def one(cls, p: int) -> "CyclotomicRat":
-        return cls(p, [1] + [0] * (p - 2))
+    __slots__ = ()
+    _coord = Fraction
+    _modulus = staticmethod(_cyclotomic_modulus)
+    _scalars = (int, Fraction)
+    _lifts = (CyclotomicInt,)
+    _mixed = "mixed cyclotomic levels"
 
     @classmethod
     def from_rational(cls, p: int, a) -> "CyclotomicRat":
-        return cls(p, [Fraction(a)] + [0] * (p - 2))
+        return cls.constant(p, a)
 
     @classmethod
     def from_cyclotomic_int(cls, v: CyclotomicInt) -> "CyclotomicRat":
         return cls(v.p, v.coords)
 
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicRat.from_rational(self.p, other)
-        if isinstance(other, CyclotomicInt):
-            return CyclotomicRat.from_cyclotomic_int(other)
-        if isinstance(other, CyclotomicRat):
-            if other.p != self.p:
-                raise ValueError("mixed cyclotomic levels")
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicRat(self.p, [a + b for a, b in zip(self.coords, o.coords)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicRat(self.p, [-a for a in self.coords])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicRat(self.p, [a * other for a in self.coords])
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.p
-        conv = [Fraction(0)] * (2 * p - 3)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    conv[i + j] += a * b
-        out = [Fraction(0)] * (p - 1)
-        for k, c in enumerate(conv):
-            if not c:
-                continue
-            kk = k % p
-            if kk < p - 1:
-                out[kk] += c
-            else:
-                for i in range(p - 1):
-                    out[i] -= c
-        return CyclotomicRat(p, out)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "CyclotomicRat":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_p)")
-        phi = [Fraction(1)] * self.p  # 1 + y + ... + y^(p-1)
-        inv = _exactpoly.invmod(list(self.coords), phi)
-        inv = inv + [Fraction(0)] * (self.p - 1 - len(inv))
-        return CyclotomicRat(self.p, inv[: self.p - 1])
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CyclotomicRat(self.p, [a / f for a in self.coords])
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def as_rational(self) -> Fraction:
         if any(c != 0 for c in self.coords[1:]):
             raise ValueError("element is not rational")
         return self.coords[0]
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coords == o.coords
-
-    def __hash__(self):
-        return hash((self.p, self.coords))
 
     def __repr__(self):
         return f"CycQ({self.p}){[str(c) for c in self.coords]}"
@@ -616,10 +448,7 @@ def galois_twist(v, u: int):
     p = v.p
     if u % p == 0:
         raise ValueError("twist exponent must be a unit mod p")
-    if isinstance(v, CyclotomicInt):
-        out = [0] * (p - 1)
-    else:
-        out = [Fraction(0)] * (p - 1)
+    out = [0] * (p - 1)
     for i, a in enumerate(v.coords):
         if not a:
             continue

@@ -12,108 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._exactpoly import (add, derivative, divmod_, expand_quotient, mul, neg,
+                         trim, xgcd)
 from .expsum import PowerSumSequence
 from .ffield import CyclotomicInt, CyclotomicRat
 
 
 class ReconstructionError(RuntimeError):
     """No rational function within the degree bounds matches the series."""
-
-
-# -- polynomial helpers over the exact coefficient field ----------------------
-
-def _zero(p):
-    return CyclotomicRat.zero(p)
-
-
-def _trim(a):
-    a = list(a)
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _deg(a):
-    return len(a) - 1 if a else -1
-
-
-def _add(a, b, p):
-    out = [_zero(p)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = out[i] + x
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return _trim(out)
-
-
-def _neg(a):
-    return [-x for x in a]
-
-
-def _mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [_zero(p)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _trim(out)
-
-
-def _divmod(a, b, p):
-    b = _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [_zero(p)] * max(0, len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
-    while _deg(_trim(a)) >= _deg(b):
-        a = _trim(a)
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[i + shift] = a[i + shift] - coef * y
-    return _trim(q), _trim(a)
-
-
-def _xgcd(a, b, p):
-    """(g, u, v) with u*a + v*b = g, g monic unless zero."""
-    one = CyclotomicRat.one(p)
-    r0, r1 = _trim(a), _trim(b)
-    u0, u1 = [one], []
-    v0, v1 = [], [one]
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _add(u0, _neg(_mul(q, u1, p)), p)
-        v0, v1 = v1, _add(v0, _neg(_mul(q, v1, p)), p)
-    if r0:
-        lead_inv = r0[-1].inverse()
-        r0 = [x * lead_inv for x in r0]
-        u0 = [x * lead_inv for x in u0]
-        v0 = [x * lead_inv for x in v0]
-    return r0, u0, v0
-
-
-def _expand_quotient(P, Q, order, p):
-    """Coefficients of P/Q through t^order; requires Q(0) invertible."""
-    if not Q or Q[0].is_zero():
-        raise ZeroDivisionError("denominator vanishes at 0")
-    inv0 = Q[0].inverse()
-    out = []
-    for k in range(order + 1):
-        acc = P[k] if k < len(P) else _zero(p)
-        for j in range(1, min(k, len(Q) - 1) + 1):
-            acc = acc - Q[j] * out[k - j]
-        out.append(acc * inv0)
-    return out
-
-
-def _derivative(a, p):
-    return _trim([a[i] * i for i in range(1, len(a))])
 
 
 # -- domain types --------------------------------------------------------------
@@ -135,7 +41,7 @@ class TruncatedSeries:
         order = min(self.order, other.order)
         out = []
         for k in range(order + 1):
-            acc = _zero(self.p)
+            acc = CyclotomicRat.zero(self.p)
             for j in range(k + 1):
                 acc = acc + self.coeffs[j] * other.coeffs[k - j]
             out.append(acc)
@@ -156,7 +62,7 @@ class LSeries:
     def expansion(self, order=None) -> TruncatedSeries:
         order = self.certified_order if order is None else order
         return TruncatedSeries(self.p, tuple(
-            _expand_quotient(list(self.P), list(self.Q), order, self.p)))
+            expand_quotient(list(self.P), list(self.Q), order)))
 
     def to_json(self) -> dict:
         def dump(poly):
@@ -175,7 +81,7 @@ def exp_power_sums(S: PowerSumSequence) -> TruncatedSeries:
     sums = [CyclotomicRat.from_cyclotomic_int(v) for v in S.values]
     coeffs = [CyclotomicRat.one(p)]
     for M in range(1, len(sums) + 1):
-        acc = _zero(p)
+        acc = CyclotomicRat.zero(p)
         for j in range(1, M + 1):
             acc = acc + sums[j - 1] * coeffs[M - j]
         coeffs.append(acc / M)
@@ -194,35 +100,35 @@ def pade_reconstruct(s: TruncatedSeries, dP: int, dQ: int) -> LSeries:
         raise ReconstructionError(
             f"certification needs dP + dQ + 1 <= M; got {dP}+{dQ}+1 > {M}")
     one = CyclotomicRat.one(p)
-    mod = [_zero(p)] * (M + 1) + [one]  # t^(M+1)
-    r_prev, r_cur = mod, _trim(list(s.coeffs))
+    mod = [CyclotomicRat.zero(p)] * (M + 1) + [one]  # t^(M+1)
+    r_prev, r_cur = mod, trim(s.coeffs)
     v_prev, v_cur = [], [one]
-    while _deg(r_cur) > dP:
-        q, r = _divmod(r_prev, r_cur, p)
+    while len(r_cur) - 1 > dP:
+        q, r = divmod_(r_prev, r_cur)
         r_prev, r_cur = r_cur, r
-        v_prev, v_cur = v_cur, _add(v_prev, _neg(_mul(q, v_cur, p)), p)
+        v_prev, v_cur = v_cur, add(v_prev, neg(mul(q, v_cur)))
     P_raw, Q_raw = r_cur, v_cur
     if not Q_raw:
         raise ReconstructionError("degenerate reconstruction")
-    g, _, _ = _xgcd(P_raw, Q_raw, p)
-    if _deg(g) > 0:
-        P_raw, _ = _divmod(P_raw, g, p)
-        Q_raw, _ = _divmod(Q_raw, g, p)
-    if _deg(Q_raw) > dQ:
+    g, _, _ = xgcd(P_raw, Q_raw)
+    if len(g) > 1:
+        P_raw, _ = divmod_(P_raw, g)
+        Q_raw, _ = divmod_(Q_raw, g)
+    if len(Q_raw) - 1 > dQ:
         raise ReconstructionError(
-            f"no denominator of degree <= {dQ} matches (needed {_deg(Q_raw)})")
+            f"no denominator of degree <= {dQ} matches (needed {len(Q_raw) - 1})")
     if not Q_raw or Q_raw[0].is_zero():
         raise ReconstructionError("denominator vanishes at 0; cannot normalize")
     inv0 = Q_raw[0].inverse()
     P = [x * inv0 for x in P_raw]
     Q = [x * inv0 for x in Q_raw]
     # certification: the normalized quotient must reproduce the input series
-    if _expand_quotient(P, Q, M, p) != list(s.coeffs):
+    if expand_quotient(P, Q, M) != list(s.coeffs):
         raise ReconstructionError(
             "expansion mismatch: series is not rational within the bounds "
             "(order too small or bounds wrong)")
-    g, u, v = _xgcd(P, Q, p)
-    assert _deg(g) == 0
+    g, u, v = xgcd(P, Q)
+    assert len(g) == 1
     return LSeries(p, tuple(P), tuple(Q), M, bezout=(tuple(u), tuple(v)))
 
 
@@ -242,26 +148,24 @@ def reconstruct_auto(s: TruncatedSeries, slack: int = 2) -> LSeries:
 
 
 def degree(L: LSeries) -> int:
-    return _deg(_trim(list(L.Q))) - _deg(_trim(list(L.P)))
+    return len(trim(L.Q)) - len(trim(L.P))
 
 
 def total_degree(L: LSeries) -> int:
-    return _deg(_trim(list(L.Q))) + _deg(_trim(list(L.P)))
+    return len(trim(L.Q)) + len(trim(L.P)) - 2
 
 
 def log_derivative_check(L: LSeries, S: PowerSumSequence) -> bool:
     """Defining identity: t (P'Q - PQ') = (sum_m S_m t^m) P Q mod t^(M+1)."""
     p = L.p
+    zero = CyclotomicRat.zero(p)
     M = min(L.certified_order, len(S.values))
     P, Q = list(L.P), list(L.Q)
-    lhs = _mul([_zero(p), CyclotomicRat.one(p)],
-               _add(_mul(_derivative(P, p), Q, p),
-                    _neg(_mul(P, _derivative(Q, p), p)), p), p)
-    s_poly = [_zero(p)] + [CyclotomicRat.from_cyclotomic_int(v)
-                           for v in S.values]
-    rhs = _mul(s_poly, _mul(P, Q, p), p)
-    lhs = lhs[: M + 1] + [_zero(p)] * max(0, M + 1 - len(lhs))
-    rhs = rhs[: M + 1] + [_zero(p)] * max(0, M + 1 - len(rhs))
+    lhs = [zero] + add(mul(derivative(P), Q), neg(mul(P, derivative(Q))))
+    s_poly = [zero] + [CyclotomicRat.from_cyclotomic_int(v) for v in S.values]
+    rhs = mul(s_poly, mul(P, Q))
+    lhs = lhs[: M + 1] + [zero] * max(0, M + 1 - len(lhs))
+    rhs = rhs[: M + 1] + [zero] * max(0, M + 1 - len(rhs))
     return all((a - b).is_zero() for a, b in zip(lhs, rhs))
 
 

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import lru_cache
+from math import lcm
+from typing import Optional
 
-from . import _exactpoly
+from ._exactpoly import (QuotientFieldElem, QuotientRingElem, add, derivative,
+                         divmod_, mul, neg, scale, trim, xgcd)
 
 INF = float("inf")
 
@@ -63,116 +66,32 @@ def factorial_valuation(s: int, p: int) -> Fraction:
     return Fraction(s - digit_sum(s, p), p - 1)
 
 
-class PiNumber:
+@lru_cache(maxsize=None)
+def _pi_modulus(p: int) -> tuple:
+    """y^(p-1) + p, so that pi^(p-1) = -p."""
+    return (p,) + (0,) * (p - 2) + (1,)
+
+
+class PiNumber(QuotientFieldElem):
     """Element of Q[pi]/(pi^(p-1) + p), coordinates for 1, pi, ..., pi^(p-2).
 
     For p = 2 this is just Q with pi = -2."""
 
-    __slots__ = ("p", "coords")
-
-    def __init__(self, p: int, coords: Sequence):
-        if len(coords) != p - 1:
-            raise ValueError(f"need {p - 1} coordinates for p = {p}")
-        self.p = p
-        self.coords = tuple(Fraction(c) for c in coords)
-
-    @classmethod
-    def _raw(cls, p: int, coords: tuple) -> "PiNumber":
-        """Internal: coords already a tuple of Fractions (skips rewrapping,
-        which dominates the symbol recurrence otherwise)."""
-        self = object.__new__(cls)
-        self.p = p
-        self.coords = coords
-        return self
-
-    @classmethod
-    def zero(cls, p: int) -> "PiNumber":
-        return cls(p, [0] * (p - 1))
-
-    @classmethod
-    def one(cls, p: int) -> "PiNumber":
-        return cls(p, [1] + [0] * (p - 2))
+    __slots__ = ()
+    _coord = Fraction
+    _modulus = staticmethod(_pi_modulus)
+    _scalars = (int, Fraction)
+    _mixed = "mixed pi-adic levels"
 
     @classmethod
     def rational(cls, p: int, a) -> "PiNumber":
-        return cls(p, [Fraction(a)] + [0] * (p - 2))
+        return cls.constant(p, a)
 
     @classmethod
     def pi(cls, p: int) -> "PiNumber":
         if p == 2:
             return cls(2, [-2])
         return cls(p, [0, 1] + [0] * (p - 3))
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PiNumber.rational(self.p, other)
-        if isinstance(other, PiNumber):
-            if other.p != self.p:
-                raise ValueError("mixed pi-adic levels")
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PiNumber._raw(self.p, tuple(
-            a + b for a, b in zip(self.coords, o.coords)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PiNumber._raw(self.p, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PiNumber._raw(self.p, tuple(
-            a - b for a, b in zip(self.coords, o.coords)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            return PiNumber._raw(self.p, tuple(a * other for a in self.coords))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.p
-        deg = p - 1
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    conv[i + j] += a * b
-        out = conv[:deg]
-        for k in range(deg, len(conv)):  # pi^(p-1) = -p
-            if conv[k]:
-                out[k - deg] += -p * conv[k]
-        return PiNumber._raw(p, tuple(out))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "PiNumber":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(pi)")
-        modulus = [Fraction(self.p)] + [Fraction(0)] * (self.p - 2) + [Fraction(1)]
-        inv = _exactpoly.invmod(list(self.coords), modulus)
-        inv = inv + [Fraction(0)] * (self.p - 1 - len(inv))
-        return PiNumber(self.p, inv[: self.p - 1])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def valuation(self):
         """v(sum a_i pi^i) = min_i (v_p(a_i) + i/(p-1)); INF for zero.
@@ -182,99 +101,20 @@ class PiNumber:
                 for i, a in enumerate(self.coords) if a != 0]
         return min(vals) if vals else INF
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coords == o.coords
-
-    def __hash__(self):
-        return hash((self.p, self.coords))
-
     def __repr__(self):
         return f"Pi({self.p}){[str(c) for c in self.coords]}"
 
 
-# -- polynomials over PiNumber (little-endian lists) ---------------------------
+class _PiInteger(QuotientRingElem):
+    """Element of Z[pi], integer coordinates: the ring the symbol
+    recurrence runs in once denominators are cleared."""
 
-def _pp_trim(a):
-    a = list(a)
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _pp_add(a, b, p):
-    out = [PiNumber.zero(p)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = out[i] + x
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return _pp_trim(out)
-
-
-def _pp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [PiNumber.zero(p)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _pp_trim(out)
-
-
-def _pp_scale(a, s):
-    return [x * s for x in a]
-
-
-def _pp_derivative(a):
-    return _pp_trim([a[i] * i for i in range(1, len(a))])
-
-
-def _pp_divmod(a, b, p):
-    b = _pp_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [PiNumber.zero(p)] * max(0, len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
-    while len(_pp_trim(a)) >= len(b):
-        a = _pp_trim(a)
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[i + shift] = a[i + shift] - coef * y
-    return _pp_trim(q), _pp_trim(a)
-
-
-def _pp_gcd(a, b, p):
-    a, b = _pp_trim(a), _pp_trim(b)
-    while b:
-        _, r = _pp_divmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = a[-1].inverse()
-        a = [x * inv for x in a]
-    return a
-
-
-def _pp_valuation(a, lam: Fraction):
-    """Gauss valuation at weight lam, plus the number of minimizing terms."""
-    best = INF
-    count = 0
-    for j, coef in enumerate(a):
-        v = coef.valuation()
-        if v is INF:
-            continue
-        v = v + j * lam
-        if v < best:
-            best, count = v, 1
-        elif v == best:
-            count += 1
-    return best, count
+    __slots__ = ()
+    _coord = int
+    _modulus = staticmethod(_pi_modulus)
+    _scalars = (int,)
+    _mixed = "mixed pi-adic levels"
+    valuation = PiNumber.valuation
 
 
 class RationalFunctionPi:
@@ -283,10 +123,10 @@ class RationalFunctionPi:
     __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, num, den):
-        num = _pp_trim([c if isinstance(c, PiNumber) else PiNumber.rational(p, c)
-                        for c in num])
-        den = _pp_trim([c if isinstance(c, PiNumber) else PiNumber.rational(p, c)
-                        for c in den])
+        num = trim([c if isinstance(c, PiNumber) else PiNumber.rational(p, c)
+                    for c in num])
+        den = trim([c if isinstance(c, PiNumber) else PiNumber.rational(p, c)
+                    for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator")
         self.p = p
@@ -311,10 +151,10 @@ class RationalFunctionPi:
         return not self.num
 
     def reduce(self) -> "RationalFunctionPi":
-        g = _pp_gcd(self.num, self.den, self.p)
+        g, _, _ = xgcd(self.num, self.den)
         if len(g) > 1:
-            num, _ = _pp_divmod(self.num, g, self.p)
-            den, _ = _pp_divmod(self.den, g, self.p)
+            num, _ = divmod_(self.num, g)
+            den, _ = divmod_(self.den, g)
             return RationalFunctionPi(self.p, num, den)
         return self
 
@@ -325,45 +165,39 @@ class RationalFunctionPi:
             return NotImplemented
         if other.p != self.p:
             raise ValueError("mixed pi-adic levels")
-        num = _pp_add(_pp_mul(self.num, other.den, self.p),
-                      _pp_mul(other.num, self.den, self.p), self.p)
-        den = _pp_mul(self.den, other.den, self.p)
+        num = add(mul(self.num, other.den), mul(other.num, self.den))
+        den = mul(self.den, other.den)
         return RationalFunctionPi(self.p, num, den).reduce()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunctionPi(self.p, [-c for c in self.num], self.den)
+        return RationalFunctionPi(self.p, neg(self.num), self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PiNumber)):
-            return RationalFunctionPi(self.p, _pp_scale(self.num, other), self.den)
+            return RationalFunctionPi(self.p, scale(self.num, other), self.den)
         if not isinstance(other, RationalFunctionPi):
             return NotImplemented
-        return RationalFunctionPi(self.p, _pp_mul(self.num, other.num, self.p),
-                                  _pp_mul(self.den, other.den, self.p)).reduce()
+        return RationalFunctionPi(self.p, mul(self.num, other.num),
+                                  mul(self.den, other.den)).reduce()
 
     __rmul__ = __mul__
 
     def derivative(self) -> "RationalFunctionPi":
-        p = self.p
-        num = _pp_add(_pp_mul(_pp_derivative(self.num), self.den, p),
-                      [-c for c in _pp_mul(self.num, _pp_derivative(self.den), p)],
-                      p)
-        den = _pp_mul(self.den, self.den, p)
-        return RationalFunctionPi(p, num, den)
+        num = add(mul(derivative(self.num), self.den),
+                  neg(mul(self.num, derivative(self.den))))
+        return RationalFunctionPi(self.p, num, mul(self.den, self.den))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, PiNumber)):
             other = RationalFunctionPi.constant(self.p, other)
         if not isinstance(other, RationalFunctionPi):
             return NotImplemented
-        lhs = _pp_mul(self.num, other.den, self.p)
-        rhs = _pp_mul(other.num, self.den, self.p)
-        return lhs == rhs
+        return mul(self.num, other.den) == mul(other.num, self.den)
 
     def __repr__(self):
         return f"RatPi({self.p}; num={self.num}, den={self.den})"
@@ -379,88 +213,61 @@ class GaussWeight:
         object.__setattr__(self, "lam", Fraction(self.lam))
 
 
+def _gauss_min(poly, lam: Fraction):
+    """Gauss valuation at weight lam of a nonzero polynomial."""
+    return min(c.valuation() + j * lam for j, c in enumerate(poly) if c)
+
+
 def gauss_valuation(f: RationalFunctionPi, w: GaussWeight):
     """Gauss valuation of f at weight w: for polynomials min_i(v(a_i)+i*lam),
     extended multiplicatively to quotients.  INF for the zero function."""
     if f.is_zero():
         return INF
-    v_num, _ = _pp_valuation(f.num, w.lam)
-    v_den, _ = _pp_valuation(f.den, w.lam)
-    return v_num - v_den
+    return _gauss_min(f.num, w.lam) - _gauss_min(f.den, w.lam)
 
 
 # -- symbols of D^s -------------------------------------------------------------
 
-def _acc_product(buf, a, b, p):
-    """buf[i+j] += a_i * b_j with the pi^(p-1) = -p reduction, accumulating
-    raw Fraction coordinates (hot path of the symbol recurrence)."""
-    deg = p - 1
-    for i, x in enumerate(a):
-        xc = x.coords
-        for ii in range(deg):
-            xa = xc[ii]
-            if not xa:
-                continue
-            for j, y in enumerate(b):
-                tgt = buf[i + j]
-                yc = y.coords
-                for jj in range(deg):
-                    yb = yc[jj]
-                    if yb:
-                        k = ii + jj
-                        if k < deg:
-                            tgt[k] += xa * yb
-                        else:
-                            tgt[k - deg] -= p * (xa * yb)
-
-
 def _symbol_numerators(g: RationalFunctionPi, s_max: int):
-    """n_0..n_(s_max) with b_s = n_s / w^s for w = den(g):
-    n_(s+1) = n_s' w - s n_s w' + u n_s   (u = num(g)).
+    """(n_0..n_(s_max), W) with b_s = n_s / W^s:
+    n_(s+1) = n_s' W - s n_s W' + U n_s   (U / W = g).
 
     This closed polynomial recurrence avoids quotient-rule denominator
-    blowup; b_(s+1) = b_s' + g b_s holds identically."""
+    blowup; b_(s+1) = b_s' + g b_s holds identically.  It is homogeneous of
+    degree 1 in (U, W), so U and W are num(g) and den(g) times one common
+    denominator of their coordinates, and the recurrence runs over Z[pi]."""
     p = g.p
-    deg = p - 1
-    u, w = g.num, g.den
-    wprime = _pp_derivative(w)
-    ns = [[PiNumber.one(p)]]
-    cur = ns[0]
+    D = lcm(*(c.denominator for x in g.num + g.den for c in x.coords))
+    U, W = ([_PiInteger(p, [c * D for c in x.coords]) for x in poly]
+            for poly in (g.num, g.den))
+    Wprime = derivative(W)
+    ns = [[_PiInteger.one(p)]]
     for s in range(s_max):
-        dcur = _pp_derivative(cur)
-        size = 0
-        for x, y in ((dcur, w), (cur, wprime), (u, cur)):
-            if x and y:
-                size = max(size, len(x) + len(y) - 1)
-        buf = [[Fraction(0)] * deg for _ in range(size)]
-        if dcur and w:
-            _acc_product(buf, dcur, w, p)
-        if cur and wprime:
-            _acc_product(buf, _pp_scale(wprime, -s), cur, p)
-        if u and cur:
-            _acc_product(buf, u, cur, p)
-        nxt = _pp_trim([PiNumber._raw(p, tuple(c)) for c in buf])
-        ns.append(nxt)
-        cur = nxt
-    return ns
+        n = ns[-1]
+        nxt = add(mul(W, derivative(n)), mul(scale(Wprime, -s), n))
+        ns.append(add(nxt, mul(U, n)))
+    return ns, W
 
 
 def symbol_sequence(g: RationalFunctionPi, s_max: int):
     """b_0..b_(s_max) with b_0 = 1 and b_(s+1) = b_s' + g b_s, so that
-    D^s e = b_s e for the rank-one operator d/dx - g on a cyclic vector e."""
+    D^s e = b_s e for the rank-one operator d/dx - g on a cyclic vector e.
+    Each b_s comes as n_s / W^s in the terms of _symbol_numerators."""
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
     p = g.p
-    ns = _symbol_numerators(g, s_max)
+    ns, W = _symbol_numerators(g, s_max)
+    W = [PiNumber(p, c.coords) for c in W]
     out = []
     wpow = [PiNumber.one(p)]
     for s, n in enumerate(ns):
         if not n:
             out.append(RationalFunctionPi.zero(p))
         else:
-            out.append(RationalFunctionPi(p, n, wpow))
+            out.append(RationalFunctionPi(
+                p, [PiNumber(p, c.coords) for c in n], wpow))
         if s < len(ns) - 1:
-            wpow = _pp_mul(wpow, g.den, p)
+            wpow = mul(wpow, W)
     return out
 
 
@@ -562,11 +369,10 @@ def radius_profile(g: RationalFunctionPi, lam_grid=DEFAULT_GRID,
         raise ValueError("need at least two weights for slopes")
     if any(x <= 0 for x in grid):
         raise ValueError("weights must be positive (rho < 1)")
-    ns = _symbol_numerators(g, s_max)
-    profiles = [[(j, c.valuation()) for j, c in enumerate(n)
-                 if not c.is_zero()] for n in ns]
-    den_profile = [(j, c.valuation()) for j, c in enumerate(g.den)
-                   if not c.is_zero()]
+    ns, W = _symbol_numerators(g, s_max)
+    profiles = [[(j, c.valuation()) for j, c in enumerate(n) if c]
+                for n in ns]
+    den_profile = [(j, c.valuation()) for j, c in enumerate(W) if c]
 
     samples = []
     for lam in grid:

@@ -260,6 +260,9 @@ def verify_suite(name: str) -> dict:
 
 
 def _jsonable(v):
+    """Report values as JSON data: a Fraction as "n/d" (an int when
+    integral), a cyclotomic integer as its coordinate list, and any object
+    JSON has no type for as its str."""
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
             else v.numerator
@@ -269,4 +272,6 @@ def _jsonable(v):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
-    return v
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    return str(v)

@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from expsumlab import cli
+from expsumlab import cli, expsum
 
 
 def write_job(tmp_path, name, doc):
@@ -35,6 +36,51 @@ DWORK_JOB = {
     "command": "index",
     "payload": {"p": 3, "g": {"num": [["0", "1"]], "den": ["0", "0", "1"]}},
 }
+
+RADIUS_JOB = {**DWORK_JOB, "command": "radius"}
+
+SCALE_JOB = {
+    "command": "lfun",
+    "payload": {
+        "base": {"p": 3},
+        "variety": {"kind": "affine", "dim": 2,
+                    "f": [[1, [2, 1]], [-1, [1, 0]]]},
+        "levels": 6,
+        "scale": 2,
+    },
+}
+
+# x + y on the complement of xy = 1 in A^2 over F_3
+COMPLEMENT_JOB = {
+    "command": "sum",
+    "payload": {
+        "base": {"p": 3},
+        "variety": {"kind": "complement", "dim": 2,
+                    "g": [[1, [1, 0]], [1, [0, 1]]],
+                    "h": [[1, [1, 1]], [-1, [0, 0]]], "k": 1},
+        "levels": 4,
+    },
+}
+
+BIG_SUM_JOB = {**SUM_JOB, "payload": {**SUM_JOB["payload"], "levels": 12}}
+
+UNCERTIFIED_JOB = {"command": "lfun", "payload": {
+    **{k: v for k, v in KLOOSTERMAN_JOB["payload"].items() if k != "predict"},
+    "bounds": [0, 0]}}
+
+# one standalone prediction job of each kind
+PREDICT_JOBS = [
+    {"command": "predict", "payload": payload} for payload in (
+        {"kind": "chern", "n": 2, "d": [1, 1, 1], "e": [1, 1, 1]},
+        {"kind": "curve", "g": 0, "c": 0, "m": 2, "d": 2},
+        {"kind": "betti", "n": 3, "b": [8, 79]},
+        {"kind": "newton", "n": 2, "support": [[2, 1], [1, 0]]},
+        {"kind": "sl2", "N": 1},
+        {"kind": "fermat", "n": 2},
+    )]
+BETTI_JOB, FERMAT_JOB = PREDICT_JOBS[2], PREDICT_JOBS[5]
+
+BAD_SUM_JOB = {"command": "sum", "payload": {"base": {"p": 3}}}
 
 
 def run(capsys, argv):
@@ -76,17 +122,7 @@ def test_lfun_with_prediction_verdict(tmp_path, capsys):
 
 
 def test_lfun_scale_pipeline(tmp_path, capsys):
-    doc = {
-        "command": "lfun",
-        "payload": {
-            "base": {"p": 3},
-            "variety": {"kind": "affine", "dim": 2,
-                        "f": [[1, [2, 1]], [-1, [1, 0]]]},
-            "levels": 6,
-            "scale": 2,
-        },
-    }
-    job = write_job(tmp_path, "job.json", doc)
+    job = write_job(tmp_path, "job.json", SCALE_JOB)
     code, out, _ = run(capsys, ["lfun", "--job", job])
     assert code == 0
     report = json.loads(out)
@@ -94,10 +130,7 @@ def test_lfun_scale_pipeline(tmp_path, capsys):
 
 
 def test_predict_command(tmp_path, capsys):
-    job = write_job(tmp_path, "job.json", {
-        "command": "predict",
-        "payload": {"kind": "betti", "n": 3, "b": [8, 79]},
-    })
+    job = write_job(tmp_path, "job.json", BETTI_JOB)
     code, out, _ = run(capsys, ["predict", "--job", job])
     assert code == 0
     report = json.loads(out)
@@ -105,8 +138,7 @@ def test_predict_command(tmp_path, capsys):
 
 
 def test_predict_fermat_flags_discrepancy(tmp_path, capsys):
-    job = write_job(tmp_path, "job.json", {
-        "command": "predict", "payload": {"kind": "fermat", "n": 2}})
+    job = write_job(tmp_path, "job.json", FERMAT_JOB)
     code, out, _ = run(capsys, ["predict", "--job", job])
     assert code == 0
     report = json.loads(out)
@@ -115,7 +147,7 @@ def test_predict_fermat_flags_discrepancy(tmp_path, capsys):
 
 
 def test_radius_and_index_commands(tmp_path, capsys):
-    job = write_job(tmp_path, "radius.json", {**DWORK_JOB, "command": "radius"})
+    job = write_job(tmp_path, "radius.json", RADIUS_JOB)
     csv = tmp_path / "prof.csv"
     code, out, _ = run(capsys, ["radius", "--job", job, "--smax", "30",
                                 "--csv", str(csv)])
@@ -149,8 +181,7 @@ def test_verify_reports_are_byte_identical(capsys):
 
 
 def test_exit_code_schema_violation(tmp_path, capsys):
-    job = write_job(tmp_path, "bad.json", {"command": "sum",
-                                           "payload": {"base": {"p": 3}}})
+    job = write_job(tmp_path, "bad.json", BAD_SUM_JOB)
     code, _, err = run(capsys, ["sum", "--job", job])
     assert code == cli.EXIT_SCHEMA and "schema error" in err
     # command mismatch between file and subcommand
@@ -163,18 +194,13 @@ def test_exit_code_schema_violation(tmp_path, capsys):
 
 
 def test_exit_code_budget(tmp_path, capsys):
-    doc = json.loads(json.dumps(SUM_JOB))
-    doc["payload"]["levels"] = 12
-    job = write_job(tmp_path, "big.json", doc)
+    job = write_job(tmp_path, "big.json", BIG_SUM_JOB)
     code, _, err = run(capsys, ["sum", "--job", job, "--budget", "1000"])
     assert code == cli.EXIT_BUDGET and "budget" in err
 
 
 def test_exit_code_uncertified(tmp_path, capsys):
-    doc = json.loads(json.dumps(KLOOSTERMAN_JOB))
-    del doc["payload"]["predict"]
-    doc["payload"]["bounds"] = [0, 0]
-    job = write_job(tmp_path, "tight.json", doc)
+    job = write_job(tmp_path, "tight.json", UNCERTIFIED_JOB)
     code, _, err = run(capsys, ["lfun", "--job", job])
     assert code == cli.EXIT_UNCERTIFIED and "not certified" in err
 
@@ -198,3 +224,48 @@ def test_verify_all(capsys):
     from expsumlab.verify import verify_suite
     for case in ("fermat-discrepancy", "a3-betti"):
         assert verify_suite(case)["passed"]
+
+
+# report bytes of COMPLEMENT_JOB, recorded when `sum` still counted the
+# points of each level in a second enumeration
+COMPLEMENT_REPORT = (
+    '{"command":"sum","n":1,"p":3,"points":[7,73,703,6481],'
+    '"progress":[{"m":1,"points":9},{"m":2,"points":81},'
+    '{"m":3,"points":729},{"m":4,"points":6561}],'
+    '"records":[{"coords":[1,0],"m":1},{"coords":[19,0],"m":2},'
+    '{"coords":[1,0],"m":3},{"coords":[163,0],"m":4}]}\n')
+
+
+def test_complement_sum_enumerates_each_level_once(tmp_path, capsys,
+                                                   monkeypatch):
+    levels = []
+    histograms = expsum._histograms
+
+    def counted(v, base, m, *args, **kwargs):
+        levels.append(m)
+        return histograms(v, base, m, *args, **kwargs)
+
+    monkeypatch.setattr(expsum, "_histograms", counted)
+    job = write_job(tmp_path, "job.json", COMPLEMENT_JOB)
+    code, out, _ = run(capsys, ["sum", "--job", job])
+    assert code == 0
+    assert levels == [1, 2, 3, 4]
+    assert out == COMPLEMENT_REPORT
+
+
+def test_job_documents_match_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    path = Path(cli.__file__).parent / "schemas" / "job.schema.json"
+    schema = json.loads(path.read_text())
+    jsonschema.Draft202012Validator.check_schema(schema)
+    validator = jsonschema.Draft202012Validator(schema)
+    for doc in [SUM_JOB, KLOOSTERMAN_JOB, DWORK_JOB, RADIUS_JOB, SCALE_JOB,
+                COMPLEMENT_JOB, BIG_SUM_JOB, UNCERTIFIED_JOB] + PREDICT_JOBS:
+        validator.validate(doc)
+    assert not validator.is_valid(BAD_SUM_JOB)
+
+
+def test_predict_job_of_each_kind():
+    for doc in PREDICT_JOBS:
+        report, _ = cli.run_job(doc)
+        assert report["kind"] == doc["payload"]["kind"]

@@ -195,3 +195,57 @@ def test_rational_cyclotomic_field_ops():
         CyclotomicRat(5, [0, 1, 0, 0]).as_rational()
     with pytest.raises(ZeroDivisionError):
         CyclotomicRat.zero(3).inverse()
+
+
+# -- one quotient-ring core for Z[zeta_p], Q(zeta_p) and Q(pi) -------------------
+
+def _reference_product(p, a, b, top):
+    """Schoolbook product of coordinate vectors for 1, y, ..., y^(p-2),
+    rewriting each y^k with k >= p-1 by the ring's rule `top`."""
+    out = [0] * (p - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            top(out, i + j, x * y)
+    return out
+
+
+def _zeta_rule(p):
+    def top(out, k, c):
+        k %= p                      # zeta^p = 1
+        if k < p - 1:
+            out[k] += c
+        else:                       # zeta^(p-1) = -(1 + ... + zeta^(p-2))
+            for t in range(p - 1):
+                out[t] -= c
+    return top
+
+
+def _pi_rule(p):
+    def top(out, k, c):
+        if k < p - 1:
+            out[k] += c
+        else:                       # pi^(p-1) = -p
+            out[k - (p - 1)] -= p * c
+    return top
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_quotient_ring_products_match_reference(data):
+    from fractions import Fraction
+
+    from expsumlab.padic import PiNumber
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    ints = st.lists(st.integers(-50, 50), min_size=p - 1, max_size=p - 1)
+    rats = st.lists(st.fractions(-20, 20, max_denominator=9),
+                    min_size=p - 1, max_size=p - 1)
+    a, b = data.draw(ints), data.draw(ints)
+    assert list((CyclotomicInt(p, a) * CyclotomicInt(p, b)).coords) == \
+        _reference_product(p, a, b, _zeta_rule(p))
+    a, b = data.draw(rats), data.draw(rats)
+    got = (CyclotomicRat(p, a) * CyclotomicRat(p, b)).coords
+    assert list(got) == _reference_product(p, a, b, _zeta_rule(p))
+    assert all(type(c) is Fraction for c in got)
+    got = (PiNumber(p, a) * PiNumber(p, b)).coords
+    assert list(got) == _reference_product(p, a, b, _pi_rule(p))
+    assert all(type(c) is Fraction for c in got)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expsumlab.ffield import CyclotomicRat
 from expsumlab.padic import (DEFAULT_GRID, INF, GaussWeight,
                              NonStabilizedError, PiNumber, RadiusProfile,
                              RadiusSample, RationalFunctionPi, digit_sum,
@@ -336,3 +337,39 @@ def test_rational_function_algebra():
 def test_default_grid_shape():
     assert DEFAULT_GRID == (Fraction(1, 4), Fraction(1, 2), Fraction(1),
                             Fraction(3, 2), Fraction(2))
+
+
+def _rs(lam, r, method, den_tie=False, raw=None, osc=None):
+    return RadiusSample(Fraction(lam), Fraction(r), method != "unstabilized",
+                        method, den_tie, Fraction(raw if raw else r),
+                        None if osc is None else Fraction(osc))
+
+
+@pytest.mark.parametrize("s_max,middle", [
+    (20, _rs("5/8", "3/4", "unstabilized", True, osc="7/152")),
+    (30, _rs("5/8", "4/5", "power-subsequence", True, raw="79/100")),
+])
+def test_profile_pinned_with_unequal_denominators(s_max, middle):
+    # g = (1/2 + x/3) / (x^2/5 + pi): numerator and denominator clear with
+    # different denominators; den ties at lambda = 5/8.  Values recorded
+    # from the Fraction-coordinate recurrence.
+    p = 5
+    g = RationalFunctionPi(p, [Fraction(1, 2), Fraction(1, 3)],
+                           [PiNumber.pi(p), 0, Fraction(1, 5)])
+    grid = (Fraction(1, 8), Fraction(1, 4), Fraction(5, 8), 1, 2)
+    expected = RadiusProfile(p, (
+        _rs("1/8", "1/8", "robba-clamp"), _rs("1/4", "1/4", "robba-clamp"),
+        middle, _rs(1, 1, "robba-clamp"), _rs(2, 2, "robba-clamp")),
+        (Fraction(1), Fraction(1)))
+    assert radius_profile(g, grid, s_max) == expected
+
+
+def test_pi_and_cyclotomic_numbers_do_not_mix():
+    p = 5
+    x, z = PiNumber.pi(p), CyclotomicRat.one(p)
+    for op in (lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(TypeError):
+            op(x, z)
+        with pytest.raises(TypeError):
+            op(z, x)
