@@ -21,7 +21,7 @@ import numpy as np
 
 from .ffield import (CyclotomicInt, FieldCtx, FqElem, additive_character,
                      build_field, galois_twist, trace_to_prime)
-from .tables import FieldTables, get_tables
+from .tables import TABLE_BYTES_PER_ELEMENT, FieldTables, get_tables
 
 DEFAULT_BUDGET = 10 ** 9
 _BLOCK = 1 << 20
@@ -33,7 +33,7 @@ SL2 = "sl2"
 
 
 class BudgetExceededError(RuntimeError):
-    """Estimated enumeration work exceeds the configured budget."""
+    """Estimated enumeration and table work exceeds the configured budget."""
 
 
 def _normalize_terms(terms) -> tuple:
@@ -261,6 +261,12 @@ def _enumeration_work(v: VarietySpec, q: int) -> int:
     return q ** 3  # sl2 strata enumerate (q-1)q^2 + (q-1)q points
 
 
+def _level_work(v: VarietySpec, q: int) -> int:
+    # A table element costs its bytes in budget units, so the budget bounds
+    # the tower's memory as well as the point evaluations.
+    return _enumeration_work(v, q) + TABLE_BYTES_PER_ELEMENT * q
+
+
 def _coef_code(T: FieldTables, base: FieldCtx, coef) -> int:
     if isinstance(coef, FqElem):
         if coef.ctx != base:
@@ -339,10 +345,11 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     p = base.p
     if m < 1:
         raise ValueError("level must be >= 1")
-    work = _enumeration_work(v, base.q ** m)
+    work = _level_work(v, base.q ** m)
     if work > budget:
         raise BudgetExceededError(
-            f"level {m} needs ~{work} point evaluations; budget is {budget}")
+            f"level {m} needs ~{work} work units (point evaluations plus "
+            f"{TABLE_BYTES_PER_ELEMENT} per table element); budget is {budget}")
     if tower is None:
         tower = build_field(p, base.n * m)
     elif tower.p != p or tower.n != base.n * m:
@@ -517,14 +524,15 @@ def power_sum_table(v: VarietySpec, base: FieldCtx, M: int, *,
     """S_1..S_M for each scale c (f replaced by c*f), in one pass per level.
 
     Returns {scale_index: PowerSumSequence}; scale_index runs over the
-    positions in `scales`.  Refuses to start if the whole table would
-    exceed the work budget."""
+    positions in `scales`.  Refuses to start if the whole table, point
+    evaluations and field tables together, would exceed the work budget."""
     if M < 1:
         raise ValueError("need at least one level")
-    total_work = sum(_enumeration_work(v, base.q ** m) for m in range(1, M + 1))
+    total_work = sum(_level_work(v, base.q ** m) for m in range(1, M + 1))
     if total_work > budget:
         raise BudgetExceededError(
-            f"table through level {M} needs ~{total_work} point evaluations; "
+            f"table through level {M} needs ~{total_work} work units (point "
+            f"evaluations plus {TABLE_BYTES_PER_ELEMENT} per table element); "
             f"budget is {budget}")
     per_scale = [[] for _ in scales]
     progress = []

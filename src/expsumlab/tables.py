@@ -5,15 +5,32 @@ generator g (code e  <->  g^e, e in [0, q-1)); the zero element gets the
 extra code q-1.  Multiplication is then index addition mod q-1 and field
 addition goes through the Zech logarithm z(d) = log(1 + g^d).  Everything
 is integer-valued, so numpy int64 vector ops stay exact.
+
+An element is also indexed by its base-p integer: the coefficients of its
+polynomial basis read as base-p digits, constant term lowest (as in
+FieldCtx.element_at).  Four int32 arrays of length q hold the tables, so a
+field costs 16 bytes per element:
+
+  exp[e]            base-p index of g^e (exp[q-1] = 0, the zero element)
+  log[i]            code of the element with base-p index i (log[exp] = codes)
+  zech[d]           code of 1 + g^d, ZECH_SENTINEL where that is zero
+  trace_of_code[e]  trace of g^e to F_p
+
+They are built by a few integer matrix passes over F_p, not one element at
+a time (see FieldTables.__init__).
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
 from .ffield import FieldCtx, FqElem, _factor, trace_to_prime
 
 ZECH_SENTINEL = -1
+TABLE_BYTES_PER_ELEMENT = 16  # exp, log, zech and trace_of_code, int32 each
+_CACHE_SIZE = 8
 
 
 class PoleEvaluationError(ValueError):
@@ -21,11 +38,11 @@ class PoleEvaluationError(ValueError):
 
 
 class FieldTables:
-    """Log/Zech/trace tables for one field context."""
+    """Exp/log/Zech/trace tables for one field context."""
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
-        q = ctx.q
+        p, n, q = ctx.p, ctx.n, ctx.q
         self.q = q
         self.zero_code = q - 1
         self.group_order = q - 1
@@ -33,52 +50,55 @@ class FieldTables:
         gen = self._find_generator()
         self.generator = gen
 
-        # exp/log: exp[e] = coefficient tuple of g^e
-        exp = []
-        log_map = {}
-        cur = ctx.one()
-        for e in range(q - 1):
-            exp.append(cur.coeffs)
-            log_map[cur.coeffs] = e
-            cur = cur * gen
-        if cur != ctx.one():
+        # Multiplication by g is the F_p-linear map whose matrix has row j =
+        # coefficients of g*x^j, so a block of row vectors g^i..g^(i+L-1)
+        # times the matrix of g^L is the next block.  Doubling builds the
+        # first block of L >= sqrt(q) powers; then about sqrt(q) block steps
+        # fill the table.  Entries stay below n*p^2, exact in int64.
+        step = np.array([(ctx.element([0] * j + [1]) * gen).coeffs
+                         for j in range(n)], dtype=np.int64)
+        block = np.zeros((1, n), dtype=np.int64)
+        block[0, 0] = 1
+        while block.shape[0] ** 2 < q:
+            block = np.concatenate([block, block @ step % p])
+            step = step @ step % p
+        place = p ** np.arange(n, dtype=np.int64)   # base-p place values
+        tr_basis = np.array([trace_to_prime(ctx.element([0] * j + [1]))
+                             for j in range(n)], dtype=np.int64)
+        exp = np.zeros(q, dtype=np.int32)    # exp[q-1] = 0: the zero element
+        tr = np.zeros(q, dtype=np.int32)     # so is its trace
+        L = block.shape[0]
+        for start in range(0, q - 1, L):
+            stop = min(start + L, q - 1)
+            rows = block[:stop - start]
+            exp[start:stop] = rows @ place
+            tr[start:stop] = rows @ tr_basis % p
+            block = block @ step % p
+        log = np.full(q, -1, dtype=np.int32)
+        log[exp] = np.arange(q, dtype=np.int32)
+        if log.min() < 0:   # q writes left a slot empty: a repeated power
             raise RuntimeError("generator order mismatch")
         self.exp = exp
-        self.log_map = log_map
-
-        # Zech logs: zech[d] = log(1 + g^d), sentinel where 1 + g^d = 0.
-        # One extra slot so vector code may index d = q-1 on entries that the
-        # zero-operand masks discard anyway.
-        zech = np.full(q, ZECH_SENTINEL, dtype=np.int32)
-        p = ctx.p
-        for d in range(q - 1):
-            coeffs = list(exp[d])
-            coeffs[0] = (coeffs[0] + 1) % p
-            t = tuple(coeffs)
-            if any(t):
-                zech[d] = log_map[t]
-        self.zech = zech
-
-        # code of -1 (additive negation is a log shift; in char 2 it is a no-op)
-        if p == 2:
-            self.neg_shift = 0
-        else:
-            minus_one = tuple([p - 1] + [0] * (ctx.n - 1))
-            self.neg_shift = log_map[minus_one]
-
-        # trace to F_p per code (zero element has trace 0)
-        tr_basis = [trace_to_prime(ctx.element([0] * j + [1]))
-                    for j in range(ctx.n)]
-        tr = np.zeros(q, dtype=np.int32)
-        for e in range(q - 1):
-            tr[e] = sum(c * t for c, t in zip(exp[e], tr_basis)) % p
+        self.log = log
         self.trace_of_code = tr
 
-        # codes of the prime-field constants 0..p-1
-        const = np.full(p, self.zero_code, dtype=np.int64)
-        for c in range(1, p):
-            const[c] = log_map[tuple([c] + [0] * (ctx.n - 1))]
-        self.const_code = const
+        # Zech logs: zech[d] = log(1 + g^d).  Adding 1 changes only the
+        # lowest base-p digit, which wraps from p-1 to 0 without a carry.
+        # One extra sentinel slot so vector code may index d = q-1 on
+        # entries that the zero-operand masks discard anyway.
+        one_plus = exp[:q - 1] + 1
+        one_plus[one_plus % p == 0] -= p
+        zech = np.full(q, ZECH_SENTINEL, dtype=np.int32)
+        # every index is in range; mode "clip" skips the full buffered copy
+        # that the default mode makes of the output
+        np.take(log, one_plus, out=zech[:q - 1], mode="clip")
+        zech[:q - 1][one_plus == 0] = ZECH_SENTINEL   # 1 + g^d = 0
+        self.zech = zech
+
+        # the prime-field constants 0..p-1 have base-p indices 0..p-1; -1 is
+        # p-1, and additive negation is a log shift (0 in characteristic 2)
+        self.const_code = log[:p].astype(np.int64)
+        self.neg_shift = int(log[p - 1])
 
         self._embed_roots: dict = {}
 
@@ -88,8 +108,6 @@ class FieldTables:
         primes = _factor(order) if order > 1 else []
         for idx in range(1, ctx.q):
             cand = ctx.element_at(idx)
-            if cand.is_zero():
-                continue
             if all((cand ** (order // ell)) != ctx.one() for ell in primes):
                 return cand
         raise RuntimeError("no generator found")  # unreachable
@@ -99,14 +117,13 @@ class FieldTables:
     def code_of(self, x: FqElem) -> int:
         if x.ctx != self.ctx:
             raise ValueError("element from a different context")
-        if x.is_zero():
-            return self.zero_code
-        return self.log_map[x.coeffs]
+        index = 0
+        for c in reversed(x.coeffs):
+            index = index * self.ctx.p + c
+        return int(self.log[index])
 
     def element_of(self, code: int) -> FqElem:
-        if code == self.zero_code:
-            return self.ctx.zero()
-        return self.ctx.element(self.exp[code])
+        return self.ctx.element_at(int(self.exp[code]))
 
     def add(self, a: int, b: int) -> int:
         z = self.zero_code
@@ -191,9 +208,9 @@ class FieldTables:
     # -- embedding of a base field into this one ------------------------------
 
     def embed_root(self, base: FieldCtx) -> int:
-        """Code of a root of the base modulus in this field (exhaustive
-        search, cached).  Hosting the base field requires base.p == p and
-        base.n | n."""
+        """Smallest code of a root of the base modulus in this field (one
+        Horner pass over all nonzero codes, cached).  Hosting the base field
+        requires base.p == p and base.n | n."""
         key = (base.p, base.n, base.modulus)
         if key in self._embed_roots:
             return self._embed_roots[key]
@@ -202,17 +219,15 @@ class FieldTables:
         if base.n == 1:
             root = self.zero_code  # modulus is x; constants embed canonically
         else:
-            root = None
-            mod = list(base.modulus)
-            for cand in range(self.group_order):
-                acc = self.const_code[mod[-1] % base.p]
-                for c in reversed(mod[:-1]):
-                    acc = self.add(self.mul(acc, cand), int(self.const_code[c]))
-                if acc == self.zero_code:
-                    root = cand
-                    break
-            if root is None:
+            cand = np.arange(self.group_order, dtype=np.int64)
+            acc = np.full_like(cand, self.const_code[base.modulus[-1] % base.p])
+            for c in reversed(base.modulus[:-1]):
+                acc = self.vadd(self.vmul(acc, cand),
+                                int(self.const_code[c % base.p]))
+            roots = np.flatnonzero(acc == self.zero_code)
+            if roots.size == 0:
                 raise RuntimeError("no root of base modulus found")
+            root = int(roots[0])
         self._embed_roots[key] = root
         return root
 
@@ -225,11 +240,16 @@ class FieldTables:
         return acc
 
 
-_CACHE: dict = {}
+_CACHE: OrderedDict = OrderedDict()
 
 
 def get_tables(ctx: FieldCtx) -> FieldTables:
+    """The tables of ctx, kept for the _CACHE_SIZE most recently used fields."""
     key = (ctx.p, ctx.n, ctx.modulus)
-    if key not in _CACHE:
+    if key in _CACHE:
+        _CACHE.move_to_end(key)
+    else:
         _CACHE[key] = FieldTables(ctx)
+        if len(_CACHE) > _CACHE_SIZE:
+            _CACHE.popitem(last=False)
     return _CACHE[key]

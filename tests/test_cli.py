@@ -64,6 +64,11 @@ COMPLEMENT_JOB = {
 
 BIG_SUM_JOB = {**SUM_JOB, "payload": {**SUM_JOB["payload"], "levels": 12}}
 
+# x on G_m over F_5 through level 12: few points, a 2.4e8-element table
+BIG_TABLE_JOB = {"command": "sum", "payload": {
+    "base": {"p": 5}, "variety": {"kind": "torus", "dim": 1, "f": [[1, [1]]]},
+    "levels": 12}}
+
 UNCERTIFIED_JOB = {"command": "lfun", "payload": {
     **{k: v for k, v in KLOOSTERMAN_JOB["payload"].items() if k != "predict"},
     "bounds": [0, 0]}}
@@ -199,6 +204,16 @@ def test_exit_code_budget(tmp_path, capsys):
     assert code == cli.EXIT_BUDGET and "budget" in err
 
 
+def test_exit_code_budget_counts_tables(tmp_path, capsys, monkeypatch):
+    def no_tables(ctx):
+        raise AssertionError(f"tables built for F_{ctx.p}^{ctx.n}")
+
+    monkeypatch.setattr(expsum, "get_tables", no_tables)
+    job = write_job(tmp_path, "table.json", BIG_TABLE_JOB)
+    code, out, err = run(capsys, ["sum", "--job", job])
+    assert code == cli.EXIT_BUDGET and "table element" in err and not out
+
+
 def test_exit_code_uncertified(tmp_path, capsys):
     job = write_job(tmp_path, "tight.json", UNCERTIFIED_JOB)
     code, _, err = run(capsys, ["lfun", "--job", job])
@@ -260,7 +275,8 @@ def test_job_documents_match_schema():
     jsonschema.Draft202012Validator.check_schema(schema)
     validator = jsonschema.Draft202012Validator(schema)
     for doc in [SUM_JOB, KLOOSTERMAN_JOB, DWORK_JOB, RADIUS_JOB, SCALE_JOB,
-                COMPLEMENT_JOB, BIG_SUM_JOB, UNCERTIFIED_JOB] + PREDICT_JOBS:
+                COMPLEMENT_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
+                UNCERTIFIED_JOB] + PREDICT_JOBS:
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)
 

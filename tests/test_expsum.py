@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsumlab.expsum import (BudgetExceededError, PowerSumSequence,
                               VarietySpec, count_points, multiply_terms,
@@ -124,6 +126,46 @@ def test_fast_path_matches_naive(v, base, m):
     assert power_sum(v, base, m) == power_sum_naive(v, base, m)
 
 
+HYPOTHESIS_BASES = [F2, F3, build_field(2, 2), F5]
+
+
+@st.composite
+def small_power_sum_cases(draw):
+    """A random VarietySpec of any kind over F_2, F_3, F_4 or F_5 with a
+    level m <= 2 small enough for power_sum_naive (SL2 only at q^m <= 5)."""
+    base = draw(st.sampled_from(HYPOTHESIS_BASES))
+    if base.n == 1:
+        coef, unit = st.integers(-2, base.p), st.integers(1, base.p - 1)
+    else:
+        unit = st.integers(1, base.q - 1).map(base.element_at)
+        coef = st.one_of(st.integers(0, base.p - 1), unit)
+    kind = draw(st.sampled_from(["affine", "torus", "complement", "sl2"]))
+    if kind == "sl2":
+        m = draw(st.integers(1, 2 if base.q == 2 else 1))
+        return VarietySpec.sl2(draw(st.lists(coef, min_size=1, max_size=3))), \
+            base, m
+    m = draw(st.integers(1, 2))
+    size = base.q ** m
+    dim = draw(st.integers(0, max(d for d in range(4) if size ** d <= 625)))
+    lo = -2 if kind == "torus" else 0
+    exps = st.tuples(*[st.integers(lo, 3)] * dim)
+    f = draw(st.dictionaries(exps, coef, max_size=3))
+    if kind == "affine":
+        return VarietySpec.affine_space(dim, f), base, m
+    if kind == "torus":
+        return VarietySpec.torus(dim, f), base, m
+    h = draw(st.dictionaries(exps, unit, min_size=1, max_size=2))
+    return VarietySpec.hypersurface_complement(
+        dim, f, h, draw(st.integers(0, 2))), base, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_power_sum_cases())
+def test_fast_path_matches_naive_on_random_varieties(case):
+    v, base, m = case
+    assert power_sum(v, base, m) == power_sum_naive(v, base, m)
+
+
 def test_fast_path_matches_callable_brute_force():
     got = power_sum(NEWTON_DEGENERATE, F3, 2)
     assert got == brute_sum(F3, 2, 2, lambda x, y: x * x * y - x)
@@ -220,6 +262,22 @@ def test_budget_refusal():
         power_sum_table(NEWTON_DEGENERATE, F3, 12, budget=1000)
     with pytest.raises(BudgetExceededError):
         power_sum(NEWTON_DEGENERATE, F5, 6, budget=10 ** 6)
+
+
+def test_budget_counts_table_elements(monkeypatch):
+    # x over G_m(F_5) through level 12: ~3.1e8 point evaluations fit the
+    # default budget, but the level-12 tables alone are 2.4e8 elements, ~4 GB
+    import expsumlab.expsum as es
+    assert sum(5 ** m - 1 for m in range(1, 13)) < es.DEFAULT_BUDGET
+
+    def no_tables(ctx):
+        raise AssertionError(f"tables built for F_{ctx.p}^{ctx.n}")
+
+    monkeypatch.setattr(es, "get_tables", no_tables)
+    with pytest.raises(BudgetExceededError, match="table element"):
+        power_sum_table(TORUS_LINEAR, F5, 12)
+    with pytest.raises(BudgetExceededError, match="table element"):
+        power_sum(TORUS_LINEAR, F5, 12)
 
 
 def test_scaled_pass_matches_separate_passes():
