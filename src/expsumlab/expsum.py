@@ -11,6 +11,7 @@ used to cross-check the table-driven path on small inputs.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -327,12 +328,39 @@ def _eval_terms(T: FieldTables, terms, coords, zmasks, npts: int,
     return acc
 
 
-def _block_ranges(total: int, block: int):
-    start = 0
-    while start < total:
-        end = min(start + block, total)
-        yield start, end
-        start = end
+def _grid_blocks(lengths):
+    """Blocks of at most _BLOCK points covering the grid of all index tuples
+    below `lengths`, last coordinate fastest.  A block (o0, o1, i0, i1) is a
+    run of indices into the outer coordinates times a chunk of the last one;
+    the last coordinate is split too, so the bound holds in every dimension.
+    An empty `lengths` is the one-point grid of dimension 0."""
+    *outer, last = lengths or (1,)
+    n_outer = math.prod(outer)
+    rows = max(1, _BLOCK // last)
+    chunk = min(last, _BLOCK)
+    for o0 in range(0, n_outer, rows):
+        o1 = min(o0 + rows, n_outer)
+        for i0 in range(0, last, chunk):
+            yield o0, o1, i0, min(i0 + chunk, last)
+
+
+def _grid_coords(lengths, block, dt):
+    """Coordinate arrays of one block of _grid_blocks(lengths) and its size.
+
+    Only the outer run is decoded by division; it is repeated across the
+    chunk, which is tiled across the run."""
+    o0, o1, i0, i1 = block
+    width = i1 - i0
+    coords = []
+    if lengths:
+        o = np.arange(o0, o1, dtype=np.int64)
+        stride = math.prod(lengths[:-1])
+        for n in lengths[:-1]:
+            stride //= n
+            coords.append(np.repeat((o // stride % n).astype(dt), width))
+        inner = np.arange(i0, i1, dtype=dt)
+        coords.append(np.tile(inner, o1 - o0) if o1 - o0 > 1 else inner)
+    return coords, (o1 - o0) * width
 
 
 def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
@@ -359,13 +387,13 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     if any(c == T.zero_code for c in scale_codes):
         raise ValueError("scales must be nonzero")
 
-    if v.kind == SL2:
-        tasks = list(_sl2_blocks(T, v, base))
-    else:
-        tasks = list(_product_blocks(T, v, base))
+    tasks = [(lengths, dt, evaluate, block)
+             for lengths, dt, evaluate in _grids(T, v, base)
+             for block in _grid_blocks(lengths)]
 
     def run(task):
-        f_codes, keep = task()
+        lengths, dt, evaluate, block = task
+        f_codes, keep = evaluate(*_grid_coords(lengths, block, dt))
         counts = []
         for sc in scale_codes:
             vals = f_codes if sc == 0 else T.vmul_code(f_codes, sc)
@@ -389,78 +417,44 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     return totals
 
 
-def _product_blocks(T: FieldTables, v: VarietySpec, base: FieldCtx):
-    """Yield thunks computing (f_codes, keep_mask) over blocks of the
-    coordinate odometer for affine/torus/complement kinds."""
-    q = T.q
-    length = q - 1 if v.kind == TORUS else q
-    dim = v.dim
-    total = length ** dim
+def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx):
+    """The coordinate grids that X(k_m) is enumerated over, as (lengths,
+    dtype, evaluate) triples.  evaluate(coords, npts) returns the codes of f
+    on a block and a mask of the points that lie on X (None when all do)."""
+    if v.kind == SL2:
+        return _sl2_grids(T, v, base)
 
-    if dim == 0:
-        def single():
-            terms = _term_codes(T, base, v.g if v.kind == COMPLEMENT else v.terms)
-            val = T.zero_code
-            for code, _ in terms:
-                val = T.add(val, code)
-            if v.kind == COMPLEMENT:
-                h_terms = _term_codes(T, base, v.h)
-                h = T.zero_code
-                for code, _ in h_terms:
-                    h = T.add(h, code)
-                if h == T.zero_code:
-                    return (np.array([], dtype=np.int64), None)
-                val = T.mul(val, (T.inv(h) * v.k) % T.group_order)
-            return (np.array([val], dtype=np.int64), None)
-        yield single
-        return
-
+    may_vanish = v.kind != TORUS
+    lengths = (T.q - 1 if v.kind == TORUS else T.q,) * v.dim
     if v.kind == COMPLEMENT:
         g_terms = _term_codes(T, base, v.g)
         h_terms = _term_codes(T, base, v.h)
-        dt = _work_dtype(T, g_terms + h_terms)
+        k = v.k % T.group_order   # h^(q-1) = 1 where h is nonzero
+        # a term of weight k covers the product h * k below
+        dt = _work_dtype(T, g_terms + h_terms + [(None, (k,))])
+
+        def evaluate(coords, npts):
+            zmasks = [None] * v.dim
+            h = _eval_terms(T, h_terms, coords, zmasks, npts, may_vanish, dt)
+            keep = h != T.zero_code
+            g = _eval_terms(T, g_terms, coords, zmasks, npts, may_vanish, dt)
+            hinv_k = np.where(keep, (-h * k) % T.group_order, 0)
+            vals = T.vmul(g, hinv_k)
+            return np.where(keep, vals, T.zero_code), keep
     else:
         f_terms = _term_codes(T, base, v.terms)
         dt = _work_dtype(T, f_terms)
 
-    may_vanish = v.kind != TORUS
-    inner = np.arange(length, dtype=dt)
-    outer_total = length ** (dim - 1)
-    group = max(1, _BLOCK // length)
-
-    for o_start, o_end in _block_ranges(outer_total, group):
-        def thunk(o_start=o_start, o_end=o_end):
-            o_idx = np.arange(o_start, o_end, dtype=np.int64)
-            npts = o_idx.size * length
-            coords = []
-            stride = outer_total
-            rest = o_idx
-            for _ in range(dim - 1):
-                stride //= length
-                coords.append(np.repeat((rest // stride).astype(dt), length))
-                rest = rest % stride
-            coords.append(np.tile(inner, o_idx.size))
-            zmasks = [None] * dim
-            if v.kind == COMPLEMENT:
-                h = _eval_terms(T, h_terms, coords, zmasks, npts,
-                                may_vanish, dt)
-                keep = h != T.zero_code
-                g = _eval_terms(T, g_terms, coords, zmasks, npts,
-                                may_vanish, dt)
-                hinv_k = np.where(keep, (-h * v.k) % T.group_order, 0)
-                vals = T.vmul(g, hinv_k)
-                vals = np.where(keep, vals, T.zero_code)
-                return vals, keep
-            return _eval_terms(T, f_terms, coords, zmasks, npts,
+        def evaluate(coords, npts):
+            return _eval_terms(T, f_terms, coords, [None] * v.dim, npts,
                                may_vanish, dt), None
-        yield thunk
+    return [(lengths, dt, evaluate)]
 
 
 def _sl2_f_codes(T: FieldTables, coeff_codes, t: np.ndarray) -> np.ndarray:
     """f = sum_n a_n s_n(t) with s_0 = 1, s_1 = t, s_n = t s_(n-1) - s_(n-2)."""
-    npts = t.size
-    acc = np.full(npts, T.zero_code, dtype=np.int64)
-    s_prev = np.zeros(npts, dtype=np.int64)  # code 0 encodes 1
+    acc = np.full_like(t, T.zero_code)
+    s_prev = np.zeros_like(t)  # code 0 encodes 1
     s_cur = t
     for a_code in coeff_codes:
         if a_code is not None:
@@ -469,7 +463,7 @@ def _sl2_f_codes(T: FieldTables, coeff_codes, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _sl2_blocks(T: FieldTables, v: VarietySpec, base: FieldCtx):
+def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx):
     """SL2 points split as a != 0 (d solved from det) plus the a = 0 stratum."""
     q = T.q
     coeff_codes = []
@@ -477,31 +471,20 @@ def _sl2_blocks(T: FieldTables, v: VarietySpec, base: FieldCtx):
         code = _coef_code(T, base, a)
         coeff_codes.append(None if code == T.zero_code else code)
 
-    # stratum a != 0: (a, b, c) free, d = (1 + b c) / a
-    total = (q - 1) * q * q
-    for start, end in _block_ranges(total, _BLOCK):
-        def thunk(start=start, end=end):
-            idx = np.arange(start, end, dtype=np.int64)
-            a = idx // (q * q)           # codes 0..q-2, all nonzero
-            rest = idx % (q * q)
-            b = rest // q
-            c = rest % q
-            bc = T.vmul(b, c)
-            one_plus = T.vadd(np.zeros_like(bc), bc)
-            d = T.vmul(one_plus, (-a) % T.group_order)
-            t = T.vadd(a, d)
-            return _sl2_f_codes(T, coeff_codes, t), None
-        yield thunk
+    def a_nonzero(coords, npts):
+        # (a, b, c) free with a a nonzero code, d = (1 + b c) / a
+        a, b, c = coords
+        bc = T.vmul(b, c)
+        one_plus = T.vadd(np.zeros_like(bc), bc)
+        d = T.vmul(one_plus, (-a) % T.group_order)
+        return _sl2_f_codes(T, coeff_codes, T.vadd(a, d)), None
 
-    # stratum a = 0: b != 0, c = -1/b, d free; trace is d
-    total0 = (q - 1) * q
-    for start, end in _block_ranges(total0, _BLOCK):
-        def thunk0(start=start, end=end):
-            idx = np.arange(start, end, dtype=np.int64)
-            d = idx % q
-            t = d
-            return _sl2_f_codes(T, coeff_codes, t), None
-        yield thunk0
+    def a_zero(coords, npts):
+        # b != 0, c = -1/b, d free; the trace is d
+        return _sl2_f_codes(T, coeff_codes, coords[1]), None
+
+    dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
+    return [((q - 1, q, q), dt, a_nonzero), ((q - 1, q), dt, a_zero)]
 
 
 def _counts_to_cyclotomic(p: int, counts) -> CyclotomicInt:

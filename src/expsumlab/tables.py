@@ -31,10 +31,7 @@ from .ffield import FieldCtx, FqElem, _factor, trace_to_prime
 ZECH_SENTINEL = -1
 TABLE_BYTES_PER_ELEMENT = 16  # exp, log, zech and trace_of_code, int32 each
 _CACHE_SIZE = 8
-
-
-class PoleEvaluationError(ValueError):
-    """A rational form was evaluated at a zero of its denominator."""
+_CHUNK = 1 << 16  # elements per pass of the zech build and of vadd's gather
 
 
 class FieldTables:
@@ -67,15 +64,16 @@ class FieldTables:
                              for j in range(n)], dtype=np.int64)
         exp = np.zeros(q, dtype=np.int32)    # exp[q-1] = 0: the zero element
         tr = np.zeros(q, dtype=np.int32)     # so is its trace
+        log = np.full(q, -1, dtype=np.int32)
+        log[0] = q - 1
         L = block.shape[0]
         for start in range(0, q - 1, L):
             stop = min(start + L, q - 1)
             rows = block[:stop - start]
             exp[start:stop] = rows @ place
             tr[start:stop] = rows @ tr_basis % p
+            log[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
             block = block @ step % p
-        log = np.full(q, -1, dtype=np.int32)
-        log[exp] = np.arange(q, dtype=np.int32)
         if log.min() < 0:   # q writes left a slot empty: a repeated power
             raise RuntimeError("generator order mismatch")
         self.exp = exp
@@ -85,14 +83,16 @@ class FieldTables:
         # Zech logs: zech[d] = log(1 + g^d).  Adding 1 changes only the
         # lowest base-p digit, which wraps from p-1 to 0 without a carry.
         # One extra sentinel slot so vector code may index d = q-1 on
-        # entries that the zero-operand masks discard anyway.
-        one_plus = exp[:q - 1] + 1
-        one_plus[one_plus % p == 0] -= p
+        # entries that the zero-operand masks discard anyway.  Fixed chunks
+        # keep the temporaries small next to the tables.
         zech = np.full(q, ZECH_SENTINEL, dtype=np.int32)
-        # every index is in range; mode "clip" skips the full buffered copy
-        # that the default mode makes of the output
-        np.take(log, one_plus, out=zech[:q - 1], mode="clip")
-        zech[:q - 1][one_plus == 0] = ZECH_SENTINEL   # 1 + g^d = 0
+        for start in range(0, q - 1, _CHUNK):
+            stop = min(start + _CHUNK, q - 1)
+            one_plus = exp[start:stop] + 1
+            one_plus[one_plus % p == 0] -= p
+            chunk = log[one_plus]
+            chunk[one_plus == 0] = ZECH_SENTINEL   # 1 + g^d = 0
+            zech[start:stop] = chunk
         self.zech = zech
 
         # the prime-field constants 0..p-1 have base-p indices 0..p-1; -1 is
@@ -148,16 +148,13 @@ class FieldTables:
             return a
         return (a + self.neg_shift) % self.group_order
 
-    def inv(self, a: int) -> int:
-        if a == self.zero_code:
-            raise ZeroDivisionError("inverse of zero")
-        return (-a) % self.group_order
-
     # -- vector code arithmetic (numpy integer arrays of codes) ---------------
     #
     # Codes live in [0, q-1] with q-1 encoding zero, so sums of two codes stay
     # below 2(q-1) and a compare-and-subtract replaces the integer division of
-    # a true modulo.
+    # a true modulo.  Each result is computed in place, the Zech gather a
+    # chunk at a time, so an operation holds one new array besides its
+    # operands.
 
     def _fold(self, t: np.ndarray) -> np.ndarray:
         n = self.group_order
@@ -166,44 +163,39 @@ class FieldTables:
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         z = self.zero_code
-        d = b - a
-        np.add(d, self.group_order, out=d, where=d < 0)
-        zd = self.zech[d]
-        t = self._fold(a + zd)
-        return np.where(a == z, b, np.where(b == z, a,
-                        np.where(zd == ZECH_SENTINEL, z, t)))
+        t = b - a
+        np.add(t, self.group_order, out=t, where=t < 0)
+        for i in range(0, t.size, _CHUNK):   # t = zech[t]
+            t[i:i + _CHUNK] = self.zech[t[i:i + _CHUNK]]
+        # a sentinel stays in place through the sum: no sum of codes is < 0
+        self._fold(np.add(a, t, out=t, where=t != ZECH_SENTINEL))
+        np.copyto(t, z, where=t == ZECH_SENTINEL)
+        np.copyto(t, a, where=b == z)
+        np.copyto(t, b, where=a == z)
+        return t
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         z = self.zero_code
         t = self._fold(a + b)
-        return np.where((a == z) | (b == z), z, t)
+        np.copyto(t, z, where=(a == z) | (b == z))
+        return t
 
     def vmul_code(self, a: np.ndarray, c: int) -> np.ndarray:
         if c == self.zero_code:
             return np.full_like(a, self.zero_code)
         z = self.zero_code
-        return np.where(a == z, z, self._fold(a + c))
+        t = self._fold(a + c)
+        np.copyto(t, z, where=a == z)
+        return t
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         z = self.zero_code
-        return np.where(a == z, z, self._fold(a + self.neg_shift))
+        t = self._fold(a + self.neg_shift)
+        np.copyto(t, z, where=a == z)
+        return t
 
     def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.vadd(a, self.vneg(b))
-
-    def vinv(self, a: np.ndarray) -> np.ndarray:
-        if (a == self.zero_code).any():
-            raise ZeroDivisionError("inverse of zero")
-        return (-a) % self.group_order
-
-    def vpow_int(self, a: np.ndarray, e: int) -> np.ndarray:
-        """Coordinate-wise e-th power.  Negative e requires no zeros."""
-        z = self.zero_code
-        if e == 0:
-            return np.zeros_like(a)  # code 0 encodes the element 1
-        if e < 0 and (a == z).any():
-            raise PoleEvaluationError("negative power of zero")
-        return np.where(a == z, z, (a * e) % self.group_order)
 
     # -- embedding of a base field into this one ------------------------------
 

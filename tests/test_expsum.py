@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expsumlab.expsum as es
 from expsumlab.expsum import (BudgetExceededError, PowerSumSequence,
                               VarietySpec, count_points, multiply_terms,
                               power_sum, power_sum_naive, power_sum_table,
@@ -121,6 +123,9 @@ def test_kloosterman_first_sum():
     (VarietySpec.sl2([1, 1]), F3, 1),
     (VarietySpec.hypersurface_complement(
         1, {(2,): 1}, {(1,): 1, (0,): -1}, 1), F3, 2),
+    # a pole order past int64
+    (VarietySpec.hypersurface_complement(
+        1, {(1,): 1}, {(1,): 1, (0,): 1}, 10 ** 20 + 3), F5, 2),
 ])
 def test_fast_path_matches_naive(v, base, m):
     assert power_sum(v, base, m) == power_sum_naive(v, base, m)
@@ -214,12 +219,38 @@ def test_galois_equivariance():
             assert power_sum(v.scaled(u), base, 1) == galois_twist(s1, u)
 
 
-def test_determinism_under_partitioning(monkeypatch):
-    import expsumlab.expsum as es
-    want = power_sum(NEWTON_DEGENERATE, F3, 3)
+def _size_checked(evaluate, sizes):
+    def checked(coords, npts):
+        assert npts <= es._BLOCK
+        assert all(x.size == npts for x in coords)
+        sizes.append(npts)
+        return evaluate(coords, npts)
+    return checked
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("v,base,m", [
+    pytest.param(NEWTON_DEGENERATE, F3, 3, id="plane"),
+    pytest.param(KLOOSTERMAN, F5, 2, id="kloosterman"),
+    pytest.param(VarietySpec.hypersurface_complement(0, {(): 2}, {(): 3}, 2),
+                 F5, 2, id="dim0-complement"),
+    pytest.param(VarietySpec.sl2([1]), F2, 2, id="sl2"),
+])
+def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
+    # blocks of at most 7 points split the last coordinate of every grid
+    want = power_sum_naive(v, base, m)
+    grids, sizes, grid_points = es._grids, [], []
+
+    def spied(*args):
+        out = grids(*args)
+        grid_points.extend(math.prod(lengths) for lengths, _, _ in out)
+        return [(lengths, dt, _size_checked(evaluate, sizes))
+                for lengths, dt, evaluate in out]
+
     monkeypatch.setattr(es, "_BLOCK", 7)
-    assert power_sum(NEWTON_DEGENERATE, F3, 3) == want
-    assert power_sum(NEWTON_DEGENERATE, F3, 3, threads=3) == want
+    monkeypatch.setattr(es, "_grids", spied)
+    assert power_sum(v, base, m, threads=threads) == want
+    assert sizes and sum(sizes) == sum(grid_points)
 
 
 def test_modulus_independence_of_sums():
@@ -267,7 +298,6 @@ def test_budget_refusal():
 def test_budget_counts_table_elements(monkeypatch):
     # x over G_m(F_5) through level 12: ~3.1e8 point evaluations fit the
     # default budget, but the level-12 tables alone are 2.4e8 elements, ~4 GB
-    import expsumlab.expsum as es
     assert sum(5 ** m - 1 for m in range(1, 13)) < es.DEFAULT_BUDGET
 
     def no_tables(ctx):

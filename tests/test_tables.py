@@ -10,6 +10,7 @@ of powers; trace_to_prime itself runs on sampled codes.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,7 +90,9 @@ def sampled_codes(T, k):
 @pytest.mark.parametrize("ctx", SUITE_FIELDS, ids=[
     f"F{c.p}^{c.n}" + ("" if c == build_field(c.p, c.n) else "-alt")
     for c in SUITE_FIELDS])
-def test_tables_match_field_arithmetic(ctx):
+def test_tables_match_field_arithmetic(ctx, monkeypatch):
+    # chunks of 7 put chunk boundaries inside every field checked here
+    monkeypatch.setattr(tables, "_CHUNK", 7)
     p, n = ctx.p, ctx.n
     T = FieldTables(ctx)
     order = T.group_order
@@ -112,6 +115,7 @@ def test_tables_match_field_arithmetic(ctx):
     rng = random.Random(T.q)
     pairs = [(rng.randrange(T.q), rng.randrange(T.q)) for _ in range(200)]
     pairs += [(T.zero_code, 0), (0, T.zero_code), (T.zero_code, T.zero_code)]
+    pairs += [(e, T.neg(e)) for e in sampled_codes(T, 10)]   # sums to zero
     check_add(T, pairs)
     for k in range(2, n + 1):
         if n % k == 0:
@@ -133,6 +137,17 @@ def test_tables_spot_checks_on_large_fields(p, n):
         base = build_field(p, k)
         root = T.element_of(T.embed_root(base))
         assert base_modulus_at(base, root).is_zero()
+
+
+def test_table_build_holds_little_beyond_the_tables():
+    ctx = build_field(3, 12)
+    tracemalloc.start()
+    try:
+        FieldTables(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TABLE_BYTES_PER_ELEMENT * ctx.q + (2 << 20)
 
 
 def test_cache_is_bounded_lru(monkeypatch):
