@@ -116,10 +116,38 @@ def expand_quotient(P, Q, order):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)   # build_field passes every candidate modulus
 def _reducers(modulus):
     """The nonzero (i, m_i) below the leading term of a monic modulus."""
     return tuple((i, c) for i, c in enumerate(modulus[:-1]) if c)
+
+
+def reduce_monic(a, modulus, zero=0):
+    """The deg(m) coordinates of a modulo the monic m, a tuple of ints; short
+    inputs are padded with `zero`, so a Fraction ring keeps Fraction
+    coordinates.  Only the coefficients below the leading one are read."""
+    d = len(modulus) - 1
+    a = list(a) + [zero] * (d - len(a))
+    reducers = _reducers(modulus)
+    for k in range(len(a) - 1, d - 1, -1):  # y^d = -(m - y^d)
+        c = a[k]
+        if c:
+            for i, m in reducers:
+                a[k - d + i] -= c * m
+    return a[:d]
+
+
+def power(x, e, mul, one):
+    """x^e for an integer e >= 0 by square-and-multiply, with the product
+    mul(a, b) and its identity `one`."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return out
 
 
 class QuotientRingElem:
@@ -204,17 +232,8 @@ class QuotientRingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        modulus = self._modulus(self.p)
-        d = len(modulus) - 1
-        conv = mul(self.coords, o.coords)
-        conv += [self._coord(0)] * (d - len(conv))
-        reducers = _reducers(modulus)
-        for k in range(len(conv) - 1, d - 1, -1):  # y^d = -(m - y^d)
-            c = conv[k]
-            if c:
-                for i, m in reducers:
-                    conv[k - d + i] -= c * m
-        return self._like(conv[:d])
+        return self._like(reduce_monic(mul(self.coords, o.coords),
+                                       self._modulus(self.p), self._coord(0)))
 
     __rmul__ = __mul__
 

@@ -140,6 +140,8 @@ def run_job(spec: dict):
     payload = _require(spec, "payload", dict)
     budget = int(spec.get("budget", DEFAULT_BUDGET))
     threads = int(spec.get("threads", default_threads()))
+    if threads < 1:
+        raise SchemaError(f"threads must be at least 1, got {threads}")
     if command == "sum":
         return _run_sum(payload, budget, threads)
     if command == "lfun":

@@ -403,8 +403,10 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
             counts.append(np.bincount(tr, minlength=p))
         return counts
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # one block in flight per thread, and no more threads than cores
+    workers = min(threads or 1, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, tasks))
     else:
         results = [run(t) for t in tasks]
@@ -452,14 +454,15 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx):
 
 
 def _sl2_f_codes(T: FieldTables, coeff_codes, t: np.ndarray) -> np.ndarray:
-    """f = sum_n a_n s_n(t) with s_0 = 1, s_1 = t, s_n = t s_(n-1) - s_(n-2)."""
+    """f = sum_n a_n s_n(t) with s_0 = 1, s_1 = t, s_n = t s_(n-1) - s_(n-2).
+    coeff_codes ends at the last nonzero a_n, where the recurrence stops."""
     acc = np.full_like(t, T.zero_code)
-    s_prev = np.zeros_like(t)  # code 0 encodes 1
-    s_cur = t
-    for a_code in coeff_codes:
+    s_prev, s_cur = np.zeros_like(t), t  # code 0 encodes 1
+    for n, a_code in enumerate(coeff_codes):
+        if n:
+            s_prev, s_cur = s_cur, T.vsub(T.vmul(t, s_cur), s_prev)
         if a_code is not None:
             acc = T.vadd(acc, T.vmul_code(s_cur, a_code))
-        s_prev, s_cur = s_cur, T.vsub(T.vmul(t, s_cur), s_prev)
     return acc
 
 
@@ -470,14 +473,20 @@ def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx):
     for a in v.sl2_coeffs:
         code = _coef_code(T, base, a)
         coeff_codes.append(None if code == T.zero_code else code)
+    while coeff_codes and coeff_codes[-1] is None:
+        coeff_codes.pop()
 
     def a_nonzero(coords, npts):
-        # (a, b, c) free with a a nonzero code, d = (1 + b c) / a
+        # (a, b, c) free with a a nonzero code, d = (1 + b c) / a.  Each
+        # array is dropped once used, so a block holds few at a time.
         a, b, c = coords
-        bc = T.vmul(b, c)
-        one_plus = T.vadd(np.zeros_like(bc), bc)
-        d = T.vmul(one_plus, (-a) % T.group_order)
-        return _sl2_f_codes(T, coeff_codes, T.vadd(a, d)), None
+        coords.clear()
+        d = T.vmul(b, c)
+        del b, c
+        d = T.vmul(T.vadd(np.zeros_like(d), d), (-a) % T.group_order)
+        a = T.vadd(a, d)   # the trace a + d
+        del d
+        return _sl2_f_codes(T, coeff_codes, a), None
 
     def a_zero(coords, npts):
         # b != 0, c = -1/b, d free; the trace is d

@@ -1,8 +1,12 @@
 """Exact arithmetic in finite fields F_{p^n} and in the cyclotomic ring Z[zeta_p].
 
 Field elements are coefficient vectors in the polynomial basis of a fixed
-monic irreducible modulus.  Character-sum values live in Z[zeta_p], stored
-as integer vectors of length p-1 under the relation
+monic irreducible modulus.  This module has no polynomial code of its own:
+a product is the exact core's (_exactpoly) product and monic reduction over
+Z, with the coordinates taken mod p at the end, and powers, the Fermat
+inverse x^(q-2) and Rabin's irreducibility test are the core's
+square-and-multiply over that product.  Character-sum values live in
+Z[zeta_p], stored as integer vectors of length p-1 under the relation
 1 + zeta + ... + zeta^(p-1) = 0; the rational variant backs the L-series
 coefficient field Q(zeta_p).  No floating point anywhere.
 """
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 from . import _exactpoly
@@ -51,118 +55,36 @@ def _factor(n: int) -> list[int]:
     return out
 
 
-# -- polynomials over Z/p, little-endian int tuples --------------------------
+# -- F_p[x]/(f) on the exact core -------------------------------------------
 
-def _ptrim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a, m, p):
-    a = [x % p for x in a]
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(_ptrim(a)) > dm:
-        a = _ptrim(a)
-        shift = len(a) - 1 - dm
-        c = (a[-1] * inv_lead) % p
-        for i, y in enumerate(m):
-            a[i + shift] = (a[i + shift] - c * y) % p
-    return _ptrim(a)
+def _mul_mod_p(modulus, p: int, a, b) -> tuple:
+    """Coordinates of a * b in F_p[x]/(modulus), each in [0, p).  The product
+    and its monic reduction run over Z; one pass mod p ends them."""
+    return tuple(c % p for c in
+                 _exactpoly.reduce_monic(_exactpoly.mul(a, b), modulus))
 
 
-def _pmulmod(a, b, m, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _pmod(out, m, p)
-
-
-def _ppowmod(a, e, m, p):
-    result = [1]
-    base = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, m, p)
-        base = _pmulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _pdivmod(a, b, p):
-    """Quotient and remainder of a by a trimmed nonzero b over Z/p."""
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(_ptrim(r)) >= len(b):
-        r = _ptrim(r)
-        shift = len(r) - len(b)
-        c = (r[-1] * inv_lead) % p
-        q[shift] = c
-        for i, y in enumerate(b):
-            r[i + shift] = (r[i + shift] - c * y) % p
-    return q, _ptrim(r)
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    return a
-
-
-def _pinvmod(a, m, p):
-    """Inverse of a modulo m over Z/p via extended Euclid."""
-    r0, r1 = _ptrim(m), _ptrim(a)
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        # t_next = t0 - q*t1
-        qt = [0] * (len(q) + len(t1))
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(t1):
-                    qt[i + j] = (qt[i + j] + x * y) % p
-        t_next = [0] * max(len(t0), len(qt))
-        for i, x in enumerate(t0):
-            t_next[i] = x
-        for i, x in enumerate(qt):
-            t_next[i] = (t_next[i] - x) % p
-        r0, r1 = r1, r
-        t0, t1 = t1, _ptrim(t_next)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    c = pow(r0[0], -1, p)
-    return _pmod([x * c for x in t0], m, p)
-
-
-def _sub_x(a, p):
-    """a(x) - x over Z/p, trimmed."""
-    out = list(a) + [0] * (2 - len(a))
-    out[1] = (out[1] - 1) % p
-    return _ptrim(out)
-
-
-def _is_irreducible(f, p: int) -> bool:
-    """Monic f of degree n is irreducible over F_p iff x^(p^n) = x (mod f)
-    and gcd(x^(p^(n/l)) - x, f) = 1 for every prime l dividing n."""
+def _is_irreducible(f: tuple, p: int) -> bool:
+    """Rabin's test: monic f of degree n is irreducible over F_p iff
+    x^(p^n) = x (mod f) and x^(p^(n/l)) - x is a unit mod f for every prime
+    l dividing n.  Once f divides x^(p^n) - x, F_p[x]/(f) is a product of
+    fields F_(p^d) with d | n, so u is a unit iff u^(p^n - 1) = 1."""
     n = len(f) - 1
     if n == 1:
         return True
-    x = [0, 1]
-    if _sub_x(_ppowmod(x, p ** n, f, p), p):
+    one = (1,) + (0,) * (n - 1)
+    mul = partial(_mul_mod_p, f, p)
+
+    def frobenius_minus_x(e):   # x^(p^e) - x
+        y = list(_exactpoly.power((0, 1), p ** e, mul, one))
+        y[1] = (y[1] - 1) % p
+        return tuple(y)
+
+    if any(frobenius_minus_x(n)):
         return False
-    for ell in _factor(n):
-        g = _sub_x(_ppowmod(x, p ** (n // ell), f, p), p)
-        if len(_pgcd(g, f, p)) != 1:
-            return False
-    return True
+    return all(_exactpoly.power(frobenius_minus_x(n // ell), p ** n - 1,
+                                mul, one) == one
+               for ell in _factor(n))
 
 
 @dataclass(frozen=True)
@@ -180,7 +102,7 @@ class FieldCtx:
             raise ValueError("extension degree must be >= 1")
         if len(self.modulus) != self.n + 1 or self.modulus[-1] % self.p != 1:
             raise ValueError("modulus must be monic of degree n")
-        if not _is_irreducible(list(self.modulus), self.p):
+        if not _is_irreducible(tuple(self.modulus), self.p):
             raise ValueError("modulus is reducible")
 
     @property
@@ -188,11 +110,8 @@ class FieldCtx:
         return self.p ** self.n
 
     def element(self, coeffs: Sequence[int]) -> "FqElem":
-        cs = [c % self.p for c in coeffs]
-        if len(cs) > self.n:
-            cs = _pmod(cs, list(self.modulus), self.p)
-        cs = cs + [0] * (self.n - len(cs))
-        return FqElem(self, tuple(cs))
+        cs = _exactpoly.reduce_monic(coeffs, self.modulus)
+        return FqElem(self, tuple(c % self.p for c in cs))
 
     def zero(self) -> "FqElem":
         return self.element([0])
@@ -231,9 +150,9 @@ def build_field(p: int, n: int) -> FieldCtx:
         for _ in range(n):
             coeffs.append(kk % p)
             kk //= p
-        candidate = coeffs + [1]
+        candidate = tuple(coeffs) + (1,)
         if _is_irreducible(candidate, p):
-            return FieldCtx(p, n, tuple(candidate))
+            return FieldCtx(p, n, candidate)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
@@ -283,23 +202,21 @@ class FqElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = _pmulmod(list(self.coeffs), list(o.coeffs),
-                        list(self.ctx.modulus), self.ctx.p)
-        return self.ctx.element(prod)
+        ctx = self.ctx
+        return FqElem(ctx, _mul_mod_p(ctx.modulus, ctx.p, self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = _ppowmod(list(self.coeffs), e, list(self.ctx.modulus), self.ctx.p)
-        return self.ctx.element(out)
+        return _exactpoly.power(self, e, FqElem.__mul__, self.ctx.one())
 
     def inverse(self) -> "FqElem":
+        """x^(q-2), by Fermat: x^(q-1) = 1 for x != 0."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        inv = _pinvmod(list(self.coeffs), list(self.ctx.modulus), self.ctx.p)
-        return self.ctx.element(inv)
+        return self ** (self.ctx.q - 2)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -398,12 +315,6 @@ class CyclotomicInt(_exactpoly.QuotientRingElem):
     @classmethod
     def zeta(cls, p: int) -> "CyclotomicInt":
         return cls(p, _reduce_zeta_power(p, 1))
-
-    def as_int(self) -> int:
-        """The value as a plain integer; only valid for rational elements."""
-        if any(c != 0 for c in self.coords[1:]):
-            raise ValueError("element is not rational")
-        return self.coords[0]
 
     def __repr__(self):
         return f"Cyc({self.p}){list(self.coords)}"

@@ -112,7 +112,7 @@ class FieldTables:
                 return cand
         raise RuntimeError("no generator found")  # unreachable
 
-    # -- scalar code arithmetic ----------------------------------------------
+    # -- codes of single elements ---------------------------------------------
 
     def code_of(self, x: FqElem) -> int:
         if x.ctx != self.ctx:
@@ -124,29 +124,6 @@ class FieldTables:
 
     def element_of(self, code: int) -> FqElem:
         return self.ctx.element_at(int(self.exp[code]))
-
-    def add(self, a: int, b: int) -> int:
-        z = self.zero_code
-        if a == z:
-            return b
-        if b == z:
-            return a
-        d = (b - a) % self.group_order
-        zd = int(self.zech[d])
-        if zd == ZECH_SENTINEL:
-            return z
-        return (a + zd) % self.group_order
-
-    def mul(self, a: int, b: int) -> int:
-        z = self.zero_code
-        if a == z or b == z:
-            return z
-        return (a + b) % self.group_order
-
-    def neg(self, a: int) -> int:
-        if a == self.zero_code:
-            return a
-        return (a + self.neg_shift) % self.group_order
 
     # -- vector code arithmetic (numpy integer arrays of codes) ---------------
     #
@@ -224,12 +201,13 @@ class FieldTables:
         return root
 
     def embed(self, x: FqElem, base: FieldCtx) -> int:
-        """Code of the image of a base-field element under the cached embedding."""
-        root = self.embed_root(base)
-        acc = self.zero_code
+        """Code of the image of a base-field element under the cached
+        embedding: Horner's rule in FqElem at the root."""
+        root = self.element_of(self.embed_root(base))
+        acc = self.ctx.zero()
         for c in reversed(x.coeffs):
-            acc = self.add(self.mul(acc, root), int(self.const_code[c % base.p]))
-        return acc
+            acc = acc * root + c
+        return self.code_of(acc)
 
 
 _CACHE: OrderedDict = OrderedDict()

@@ -87,6 +87,9 @@ BETTI_JOB, FERMAT_JOB = PREDICT_JOBS[2], PREDICT_JOBS[5]
 
 BAD_SUM_JOB = {"command": "sum", "payload": {"base": {"p": 3}}}
 
+# threads below the schema's minimum of 1
+NO_THREADS_JOBS = [{**SUM_JOB, "threads": t} for t in (0, -3)]
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -198,6 +201,16 @@ def test_exit_code_schema_violation(tmp_path, capsys):
     assert code == cli.EXIT_SCHEMA
 
 
+def test_exit_code_threads_below_one(tmp_path, capsys):
+    for i, doc in enumerate(NO_THREADS_JOBS):
+        job = write_job(tmp_path, f"threads{i}.json", doc)
+        code, out, err = run(capsys, ["sum", "--job", job])
+        assert code == cli.EXIT_SCHEMA and "threads" in err and not out
+    job = write_job(tmp_path, "sum.json", SUM_JOB)
+    code, out, err = run(capsys, ["sum", "--job", job, "--threads", "0"])
+    assert code == cli.EXIT_SCHEMA and "threads" in err and not out
+
+
 def test_exit_code_budget(tmp_path, capsys):
     job = write_job(tmp_path, "big.json", BIG_SUM_JOB)
     code, _, err = run(capsys, ["sum", "--job", job, "--budget", "1000"])
@@ -279,6 +292,7 @@ def test_job_documents_match_schema():
                 UNCERTIFIED_JOB] + PREDICT_JOBS:
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)
+    assert not any(validator.is_valid(doc) for doc in NO_THREADS_JOBS)
 
 
 def test_predict_job_of_each_kind():

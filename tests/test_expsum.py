@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,48 @@ def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
     monkeypatch.setattr(es, "_grids", spied)
     assert power_sum(v, base, m, threads=threads) == want
     assert sizes and sum(sizes) == sum(grid_points)
+
+
+@pytest.mark.parametrize("cores,threads,pools_made", [
+    (2, 64, [2]), (1, 64, []), (None, 64, []), (64, 3, [3])])
+def test_thread_pool_is_capped_at_cpu_count(monkeypatch, cores, threads,
+                                            pools_made):
+    pools = []
+
+    class RecordingExecutor:   # runs the blocks in this thread
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    want = power_sum_naive(KLOOSTERMAN, F5, 2)
+    monkeypatch.setattr(es, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(es, "_BLOCK", 7)   # four blocks at level 2
+    monkeypatch.setattr(es.os, "cpu_count", lambda: cores)
+    assert power_sum(KLOOSTERMAN, F5, 2, threads=threads) == want
+    assert pools == pools_made
+
+
+def test_sl2_level_memory_is_bounded():
+    # one SL2 level over F_2^8 (16 blocks of 2^20 points, 4 MiB per int32
+    # array), tables prebuilt: a block holds at most seven arrays at once,
+    # not every intermediate of d and f (22 MiB measured, 49 MiB before)
+    es.get_tables(build_field(2, 8))
+    tracemalloc.start()
+    try:
+        got = power_sum(VarietySpec.sl2([1]), F2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == CyclotomicInt.from_int(2, 7936)
+    assert peak <= 28 << 20
 
 
 def test_modulus_independence_of_sums():

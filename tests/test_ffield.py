@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsumlab.ffield import (CrossContextError, CyclotomicInt, CyclotomicRat,
-                              FieldCtx, additive_character, build_field,
-                              galois_twist, trace, trace_to_prime)
+                              FieldCtx, _is_irreducible, additive_character,
+                              build_field, galois_twist, trace, trace_to_prime)
 
 
 # -- field construction ---------------------------------------------------------
@@ -96,6 +98,80 @@ def test_field_arithmetic_and_inverse():
     assert a ** 9 == a  # x^(q) = x
     with pytest.raises(ZeroDivisionError):
         ctx.zero().inverse()
+
+
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5, 7, 11, 31)
+                                 for n in range(1, 11) if p ** n <= 1024])
+def test_irreducible_count_matches_gauss(p, n):
+    # Gauss: (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles of degree n
+    found = sum(_is_irreducible(tuple(low) + (1,), p)
+                for low in itertools.product(range(p), repeat=n))
+    gauss = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    assert found * n == gauss
+
+
+def _reference_reduce(a, modulus, p):
+    """Long division by the modulus over F_p, one top coefficient at a time."""
+    a = [c % p for c in a]
+    n = len(modulus) - 1
+    lead_inv = pow(modulus[-1], -1, p)
+    for k in range(len(a) - 1, n - 1, -1):
+        c = a[k] * lead_inv % p
+        for i, m in enumerate(modulus):
+            a[k - n + i] = (a[k - n + i] - c * m) % p
+    return tuple(a[:n] + [0] * (n - len(a)))
+
+
+def _reference_mul(a, b, modulus, p):
+    """Schoolbook product, then long division."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _reference_reduce(out, modulus, p)
+
+
+REFERENCE_FIELDS = [build_field(2, 8), build_field(3, 5), build_field(5, 4),
+                    build_field(7, 3), FieldCtx(3, 2, (2, 1, 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFERENCE_FIELDS), st.data())
+def test_field_arithmetic_matches_long_division(ctx, data):
+    p, n, m = ctx.p, ctx.n, ctx.modulus
+    index = st.integers(0, ctx.q - 1)
+    x = ctx.element_at(data.draw(index))
+    y = ctx.element_at(data.draw(index))
+    one = ctx.one().coeffs
+    assert (x * y).coeffs == _reference_mul(x.coeffs, y.coeffs, m, p)
+    e = data.draw(st.integers(0, 40))
+    want = one
+    for _ in range(e):
+        want = _reference_mul(want, x.coeffs, m, p)
+    assert (x ** e).coeffs == want
+    long = data.draw(st.lists(st.integers(-30, 30), min_size=n + 1,
+                              max_size=3 * n + 2))
+    assert ctx.element(long).coeffs == _reference_reduce(long, m, p)
+    if y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        return
+    inv = y.inverse().coeffs
+    assert _reference_mul(inv, y.coeffs, m, p) == one
+    assert _reference_mul((y ** -e).coeffs, (y ** e).coeffs, m, p) == one
+    assert _reference_mul((x / y).coeffs, y.coeffs, m, p) == x.coeffs
 
 
 def test_cross_context_is_hard_error():

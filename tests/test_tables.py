@@ -48,7 +48,8 @@ def check_codes(T, codes, powers, traces):
     """Every table entry at each code e, given powers[i] = g^codes[i] and
     traces[i] = its trace to F_p."""
     one = T.ctx.one()
-    for e, x, t in zip(codes, powers, traces):
+    negs = T.vneg(np.array(codes, dtype=np.int64))
+    for e, x, t, minus in zip(codes, powers, traces, negs):
         assert T.element_of(e) == x
         assert T.code_of(x) == e
         y = one + x
@@ -57,7 +58,7 @@ def check_codes(T, codes, powers, traces):
         else:
             assert T.element_of(int(T.zech[e])) == y
         assert T.trace_of_code[e] == t
-        assert T.element_of(T.neg(e)) == -x
+        assert T.element_of(int(minus)) == -x
 
 
 def check_constants(T):
@@ -76,9 +77,7 @@ def check_add(T, pairs):
     b = np.array([y for _, y in pairs], dtype=np.int64)
     vec = T.vadd(a, b)
     for (x, y), s in zip(pairs, vec):
-        want = T.element_of(x) + T.element_of(y)
-        assert T.element_of(T.add(x, y)) == want
-        assert T.element_of(int(s)) == want
+        assert T.element_of(int(s)) == T.element_of(x) + T.element_of(y)
 
 
 def sampled_codes(T, k):
@@ -115,7 +114,8 @@ def test_tables_match_field_arithmetic(ctx, monkeypatch):
     rng = random.Random(T.q)
     pairs = [(rng.randrange(T.q), rng.randrange(T.q)) for _ in range(200)]
     pairs += [(T.zero_code, 0), (0, T.zero_code), (T.zero_code, T.zero_code)]
-    pairs += [(e, T.neg(e)) for e in sampled_codes(T, 10)]   # sums to zero
+    codes = sampled_codes(T, 10)
+    pairs += zip(codes, T.vneg(np.array(codes, dtype=np.int64)).tolist())  # sum 0
     check_add(T, pairs)
     for k in range(2, n + 1):
         if n % k == 0:
