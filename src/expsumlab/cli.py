@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import lfun, predict
 from .expsum import (DEFAULT_BUDGET, BudgetExceededError, VarietySpec,
-                     default_threads, power_sum_table, scaled_degree_check)
+                     power_sum_table, scaled_degree_check)
 from .ffield import build_field
 from .lfun import ReconstructionError
 from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, NonStabilizedError, PiNumber,
@@ -49,6 +50,18 @@ def _require(doc: dict, key: str, kind=None):
     if kind is not None and not isinstance(doc[key], kind):
         raise SchemaError(f"field {key!r} has the wrong type")
     return doc[key]
+
+
+def _positive_int(value, name: str) -> int:
+    """value as an int of at least 1; SchemaError naming `name` if not."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise SchemaError(
+            f"{name} must be an integer, got {value!r}") from None
+    if number < 1:
+        raise SchemaError(f"{name} must be at least 1, got {number}")
+    return number
 
 
 def _dump_report(report: dict) -> str:
@@ -138,10 +151,12 @@ def run_job(spec: dict):
         raise SchemaError("job document must be a JSON object")
     command = _require(spec, "command")
     payload = _require(spec, "payload", dict)
-    budget = int(spec.get("budget", DEFAULT_BUDGET))
-    threads = int(spec.get("threads", default_threads()))
-    if threads < 1:
-        raise SchemaError(f"threads must be at least 1, got {threads}")
+    budget = _positive_int(spec.get("budget", DEFAULT_BUDGET), "budget")
+    if "threads" in spec:
+        threads = _positive_int(spec["threads"], "threads")
+    else:
+        threads = _positive_int(os.environ.get("EXPSUMLAB_THREADS", 1),
+                                "EXPSUMLAB_THREADS")
     if command == "sum":
         return _run_sum(payload, budget, threads)
     if command == "lfun":
@@ -162,7 +177,7 @@ def run_job(spec: dict):
 def _run_sum(payload: dict, budget: int, threads: int):
     base = _parse_base(payload)
     v = _parse_variety(payload, base)
-    M = int(_require(payload, "levels"))
+    M = _positive_int(_require(payload, "levels"), "levels")
     seq = power_sum_table(v, base, M, budget=budget, threads=threads)[0]
     report = {"command": "sum", **seq.to_json(),
               "points": [pr["counted"] for pr in seq.progress],
@@ -176,7 +191,7 @@ def _run_sum(payload: dict, budget: int, threads: int):
 def _run_lfun(payload: dict, budget: int, threads: int):
     base = _parse_base(payload)
     v = _parse_variety(payload, base)
-    M = int(_require(payload, "levels"))
+    M = _positive_int(_require(payload, "levels"), "levels")
     scale = payload.get("scale")
     if scale is not None:
         rep = scaled_degree_check(v, base, int(scale), M, budget=budget,

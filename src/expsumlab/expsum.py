@@ -1,11 +1,17 @@
 """Point enumeration over F_{q^m} and exact accumulation of character sums.
 
 The fast path encodes field elements by discrete logs (see tables.py) and
-runs the enumeration in blocked numpy integer arrays; per block it
-histograms the trace of f(x) into p buckets, so the exact sum is
-sum_t count[t] * zeta^t with ordinary integer counts.  A naive reference
-path (power_sum_naive) evaluates everything with FqElem arithmetic and is
-used to cross-check the table-driven path on small inputs.
+runs the enumeration in blocked numpy integer arrays; per block it counts
+the points by the trace of f(x) mod p, so the exact sum is
+sum_t count[t] * zeta^t with ordinary integer counts.  Two identities cut
+the work.  Tr is F_p-linear, so on affine space and the torus the trace of
+f is the sum of its terms' traces, each read from the trace table at a
+code computed by integer arithmetic, and no field elements are added.  The
+coefficients lie in F_q, so x -> x^q permutes the points and fixes Tr(f):
+the first coordinate runs over one representative of each orbit, and a
+block's counts are multiplied by the orbit size.  A naive reference path
+(power_sum_naive) evaluates everything with FqElem arithmetic and is used
+to cross-check the table-driven path on small inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import numpy as np
 
 from .ffield import (CyclotomicInt, FieldCtx, FqElem, additive_character,
                      build_field, galois_twist, trace_to_prime)
-from .tables import TABLE_BYTES_PER_ELEMENT, FieldTables, get_tables
+from .tables import (_CHUNK, TABLE_BYTES_PER_ELEMENT, FieldTables,
+                     get_tables)
 
 DEFAULT_BUDGET = 10 ** 9
 _BLOCK = 1 << 20
@@ -293,13 +300,12 @@ def _work_dtype(T: FieldTables, terms) -> type:
     return np.int32 if weight * T.q < 2 ** 31 else np.int64
 
 
-def _eval_terms(T: FieldTables, terms, coords, zmasks, npts: int,
-                may_vanish: bool, dt) -> np.ndarray:
-    """Codes of sum_terms coef * prod x_j^(e_j) on a block of points.
+def _eval_terms(T: FieldTables, terms, coords, zmasks, dt) -> np.ndarray:
+    """Codes of sum_terms coef * prod x_j^(e_j), e_j >= 0, on a block of
+    points, by Zech addition; the result broadcasts over the block.
 
     zmasks is a per-coordinate cache of (x == zero) masks, shared across
-    terms; on the torus coordinates are never zero and the cache is unused.
-    """
+    terms."""
     n = T.group_order
     z = T.zero_code
     acc = None
@@ -309,23 +315,153 @@ def _eval_terms(T: FieldTables, terms, coords, zmasks, npts: int,
         for j, (e, x) in enumerate(zip(exps, coords)):
             if e == 0:
                 continue
-            if may_vanish and e > 0:
-                if zmasks[j] is None:
-                    zmasks[j] = x == z
-                vanish = zmasks[j] if vanish is None else (vanish | zmasks[j])
+            if zmasks[j] is None:
+                zmasks[j] = x == z
+            vanish = zmasks[j] if vanish is None else (vanish | zmasks[j])
             contrib = x if e == 1 else e * x
             t = contrib if t is None else t + contrib
         if t is None:
-            t = np.full(npts, code, dtype=dt)
+            t = np.full((1,), code, dtype=dt)
         else:
             t = t + code  # allocates, so aliasing a coordinate array is fine
             t %= n
         if vanish is not None:
             t = np.where(vanish, z, t)
         acc = t if acc is None else T.vadd(acc, t)
-    if acc is None:  # f is identically zero
-        acc = np.full(npts, z, dtype=dt)
+    if acc is None:  # identically zero
+        acc = np.full((1,), z, dtype=dt)
     return acc
+
+
+def _block_shape(coords) -> tuple:
+    """The shape a block's coordinates broadcast to; (1,) in dimension 0."""
+    return np.broadcast_shapes((1,), *(x.shape for x in coords))
+
+
+def _trace_sum(T: FieldTables, terms, scale_codes, may_vanish: bool):
+    """evaluate() of the affine and torus kinds: per scale c, keys that are
+    congruent mod p to Tr(c f) at the points of a block.
+
+    Tr is F_p-linear, so Tr(c f) is the sum over terms of Tr(c * term), and
+    no field elements are added.  A term's code is its coefficient's code
+    plus c's plus sum_j e_j x_j, mod N = q - 1.  The outer coordinates are
+    (rows, 1) columns (see _grid_coords), so their part of the code is
+    reduced on a column; the last coordinate's part is reduced on its chunk,
+    and one gather per term and point from the doubled trace table adds the
+    two.  On affine space a term vanishes where a coordinate it contains is
+    zero, and contributes 0 there."""
+    n, z = T.group_order, T.zero_code
+    bound = max(1, len(terms)) * (T.ctx.p - 1)   # the largest key
+    kd = next(t for t in (np.uint8, np.uint16, np.uint32, np.int64)
+              if bound <= np.iinfo(t).max)
+    trace = T.trace_of_code[:n].astype(kd)
+    trace2 = np.concatenate([trace, trace])   # trace2[i] = Tr(g^(i mod N))
+    del trace
+
+    def evaluate(coords, npts):
+        shape = _block_shape(coords)
+        outer, last = coords[:-1], coords[-1] if coords else None
+        parts = []
+        for code, exps in terms:
+            col, rows = code, None   # outer part of the code, vanishing rows
+            for e, x in zip(exps, outer):
+                if e:
+                    col = col + e * x.astype(np.int64)
+                    if may_vanish:
+                        rows = x == z if rows is None else rows | (x == z)
+            e = exps[-1] if exps else 0
+            row = cols = None        # last coordinate's part, zero positions
+            if e:
+                row = last if e == 1 else (e * last.astype(np.int64) % n
+                                           ).astype(last.dtype)
+                if may_vanish:
+                    cols = np.flatnonzero(last == z)
+            parts.append((col, rows, row, cols))
+        for s in scale_codes:
+            acc = np.zeros(shape, dtype=kd)
+            for col, rows, row, cols in parts:
+                col = (col + s) % n
+                if row is None:      # constant along the last coordinate
+                    t = trace2[col]
+                    if rows is not None:
+                        t = np.where(rows, 0, t)
+                else:
+                    t = trace2[row + np.asarray(col, dtype=row.dtype)]
+                    if rows is not None:
+                        t[rows.ravel()] = 0
+                    if cols is not None:
+                        t[..., cols] = 0
+                acc += t
+            yield acc.ravel()
+
+    return evaluate
+
+
+def _trace_counts(keys: np.ndarray, p: int) -> np.ndarray:
+    """How many of the non-negative integer keys fall in each class mod p.
+    bincount runs on _CHUNK slices, which bounds its intp copy."""
+    width = p * (int(keys.max(initial=0)) // p + 1)
+    counts = np.zeros(width, dtype=np.int64)
+    for i in range(0, keys.size, _CHUNK):
+        counts += np.bincount(keys[i:i + _CHUNK], minlength=width)
+    return counts.reshape(-1, p).sum(axis=0)
+
+
+def _frobenius_orbits(n: int, q: int, m: int):
+    """The orbits of x -> x^q on the nonzero elements of F_{q^m}, as
+    (size, representative codes) pairs, one for each orbit size d | m.
+    n = q^m - 1 is the number of nonzero elements.
+
+    On codes the map is e -> e q mod n, which rotates the m base-q digits
+    of e, so the least rotation represents its orbit.  Each pass rotates
+    the survivors once more and drops those that exceed their rotation;
+    the codes go through in _CHUNK runs, which bounds the temporaries.
+    An orbit has size d when it lies in F_{q^d} and in no smaller field,
+    that is when its codes are multiples of n / (q^d - 1)."""
+    dt = np.int32 if n * q < 2 ** 31 else np.int64
+    lead = q ** (m - 1)
+    runs = []
+    for start in range(0, n, _CHUNK):
+        reps = np.arange(start, min(start + _CHUNK, n), dtype=dt)
+        rot = reps.copy()
+        for _ in range(1, m):
+            top = rot // lead   # e q mod n = e q - top n, top the top digit
+            top *= n
+            rot *= q
+            rot -= top
+            keep = reps <= rot
+            reps, rot = reps[keep], rot[keep]
+        runs.append(reps)
+    reps = np.concatenate(runs)
+    orbits = []
+    for d in [d for d in range(1, m + 1) if m % d == 0]:
+        in_subfield = reps % (n // (q ** d - 1)) == 0
+        orbits.append((d, reps[in_subfield]))
+        reps = reps[~in_subfield]
+    return orbits
+
+
+def _frobenius_grids(T: FieldTables, base: FieldCtx, lengths, dt, evaluate,
+                     weight: int = 1):
+    """The (axes, weight, evaluate) grids of a domain whose coordinates run
+    over the codes below `lengths` (T.q: every element, T.q - 1: the
+    nonzero ones), each point standing for `weight` points.
+
+    The coefficients lie in F_q, so x -> x^q permutes the points and fixes
+    Tr(f).  The first coordinate therefore runs over orbit representatives
+    only, in one grid per orbit size, whose points stand for `size` times
+    as many.  The zero code is a fixed point."""
+    if not lengths:
+        return [((), weight, evaluate)]
+    rest = tuple(np.arange(n, dtype=dt) for n in lengths[1:])
+    grids = []
+    for size, first in _frobenius_orbits(T.group_order, base.q,
+                                         T.ctx.n // base.n):
+        first = first.astype(dt)
+        if size == 1 and lengths[0] == T.q:
+            first = np.append(first, dt(T.zero_code))
+        grids.append(((first,) + rest, weight * size, evaluate))
+    return grids
 
 
 def _grid_blocks(lengths):
@@ -344,23 +480,23 @@ def _grid_blocks(lengths):
             yield o0, o1, i0, min(i0 + chunk, last)
 
 
-def _grid_coords(lengths, block, dt):
-    """Coordinate arrays of one block of _grid_blocks(lengths) and its size.
+def _grid_coords(axes, block):
+    """Coordinate arrays of one block of _grid_blocks over `axes` (one array
+    of codes per coordinate) and the block's size.
 
-    Only the outer run is decoded by division; it is repeated across the
-    chunk, which is tiled across the run."""
+    The outer coordinates are decoded from the run into (rows, 1) columns
+    and the last is a slice of its axis, so together they broadcast to the
+    block's (rows, chunk) points without repeating any of them."""
     o0, o1, i0, i1 = block
-    width = i1 - i0
     coords = []
-    if lengths:
-        o = np.arange(o0, o1, dtype=np.int64)
-        stride = math.prod(lengths[:-1])
-        for n in lengths[:-1]:
-            stride //= n
-            coords.append(np.repeat((o // stride % n).astype(dt), width))
-        inner = np.arange(i0, i1, dtype=dt)
-        coords.append(np.tile(inner, o1 - o0) if o1 - o0 > 1 else inner)
-    return coords, (o1 - o0) * width
+    if axes:
+        o = np.arange(o0, o1)
+        stride = math.prod(len(a) for a in axes[:-1])
+        for a in axes[:-1]:
+            stride //= len(a)
+            coords.append(a[o // stride % len(a), None])
+        coords.append(axes[-1][i0:i1])
+    return coords, (o1 - o0) * (i1 - i0)
 
 
 def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
@@ -387,21 +523,15 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     if any(c == T.zero_code for c in scale_codes):
         raise ValueError("scales must be nonzero")
 
-    tasks = [(lengths, dt, evaluate, block)
-             for lengths, dt, evaluate in _grids(T, v, base)
-             for block in _grid_blocks(lengths)]
+    tasks = [(axes, weight, evaluate, block)
+             for axes, weight, evaluate in _grids(T, v, base, scale_codes)
+             for block in _grid_blocks(tuple(len(a) for a in axes))]
 
     def run(task):
-        lengths, dt, evaluate, block = task
-        f_codes, keep = evaluate(*_grid_coords(lengths, block, dt))
-        counts = []
-        for sc in scale_codes:
-            vals = f_codes if sc == 0 else T.vmul_code(f_codes, sc)
-            tr = T.trace_of_code[vals]
-            if keep is not None:
-                tr = tr[keep]
-            counts.append(np.bincount(tr, minlength=p))
-        return counts
+        # integer counts times the integer orbit weight: no floating point
+        axes, weight, evaluate, block = task
+        return [weight * _trace_counts(keys, p)
+                for keys in evaluate(*_grid_coords(axes, block))]
 
     # one block in flight per thread, and no more threads than cores
     workers = min(threads or 1, os.cpu_count() or 1)
@@ -419,38 +549,42 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     return totals
 
 
-def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx):
-    """The coordinate grids that X(k_m) is enumerated over, as (lengths,
-    dtype, evaluate) triples.  evaluate(coords, npts) returns the codes of f
-    on a block and a mask of the points that lie on X (None when all do)."""
+def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
+    """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate)
+    triples (see _frobenius_grids).  evaluate(coords, npts) yields, for each
+    scale code, a flat array of keys congruent mod p to the trace of c*f at
+    the block's points that lie on X."""
     if v.kind == SL2:
-        return _sl2_grids(T, v, base)
+        return _sl2_grids(T, v, base, scale_codes)
 
-    may_vanish = v.kind != TORUS
     lengths = (T.q - 1 if v.kind == TORUS else T.q,) * v.dim
-    if v.kind == COMPLEMENT:
-        g_terms = _term_codes(T, base, v.g)
-        h_terms = _term_codes(T, base, v.h)
-        k = v.k % T.group_order   # h^(q-1) = 1 where h is nonzero
-        # a term of weight k covers the product h * k below
-        dt = _work_dtype(T, g_terms + h_terms + [(None, (k,))])
+    if v.kind != COMPLEMENT:
+        dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
+        evaluate = _trace_sum(T, _term_codes(T, base, v.terms), scale_codes,
+                              v.kind == AFFINE)
+        return _frobenius_grids(T, base, lengths, dt, evaluate)
 
-        def evaluate(coords, npts):
-            zmasks = [None] * v.dim
-            h = _eval_terms(T, h_terms, coords, zmasks, npts, may_vanish, dt)
-            keep = h != T.zero_code
-            g = _eval_terms(T, g_terms, coords, zmasks, npts, may_vanish, dt)
-            hinv_k = np.where(keep, (-h * k) % T.group_order, 0)
-            vals = T.vmul(g, hinv_k)
-            return np.where(keep, vals, T.zero_code), keep
-    else:
-        f_terms = _term_codes(T, base, v.terms)
-        dt = _work_dtype(T, f_terms)
+    g_terms = _term_codes(T, base, v.g)
+    h_terms = _term_codes(T, base, v.h)
+    k = v.k % T.group_order   # h^(q-1) = 1 where h is nonzero
+    # a term of weight k covers the product h * k below
+    dt = _work_dtype(T, g_terms + h_terms + [(None, (k,))])
 
-        def evaluate(coords, npts):
-            return _eval_terms(T, f_terms, coords, [None] * v.dim, npts,
-                               may_vanish, dt), None
-    return [(lengths, dt, evaluate)]
+    def evaluate(coords, npts):
+        zmasks = [None] * v.dim
+        h = _eval_terms(T, h_terms, coords, zmasks, dt)
+        keep = np.broadcast_to(h != T.zero_code, _block_shape(coords))
+        g = _eval_terms(T, g_terms, coords, zmasks, dt)
+        hinv_k = np.where(keep, (-h * k) % T.group_order, 0)
+        return _scaled_traces(T, T.vmul(g, hinv_k)[keep], scale_codes)
+    return _frobenius_grids(T, base, lengths, dt, evaluate)
+
+
+def _scaled_traces(T: FieldTables, f: np.ndarray, scale_codes):
+    """evaluate() result of the kinds that add field elements: for each
+    scale code c, the traces of c*f where f holds the codes of f."""
+    return (T.trace_of_code[f if c == 0 else T.vmul_code(f, c)].ravel()
+            for c in scale_codes)
 
 
 def _sl2_f_codes(T: FieldTables, coeff_codes, t: np.ndarray) -> np.ndarray:
@@ -466,7 +600,7 @@ def _sl2_f_codes(T: FieldTables, coeff_codes, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx):
+def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
     """SL2 points split as a != 0 (d solved from det) plus the a = 0 stratum."""
     q = T.q
     coeff_codes = []
@@ -483,17 +617,19 @@ def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx):
         coords.clear()
         d = T.vmul(b, c)
         del b, c
-        d = T.vmul(T.vadd(np.zeros_like(d), d), (-a) % T.group_order)
+        d = T.vmul(T.vadd(np.zeros((), d.dtype), d), (-a) % T.group_order)
         a = T.vadd(a, d)   # the trace a + d
         del d
-        return _sl2_f_codes(T, coeff_codes, a), None
+        return _scaled_traces(T, _sl2_f_codes(T, coeff_codes, a), scale_codes)
 
     def a_zero(coords, npts):
-        # b != 0, c = -1/b, d free; the trace is d
-        return _sl2_f_codes(T, coeff_codes, coords[1]), None
+        # b != 0, c = -1/b, d free: q - 1 points of trace d for each d
+        return _scaled_traces(T, _sl2_f_codes(T, coeff_codes, coords[0]),
+                              scale_codes)
 
     dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
-    return [((q - 1, q, q), dt, a_nonzero), ((q - 1, q), dt, a_zero)]
+    return (_frobenius_grids(T, base, (q - 1, q, q), dt, a_nonzero)
+            + _frobenius_grids(T, base, (q,), dt, a_zero, weight=q - 1))
 
 
 def _counts_to_cyclotomic(p: int, counts) -> CyclotomicInt:
@@ -684,10 +820,3 @@ def scaled_degree_check(v: VarietySpec, base: FieldCtx, c, M: int, *,
         twist_checked=twist_checked,
         twist_holds=twist_holds,
     )
-
-
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("EXPSUMLAB_THREADS", "1")))
-    except ValueError:
-        return 1

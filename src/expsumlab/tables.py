@@ -140,10 +140,11 @@ class FieldTables:
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         z = self.zero_code
-        t = b - a
+        t = b - a   # a new array of the operands' broadcast shape
         np.add(t, self.group_order, out=t, where=t < 0)
-        for i in range(0, t.size, _CHUNK):   # t = zech[t]
-            t[i:i + _CHUNK] = self.zech[t[i:i + _CHUNK]]
+        flat = t.reshape(-1)
+        for i in range(0, flat.size, _CHUNK):   # t = zech[t]
+            flat[i:i + _CHUNK] = self.zech[flat[i:i + _CHUNK]]
         # a sentinel stays in place through the sum: no sum of codes is < 0
         self._fold(np.add(a, t, out=t, where=t != ZECH_SENTINEL))
         np.copyto(t, z, where=t == ZECH_SENTINEL)

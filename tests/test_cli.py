@@ -90,6 +90,13 @@ BAD_SUM_JOB = {"command": "sum", "payload": {"base": {"p": 3}}}
 # threads below the schema's minimum of 1
 NO_THREADS_JOBS = [{**SUM_JOB, "threads": t} for t in (0, -3)]
 
+# a field that must be an integer, given as a word
+NOT_INT_JOBS = {
+    "threads": {**SUM_JOB, "threads": "two"},
+    "budget": {**SUM_JOB, "budget": "lots"},
+    "levels": {**SUM_JOB, "payload": {**SUM_JOB["payload"], "levels": "four"}},
+}
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -211,6 +218,24 @@ def test_exit_code_threads_below_one(tmp_path, capsys):
     assert code == cli.EXIT_SCHEMA and "threads" in err and not out
 
 
+@pytest.mark.parametrize("field", sorted(NOT_INT_JOBS))
+def test_exit_code_field_not_an_integer(tmp_path, capsys, field):
+    job = write_job(tmp_path, "word.json", NOT_INT_JOBS[field])
+    code, out, err = run(capsys, ["sum", "--job", job])
+    assert code == cli.EXIT_SCHEMA and field in err and not out
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_exit_code_bad_threads_env(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("EXPSUMLAB_THREADS", value)
+    job = write_job(tmp_path, "sum.json", SUM_JOB)
+    code, out, err = run(capsys, ["sum", "--job", job])
+    assert code == cli.EXIT_SCHEMA and "EXPSUMLAB_THREADS" in err and not out
+    # an explicit thread count does not consult the default
+    code, out, _ = run(capsys, ["sum", "--job", job, "--threads", "1"])
+    assert code == cli.EXIT_OK and out
+
+
 def test_exit_code_budget(tmp_path, capsys):
     job = write_job(tmp_path, "big.json", BIG_SUM_JOB)
     code, _, err = run(capsys, ["sum", "--job", job, "--budget", "1000"])
@@ -293,6 +318,7 @@ def test_job_documents_match_schema():
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)
     assert not any(validator.is_valid(doc) for doc in NO_THREADS_JOBS)
+    assert not any(validator.is_valid(doc) for doc in NOT_INT_JOBS.values())
 
 
 def test_predict_job_of_each_kind():

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +173,67 @@ def test_fast_path_matches_naive_on_random_varieties(case):
     assert power_sum(v, base, m) == power_sum_naive(v, base, m)
 
 
+# (base, dim, top level) where the first coordinate's Frobenius orbits
+# reach sizes 3, 4 and 6, small enough for power_sum_naive at every level
+ORBIT_LEVELS = [(F2, 1, 6), (F3, 1, 4), (build_field(2, 2), 1, 3),
+                (F2, 2, 4)]
+
+
+def true_point_count(v, base, m):
+    """#X(k_m) without the fast path: a closed form, or on a complement the
+    naive sum of 1 over its points."""
+    if v.kind == "complement":
+        ones = VarietySpec.hypersurface_complement(v.dim, {}, v.h, v.k)
+        return power_sum_naive(ones, base, m).coords[0]
+    return count_points(v, base, m)
+
+
+def assert_levels_match_naive(v, base, M):
+    seq = power_sum_table(v, base, M)[0]
+    for m in range(1, M + 1):
+        assert seq[m] == power_sum_naive(v, base, m)
+        assert seq.progress[m - 1]["counted"] == true_point_count(v, base, m)
+
+
+@st.composite
+def orbit_size_cases(draw):
+    """A random affine, torus or complement variety and a top level from
+    ORBIT_LEVELS, with coefficients anywhere in the base field."""
+    base, dim, top = draw(st.sampled_from(ORBIT_LEVELS))
+    unit = st.integers(1, base.q - 1).map(base.element_at)
+    kind = draw(st.sampled_from(["affine", "torus", "complement"]))
+    lo = -2 if kind == "torus" else 0
+    exps = st.tuples(*[st.integers(lo, 3)] * dim)
+    f = draw(st.dictionaries(exps, unit, max_size=3))
+    M = draw(st.integers(3, top))
+    if kind == "affine":
+        return VarietySpec.affine_space(dim, f), base, M
+    if kind == "torus":
+        return VarietySpec.torus(dim, f), base, M
+    h = draw(st.dictionaries(exps, unit, min_size=1, max_size=2))
+    return VarietySpec.hypersurface_complement(
+        dim, f, h, draw(st.integers(0, 2))), base, M
+
+
+@settings(max_examples=40, deadline=None)
+@given(orbit_size_cases())
+def test_fast_path_matches_naive_at_real_orbit_sizes(case):
+    assert_levels_match_naive(*case)
+
+
+@pytest.mark.parametrize("v,base,M", [
+    (VarietySpec.affine_space(1, {(3,): 1, (1,): 1}), F2, 6),
+    (VarietySpec.torus(1, {(1,): 1, (-1,): 1}), F3, 4),
+    (VarietySpec.affine_space(2, {(2, 1): 1, (1, 0): 1}), F2, 4),
+    (VarietySpec.hypersurface_complement(
+        2, {(1, 0): 1, (0, 1): 1}, {(1, 1): 1, (0, 0): 1}, 1), F2, 4),
+    (VarietySpec.sl2([1]), F2, 3),
+    (VarietySpec.sl2([1, 1]), F2, 3),
+])
+def test_each_kind_matches_naive_at_real_orbit_sizes(v, base, M):
+    assert_levels_match_naive(v, base, M)
+
+
 def test_fast_path_matches_callable_brute_force():
     got = power_sum(NEWTON_DEGENERATE, F3, 2)
     assert got == brute_sum(F3, 2, 2, lambda x, y: x * x * y - x)
@@ -223,7 +285,9 @@ def test_galois_equivariance():
 def _size_checked(evaluate, sizes):
     def checked(coords, npts):
         assert npts <= es._BLOCK
-        assert all(x.size == npts for x in coords)
+        # the coordinates broadcast to exactly the block's points
+        assert math.prod(np.broadcast_shapes(*(x.shape for x in coords))) \
+            == npts
         sizes.append(npts)
         return evaluate(coords, npts)
     return checked
@@ -244,9 +308,9 @@ def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
 
     def spied(*args):
         out = grids(*args)
-        grid_points.extend(math.prod(lengths) for lengths, _, _ in out)
-        return [(lengths, dt, _size_checked(evaluate, sizes))
-                for lengths, dt, evaluate in out]
+        grid_points.extend(math.prod(map(len, axes)) for axes, _, _ in out)
+        return [(axes, weight, _size_checked(evaluate, sizes))
+                for axes, weight, evaluate in out]
 
     monkeypatch.setattr(es, "_BLOCK", 7)
     monkeypatch.setattr(es, "_grids", spied)
@@ -294,6 +358,33 @@ def test_sl2_level_memory_is_bounded():
         tracemalloc.stop()
     assert got == CyclotomicInt.from_int(2, 7936)
     assert peak <= 28 << 20
+
+
+def test_frobenius_orbits_of_f5_6():
+    # x -> x^5 on the 15,624 nonzero elements of F_{5^6}: an orbit of size
+    # d holds d elements of exact degree d (4, 20, 120 and 15,480 of them)
+    orbits = es._frobenius_orbits(5 ** 6 - 1, 5, 6)
+    assert [(d, len(reps)) for d, reps in orbits] == [
+        (1, 4), (2, 10), (3, 40), (6, 2580)]
+    codes = sorted(int(e) * 5 ** k % (5 ** 6 - 1)
+                   for d, reps in orbits for e in reps for k in range(d))
+    assert codes == list(range(5 ** 6 - 1))
+
+
+def test_plane_level_memory_is_bounded():
+    # one level of x^2 y - x over F_5 at m = 6 (2,635 first coordinates
+    # times 15,625), tables prebuilt: a block holds one int32 index array
+    # and two uint8 trace arrays (6.2 MiB measured, where field addition
+    # over repeated coordinates peaked at 24.1 MiB)
+    es.get_tables(build_field(5, 6))
+    tracemalloc.start()
+    try:
+        got = power_sum(NEWTON_DEGENERATE, F5, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == CyclotomicInt.from_int(5, 5 ** 6)
+    assert peak <= 12 << 20
 
 
 def test_modulus_independence_of_sums():
