@@ -4,7 +4,7 @@ quotient rings R[y]/(m(y)) for a monic modulus m.
 Polynomials are lists in little-endian order (index = degree).  The
 polynomial functions use only the coefficients' own operators: + - *,
 truthiness meaning "nonzero", and 1/c where a division is needed.  So one
-implementation serves Fractions, Q(zeta_p), Q(pi) and Z[pi] alike.
+implementation serves Fractions, Q(zeta_p) and Q(pi) alike.
 
 QuotientRingElem is one element type for every ring Z[y]/(m) or Q[y]/(m)
 in the library: a subclass fixes the modulus and the coordinate type.

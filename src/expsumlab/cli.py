@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import lfun, predict
 from .expsum import (DEFAULT_BUDGET, BudgetExceededError, VarietySpec,
                      power_sum_table, scaled_degree_check)
-from .ffield import build_field
+from .ffield import build_field, is_prime
 from .lfun import ReconstructionError
 from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, NonStabilizedError, PiNumber,
                     RationalFunctionPi, radius_profile, robba_index)
@@ -52,15 +52,24 @@ def _require(doc: dict, key: str, kind=None):
     return doc[key]
 
 
-def _positive_int(value, name: str) -> int:
-    """value as an int of at least 1; SchemaError naming `name` if not."""
+def _positive_int(value, name: str, least: int = 1) -> int:
+    """value as an int of at least `least`; SchemaError naming `name` if
+    not."""
     try:
         number = int(value)
     except (TypeError, ValueError):
         raise SchemaError(
             f"{name} must be an integer, got {value!r}") from None
-    if number < 1:
-        raise SchemaError(f"{name} must be at least 1, got {number}")
+    if number < least:
+        raise SchemaError(f"{name} must be at least {least}, got {number}")
+    return number
+
+
+def _prime(value, name: str) -> int:
+    """value as a prime int; SchemaError naming `name` if not."""
+    number = _positive_int(value, name, least=2)
+    if not is_prime(number):
+        raise SchemaError(f"{name} must be a prime, got {number}")
     return number
 
 
@@ -80,7 +89,8 @@ def _table(rows) -> str:
 
 def _parse_base(doc: dict):
     base = _require(doc, "base", dict)
-    return build_field(int(_require(base, "p")), int(base.get("n", 1)))
+    return build_field(_prime(_require(base, "p"), "base.p"),
+                       _positive_int(base.get("n", 1), "base.n"))
 
 
 def _parse_variety(doc: dict, base) -> VarietySpec:
@@ -99,7 +109,7 @@ def _parse_pi_coeff(p: int, entry) -> PiNumber:
 
 
 def _parse_operator(doc: dict):
-    p = int(_require(doc, "p"))
+    p = _prime(_require(doc, "p"), "p")
     g = _require(doc, "g", dict)
     num = [_parse_pi_coeff(p, c) for c in _require(g, "num", list)]
     den = [_parse_pi_coeff(p, c) for c in _require(g, "den", list)]
@@ -236,7 +246,8 @@ def _run_lfun(payload: dict, budget: int, threads: int):
 
 def _run_radius(spec: dict, payload: dict, want_index: bool):
     p, g = _parse_operator(payload)
-    s_max = int(spec.get("smax", payload.get("smax", DEFAULT_S_MAX)))
+    s_max = _positive_int(spec.get("smax", payload.get("smax", DEFAULT_S_MAX)),
+                          "smax", least=2)
     grid = _parse_grid(spec.get("grid", payload.get("grid", DEFAULT_GRID)))
     prof = radius_profile(g, grid, s_max)
     samples = [{"lambda": s.lam, "r": s.r, "stabilized": s.stabilized,

@@ -15,6 +15,13 @@ the solution-side Taylor coefficients are b_s / s!, so
 with v(s!) = (s - digitsum_p(s)) / (p-1).  Two structural detectors make
 the limsup exact at finite s_max (see radius_profile); profiles that fit
 neither pattern are flagged rather than guessed at.
+
+The symbols come from one polynomial recurrence over Z[pi], run on numpy
+object arrays of exact Python ints, in which multiplying by pi is a column
+shift (_symbol_numerators).  radius_profile streams them one at a time:
+of each it keeps only the exact valuations of its coefficients, as
+integers, and one Gauss valuation per weight.  PiNumber.valuation and
+gauss_valuation are the independent reference path.
 """
 
 from __future__ import annotations
@@ -25,8 +32,11 @@ from functools import lru_cache
 from math import lcm
 from typing import Optional
 
-from ._exactpoly import (QuotientFieldElem, QuotientRingElem, add, derivative,
-                         divmod_, mul, neg, scale, trim, xgcd)
+import numpy as np
+
+from ._exactpoly import (QuotientFieldElem, add, derivative, divmod_, mul, neg,
+                         scale, trim, xgcd)
+from .ffield import is_prime
 
 INF = float("inf")
 
@@ -52,6 +62,8 @@ def _vp(q: Fraction, p: int):
 
 
 def digit_sum(s: int, p: int) -> int:
+    if p < 2:
+        raise ValueError(f"base {p} is below 2")
     total = 0
     while s:
         total += s % p
@@ -69,6 +81,8 @@ def factorial_valuation(s: int, p: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _pi_modulus(p: int) -> tuple:
     """y^(p-1) + p, so that pi^(p-1) = -p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return (p,) + (0,) * (p - 2) + (1,)
 
 
@@ -103,18 +117,6 @@ class PiNumber(QuotientFieldElem):
 
     def __repr__(self):
         return f"Pi({self.p}){[str(c) for c in self.coords]}"
-
-
-class _PiInteger(QuotientRingElem):
-    """Element of Z[pi], integer coordinates: the ring the symbol
-    recurrence runs in once denominators are cleared."""
-
-    __slots__ = ()
-    _coord = int
-    _modulus = staticmethod(_pi_modulus)
-    _scalars = (int,)
-    _mixed = "mixed pi-adic levels"
-    valuation = PiNumber.valuation
 
 
 class RationalFunctionPi:
@@ -227,26 +229,66 @@ def gauss_valuation(f: RationalFunctionPi, w: GaussWeight):
 
 
 # -- symbols of D^s -------------------------------------------------------------
+#
+# A polynomial in x over Z[pi] is an (L, p-1) object array of Python ints:
+# row i holds the coordinates of the coefficient of x^i for 1, pi, ...,
+# pi^(p-2).  Multiplying by pi^e shifts the columns by e, and the columns
+# that wrap around are multiplied by -p, because pi^(p-1) = -p.
 
-def _symbol_numerators(g: RationalFunctionPi, s_max: int):
-    """(n_0..n_(s_max), W) with b_s = n_s / W^s:
+def _cleared(g: RationalFunctionPi):
+    """(U, W): num(g) and den(g) times one common denominator of their
+    coordinates, as integer arrays, so that U / W = g."""
+    p = g.p
+    D = lcm(*(c.denominator for x in g.num + g.den for c in x.coords))
+    return tuple(np.array([[int(c * D) for c in x.coords] for x in poly],
+                          dtype=object).reshape(-1, p - 1)
+                 for poly in (g.num, g.den))
+
+
+def _terms(a):
+    """The nonzero coordinates (i, e, c) of an array: c pi^e x^i."""
+    return [(i, e, c) for (i, e), c in np.ndenumerate(a) if c]
+
+
+def _derivative(a):
+    """d/dx of a polynomial array: row i - 1 of the result is i times row i."""
+    return a[1:] * np.arange(1, len(a), dtype=object)[:, None]
+
+
+def _mul_add(out, terms, n, p: int):
+    """out += (sum of c pi^e x^i over terms) * n, in place."""
+    d, L = p - 1, len(n)
+    for i, e, c in terms:
+        out[i:i + L, e:] += c * n[:, :d - e]
+        if e:
+            out[i:i + L, :e] -= (p * c) * n[:, d - e:]
+
+
+def _symbol_numerators(p: int, U, W, s_max: int):
+    """Yield n_0..n_(s_max) with b_s = n_s / W^s:
     n_(s+1) = n_s' W - s n_s W' + U n_s   (U / W = g).
 
     This closed polynomial recurrence avoids quotient-rule denominator
     blowup; b_(s+1) = b_s' + g b_s holds identically.  It is homogeneous of
-    degree 1 in (U, W), so U and W are num(g) and den(g) times one common
-    denominator of their coordinates, and the recurrence runs over Z[pi]."""
-    p = g.p
-    D = lcm(*(c.denominator for x in g.num + g.den for c in x.coords))
-    U, W = ([_PiInteger(p, [c * D for c in x.coords]) for x in poly]
-            for poly in (g.num, g.den))
-    Wprime = derivative(W)
-    ns = [[_PiInteger.one(p)]]
+    degree 1 in (U, W), so U and W from _cleared have integer coordinates
+    and the recurrence runs over Z[pi], exactly.  Each n_s is trimmed to
+    its last nonzero row; the zero polynomial has no rows."""
+    u_terms, w_terms = _terms(U), _terms(W)
+    dw_terms = _terms(_derivative(W))
+    grow = max(len(W) - 2, len(U) - 1)
+    n = np.zeros((1, p - 1), dtype=object)
+    n[0, 0] = 1
+    yield n
     for s in range(s_max):
-        n = ns[-1]
-        nxt = add(mul(W, derivative(n)), mul(scale(Wprime, -s), n))
-        ns.append(add(nxt, mul(U, n)))
-    return ns, W
+        L = len(n)
+        if L:
+            out = np.zeros((L + grow, p - 1), dtype=object)
+            _mul_add(out, w_terms, _derivative(n), p)
+            _mul_add(out, [(i, e, -s * c) for i, e, c in dw_terms], n, p)
+            _mul_add(out, u_terms, n, p)
+            rows = np.flatnonzero((out != 0).any(axis=1))
+            n = out[:rows[-1] + 1] if len(rows) else out[:0]
+        yield n
 
 
 def symbol_sequence(g: RationalFunctionPi, s_max: int):
@@ -256,19 +298,57 @@ def symbol_sequence(g: RationalFunctionPi, s_max: int):
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
     p = g.p
-    ns, W = _symbol_numerators(g, s_max)
-    W = [PiNumber(p, c.coords) for c in W]
+    U, W = _cleared(g)
+    w_poly = [PiNumber(p, row) for row in W]
     out = []
     wpow = [PiNumber.one(p)]
-    for s, n in enumerate(ns):
-        if not n:
-            out.append(RationalFunctionPi.zero(p))
-        else:
-            out.append(RationalFunctionPi(
-                p, [PiNumber(p, c.coords) for c in n], wpow))
-        if s < len(ns) - 1:
-            wpow = mul(wpow, W)
+    for s, n in enumerate(_symbol_numerators(p, U, W, s_max)):
+        if s:
+            wpow = mul(wpow, w_poly)
+        out.append(RationalFunctionPi(p, [PiNumber(p, row) for row in n], wpow)
+                   if len(n) else RationalFunctionPi.zero(p))
     return out
+
+
+def _vp_array(a, p: int):
+    """Exact v_p of every entry of a 1-D object array of nonzero ints: a
+    greedy binary ladder of divisions by p^(2^k), from the largest power
+    p^(2^K) that does not exceed max |a| down to p.  Every valuation is
+    below 2^(K+1), so one descending pass takes off each binary digit."""
+    a = a.copy()
+    v = np.zeros(len(a), dtype=np.int64)
+    top = max(map(abs, a), default=0)
+    ladder, bits, pk = [], 1, p
+    while pk <= top:
+        ladder.append((bits, pk))
+        bits, pk = 2 * bits, pk * pk
+    for bits, pk in reversed(ladder):
+        hit = a % pk == 0
+        if hit.any():
+            a[hit] //= pk
+            v[hit] += bits
+    return v
+
+
+def _row_valuations(n, p: int):
+    """(j, V): the indices j of the nonzero rows of n and the exact integers
+    V_j = (p-1) v(coefficient of x^j), as int64 arrays."""
+    mask = n != 0
+    V = np.full(n.shape, np.iinfo(np.int64).max, dtype=np.int64)
+    V[mask] = (p - 1) * _vp_array(n[mask], p) + np.nonzero(mask)[1]
+    j = np.flatnonzero(mask.any(axis=1))
+    return j, V[j].min(axis=1)
+
+
+def _gauss_terms(rows, lam: Fraction, p: int):
+    """(p-1) den(lam) (v(coef_j) + j lam) for every nonzero coefficient of a
+    polynomial with row valuations rows = (j, V): V_j den + j num (p-1).
+    int64, or Python ints if a term or a factor could overflow int64."""
+    j, V = rows
+    a, b = lam.denominator, lam.numerator * (p - 1)
+    if (int(V.max()) + 1) * a + (int(j[-1]) + 1) * b >= 2 ** 63:
+        j, V = j.astype(object), V.astype(object)
+    return V * a + j * b
 
 
 # -- radius profiles -------------------------------------------------------------
@@ -369,25 +449,29 @@ def radius_profile(g: RationalFunctionPi, lam_grid=DEFAULT_GRID,
         raise ValueError("need at least two weights for slopes")
     if any(x <= 0 for x in grid):
         raise ValueError("weights must be positive (rho < 1)")
-    ns, W = _symbol_numerators(g, s_max)
-    profiles = [[(j, c.valuation()) for j, c in enumerate(n) if c]
-                for n in ns]
-    den_profile = [(j, c.valuation()) for j, c in enumerate(W) if c]
+    if s_max < 1:
+        raise ValueError("s_max must be >= 1")
+    U, W = _cleared(g)
+    den_rows = _row_valuations(W, p)
+    v_w, den_tie = [], []
+    for lam in grid:
+        terms = _gauss_terms(den_rows, lam, p)
+        v_w.append(int(terms.min()))
+        den_tie.append(bool(np.count_nonzero(terms == v_w[-1]) > 1))
+    v_b = [[None] for _ in grid]
+    symbols = _symbol_numerators(p, U, W, s_max)
+    next(symbols)
+    for s, n in enumerate(symbols, 1):
+        rows = _row_valuations(n, p) if len(n) else None
+        for lam, vb, vw in zip(grid, v_b, v_w):
+            vb.append(INF if rows is None else Fraction(
+                int(_gauss_terms(rows, lam, p).min()) - s * vw,
+                (p - 1) * lam.denominator))
 
     samples = []
-    for lam in grid:
-        den_vals = [v + j * lam for j, v in den_profile]
-        v_w = min(den_vals)
-        den_tie = den_vals.count(v_w) > 1
-        v_b = [None] * (s_max + 1)
-        for s in range(1, s_max + 1):
-            prof = profiles[s]
-            if not prof:
-                v_b[s] = INF
-            else:
-                v_b[s] = min(v + j * lam for j, v in prof) - s * v_w
-        r, stab, method, raw, osc = _estimate_radius(p, lam, v_b, s_max)
-        samples.append(RadiusSample(lam, r, stab, method, den_tie, raw, osc))
+    for lam, vb, tie in zip(grid, v_b, den_tie):
+        r, stab, method, raw, osc = _estimate_radius(p, lam, vb, s_max)
+        samples.append(RadiusSample(lam, r, stab, method, tie, raw, osc))
 
     outer = ((samples[1].r - samples[0].r)
              / (samples[1].lam - samples[0].lam))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,7 +98,27 @@ NOT_INT_JOBS = {
     "threads": {**SUM_JOB, "threads": "two"},
     "budget": {**SUM_JOB, "budget": "lots"},
     "levels": {**SUM_JOB, "payload": {**SUM_JOB["payload"], "levels": "four"}},
+    "base.n": {**SUM_JOB, "payload": {
+        **SUM_JOB["payload"], "base": {"p": 3, "n": "two"}}},
 }
+
+# symbol depths the schema refuses: not an integer, or below 2
+BAD_SMAX_JOBS = {smax: {**DWORK_JOB, "smax": smax} for smax in ("many", 0, -3)}
+
+
+def _with_p(doc, p):
+    payload = doc["payload"]
+    if "base" in payload:
+        payload = {**payload, "base": {**payload["base"], "p": p}}
+    else:
+        payload = {**payload, "p": p}
+    return {**doc, "payload": payload}
+
+
+# a p that is not a prime, as a base field and as an operator's level
+NOT_PRIME_JOBS = {f"{doc['command']}-p{p}": _with_p(doc, p)
+                  for doc in (SUM_JOB, KLOOSTERMAN_JOB, RADIUS_JOB, DWORK_JOB)
+                  for p in (1, 4)}
 
 
 def run(capsys, argv):
@@ -236,6 +259,37 @@ def test_exit_code_bad_threads_env(tmp_path, capsys, monkeypatch, value):
     assert code == cli.EXIT_OK and out
 
 
+@pytest.mark.parametrize("smax", sorted(BAD_SMAX_JOBS, key=str))
+@pytest.mark.parametrize("command", ["radius", "index"])
+def test_exit_code_bad_smax(tmp_path, capsys, command, smax):
+    job = write_job(tmp_path, "smax.json",
+                    {**BAD_SMAX_JOBS[smax], "command": command})
+    code, out, err = run(capsys, [command, "--job", job])
+    assert code == cli.EXIT_SCHEMA and "smax" in err and not out
+    if isinstance(smax, int):
+        job = write_job(tmp_path, "dwork.json",
+                        {**DWORK_JOB, "command": command})
+        code, out, err = run(capsys,
+                             [command, "--job", job, "--smax", str(smax)])
+        assert code == cli.EXIT_SCHEMA and "smax" in err and not out
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PRIME_JOBS))
+def test_exit_code_p_not_prime(tmp_path, name):
+    # in its own interpreter under a timeout, since p = 1 once hung
+    doc = NOT_PRIME_JOBS[name]
+    job = write_job(tmp_path, "p.json", doc)
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "expsumlab.cli", doc["command"], "--job", job],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == cli.EXIT_SCHEMA and not proc.stdout
+    assert proc.stderr.startswith("schema error: ")
+    assert "p must be" in proc.stderr
+
+
 def test_exit_code_budget(tmp_path, capsys):
     job = write_job(tmp_path, "big.json", BIG_SUM_JOB)
     code, _, err = run(capsys, ["sum", "--job", job, "--budget", "1000"])
@@ -319,6 +373,9 @@ def test_job_documents_match_schema():
     assert not validator.is_valid(BAD_SUM_JOB)
     assert not any(validator.is_valid(doc) for doc in NO_THREADS_JOBS)
     assert not any(validator.is_valid(doc) for doc in NOT_INT_JOBS.values())
+    assert not any(validator.is_valid(doc) for doc in BAD_SMAX_JOBS.values())
+    assert not any(validator.is_valid(doc) for name, doc
+                   in NOT_PRIME_JOBS.items() if name.endswith("-p1"))
 
 
 def test_predict_job_of_each_kind():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expsumlab.ffield import CyclotomicRat
@@ -135,6 +135,10 @@ def test_symbols_dwork_by_hand():
     mono(3, PiNumber.pi(3), 2),
     mono(3, Fraction(1, 2), 1),
     RationalFunctionPi(3, [1, 2], [2, 0, 1]),
+    dwork_twist(mono(2, Fraction(1, 3), 1)),
+    RationalFunctionPi(7, [PiNumber(7, [Fraction(1, 2), 0, 3, 0, 0,
+                                        Fraction(1, 7)])],
+                       [Fraction(1, 3), 0, PiNumber.pi(7)]),
 ])
 def test_symbol_recurrence_identity(g):
     bs = symbol_sequence(g, 4)
@@ -145,6 +149,16 @@ def test_symbol_recurrence_identity(g):
 def test_symbol_rejects_negative_depth():
     with pytest.raises(ValueError):
         symbol_sequence(RationalFunctionPi.zero(3), -1)
+
+
+def test_levels_that_are_not_prime_are_refused():
+    for p in (0, 1, 4, 9):
+        with pytest.raises(ValueError):
+            PiNumber.one(p)
+        with pytest.raises(ValueError):
+            RationalFunctionPi.zero(p)
+    with pytest.raises(ValueError):
+        digit_sum(5, 1)
 
 
 # -- factorial valuation ---------------------------------------------------------------------
@@ -248,6 +262,66 @@ def test_profile_grid_validation():
         radius_profile(g, lam_grid=(Fraction(1, 2),))
     with pytest.raises(ValueError):
         radius_profile(g, lam_grid=(0, 1))
+    for s_max in (0, -3):
+        with pytest.raises(ValueError):
+            radius_profile(g, s_max=s_max)
+
+
+def _reference_profile(g, grid, s_max):
+    """The samples of radius_profile, from gauss_valuation of the symbols
+    and PiNumber.valuation of den(g)."""
+    bs = symbol_sequence(g, s_max)
+    samples = []
+    for lam in sorted(Fraction(x) for x in grid):
+        w = GaussWeight(lam)
+        v_b = [None] + [gauss_valuation(b, w) for b in bs[1:]]
+        den = [c.valuation() + j * lam for j, c in enumerate(g.den) if c]
+        r, stab, method, raw, osc = _estimate_radius(g.p, lam, v_b, s_max)
+        samples.append(RadiusSample(lam, r, stab, method,
+                                    den.count(min(den)) > 1, raw, osc))
+    return tuple(samples)
+
+
+def _pi_coeff(p, draw):
+    den = st.sampled_from([1, 1, 2, 3, p, p * p])
+    return PiNumber(p, [Fraction(draw(st.integers(-9, 9)), draw(den))
+                        for _ in range(p - 1)])
+
+
+@st.composite
+def _operators(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    num = [_pi_coeff(p, draw) for _ in range(draw(st.integers(0, 3)))]
+    den = [_pi_coeff(p, draw) for _ in range(draw(st.integers(0, 1)))]
+    den.append(draw(st.sampled_from([1, p, Fraction(1, p)])) * PiNumber.pi(p)
+               if draw(st.booleans()) else PiNumber.one(p))
+    g = RationalFunctionPi(p, num, den)
+    return dwork_twist(g) if draw(st.booleans()) else g
+
+
+_GRIDS = st.lists(st.sampled_from(
+    [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), 1,
+     Fraction(3, 2), 2, Fraction(1, 3 ** 41)]), min_size=2, max_size=4,
+    unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_operators(), _GRIDS, st.integers(1, 20))
+@example(RationalFunctionPi.zero(2), DEFAULT_GRID, 9)
+@example(mono(5, 4, 1), DEFAULT_GRID, 12)
+@example(mono(3, 2, 1), (Fraction(1, 2), 1), 5)
+@example(RationalFunctionPi(5, [Fraction(1, 2), Fraction(1, 3)],
+                            [PiNumber.pi(5), 0, Fraction(1, 5)]),
+         (Fraction(1, 8), Fraction(5, 8), 2), 20)
+@example(RationalFunctionPi(3, [1], [3, 1]), (Fraction(1, 2), 1), 10)
+@example(dwork_twist(mono(7, Fraction(2, 7), 1)), DEFAULT_GRID, 25)
+@example(dwork_twist(mono(3, Fraction(1, 2), 1)), (Fraction(1, 3 ** 41), 2),
+         12)
+def test_profile_matches_exact_reference(g, grid, s_max):
+    # the streamed integer valuations against Gauss valuations of the
+    # symbols in Q(pi), through the same estimator
+    assert radius_profile(g, grid, s_max).samples == \
+        _reference_profile(g, grid, s_max)
 
 
 def test_estimator_flags_unstructured_profiles():
