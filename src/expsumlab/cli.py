@@ -52,17 +52,26 @@ def _require(doc: dict, key: str, kind=None):
     return doc[key]
 
 
-def _positive_int(value, name: str, least: int = 1) -> int:
-    """value as an int of at least `least`; SchemaError naming `name` if
-    not."""
+def _positive_int(value, name: str, least: int | None = 1) -> int:
+    """value as an int of at least `least` (any int if least is None);
+    SchemaError naming `name` if not."""
     try:
         number = int(value)
     except (TypeError, ValueError):
         raise SchemaError(
             f"{name} must be an integer, got {value!r}") from None
-    if number < least:
+    if least is not None and number < least:
         raise SchemaError(f"{name} must be at least {least}, got {number}")
     return number
+
+
+def _rational(value, name: str) -> Fraction:
+    """value as a Fraction; SchemaError naming `name` if not."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(
+            f"{name} must be a rational number, got {value!r}") from None
 
 
 def _prime(value, name: str) -> int:
@@ -104,8 +113,8 @@ def _parse_pi_coeff(p: int, entry) -> PiNumber:
     if isinstance(entry, list):
         if len(entry) != p - 1:
             raise SchemaError(f"pi-coordinates need length {p - 1}")
-        return PiNumber(p, [Fraction(str(x)) for x in entry])
-    return PiNumber.rational(p, Fraction(str(entry)))
+        return PiNumber(p, [_rational(x, "g coefficient") for x in entry])
+    return PiNumber.rational(p, _rational(entry, "g coefficient"))
 
 
 def _parse_operator(doc: dict):
@@ -120,36 +129,50 @@ def _parse_operator(doc: dict):
 
 
 def _parse_grid(text_or_list):
-    return tuple(Fraction(str(x)) for x in text_or_list)
+    """The radius weights: at least two positive rationals."""
+    if not isinstance(text_or_list, (list, tuple)):
+        raise SchemaError("grid must be a list of weights")
+    grid = tuple(_rational(x, "grid weight") for x in text_or_list)
+    if len(grid) < 2:
+        raise SchemaError("grid needs at least two weights for slopes")
+    if any(x <= 0 for x in grid):
+        raise SchemaError("grid weights must be positive")
+    return grid
 
 
 def _parse_prediction(doc: dict):
     kind = _require(doc, "kind")
-    if kind == "chern":
-        spec = predict.ChernSpec(int(doc["n"]), tuple(doc["d"]),
-                                 tuple(doc["e"]))
-        value = predict.chern_degree(spec)
-        return {"kind": kind, "predicted_degree": abs(value),
-                "signed_euler": value}
-    if kind == "curve":
-        spec = predict.CurveSpec(int(doc["g"]), int(doc["c"]), int(doc["m"]),
-                                 int(doc["d"]))
-        return {"kind": kind, "predicted_degree": predict.curve_degree(spec)}
-    if kind == "betti":
-        spec = predict.BettiSpec(int(doc["n"]), tuple(doc["b"]))
-        deg, bound = predict.betti_degree(spec)
-        return {"kind": kind, "predicted_degree": deg, "total_bound": bound}
-    if kind == "newton":
-        spec = predict.NewtonSpec(int(doc["n"]),
-                                  tuple(tuple(v) for v in doc["support"]))
-        value, degenerate = predict.newton_report(spec)
-        return {"kind": kind, "predicted_degree": value,
-                "degenerate": degenerate}
-    if kind == "sl2":
-        return {"kind": kind,
-                "predicted_degree": predict.sl2_degree(int(doc["N"]))}
-    if kind == "fermat":
-        return {"kind": kind, **predict.fermat_discrepancy_report(int(doc["n"]))}
+    try:
+        if kind == "chern":
+            spec = predict.ChernSpec(int(doc["n"]), tuple(doc["d"]),
+                                     tuple(doc["e"]))
+            value = predict.chern_degree(spec)
+            return {"kind": kind, "predicted_degree": abs(value),
+                    "signed_euler": value}
+        if kind == "curve":
+            spec = predict.CurveSpec(int(doc["g"]), int(doc["c"]),
+                                     int(doc["m"]), int(doc["d"]))
+            return {"kind": kind,
+                    "predicted_degree": predict.curve_degree(spec)}
+        if kind == "betti":
+            spec = predict.BettiSpec(int(doc["n"]), tuple(doc["b"]))
+            deg, bound = predict.betti_degree(spec)
+            return {"kind": kind, "predicted_degree": deg,
+                    "total_bound": bound}
+        if kind == "newton":
+            spec = predict.NewtonSpec(int(doc["n"]),
+                                      tuple(tuple(v) for v in doc["support"]))
+            value, degenerate = predict.newton_report(spec)
+            return {"kind": kind, "predicted_degree": value,
+                    "degenerate": degenerate}
+        if kind == "sl2":
+            return {"kind": kind,
+                    "predicted_degree": predict.sl2_degree(int(doc["N"]))}
+        if kind == "fermat":
+            return {"kind": kind,
+                    **predict.fermat_discrepancy_report(int(doc["n"]))}
+    except (KeyError, ValueError, TypeError) as exc:
+        raise SchemaError(f"bad {kind} prediction payload: {exc}") from exc
     raise SchemaError(f"unknown prediction kind {kind!r}")
 
 
@@ -204,9 +227,13 @@ def _run_lfun(payload: dict, budget: int, threads: int):
     M = _positive_int(_require(payload, "levels"), "levels")
     scale = payload.get("scale")
     if scale is not None:
-        rep = scaled_degree_check(v, base, int(scale), M, budget=budget,
+        scale = _positive_int(scale, "scale", least=None)
+        if scale % base.p == 0:
+            raise SchemaError(f"scale must be nonzero mod {base.p}, "
+                              f"got {scale}")
+        rep = scaled_degree_check(v, base, scale, M, budget=budget,
                                   threads=threads)
-        report = {"command": "lfun", "scale": int(scale),
+        report = {"command": "lfun", "scale": scale,
                   "lseries": rep.lseries.to_json(),
                   "lseries_scaled": rep.lseries_scaled.to_json(),
                   "degree_equal": rep.degree_equal,
@@ -218,11 +245,18 @@ def _run_lfun(payload: dict, budget: int, threads: int):
                                ("degree equal", rep.degree_equal),
                                ("total degree equal", rep.total_degree_equal),
                                ("twist identity", rep.twist_holds)])
-    seq = power_sum_table(v, base, M, budget=budget, threads=threads)[0]
-    series = lfun.exp_power_sums(seq)
+    # the rest of the payload is read before any enumeration starts
     bounds = payload.get("bounds")
     if bounds is not None:
-        L = lfun.pade_reconstruct(series, int(bounds[0]), int(bounds[1]))
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise SchemaError("bounds must be a pair [deg P, deg Q]")
+        bounds = [_positive_int(b, "bounds", least=0) for b in bounds]
+    verdict = (_parse_prediction(_require(payload, "predict", dict))
+               if "predict" in payload else None)
+    seq = power_sum_table(v, base, M, budget=budget, threads=threads)[0]
+    series = lfun.exp_power_sums(seq)
+    if bounds is not None:
+        L = lfun.pade_reconstruct(series, *bounds)
     else:
         L = lfun.reconstruct_auto(series)
     if not lfun.log_derivative_check(L, seq):
@@ -232,8 +266,7 @@ def _run_lfun(payload: dict, budget: int, threads: int):
     rows = [("degree", lfun.degree(L)),
             ("total degree", lfun.total_degree(L)),
             ("certified order", L.certified_order)]
-    if "predict" in payload:
-        verdict = _parse_prediction(payload["predict"])
+    if verdict is not None:
         predicted = verdict["predicted_degree"]
         observed = lfun.degree(L)
         match = predicted in (observed, abs(observed))

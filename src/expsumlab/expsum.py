@@ -3,15 +3,21 @@
 The fast path encodes field elements by discrete logs (see tables.py) and
 runs the enumeration in blocked numpy integer arrays; per block it counts
 the points by the trace of f(x) mod p, so the exact sum is
-sum_t count[t] * zeta^t with ordinary integer counts.  Two identities cut
+sum_t count[t] * zeta^t with ordinary integer counts.  Three identities cut
 the work.  Tr is F_p-linear, so on affine space and the torus the trace of
 f is the sum of its terms' traces, each read from the trace table at a
 code computed by integer arithmetic, and no field elements are added.  The
 coefficients lie in F_q, so x -> x^q permutes the points and fixes Tr(f):
 the first coordinate runs over one representative of each orbit, and a
-block's counts are multiplied by the orbit size.  A naive reference path
-(power_sum_naive) evaluates everything with FqElem arithmetic and is used
-to cross-check the table-driven path on small inputs.
+block's counts are multiplied by the orbit size.  On SL2, f(A) =
+sum a_n Tr(Sym^n A) is F(t) for t = tr A, and x^2 - t x + 1 is the
+characteristic polynomial of Q^2 + Q, Q^2 - Q or Q^2 matrices in SL2(F_Q)
+as it has two roots in F_Q, none, or a double one: Q^2 - Q plus Q for each
+r in F_Q^* with r + 1/r = t.  So in every characteristic S = (Q^2 - Q)
+sum_t psi(Tr F(t)) + Q sum_r psi(Tr F(r + 1/r)), over one affine line and
+one torus.  A naive reference path (power_sum_naive) evaluates everything
+with FqElem arithmetic and is used to cross-check the table-driven path on
+small inputs.
 """
 
 from __future__ import annotations
@@ -21,11 +27,12 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _exactpoly
 from .ffield import (CyclotomicInt, FieldCtx, FqElem, additive_character,
                      build_field, galois_twist, trace_to_prime)
 from .tables import (_CHUNK, TABLE_BYTES_PER_ELEMENT, FieldTables,
@@ -138,17 +145,12 @@ class VarietySpec:
     def scaled(self, c) -> "VarietySpec":
         """The same variety with f replaced by c*f."""
         if self.kind == SL2:
-            return VarietySpec.sl2([c * a if isinstance(a, FqElem) else
-                                    (a * c) for a in self.sl2_coeffs])
+            return VarietySpec.sl2([c * a for a in self.sl2_coeffs])
         if self.kind == COMPLEMENT:
-            g = _normalize_terms([(c * coef if isinstance(coef, FqElem) or
-                                   isinstance(c, FqElem) else coef * c, e)
-                                  for coef, e in self.g])
-            return VarietySpec(COMPLEMENT, dim=self.dim, g=g, h=self.h, k=self.k)
-        terms = _normalize_terms([(c * coef if isinstance(coef, FqElem) or
-                                   isinstance(c, FqElem) else coef * c, e)
-                                  for coef, e in self.terms])
-        return VarietySpec(self.kind, dim=self.dim, terms=terms)
+            return replace(self, g=_normalize_terms(
+                [(c * coef, e) for coef, e in self.g]))
+        return replace(self, terms=_normalize_terms(
+            [(c * coef, e) for coef, e in self.terms]))
 
     # JSON wire format ---------------------------------------------------------
 
@@ -266,7 +268,7 @@ def _enumeration_work(v: VarietySpec, q: int) -> int:
         return q ** v.dim
     if v.kind == TORUS:
         return (q - 1) ** v.dim
-    return q ** 3  # sl2 strata enumerate (q-1)q^2 + (q-1)q points
+    return q ** 3  # nominal: sl2 sums over the 2q points of _sl2_grids
 
 
 def _level_work(v: VarietySpec, q: int) -> int:
@@ -528,10 +530,9 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
              for block in _grid_blocks(tuple(len(a) for a in axes))]
 
     def run(task):
-        # integer counts times the integer orbit weight: no floating point
         axes, weight, evaluate, block = task
-        return [weight * _trace_counts(keys, p)
-                for keys in evaluate(*_grid_coords(axes, block))]
+        return weight, [_trace_counts(keys, p)
+                        for keys in evaluate(*_grid_coords(axes, block))]
 
     # one block in flight per thread, and no more threads than cores
     workers = min(threads or 1, os.cpu_count() or 1)
@@ -541,11 +542,13 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     else:
         results = [run(t) for t in tasks]
 
+    # integer counts times the integer weight, in Python ints: no floating
+    # point, and no int64 overflow at weights near q^2
     totals = [[0] * p for _ in scales]
-    for counts in results:
+    for weight, counts in results:
         for i, c in enumerate(counts):
             for t in range(p):
-                totals[i][t] += int(c[t])
+                totals[i][t] += weight * int(c[t])
     return totals
 
 
@@ -554,12 +557,12 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
     triples (see _frobenius_grids).  evaluate(coords, npts) yields, for each
     scale code, a flat array of keys congruent mod p to the trace of c*f at
     the block's points that lie on X."""
+    dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
     if v.kind == SL2:
-        return _sl2_grids(T, v, base, scale_codes)
+        return _sl2_grids(T, v, base, scale_codes, dt)
 
     lengths = (T.q - 1 if v.kind == TORUS else T.q,) * v.dim
     if v.kind != COMPLEMENT:
-        dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
         evaluate = _trace_sum(T, _term_codes(T, base, v.terms), scale_codes,
                               v.kind == AFFINE)
         return _frobenius_grids(T, base, lengths, dt, evaluate)
@@ -571,65 +574,42 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
     dt = _work_dtype(T, g_terms + h_terms + [(None, (k,))])
 
     def evaluate(coords, npts):
+        # the one kind that adds field elements: f = g / h^k by Zech
+        # addition, then the trace of c*f read at its code
         zmasks = [None] * v.dim
         h = _eval_terms(T, h_terms, coords, zmasks, dt)
         keep = np.broadcast_to(h != T.zero_code, _block_shape(coords))
         g = _eval_terms(T, g_terms, coords, zmasks, dt)
         hinv_k = np.where(keep, (-h * k) % T.group_order, 0)
-        return _scaled_traces(T, T.vmul(g, hinv_k)[keep], scale_codes)
+        f = T.vmul(g, hinv_k)[keep]
+        return (T.trace_of_code[f if c == 0 else T.vmul(f, c)]
+                for c in scale_codes)
     return _frobenius_grids(T, base, lengths, dt, evaluate)
 
 
-def _scaled_traces(T: FieldTables, f: np.ndarray, scale_codes):
-    """evaluate() result of the kinds that add field elements: for each
-    scale code c, the traces of c*f where f holds the codes of f."""
-    return (T.trace_of_code[f if c == 0 else T.vmul_code(f, c)].ravel()
-            for c in scale_codes)
-
-
-def _sl2_f_codes(T: FieldTables, coeff_codes, t: np.ndarray) -> np.ndarray:
-    """f = sum_n a_n s_n(t) with s_0 = 1, s_1 = t, s_n = t s_(n-1) - s_(n-2).
-    coeff_codes ends at the last nonzero a_n, where the recurrence stops."""
-    acc = np.full_like(t, T.zero_code)
-    s_prev, s_cur = np.zeros_like(t), t  # code 0 encodes 1
-    for n, a_code in enumerate(coeff_codes):
-        if n:
-            s_prev, s_cur = s_cur, T.vsub(T.vmul(t, s_cur), s_prev)
-        if a_code is not None:
-            acc = T.vadd(acc, T.vmul_code(s_cur, a_code))
-    return acc
-
-
-def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
-    """SL2 points split as a != 0 (d solved from det) plus the a = 0 stratum."""
+def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
+               dt):
+    """SL2(F_Q) through the trace (see the module docstring): F(t) on the
+    line of traces, each point standing for Q^2 - Q matrices, and G(r) =
+    F(r + 1/r) on the torus, each point standing for Q.  s_n follows
+    sym_trace's recurrence as an integer polynomial in t, and s_n(r + 1/r)
+    is r^n + r^(n-2) + ... + r^(-n)."""
+    f_terms, g_terms = [], []
+    s_prev, s = [1], [0, 1]   # s_0 and s_1
+    for n, a in enumerate(v.sl2_coeffs, start=1):
+        f_terms += [(a * c, (k,)) for k, c in enumerate(s) if c]
+        g_terms += [(a, (n - 2 * j,)) for j in range(n + 1)]
+        s_prev, s = s, _exactpoly.add(_exactpoly.mul([0, 1], s),
+                                      _exactpoly.neg(s_prev))
+    f = _term_codes(T, base, _normalize_terms(f_terms))
+    g = _term_codes(T, base, _normalize_terms(g_terms))
     q = T.q
-    coeff_codes = []
-    for a in v.sl2_coeffs:
-        code = _coef_code(T, base, a)
-        coeff_codes.append(None if code == T.zero_code else code)
-    while coeff_codes and coeff_codes[-1] is None:
-        coeff_codes.pop()
-
-    def a_nonzero(coords, npts):
-        # (a, b, c) free with a a nonzero code, d = (1 + b c) / a.  Each
-        # array is dropped once used, so a block holds few at a time.
-        a, b, c = coords
-        coords.clear()
-        d = T.vmul(b, c)
-        del b, c
-        d = T.vmul(T.vadd(np.zeros((), d.dtype), d), (-a) % T.group_order)
-        a = T.vadd(a, d)   # the trace a + d
-        del d
-        return _scaled_traces(T, _sl2_f_codes(T, coeff_codes, a), scale_codes)
-
-    def a_zero(coords, npts):
-        # b != 0, c = -1/b, d free: q - 1 points of trace d for each d
-        return _scaled_traces(T, _sl2_f_codes(T, coeff_codes, coords[0]),
-                              scale_codes)
-
-    dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
-    return (_frobenius_grids(T, base, (q - 1, q, q), dt, a_nonzero)
-            + _frobenius_grids(T, base, (q,), dt, a_zero, weight=q - 1))
+    return (_frobenius_grids(T, base, (q,), dt,
+                             _trace_sum(T, f, scale_codes, True),
+                             weight=q * q - q)
+            + _frobenius_grids(T, base, (q - 1,), dt,
+                               _trace_sum(T, g, scale_codes, False),
+                               weight=q))
 
 
 def _counts_to_cyclotomic(p: int, counts) -> CyclotomicInt:

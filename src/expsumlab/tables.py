@@ -95,10 +95,8 @@ class FieldTables:
             zech[start:stop] = chunk
         self.zech = zech
 
-        # the prime-field constants 0..p-1 have base-p indices 0..p-1; -1 is
-        # p-1, and additive negation is a log shift (0 in characteristic 2)
+        # the prime-field constants 0..p-1 have base-p indices 0..p-1
         self.const_code = log[:p].astype(np.int64)
-        self.neg_shift = int(log[p - 1])
 
         self._embed_roots: dict = {}
 
@@ -157,23 +155,6 @@ class FieldTables:
         t = self._fold(a + b)
         np.copyto(t, z, where=(a == z) | (b == z))
         return t
-
-    def vmul_code(self, a: np.ndarray, c: int) -> np.ndarray:
-        if c == self.zero_code:
-            return np.full_like(a, self.zero_code)
-        z = self.zero_code
-        t = self._fold(a + c)
-        np.copyto(t, z, where=a == z)
-        return t
-
-    def vneg(self, a: np.ndarray) -> np.ndarray:
-        z = self.zero_code
-        t = self._fold(a + self.neg_shift)
-        np.copyto(t, z, where=a == z)
-        return t
-
-    def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.vadd(a, self.vneg(b))
 
     # -- embedding of a base field into this one ------------------------------
 

@@ -121,6 +121,30 @@ NOT_PRIME_JOBS = {f"{doc['command']}-p{p}": _with_p(doc, p)
                   for p in (1, 4)}
 
 
+# payloads each refused with exit 2: (job document, extra CLI arguments)
+BAD_PAYLOADS = {
+    **{f"grid-{grid}": (RADIUS_JOB, ["--grid", grid])
+       for grid in ("abc", "1", "0,1")},
+    "g-coefficient": ({**RADIUS_JOB, "payload": {
+        **RADIUS_JOB["payload"], "g": {"num": [["0", "x"]],
+                                       "den": ["0", "0", "1"]}}}, []),
+    "chern-no-fields": ({"command": "predict",
+                         "payload": {"kind": "chern"}}, []),
+    "chern-n0": ({"command": "predict", "payload": {
+        "kind": "chern", "n": 0, "d": [1], "e": [1]}}, []),
+    "sl2-negative-N": ({"command": "predict",
+                        "payload": {"kind": "sl2", "N": -1}}, []),
+    "lfun-predict-not-object": ({**KLOOSTERMAN_JOB, "payload": {
+        **KLOOSTERMAN_JOB["payload"], "predict": 5}}, []),
+    "lfun-bounds": ({**UNCERTIFIED_JOB, "payload": {
+        **UNCERTIFIED_JOB["payload"], "bounds": [-1, 2]}}, []),
+    "lfun-scale-p": ({**SCALE_JOB, "payload": {
+        **SCALE_JOB["payload"], "scale": 3}}, []),
+    "lfun-scale-word": ({**SCALE_JOB, "payload": {
+        **SCALE_JOB["payload"], "scale": "two"}}, []),
+}
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -290,6 +314,15 @@ def test_exit_code_p_not_prime(tmp_path, name):
     assert "p must be" in proc.stderr
 
 
+@pytest.mark.parametrize("name", sorted(BAD_PAYLOADS))
+def test_exit_code_bad_payload(tmp_path, capsys, name):
+    doc, extra = BAD_PAYLOADS[name]
+    job = write_job(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, [doc["command"], "--job", job] + extra)
+    assert code == cli.EXIT_SCHEMA and not out
+    assert err.startswith("schema error: ") and len(err.splitlines()) == 1
+
+
 def test_exit_code_budget(tmp_path, capsys):
     job = write_job(tmp_path, "big.json", BIG_SUM_JOB)
     code, _, err = run(capsys, ["sum", "--job", job, "--budget", "1000"])
@@ -360,6 +393,27 @@ def test_complement_sum_enumerates_each_level_once(tmp_path, capsys,
     assert out == COMPLEMENT_REPORT
 
 
+SL2_JOB = {"command": "sum", "payload": {
+    "base": {"p": 3}, "variety": {"kind": "sl2", "coeffs": [1, 1]},
+    "levels": 4}}
+
+# report bytes of SL2_JOB, recorded when SL2 was enumerated over a grid of
+# matrices; progress still counts q^3 points per level
+SL2_REPORT = (
+    '{"command":"sum","n":1,"p":3,"points":[24,720,19656,531360],'
+    '"progress":[{"m":1,"points":27},{"m":2,"points":729},'
+    '{"m":3,"points":19683},{"m":4,"points":531441}],'
+    '"records":[{"coords":[-15,-6],"m":1},{"coords":[-261,-234],"m":2},'
+    '{"coords":[-2538,-4536],"m":3},{"coords":[729,-57186],"m":4}]}\n')
+
+
+def test_sl2_sum_report_bytes(tmp_path, capsys):
+    job = write_job(tmp_path, "sl2.json", SL2_JOB)
+    code, out, _ = run(capsys, ["sum", "--job", job])
+    assert code == 0
+    assert out == SL2_REPORT
+
+
 def test_job_documents_match_schema():
     jsonschema = pytest.importorskip("jsonschema")
     path = Path(cli.__file__).parent / "schemas" / "job.schema.json"
@@ -367,7 +421,7 @@ def test_job_documents_match_schema():
     jsonschema.Draft202012Validator.check_schema(schema)
     validator = jsonschema.Draft202012Validator(schema)
     for doc in [SUM_JOB, KLOOSTERMAN_JOB, DWORK_JOB, RADIUS_JOB, SCALE_JOB,
-                COMPLEMENT_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
+                COMPLEMENT_JOB, SL2_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
                 UNCERTIFIED_JOB] + PREDICT_JOBS:
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)

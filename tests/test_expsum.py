@@ -18,6 +18,8 @@ from expsumlab.ffield import (CyclotomicInt, FieldCtx, additive_character,
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
 F5 = build_field(5, 1)
+F7 = build_field(7, 1)
+F9 = build_field(3, 2)
 
 NEWTON_DEGENERATE = VarietySpec.affine_space(2, {(2, 1): 1, (1, 0): -1})
 KLOOSTERMAN = VarietySpec.torus(1, {(1,): 1, (-1,): 1})
@@ -234,6 +236,18 @@ def test_each_kind_matches_naive_at_real_orbit_sizes(v, base, M):
     assert_levels_match_naive(v, base, M)
 
 
+@pytest.mark.parametrize("v,base,m", [
+    pytest.param(VarietySpec.sl2([3, 0, 14, 1]), F7, 1, id="F7"),
+    pytest.param(VarietySpec.sl2([1, 1, 1, 1]), F2, 3, id="F8-even-n"),
+    pytest.param(VarietySpec.sl2([F9.element_at(4), 3, 1, F9.element_at(7)]),
+                 F9, 1, id="F9-coefficients"),
+])
+def test_sl2_trace_sums_match_every_matrix(v, base, m):
+    # every matrix of SL2(F_Q) against the line and torus of traces; 14 and
+    # 3 are 0 mod p, and even n gives F and G constant terms
+    assert power_sum(v, base, m) == power_sum_naive(v, base, m)
+
+
 def test_fast_path_matches_callable_brute_force():
     got = power_sum(NEWTON_DEGENERATE, F3, 2)
     assert got == brute_sum(F3, 2, 2, lambda x, y: x * x * y - x)
@@ -346,9 +360,10 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch, cores, threads,
 
 
 def test_sl2_level_memory_is_bounded():
-    # one SL2 level over F_2^8 (16 blocks of 2^20 points, 4 MiB per int32
-    # array), tables prebuilt: a block holds at most seven arrays at once,
-    # not every intermediate of d and f (22 MiB measured, 49 MiB before)
+    # one SL2 level over F_2^8, tables prebuilt: the sum runs over a line
+    # of 256 traces and a torus of 255 eigenvalues (15 KiB measured), where
+    # a grid of 2^24 matrices in 2^20-point blocks took 22 MiB; the bound
+    # is the one that grid was held to
     es.get_tables(build_field(2, 8))
     tracemalloc.start()
     try:
@@ -449,6 +464,15 @@ def test_scaled_pass_matches_separate_passes():
     for idx, c in ((1, 2), (2, 3)):
         solo = power_sum_table(KLOOSTERMAN.scaled(c), F5, 3)[0]
         assert tabs[idx].values == solo.values
+    # SL2 and a complement, with a scale outside the prime field
+    scales = (1, 2, F9.element_at(5))
+    for v in (VarietySpec.sl2([F9.element_at(4), 3, 1]),
+              VarietySpec.hypersurface_complement(
+                  1, {(2,): 1}, {(1,): 1, (0,): -1}, 2)):
+        tabs = power_sum_table(v, F9, 2, scales=scales)
+        for idx, c in enumerate(scales):
+            solo = power_sum_table(v.scaled(c), F9, 2)[0]
+            assert tabs[idx].values == solo.values
 
 
 def test_scaled_degree_check_report():

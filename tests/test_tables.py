@@ -48,8 +48,7 @@ def check_codes(T, codes, powers, traces):
     """Every table entry at each code e, given powers[i] = g^codes[i] and
     traces[i] = its trace to F_p."""
     one = T.ctx.one()
-    negs = T.vneg(np.array(codes, dtype=np.int64))
-    for e, x, t, minus in zip(codes, powers, traces, negs):
+    for e, x, t in zip(codes, powers, traces):
         assert T.element_of(e) == x
         assert T.code_of(x) == e
         y = one + x
@@ -58,7 +57,6 @@ def check_codes(T, codes, powers, traces):
         else:
             assert T.element_of(int(T.zech[e])) == y
         assert T.trace_of_code[e] == t
-        assert T.element_of(int(minus)) == -x
 
 
 def check_constants(T):
@@ -67,7 +65,6 @@ def check_constants(T):
     assert T.zech[z] == ZECH_SENTINEL and T.trace_of_code[z] == 0
     for c in range(ctx.p):
         assert T.element_of(int(T.const_code[c])) == ctx.from_int(c)
-    assert T.element_of(T.neg_shift) == ctx.from_int(-1)
     nbytes = sum(a.nbytes for a in (T.exp, T.log, T.zech, T.trace_of_code))
     assert nbytes <= TABLE_BYTES_PER_ELEMENT * T.q
 
@@ -115,7 +112,7 @@ def test_tables_match_field_arithmetic(ctx, monkeypatch):
     pairs = [(rng.randrange(T.q), rng.randrange(T.q)) for _ in range(200)]
     pairs += [(T.zero_code, 0), (0, T.zero_code), (T.zero_code, T.zero_code)]
     codes = sampled_codes(T, 10)
-    pairs += zip(codes, T.vneg(np.array(codes, dtype=np.int64)).tolist())  # sum 0
+    pairs += [(e, T.code_of(-T.element_of(e))) for e in codes]   # sum 0
     check_add(T, pairs)
     for k in range(2, n + 1):
         if n % k == 0:
