@@ -228,6 +228,9 @@ def _run_lfun(payload: dict, budget: int, threads: int):
     scale = payload.get("scale")
     if scale is not None:
         scale = _positive_int(scale, "scale", least=None)
+        for key in ("bounds", "predict"):
+            if key in payload:
+                raise SchemaError(f"scale cannot be combined with {key}")
         if scale % base.p == 0:
             raise SchemaError(f"scale must be nonzero mod {base.p}, "
                               f"got {scale}")

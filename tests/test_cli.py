@@ -53,6 +53,13 @@ SCALE_JOB = {
     },
 }
 
+# a scale job with bounds or a prediction, which it would not honour
+SCALE_MIXED_JOBS = {
+    f"lfun-scale-{key}": {**SCALE_JOB, "payload": {
+        **SCALE_JOB["payload"], key: value}}
+    for key, value in (("bounds", [0, 0]),
+                       ("predict", KLOOSTERMAN_JOB["payload"]["predict"]))}
+
 # x + y on the complement of xy = 1 in A^2 over F_3
 COMPLEMENT_JOB = {
     "command": "sum",
@@ -142,6 +149,7 @@ BAD_PAYLOADS = {
         **SCALE_JOB["payload"], "scale": 3}}, []),
     "lfun-scale-word": ({**SCALE_JOB, "payload": {
         **SCALE_JOB["payload"], "scale": "two"}}, []),
+    **{name: (doc, []) for name, doc in SCALE_MIXED_JOBS.items()},
 }
 
 
@@ -414,6 +422,34 @@ def test_sl2_sum_report_bytes(tmp_path, capsys):
     assert out == SL2_REPORT
 
 
+# the Dwork twist of (1/3)/x at p = 5 to depth 200: g = (pi + x/3) / x^2
+DWORK5_JOB = {"command": "index", "smax": 200, "payload": {
+    "p": 5, "g": {"num": [["0", "1", "0", "0"], "1/3"],
+                  "den": ["0", "0", "1"]}}}
+
+# report bytes of DWORK5_JOB, recorded when v_p was read by a ladder of
+# divisions by p^(2^k)
+DWORK5_REPORT = (
+    '{"command":"index","endpoint_slopes":[2,2],"index":0,"p":5,"samples":['
+    '{"den_tie":false,"lambda":"1/4","method":"power-subsequence",'
+    '"r":"1/2","stabilized":true},'
+    '{"den_tie":false,"lambda":"1/2","method":"power-subsequence",'
+    '"r":1,"stabilized":true},'
+    '{"den_tie":false,"lambda":1,"method":"power-subsequence",'
+    '"r":2,"stabilized":true},'
+    '{"den_tie":false,"lambda":"3/2","method":"power-subsequence",'
+    '"r":3,"stabilized":true},'
+    '{"den_tie":false,"lambda":2,"method":"power-subsequence",'
+    '"r":4,"stabilized":true}]}\n')
+
+
+def test_dwork_p5_index_report_bytes(tmp_path, capsys):
+    job = write_job(tmp_path, "dwork5.json", DWORK5_JOB)
+    code, out, _ = run(capsys, ["index", "--job", job])
+    assert code == 0
+    assert out == DWORK5_REPORT
+
+
 def test_job_documents_match_schema():
     jsonschema = pytest.importorskip("jsonschema")
     path = Path(cli.__file__).parent / "schemas" / "job.schema.json"
@@ -422,12 +458,14 @@ def test_job_documents_match_schema():
     validator = jsonschema.Draft202012Validator(schema)
     for doc in [SUM_JOB, KLOOSTERMAN_JOB, DWORK_JOB, RADIUS_JOB, SCALE_JOB,
                 COMPLEMENT_JOB, SL2_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
-                UNCERTIFIED_JOB] + PREDICT_JOBS:
+                UNCERTIFIED_JOB, DWORK5_JOB] + PREDICT_JOBS:
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)
     assert not any(validator.is_valid(doc) for doc in NO_THREADS_JOBS)
     assert not any(validator.is_valid(doc) for doc in NOT_INT_JOBS.values())
     assert not any(validator.is_valid(doc) for doc in BAD_SMAX_JOBS.values())
+    assert not any(validator.is_valid(doc)
+                   for doc in SCALE_MIXED_JOBS.values())
     assert not any(validator.is_valid(doc) for name, doc
                    in NOT_PRIME_JOBS.items() if name.endswith("-p1"))
 

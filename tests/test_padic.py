@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,9 @@ from expsumlab.padic import (DEFAULT_GRID, INF, GaussWeight,
                              dwork_twist, factorial_valuation, gauss_valuation,
                              radius_profile, robba_index, symbol_sequence,
                              taylor_norm_check)
-from expsumlab.padic import _estimate_radius
+from expsumlab.padic import (_VP_BLOCK, _cleared, _estimate_radius,
+                             _row_valuations, _symbol_numerators, _vp_array,
+                             _vp_int)
 
 
 def mono(p, coef, k):
@@ -322,6 +325,55 @@ def test_profile_matches_exact_reference(g, grid, s_max):
     # symbols in Q(pi), through the same estimator
     assert radius_profile(g, grid, s_max).samples == \
         _reference_profile(g, grid, s_max)
+
+
+# -- valuations of the integer symbols ------------------------------------------
+
+_B = _VP_BLOCK
+
+
+def _objects(xs):
+    return np.array(xs, dtype=object)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11]),
+       st.lists(st.tuples(st.integers(0, 3 * _B), st.integers(1, 2 ** 2000),
+                          st.booleans()), min_size=1, max_size=6))
+@example(5, [(_B - 1, 1, False), (_B, 1, False), (_B + 1, 1, True),
+             (2 * _B, 1, False)])
+@example(2, [(0, 2 ** 2000 - 1, True), (3 * _B, 3, False), (1, 1, False),
+             (2 * _B - 1, 2 ** 1999 + 1, True), (_B, 5, False)])
+@example(11, [(3 * _B, 2 ** 2000, True)])
+def test_vp_array_matches_scalar_reference(p, entries):
+    # x = +-p^v u with p not dividing u: valuations on both sides of each
+    # multiple of the gcd block, against the one-division-at-a-time v_p
+    xs = [(-1 if neg else 1) * p ** v * (u + 1 if u % p == 0 else u)
+          for v, u, neg in entries]
+    got = _vp_array(_objects(xs), p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [_vp_int(x, p) for x in xs] == \
+        [v for v, _, _ in entries]
+
+
+def test_vp_array_refuses_zero():
+    for xs in ([0], [5 ** (2 * _B), 0, 3], [0, 5]):
+        with pytest.raises(ValueError):
+            _vp_array(_objects(xs), 5)
+
+
+def test_row_valuations_match_scalar_reference_to_depth_200():
+    # every symbol numerator of the Dwork twist of (1/3)/x at p = 5, whose
+    # coordinates reach 1,600 bits and valuation 54
+    p = 5
+    g = RationalFunctionPi(p, [PiNumber.pi(p), Fraction(1, 3)], [0, 0, 1])
+    U, W = _cleared(g)
+    for n in _symbol_numerators(p, U, W, 200):
+        j, V = _row_valuations(n, p)
+        expected = [(i, min((p - 1) * _vp_int(c, p) + e
+                            for e, c in enumerate(row) if c))
+                    for i, row in enumerate(n.tolist()) if any(row)]
+        assert list(zip(j.tolist(), V.tolist())) == expected
 
 
 def test_estimator_flags_unstructured_profiles():
