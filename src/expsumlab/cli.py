@@ -29,7 +29,8 @@ from .expsum import (DEFAULT_BUDGET, BudgetExceededError, VarietySpec,
 from .ffield import build_field, is_prime
 from .lfun import ReconstructionError
 from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, NonStabilizedError, PiNumber,
-                    RationalFunctionPi, radius_profile, robba_index)
+                    RationalFunctionPi, radius_profile, recurrence_work,
+                    robba_index)
 from .verify import CASES, UnknownCaseError, _jsonable, verify_suite
 
 EXIT_OK = 0
@@ -198,9 +199,9 @@ def run_job(spec: dict):
         report = _parse_prediction(payload)
         return report, _table(sorted(report.items()))
     if command == "radius":
-        return _run_radius(spec, payload, want_index=False)
+        return _run_radius(spec, payload, budget, want_index=False)
     if command == "index":
-        return _run_radius(spec, payload, want_index=True)
+        return _run_radius(spec, payload, budget, want_index=True)
     if command == "verify":
         report = verify_suite(_require(payload, "case"))
         return report, _verify_table(report)
@@ -280,11 +281,16 @@ def _run_lfun(payload: dict, budget: int, threads: int):
     return report, _table(rows)
 
 
-def _run_radius(spec: dict, payload: dict, want_index: bool):
+def _run_radius(spec: dict, payload: dict, budget: int, want_index: bool):
     p, g = _parse_operator(payload)
     s_max = _positive_int(spec.get("smax", payload.get("smax", DEFAULT_S_MAX)),
                           "smax", least=2)
     grid = _parse_grid(spec.get("grid", payload.get("grid", DEFAULT_GRID)))
+    work = recurrence_work(g, s_max)
+    if work > budget:
+        raise BudgetExceededError(
+            f"smax {s_max} needs ~{work} work units (symbol coordinates "
+            f"times bits); budget is {budget}")
     prof = radius_profile(g, grid, s_max)
     samples = [{"lambda": s.lam, "r": s.r, "stabilized": s.stabilized,
                 "method": s.method, "den_tie": s.den_tie}

@@ -292,6 +292,17 @@ def _symbol_numerators(p: int, U, W, s_max: int):
         yield n
 
 
+def recurrence_work(g: RationalFunctionPi, s_max: int) -> int:
+    """Work units of the symbol recurrence to depth s_max, counted in
+    coordinates times bits: n_s has up to 1 + grow*s rows (grow as in
+    _symbol_numerators, at least 1) of p - 1 coordinates, which grow by
+    about a constant number of bits per step.  The symbols through s_max
+    therefore hold on the order of (p - 1) grow s_max^3 coordinate-bits,
+    and that product is the count."""
+    grow = max(len(g.den) - 2, len(g.num) - 1, 1)
+    return (g.p - 1) * grow * s_max ** 3
+
+
 def symbol_sequence(g: RationalFunctionPi, s_max: int):
     """b_0..b_(s_max) with b_0 = 1 and b_(s+1) = b_s' + g b_s, so that
     D^s e = b_s e for the rank-one operator d/dx - g on a cyclic vector e.

@@ -8,97 +8,151 @@ is integer-valued, so numpy int64 vector ops stay exact.
 
 An element is also indexed by its base-p integer: the coefficients of its
 polynomial basis read as base-p digits, constant term lowest (as in
-FieldCtx.element_at).  Four int32 arrays of length q hold the tables, so a
-field costs 16 bytes per element:
+FieldCtx.element_at).  The tables are int32 arrays of length q:
 
+  trace_of_code[e]  trace of g^e to F_p
   exp[e]            base-p index of g^e (exp[q-1] = 0, the zero element)
   log[i]            code of the element with base-p index i (log[exp] = codes)
   zech[d]           code of 1 + g^d, ZECH_SENTINEL where that is zero
-  trace_of_code[e]  trace of g^e to F_p
 
-They are built by a few integer matrix passes over F_p, not one element at
-a time (see FieldTables.__init__).
+Sums over affine space, the torus and SL2 read only traces and the codes of
+the constants, so FieldTables.__init__ builds only trace_of_code, with one
+blocked product over F_p, and const_code.  exp, log and zech are built on
+first use, by code_of, element_of, vadd or embed_root: complements and
+bases larger than F_p need them.  A fully built field holds 16 bytes per
+element, which is what the work budget counts for it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
-from .ffield import FieldCtx, FqElem, _factor, trace_to_prime
+from .ffield import FieldCtx, FqElem, _factor
 
 ZECH_SENTINEL = -1
 TABLE_BYTES_PER_ELEMENT = 16  # exp, log, zech and trace_of_code, int32 each
 _CACHE_SIZE = 8
-_CHUNK = 1 << 16  # elements per pass of the zech build and of vadd's gather
+_CHUNK = 1 << 16  # elements per pass of the table builds and of vadd's gather
+
+
+def _mul_matrix(ctx: FieldCtx, h: FqElem) -> np.ndarray:
+    """Multiplication by h as an F_p-linear map on coefficient row vectors:
+    row j holds the coefficients of x^j * h."""
+    return np.array([(ctx.element([0] * j + [1]) * h).coeffs
+                     for j in range(ctx.n)], dtype=np.int64)
+
+
+def _power_rows(step: np.ndarray, count: int, p: int) -> np.ndarray:
+    """Rows 0..count-1: the coefficient vectors of h^0..h^(count-1), where
+    step is the matrix of h.  Each pass doubles the block: the block times
+    the matrix of h^len is the next block.  Entries stay below n*p^2."""
+    block = np.zeros((1, step.shape[0]), dtype=np.int64)
+    block[0, 0] = 1
+    while block.shape[0] < count:
+        block = np.concatenate([block, block @ step % p])
+        step = step @ step % p
+    return block[:count]
 
 
 class FieldTables:
-    """Exp/log/Zech/trace tables for one field context."""
+    """Trace and constant codes of one field context, with exp/log/Zech
+    tables built on first use."""
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
         p, n, q = ctx.p, ctx.n, ctx.q
         self.q = q
         self.zero_code = q - 1
-        self.group_order = q - 1
+        self.group_order = N = q - 1
 
         gen = self._find_generator()
         self.generator = gen
 
-        # Multiplication by g is the F_p-linear map whose matrix has row j =
-        # coefficients of g*x^j, so a block of row vectors g^i..g^(i+L-1)
-        # times the matrix of g^L is the next block.  Doubling builds the
-        # first block of L >= sqrt(q) powers; then about sqrt(q) block steps
-        # fill the table.  Entries stay below n*p^2, exact in int64.
-        step = np.array([(ctx.element([0] * j + [1]) * gen).coeffs
-                         for j in range(n)], dtype=np.int64)
-        block = np.zeros((1, n), dtype=np.int64)
-        block[0, 0] = 1
-        while block.shape[0] ** 2 < q:
-            block = np.concatenate([block, block @ step % p])
-            step = step @ step % p
-        place = p ** np.arange(n, dtype=np.int64)   # base-p place values
-        tr_basis = np.array([trace_to_prime(ctx.element([0] * j + [1]))
-                             for j in range(n)], dtype=np.int64)
-        exp = np.zeros(q, dtype=np.int32)    # exp[q-1] = 0: the zero element
-        tr = np.zeros(q, dtype=np.int32)     # so is its trace
-        log = np.full(q, -1, dtype=np.int32)
-        log[0] = q - 1
-        L = block.shape[0]
-        for start in range(0, q - 1, L):
-            stop = min(start + L, q - 1)
-            rows = block[:stop - start]
-            exp[start:stop] = rows @ place
-            tr[start:stop] = rows @ tr_basis % p
-            log[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
-            block = block @ step % p
-        if log.min() < 0:   # q writes left a slot empty: a repeated power
-            raise RuntimeError("generator order mismatch")
-        self.exp = exp
-        self.log = log
+        # With k = i L + j, g^k = sum_l V[i, l] x^l g^j, where row i of V
+        # holds the coefficients of g^(iL).  Tr is F_p-linear, so
+        # Tr(g^k) = sum_l V[i, l] W[l, j] with W[l, j] = Tr(x^l g^j), and
+        # W = F G^T for the rows G of g^0..g^(L-1) and the trace form
+        # F[k, l] = Tr(x^(k+l)), where Tr(y) is the trace of the matrix of
+        # multiplication by y.  V W runs in row chunks of about _CHUNK
+        # entries, each below n*p^2 and exact in int64.
+        self._L = L = isqrt(N - 1) + 1 if N > 1 else 1   # ceil(sqrt(N))
+        mul_x = _mul_matrix(ctx, ctx.element([0, 1]))
+        power, tr_pow = np.eye(n, dtype=np.int64), []
+        for _ in range(2 * n - 1):
+            tr_pow.append(np.trace(power) % p)
+            power = power @ mul_x % p
+        form = np.array(tr_pow)[np.add.outer(np.arange(n), np.arange(n))]
+        W = form @ _power_rows(_mul_matrix(ctx, gen), L, p).T % p
+        V = _power_rows(_mul_matrix(ctx, gen ** L), -(-N // L), p)
+        tr = np.zeros(q, dtype=np.int32)     # tr[q-1] = 0: the zero element
+        rows = max(1, _CHUNK // L)
+        for i in range(0, V.shape[0], rows):
+            block = V[i:i + rows] @ W
+            np.remainder(block, p, out=block)
+            stop = min((i + rows) * L, N)
+            tr[i * L:stop] = block.reshape(-1)[:stop - i * L]
         self.trace_of_code = tr
 
-        # Zech logs: zech[d] = log(1 + g^d).  Adding 1 changes only the
-        # lowest base-p digit, which wraps from p-1 to 0 without a carry.
-        # One extra sentinel slot so vector code may index d = q-1 on
-        # entries that the zero-operand masks discard anyway.  Fixed chunks
-        # keep the temporaries small next to the tables.
-        zech = np.full(q, ZECH_SENTINEL, dtype=np.int32)
-        for start in range(0, q - 1, _CHUNK):
-            stop = min(start + _CHUNK, q - 1)
+        # the constants: h = g^(N/(p-1)) generates F_p^*, so the code of
+        # h^i is i N/(p-1); the zero constant has the zero code
+        h = (gen ** (N // (p - 1))).coeffs[0]
+        const = np.full(p, N, dtype=np.int64)
+        c = 1
+        for i in range(p - 1):
+            const[c] = i * (N // (p - 1))
+            c = c * h % p
+        self.const_code = const
+
+        self._embed_roots: dict = {}
+
+    @cached_property
+    def exp(self) -> np.ndarray:
+        """Base-p index of g^e for each code e, by about sqrt(q) steps of a
+        block of L powers by the matrix of g^L."""
+        ctx, p, N, L = self.ctx, self.ctx.p, self.group_order, self._L
+        block = _power_rows(_mul_matrix(ctx, self.generator), L, p)
+        step = _mul_matrix(ctx, self.generator ** L)
+        place = p ** np.arange(ctx.n, dtype=np.int64)   # base-p place values
+        exp = np.zeros(self.q, dtype=np.int32)   # exp[q-1] = 0: zero element
+        for start in range(0, N, L):
+            stop = min(start + L, N)
+            exp[start:stop] = block[:stop - start] @ place
+            block = block @ step % p
+        return exp
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """Code of the element with each base-p index: exp inverted."""
+        exp = self.exp
+        log = np.full(self.q, -1, dtype=np.int32)
+        for start in range(0, self.q, _CHUNK):
+            stop = min(start + _CHUNK, self.q)
+            log[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
+        if log.min() < 0:   # q writes left a slot empty: a repeated power
+            raise RuntimeError("generator order mismatch")
+        return log
+
+    @cached_property
+    def zech(self) -> np.ndarray:
+        """zech[d] = log(1 + g^d).  Adding 1 changes only the lowest base-p
+        digit, which wraps from p-1 to 0 without a carry.  One extra
+        sentinel slot so vector code may index d = q-1 on entries that the
+        zero-operand masks discard anyway.  Fixed chunks keep the
+        temporaries small next to the tables."""
+        p, exp, log = self.ctx.p, self.exp, self.log
+        zech = np.full(self.q, ZECH_SENTINEL, dtype=np.int32)
+        for start in range(0, self.group_order, _CHUNK):
+            stop = min(start + _CHUNK, self.group_order)
             one_plus = exp[start:stop] + 1
             one_plus[one_plus % p == 0] -= p
             chunk = log[one_plus]
             chunk[one_plus == 0] = ZECH_SENTINEL   # 1 + g^d = 0
             zech[start:stop] = chunk
-        self.zech = zech
-
-        # the prime-field constants 0..p-1 have base-p indices 0..p-1
-        self.const_code = log[:p].astype(np.int64)
-
-        self._embed_roots: dict = {}
+        return zech
 
     def _find_generator(self) -> FqElem:
         ctx = self.ctx

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from expsumlab import cli, expsum
+from expsumlab import cli, expsum, padic
 
 
 def write_job(tmp_path, name, doc):
@@ -450,6 +450,52 @@ def test_dwork_p5_index_report_bytes(tmp_path, capsys):
     assert out == DWORK5_REPORT
 
 
+def test_exit_code_budget_radius(tmp_path, capsys, monkeypatch):
+    def no_recurrence(*args):
+        raise AssertionError("symbol recurrence ran")
+
+    monkeypatch.setattr(padic, "_symbol_numerators", no_recurrence)
+    for command in ("radius", "index"):
+        deep = write_job(tmp_path, "deep.json",
+                         {**DWORK5_JOB, "command": command, "smax": 1600})
+        code, out, err = run(capsys, [command, "--job", deep])
+        assert code == cli.EXIT_BUDGET and "budget" in err and not out
+    job = write_job(tmp_path, "dwork.json", DWORK_JOB)
+    code, out, err = run(capsys, ["index", "--job", job, "--smax", "30",
+                                  "--budget", "1000"])
+    assert code == cli.EXIT_BUDGET and "budget" in err and not out
+
+
+# a x + b/x on G_m over F_5 through level 8, as in the kloosterman-f5
+# benchmark workload
+KLOOSTERMAN5_JOB = {"command": "lfun", "payload": {
+    "base": {"p": 5},
+    "variety": {"kind": "torus", "dim": 1, "f": [[2, [1]], [3, [-1]]]},
+    "levels": 8,
+    "predict": {"kind": "curve", "g": 0, "c": 0, "m": 2, "d": 2}}}
+
+# report bytes of KLOOSTERMAN5_JOB, recorded when the field tables built
+# exp, log and zech up front and read the trace off them
+KLOOSTERMAN5_REPORT = (
+    '{"command":"lfun","lseries":{"P":[[[1,1],[0,1],[0,1],[0,1]],'
+    '[[2,1],[0,1],[1,1],[1,1]],[[5,1],[0,1],[0,1],[0,1]]],'
+    '"Q":[[[1,1],[0,1],[0,1],[0,1]]],"certified_order":8,"degree":-2,'
+    '"p":5,"total_degree":2},"match":true,"observed_degree":-2,'
+    '"prediction":{"kind":"curve","predicted_degree":2},'
+    '"sums":{"n":1,"p":5,"records":[{"coords":[2,0,1,1],"m":1},'
+    '{"coords":[5,0,-3,-3],"m":2},{"coords":[-17,0,-7,-7],"m":3},'
+    '{"coords":[16,0,39,39],"m":4},{"coords":[14,0,-20,-20],"m":5},'
+    '{"coords":[-88,0,-189,-189],"m":6},{"coords":[295,0,377,377],"m":7},'
+    '{"coords":[-527,0,273,273],"m":8}]}}\n')
+
+
+def test_kloosterman_f5_lfun_report_bytes(tmp_path, capsys):
+    job = write_job(tmp_path, "kloosterman5.json", KLOOSTERMAN5_JOB)
+    code, out, _ = run(capsys, ["lfun", "--job", job])
+    assert code == 0
+    assert out == KLOOSTERMAN5_REPORT
+
+
 def test_job_documents_match_schema():
     jsonschema = pytest.importorskip("jsonschema")
     path = Path(cli.__file__).parent / "schemas" / "job.schema.json"
@@ -458,7 +504,7 @@ def test_job_documents_match_schema():
     validator = jsonschema.Draft202012Validator(schema)
     for doc in [SUM_JOB, KLOOSTERMAN_JOB, DWORK_JOB, RADIUS_JOB, SCALE_JOB,
                 COMPLEMENT_JOB, SL2_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
-                UNCERTIFIED_JOB, DWORK5_JOB] + PREDICT_JOBS:
+                UNCERTIFIED_JOB, DWORK5_JOB, KLOOSTERMAN5_JOB] + PREDICT_JOBS:
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)
     assert not any(validator.is_valid(doc) for doc in NO_THREADS_JOBS)

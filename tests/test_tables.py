@@ -1,7 +1,8 @@
 """Differential tests of the field tables against plain FqElem arithmetic.
 
-tables.FieldTables builds its arrays with integer matrix passes over F_p;
-this file is their exact reference path.  Every entry is recomputed here
+tables.FieldTables builds its arrays with integer matrix passes over F_p,
+the trace table up front and exp/log/Zech on first use; this file is their
+exact reference path.  Every entry is recomputed here
 one element at a time with FqElem products, sums and traces: exhaustively
 on each field the rest of the suite builds (up to ~20k elements), on
 sampled codes for F_5^8 and F_3^12.  The exhaustive trace reference is the
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from expsumlab import tables
+from expsumlab.expsum import VarietySpec, power_sum, power_sum_naive
 from expsumlab.ffield import FieldCtx, build_field, trace_to_prime
 from expsumlab.tables import (TABLE_BYTES_PER_ELEMENT, ZECH_SENTINEL,
                               FieldTables, get_tables)
@@ -140,11 +142,45 @@ def test_table_build_holds_little_beyond_the_tables():
     ctx = build_field(3, 12)
     tracemalloc.start()
     try:
-        FieldTables(ctx)
+        T = FieldTables(ctx)
+        T.exp, T.log, T.zech   # built on first use
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= TABLE_BYTES_PER_ELEMENT * ctx.q + (2 << 20)
+
+
+def test_trace_table_build_holds_little_beyond_it():
+    ctx = build_field(3, 12)
+    tracemalloc.start()
+    try:
+        T = FieldTables(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not {"exp", "log", "zech"} & T.__dict__.keys()
+    assert peak <= 4 * ctx.q + (2 << 20)   # one int32 per element
+
+
+F3, F5, F9 = build_field(3, 1), build_field(5, 1), build_field(3, 2)
+
+
+@pytest.mark.parametrize("v,base,m,built", [
+    (VarietySpec.affine_space(2, {(2, 1): 1, (1, 0): -1}), F3, 3, False),
+    (VarietySpec.torus(1, {(1,): 1, (-1,): 2}), F5, 2, False),
+    (VarietySpec.sl2([1, 2]), F3, 2, False),
+    (VarietySpec.hypersurface_complement(
+        1, {(2,): 1}, {(1,): 1, (0,): -1}), F3, 2, True),
+    (VarietySpec.torus(1, {(1,): F9.element([0, 1]), (-1,): 1}), F9, 2,
+     True),
+], ids=["affine", "torus", "sl2", "complement", "base-F9"])
+def test_only_complements_and_larger_bases_build_exp_log_zech(
+        v, base, m, built, monkeypatch):
+    monkeypatch.setattr(tables, "_CACHE", type(tables._CACHE)())
+    assert power_sum(v, base, m) == power_sum_naive(v, base, m)
+    T = get_tables(build_field(base.p, base.n * m))
+    for name in ("exp", "log", "zech"):
+        assert (name in T.__dict__) == built, name
 
 
 def test_cache_is_bounded_lru(monkeypatch):
