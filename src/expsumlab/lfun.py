@@ -2,9 +2,15 @@
 
 exp_power_sums turns S_1..S_M into the truncated series
 exp(sum_m S_m t^m / m) via the recurrence M c_M = sum_j S_j c_(M-j);
-pade_reconstruct finds coprime P/Q matching the truncation and certifies
-the result by re-expansion.  Everything is exact; polynomials are little-
-endian lists of CyclotomicRat.
+pade_reconstruct finds coprime P/Q matching the truncation within given
+degree bounds and certifies the result by re-expansion.  Both it and
+reconstruct_auto read the rows r_j = u_j t^(M+1) + v_j s of one extended
+Euclid walk on (t^(M+1), s), which passes through the Pade approximant of
+every degree bound.  reconstruct_auto takes the rows with
+deg r_j <= M - slack - 1 as candidates, keeps the certified one of least
+(total degree, -deg Q), and stops at a certified row of total T with
+2T <= M, since no other candidate can then differ from it.  Everything is
+exact; polynomials are little-endian lists of CyclotomicRat.
 """
 
 from __future__ import annotations
@@ -88,63 +94,91 @@ def exp_power_sums(S: PowerSumSequence) -> TruncatedSeries:
     return TruncatedSeries(p, tuple(coeffs))
 
 
-def pade_reconstruct(s: TruncatedSeries, dP: int, dQ: int) -> LSeries:
-    """Certified Pade approximant of the truncation: P/Q with deg P <= dP,
-    deg Q <= dQ, P(0) = Q(0) = 1, gcd(P, Q) = 1, whose expansion matches s
-    through its full order.  Extended Euclid on (t^(M+1), s)."""
-    p = s.p
-    M = s.order
-    if dP < 0 or dQ < 0:
-        raise ValueError("degree bounds must be >= 0")
-    if dP + dQ + 1 > M:
-        raise ReconstructionError(
-            f"certification needs dP + dQ + 1 <= M; got {dP}+{dQ}+1 > {M}")
-    one = CyclotomicRat.one(p)
-    mod = [CyclotomicRat.zero(p)] * (M + 1) + [one]  # t^(M+1)
-    r_prev, r_cur = mod, trim(s.coeffs)
-    v_prev, v_cur = [], [one]
-    while len(r_cur) - 1 > dP:
-        q, r = divmod_(r_prev, r_cur)
-        r_prev, r_cur = r_cur, r
-        v_prev, v_cur = v_cur, add(v_prev, neg(mul(q, v_cur)))
-    P_raw, Q_raw = r_cur, v_cur
-    if not Q_raw:
-        raise ReconstructionError("degenerate reconstruction")
-    g, _, _ = xgcd(P_raw, Q_raw)
-    if len(g) > 1:
-        P_raw, _ = divmod_(P_raw, g)
-        Q_raw, _ = divmod_(Q_raw, g)
+def _remainder_rows(s: TruncatedSeries):
+    """The rows (r_j, v_j), j >= 1, of extended Euclid on (t^(M+1), s):
+    r_j = u_j t^(M+1) + v_j s with gcd(u_j, v_j) = 1 and deg r_j falling,
+    ending at r_j = 0.  Each division runs only when the next row is asked
+    for."""
+    zero, one = CyclotomicRat.zero(s.p), CyclotomicRat.one(s.p)
+    r_prev, r = [zero] * (s.order + 1) + [one], trim(s.coeffs)
+    v_prev, v = [], [one]
+    while True:
+        yield r, v
+        if not r:
+            return
+        q, rem = divmod_(r_prev, r)
+        r_prev, r = r, rem
+        v_prev, v = v, add(v_prev, neg(mul(q, v)))
+
+
+def _certify(s: TruncatedSeries, r, v, dQ: int) -> LSeries:
+    """The candidate r/v of a remainder row as a certified LSeries.  From
+    r = u t^(M+1) + v s, t^k divides r for k = val_t(v), and gcd(u, v) = 1
+    makes gcd(r, v) = t^k; so P/Q = (r/t^k)/(v/t^k) is reduced with
+    Q(0) != 0.  Q must have degree <= dQ, and P/Q, normalised to Q(0) = 1,
+    must re-expand to s."""
+    k = next(i for i, c in enumerate(v) if c)
+    P_raw, Q_raw = r[k:], v[k:]
     if len(Q_raw) - 1 > dQ:
         raise ReconstructionError(
             f"no denominator of degree <= {dQ} matches (needed {len(Q_raw) - 1})")
-    if not Q_raw or Q_raw[0].is_zero():
-        raise ReconstructionError("denominator vanishes at 0; cannot normalize")
     inv0 = Q_raw[0].inverse()
     P = [x * inv0 for x in P_raw]
     Q = [x * inv0 for x in Q_raw]
-    # certification: the normalized quotient must reproduce the input series
-    if expand_quotient(P, Q, M) != list(s.coeffs):
+    if expand_quotient(P, Q, s.order) != list(s.coeffs):
         raise ReconstructionError(
             "expansion mismatch: series is not rational within the bounds "
             "(order too small or bounds wrong)")
-    g, u, v = xgcd(P, Q)
+    g, u, w = xgcd(P, Q)
     assert len(g) == 1
-    return LSeries(p, tuple(P), tuple(Q), M, bezout=(tuple(u), tuple(v)))
+    return LSeries(s.p, tuple(P), tuple(Q), s.order,
+                   bezout=(tuple(u), tuple(w)))
+
+
+def pade_reconstruct(s: TruncatedSeries, dP: int, dQ: int) -> LSeries:
+    """Certified Pade approximant of the truncation: P/Q with deg P <= dP,
+    deg Q <= dQ, P(0) = Q(0) = 1, gcd(P, Q) = 1, whose expansion matches s
+    through its full order: the first remainder row with deg r <= dP."""
+    if dP < 0 or dQ < 0:
+        raise ValueError("degree bounds must be >= 0")
+    if dP + dQ + 1 > s.order:
+        raise ReconstructionError(
+            f"certification needs dP + dQ + 1 <= M; got {dP}+{dQ}+1 > {s.order}")
+    r, v = next(row for row in _remainder_rows(s) if len(row[0]) - 1 <= dP)
+    return _certify(s, r, v, dQ)
 
 
 def reconstruct_auto(s: TruncatedSeries, slack: int = 2) -> LSeries:
-    """Sweep dP + dQ upward until a certified reconstruction exists with
-    M >= dP + dQ + 1 + slack; deterministic order (denominator-heavy first)."""
+    """The certified P/Q of least total degree T <= M - 1 - slack, and among
+    those the one of greatest deg Q: pade_reconstruct(s, dP, dQ) at the
+    first (dP, dQ) in the order (dP + dQ up, dQ down) that certifies.
+
+    One walk of the remainder rows finds it.  Row j answers every dP from
+    max(deg r_j, 0) up to deg r_(j-1) - 1, so its candidate first certifies
+    at total T_j = max(deg r_j, 0) + deg Q_j.  The walk keeps the row of
+    least (T_j, deg r_j), shrinking the bound on T as it goes; no later row
+    totals less than M + 1 - deg r_j.  It stops at a certified row with
+    2 T_j <= M: any other certified P'/Q' of total <= T_j agrees with it
+    mod t^(M+1), and P Q' - P' Q has degree <= 2 T_j, so they are equal."""
     M = s.order
-    for total in range(0, max(0, M - slack)):
-        for dQ in range(total, -1, -1):
-            dP = total - dQ
-            try:
-                return pade_reconstruct(s, dP, dQ)
-            except ReconstructionError:
-                continue
-    raise ReconstructionError(
-        f"no rational function certified at order {M} with slack {slack}")
+    bound = M - 1 - max(slack, 0)   # certification needs T + 1 <= M
+    best = None
+    for r, v in _remainder_rows(s):
+        dP = max(len(r) - 1, 0)
+        try:
+            best = _certify(s, r, v, bound - dP)
+        except ReconstructionError:
+            pass
+        else:
+            bound = dP + len(best.Q) - 1
+            if 2 * bound <= M:
+                return best
+        if len(r) + bound < M + 2:
+            break
+    if best is None:
+        raise ReconstructionError(
+            f"no rational function certified at order {M} with slack {slack}")
+    return best
 
 
 def degree(L: LSeries) -> int:

@@ -349,8 +349,22 @@ def test_exit_code_budget_counts_tables(tmp_path, capsys, monkeypatch):
 
 def test_exit_code_uncertified(tmp_path, capsys):
     job = write_job(tmp_path, "tight.json", UNCERTIFIED_JOB)
-    code, _, err = run(capsys, ["lfun", "--job", job])
-    assert code == cli.EXIT_UNCERTIFIED and "not certified" in err
+    code, out, err = run(capsys, ["lfun", "--job", job])
+    assert code == cli.EXIT_UNCERTIFIED and not out
+    assert err == ("reconstruction not certified: no denominator of degree "
+                   "<= 0 matches (needed 6)\n")
+
+
+def test_exit_code_uncertified_auto(tmp_path, capsys):
+    # Kloosterman's L has total degree 2; four levels leave room for 1
+    payload = {k: v for k, v in UNCERTIFIED_JOB["payload"].items()
+               if k != "bounds"}
+    job = write_job(tmp_path, "short.json", {"command": "lfun", "payload": {
+        **payload, "levels": 4}})
+    code, out, err = run(capsys, ["lfun", "--job", job])
+    assert code == cli.EXIT_UNCERTIFIED and not out
+    assert err == ("reconstruction not certified: no rational function "
+                   "certified at order 4 with slack 2\n")
 
 
 def test_exit_code_unstable(tmp_path, capsys):

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from expsumlab._exactpoly import (add, divmod_, expand_quotient, mul, neg,
+                                  trim, xgcd)
 from expsumlab.ffield import CyclotomicRat
-from expsumlab.lfun import (ReconstructionError, TruncatedSeries,
+from expsumlab.lfun import (LSeries, ReconstructionError, TruncatedSeries,
                             degree, exp_power_sums, log_derivative_check,
                             pade_reconstruct, power_sums_from_ints,
                             reconstruct_auto, series_from_rationals,
@@ -153,3 +157,112 @@ def test_expansion_round_trip():
     L = reconstruct_auto(s)
     assert poly_rationals(L.Q) == [1, -1, -2]
     assert L.expansion().coeffs == s.coeffs
+
+
+# -- the remainder walk against the degree sweep it replaced --------------------
+
+def _pade_reference(s, dP, dQ):
+    """pade_reconstruct as it was: extended Euclid on (t^(M+1), s) down to
+    deg r <= dP, then reduction by xgcd over Q(zeta_p)."""
+    p = s.p
+    M = s.order
+    if dP < 0 or dQ < 0:
+        raise ValueError("degree bounds must be >= 0")
+    if dP + dQ + 1 > M:
+        raise ReconstructionError(
+            f"certification needs dP + dQ + 1 <= M; got {dP}+{dQ}+1 > {M}")
+    one = CyclotomicRat.one(p)
+    mod = [CyclotomicRat.zero(p)] * (M + 1) + [one]  # t^(M+1)
+    r_prev, r_cur = mod, trim(s.coeffs)
+    v_prev, v_cur = [], [one]
+    while len(r_cur) - 1 > dP:
+        q, r = divmod_(r_prev, r_cur)
+        r_prev, r_cur = r_cur, r
+        v_prev, v_cur = v_cur, add(v_prev, neg(mul(q, v_cur)))
+    P_raw, Q_raw = r_cur, v_cur
+    if not Q_raw:
+        raise ReconstructionError("degenerate reconstruction")
+    g, _, _ = xgcd(P_raw, Q_raw)
+    if len(g) > 1:
+        P_raw, _ = divmod_(P_raw, g)
+        Q_raw, _ = divmod_(Q_raw, g)
+    if len(Q_raw) - 1 > dQ:
+        raise ReconstructionError(
+            f"no denominator of degree <= {dQ} matches (needed {len(Q_raw) - 1})")
+    if not Q_raw or Q_raw[0].is_zero():
+        raise ReconstructionError("denominator vanishes at 0; cannot normalize")
+    inv0 = Q_raw[0].inverse()
+    P = [x * inv0 for x in P_raw]
+    Q = [x * inv0 for x in Q_raw]
+    if expand_quotient(P, Q, M) != list(s.coeffs):
+        raise ReconstructionError(
+            "expansion mismatch: series is not rational within the bounds "
+            "(order too small or bounds wrong)")
+    g, u, v = xgcd(P, Q)
+    assert len(g) == 1
+    return LSeries(p, tuple(P), tuple(Q), M, bezout=(tuple(u), tuple(v)))
+
+
+def _sweep_reference(s, slack):
+    """reconstruct_auto as it was: one Pade attempt per (dP, dQ), total
+    degree up, denominator-heavy first."""
+    M = s.order
+    for total in range(0, max(0, M - slack)):
+        for dQ in range(total, -1, -1):
+            try:
+                return _pade_reference(s, total - dQ, dQ)
+            except ReconstructionError:
+                continue
+    raise ReconstructionError(
+        f"no rational function certified at order {M} with slack {slack}")
+
+
+def _outcome(f, *args):
+    """The LSeries f returns (P, Q, certified_order and bezout compare
+    exactly), or the text of the ReconstructionError it raises."""
+    try:
+        return f(*args)
+    except ReconstructionError as exc:
+        return str(exc)
+
+
+@st.composite
+def _series_and_slack(draw):
+    """A truncation over Q(zeta_p) with coordinates in {-1, 0, 1}, and a
+    slack: half of the series expand a rational function, the rest are
+    drawn term by term.  The sweep tries every total degree up to
+    M - 1 - slack, and its cost grows fast in that and in p, hence
+    M <= 4 + slack (3 + slack at p = 7)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    slack = draw(st.integers(0, 2))
+    M = draw(st.integers(0, (3 if p == 7 else 4) + slack))
+    coef = st.lists(st.integers(-1, 1), min_size=p - 1, max_size=p - 1).map(
+        lambda coords: CyclotomicRat(p, coords))
+    if draw(st.booleans()):
+        P = draw(st.lists(coef, min_size=1, max_size=4))
+        Q = [CyclotomicRat.one(p)] + draw(st.lists(coef, max_size=3))
+        coeffs = expand_quotient(P, Q, M)
+    else:
+        coeffs = draw(st.lists(coef, min_size=M + 1, max_size=M + 1))
+    return TruncatedSeries(p, tuple(coeffs)), slack
+
+
+_FIBONACCI = [1, 1, 2, 3, 5, 8]   # 1/(1 - t - t^2), total degree 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(_series_and_slack(), st.integers(0, 3), st.integers(0, 3))
+# no rational function fits within the slack
+@example((series_from_rationals(3, [1, 1, 1, 2, 1, 1, 1]), 2), 1, 1)
+# M = T + slack + 1 certifies T = 2; M = T + slack does not
+@example((series_from_rationals(5, _FIBONACCI), 2), 0, 2)
+@example((series_from_rationals(5, _FIBONACCI[:-1]), 2), 0, 2)
+# 1/(1 + t^4) at M = 7 is also the polynomial 1 - t^4: s itself certifies
+# first, at T = 4 with 2T > M, and the later row 1/(1 + t^4) wins the tie
+@example((series_from_rationals(2, [1, 0, 0, 0, -1, 0, 0, 0]), 2), 3, 3)
+def test_walk_matches_sweep(case, dP, dQ):
+    s, slack = case
+    assert _outcome(reconstruct_auto, s, slack) == _outcome(
+        _sweep_reference, s, slack)
+    assert _outcome(pade_reconstruct, s, dP, dQ) == _outcome(
+        _pade_reference, s, dP, dQ)
