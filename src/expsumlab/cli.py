@@ -26,12 +26,11 @@ from fractions import Fraction
 from . import lfun, predict
 from .expsum import (DEFAULT_BUDGET, BudgetExceededError, VarietySpec,
                      power_sum_table, scaled_degree_check)
-from .ffield import build_field, is_prime
+from .ffield import CyclotomicInt, build_field, is_prime
 from .lfun import ReconstructionError
 from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, NonStabilizedError, PiNumber,
                     RationalFunctionPi, radius_profile, recurrence_work,
                     robba_index)
-from .verify import CASES, UnknownCaseError, _jsonable, verify_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -55,8 +54,13 @@ def _require(doc: dict, key: str, kind=None):
 
 def _positive_int(value, name: str, least: int | None = 1) -> int:
     """value as an int of at least `least` (any int if least is None);
-    SchemaError naming `name` if not."""
+    SchemaError naming `name` if not.  A decimal string or an integral
+    number is read as its int; a boolean or a number with a fractional
+    part is refused, not truncated."""
     try:
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
         number = int(value)
     except (TypeError, ValueError):
         raise SchemaError(
@@ -81,6 +85,24 @@ def _prime(value, name: str) -> int:
     if not is_prime(number):
         raise SchemaError(f"{name} must be a prime, got {number}")
     return number
+
+
+def _jsonable(v):
+    """Report values as JSON data: a Fraction as "n/d" (an int when
+    integral), a cyclotomic integer as its coordinate list, and any object
+    JSON has no type for as its str."""
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
+            else v.numerator
+    if isinstance(v, CyclotomicInt):
+        return list(v.coords)
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    return str(v)
 
 
 def _dump_report(report: dict) -> str:
@@ -203,6 +225,7 @@ def run_job(spec: dict):
     if command == "index":
         return _run_radius(spec, payload, budget, want_index=True)
     if command == "verify":
+        from .verify import verify_suite
         report = verify_suite(_require(payload, "case"))
         return report, _verify_table(report)
     raise SchemaError(f"unknown command {command!r}")
@@ -337,6 +360,18 @@ def _csv_for(report: dict) -> str:
 
 # -- entry point -------------------------------------------------------------------
 
+class _CaseNames:
+    """verify.CASES as argparse choices, imported when first read: only the
+    verify command loads the verification cases."""
+
+    def __iter__(self):
+        from .verify import CASES
+        return iter(CASES)
+
+    def __contains__(self, name) -> bool:
+        return name in tuple(self)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expsumlab",
@@ -355,7 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--csv", default=None, help="write CSV export here")
     vp = sub.add_parser("verify")
     group = vp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--case", choices=CASES)
+    # set after add_argument, which would list the names, and so import
+    # the cases, for every command
+    group.add_argument("--case").choices = _CaseNames()
     group.add_argument("--all", action="store_true")
     vp.add_argument("--out", default=None)
     return parser
@@ -365,8 +402,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
+            from .verify import CASES, UnknownCaseError, verify_suite
             names = CASES if args.all else (args.case,)
-            reports = [verify_suite(n) for n in names]
+            try:
+                reports = [verify_suite(n) for n in names]
+            except UnknownCaseError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_SCHEMA
             text = "".join(_verify_table(r) for r in reports)
             payload = reports[0] if len(reports) == 1 else {
                 "command": "verify", "cases": reports,
@@ -394,9 +436,6 @@ def main(argv=None) -> int:
         return EXIT_OK
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except UnknownCaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -6,8 +6,12 @@ the points by the trace of f(x) mod p, so the exact sum is
 sum_t count[t] * zeta^t with ordinary integer counts.  Three identities cut
 the work.  Tr is F_p-linear, so on affine space and the torus the trace of
 f is the sum of its terms' traces, each read from the trace table at a
-code computed by integer arithmetic, and no field elements are added.  The
-coefficients lie in F_q, so x -> x^q permutes the points and fixes Tr(f):
+code computed by integer arithmetic, and no field elements are added.  In
+dimension >= 2 a block's last coordinate is a run of consecutive codes, so
+a term reads each row of the block as one window of the table, contiguous
+for exponent 1 in that coordinate and strided otherwise; the sum is kept
+reduced mod p as the terms are added, and the classes are counted
+directly, with no copy of the keys.  The coefficients lie in F_q, so x -> x^q permutes the points and fixes Tr(f):
 the first coordinate runs over one representative of each orbit, and a
 block's counts are multiplied by the orbit size.  On SL2, f(A) =
 sum a_n Tr(Sym^n A) is F(t) for t = tr A, and x^2 - t x + 1 is the
@@ -26,7 +30,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -40,6 +43,10 @@ from .tables import (_CHUNK, TABLE_BYTES_PER_ELEMENT, FieldTables,
 
 DEFAULT_BUDGET = 10 ** 9
 _BLOCK = 1 << 20
+# On 2^20 uint8 keys one count_nonzero pass took 0.19 ms and np.bincount,
+# which first copies the keys to intp, 2.5 ms (2-core Xeon, numpy 2.4), so
+# counting trace classes by passes pays up to p = 13
+_COUNT_PASSES = 12
 
 AFFINE = "affine"
 TORUS = "torus"
@@ -340,27 +347,54 @@ def _block_shape(coords) -> tuple:
     return np.broadcast_shapes((1,), *(x.shape for x in coords))
 
 
+def _strided_windows(table: np.ndarray, n: int, e: int, width: int):
+    """A read-only (n, width) view whose row c is table[c], table[c + e],
+    ..., table[c + e (width - 1)], over a table of |e| + 1 copies of n
+    entries.  With e < 0 the rows start in the last copy and step back.
+    Either way they stay inside the table while width <= n + 1."""
+    step = table.itemsize
+    base = table[len(table) - n:] if e < 0 else table
+    return np.lib.stride_tricks.as_strided(
+        base, shape=(n, width), strides=(step, e * step), writeable=False)
+
+
 def _trace_sum(T: FieldTables, terms, scale_codes, may_vanish: bool):
-    """evaluate() of the affine and torus kinds: per scale c, keys that are
-    congruent mod p to Tr(c f) at the points of a block.
+    """evaluate() of the affine and torus kinds: per scale c, Tr(c f) mod p
+    at the points of a block.
 
     Tr is F_p-linear, so Tr(c f) is the sum over terms of Tr(c * term), and
     no field elements are added.  A term's code is its coefficient's code
     plus c's plus sum_j e_j x_j, mod N = q - 1.  The outer coordinates are
     (rows, 1) columns (see _grid_coords), so their part of the code is
-    reduced on a column; the last coordinate's part is reduced on its chunk,
-    and one gather per term and point from the doubled trace table adds the
-    two.  On affine space a term vanishes where a coordinate it contains is
-    zero, and contributes 0 there."""
-    n, z = T.group_order, T.zero_code
-    bound = max(1, len(terms)) * (T.ctx.p - 1)   # the largest key
-    kd = next(t for t in (np.uint8, np.uint16, np.uint32, np.int64)
-              if bound <= np.iinfo(t).max)
+    reduced on a column, col.  Where the last coordinate is the run of
+    codes start, start + 1, ..., row r of a term with exponent e in it
+    reads the trace table at col_r + e start, then every e-th entry: one
+    window of a table of |e| + 1 copies (_strided_windows), and one fancy
+    index reads all rows.  In dimension 1, whose axis is the orbit
+    representatives, and for an |e| whose copies would take more bytes per
+    element than the budget counts for the field's tables, the last
+    coordinate's part is reduced on its chunk and one gather per point
+    from the doubled table adds the two.  On affine space a term vanishes
+    where a coordinate it contains is zero, and contributes 0 there.  The
+    accumulator starts as the first term's traces and is reduced mod p
+    after each further term, so no key leaves [0, p) and _trace_counts can
+    count the classes directly."""
+    n, z, p = T.group_order, T.zero_code, T.ctx.p
+    # unsigned, so that the sum of two traces minus p wraps where it is < 0
+    kd = next(t for t in (np.uint8, np.uint16, np.uint32)
+              if 2 * (p - 1) <= np.iinfo(t).max)
+    kp = kd(p)
     trace = T.trace_of_code[:n].astype(kd)
-    trace2 = np.concatenate([trace, trace])   # trace2[i] = Tr(g^(i mod N))
-    del trace
+    # copies[k] is the table k times over, copies[k][i] = Tr(g^(i mod N)):
+    # the doubled table, and the |e| + 1 copies that a last exponent e in
+    # dimension >= 2 reads, where they fit the budget's bytes per element
+    tiles = {abs(exps[-1]) + 1 for _, exps in terms
+             if len(exps) > 1 and exps[-1]}
+    copies = {k: np.tile(trace, k) for k in tiles | {2}
+              if k * trace.itemsize <= TABLE_BYTES_PER_ELEMENT}
+    trace2 = copies[2]
 
-    def evaluate(coords, npts):
+    def evaluate(coords, start):
         shape = _block_shape(coords)
         outer, last = coords[:-1], coords[-1] if coords else None
         parts = []
@@ -372,41 +406,68 @@ def _trace_sum(T: FieldTables, terms, scale_codes, may_vanish: bool):
                     if may_vanish:
                         rows = x == z if rows is None else rows | (x == z)
             e = exps[-1] if exps else 0
-            row = cols = None        # last coordinate's part, zero positions
+            # the rows' windows, or else the last coordinate's part of the
+            # code, and the last coordinate's zero positions
+            win = row = cols = None
             if e:
-                row = last if e == 1 else (e * last.astype(np.int64) % n
-                                           ).astype(last.dtype)
+                if start is not None and abs(e) + 1 in copies:
+                    win = _strided_windows(copies[abs(e) + 1], n, e,
+                                           last.size)
+                    col = col + e * start
+                else:
+                    row = last if e == 1 else (e * last.astype(np.int64) % n
+                                               ).astype(last.dtype)
                 if may_vanish:
                     cols = np.flatnonzero(last == z)
-            parts.append((col, rows, row, cols))
+            parts.append((col, rows, e, win, row, cols))
+        # terms along the last coordinate first: their traces are fresh
+        # arrays of the block's shape, which the accumulator can start as
+        parts.sort(key=lambda part: part[2] == 0)
         for s in scale_codes:
-            acc = np.zeros(shape, dtype=kd)
-            for col, rows, row, cols in parts:
+            acc = None
+            for col, rows, e, win, row, cols in parts:
                 col = (col + s) % n
-                if row is None:      # constant along the last coordinate
-                    t = trace2[col]
+                if not e:            # constant along the last coordinate
+                    t = trace[col]
                     if rows is not None:
                         t = np.where(rows, 0, t)
                 else:
-                    t = trace2[row + np.asarray(col, dtype=row.dtype)]
+                    if win is not None:
+                        t = win[np.ravel(col)]
+                    else:
+                        t = trace2[row + np.asarray(col, dtype=row.dtype)]
                     if rows is not None:
                         t[rows.ravel()] = 0
                     if cols is not None:
                         t[..., cols] = 0
-                acc += t
+                if acc is None:
+                    acc = t if np.shape(t) == shape else \
+                        np.broadcast_to(t, shape).copy()
+                else:
+                    acc += t
+                    np.minimum(acc, acc - kp, out=acc)   # acc mod p
+            if acc is None:   # f = 0
+                acc = np.zeros(shape, dtype=kd)
             yield acc.ravel()
 
     return evaluate
 
 
-def _trace_counts(keys: np.ndarray, p: int) -> np.ndarray:
-    """How many of the non-negative integer keys fall in each class mod p.
-    bincount runs on _CHUNK slices, which bounds its intp copy."""
-    width = p * (int(keys.max(initial=0)) // p + 1)
-    counts = np.zeros(width, dtype=np.int64)
+def _trace_counts(keys: np.ndarray, p: int) -> list:
+    """How many of the keys, each in [0, p), take each value, as ints.
+
+    Up to _COUNT_PASSES + 1 classes, classes 0..p-2 are counted with
+    count_nonzero and the last class is the rest of the keys, so no key is
+    copied.  For larger p those p - 1 passes would cost more than
+    np.bincount's copy of every key to intp, and bincount runs on _CHUNK
+    slices, which bounds that copy."""
+    if p - 1 <= _COUNT_PASSES:
+        counts = [int(np.count_nonzero(keys == t)) for t in range(p - 1)]
+        return counts + [keys.size - sum(counts)]
+    counts = np.zeros(p, dtype=np.int64)
     for i in range(0, keys.size, _CHUNK):
-        counts += np.bincount(keys[i:i + _CHUNK], minlength=width)
-    return counts.reshape(-1, p).sum(axis=0)
+        counts += np.bincount(keys[i:i + _CHUNK], minlength=p)
+    return counts.tolist()
 
 
 def _frobenius_orbits(n: int, q: int, m: int):
@@ -445,16 +506,17 @@ def _frobenius_orbits(n: int, q: int, m: int):
 
 def _frobenius_grids(T: FieldTables, base: FieldCtx, lengths, dt, evaluate,
                      weight: int = 1):
-    """The (axes, weight, evaluate) grids of a domain whose coordinates run
-    over the codes below `lengths` (T.q: every element, T.q - 1: the
-    nonzero ones), each point standing for `weight` points.
+    """The (axes, weight, evaluate, run) grids of a domain whose coordinates
+    run over the codes below `lengths` (T.q: every element, T.q - 1: the
+    nonzero ones), each point standing for `weight` points.  run is True
+    when the last axis is the run of codes 0, 1, ..., len - 1.
 
     The coefficients lie in F_q, so x -> x^q permutes the points and fixes
     Tr(f).  The first coordinate therefore runs over orbit representatives
     only, in one grid per orbit size, whose points stand for `size` times
     as many.  The zero code is a fixed point."""
     if not lengths:
-        return [((), weight, evaluate)]
+        return [((), weight, evaluate, False)]
     rest = tuple(np.arange(n, dtype=dt) for n in lengths[1:])
     grids = []
     for size, first in _frobenius_orbits(T.group_order, base.q,
@@ -462,7 +524,7 @@ def _frobenius_grids(T: FieldTables, base: FieldCtx, lengths, dt, evaluate,
         first = first.astype(dt)
         if size == 1 and lengths[0] == T.q:
             first = np.append(first, dt(T.zero_code))
-        grids.append(((first,) + rest, weight * size, evaluate))
+        grids.append(((first,) + rest, weight * size, evaluate, bool(rest)))
     return grids
 
 
@@ -482,13 +544,15 @@ def _grid_blocks(lengths):
             yield o0, o1, i0, min(i0 + chunk, last)
 
 
-def _grid_coords(axes, block):
+def _grid_coords(axes, run: bool, block):
     """Coordinate arrays of one block of _grid_blocks over `axes` (one array
-    of codes per coordinate) and the block's size.
+    of codes per coordinate), and the code the block's last coordinate
+    starts at when its axis is a run of codes (None if not).
 
-    The outer coordinates are decoded from the run into (rows, 1) columns
-    and the last is a slice of its axis, so together they broadcast to the
-    block's (rows, chunk) points without repeating any of them."""
+    The outer coordinates are decoded from the block's run of indices into
+    (rows, 1) columns and the last is a slice of its axis, so together they
+    broadcast to the block's (rows, chunk) points without repeating any of
+    them."""
     o0, o1, i0, i1 = block
     coords = []
     if axes:
@@ -498,7 +562,7 @@ def _grid_coords(axes, block):
             stride //= len(a)
             coords.append(a[o // stride % len(a), None])
         coords.append(axes[-1][i0:i1])
-    return coords, (o1 - o0) * (i1 - i0)
+    return coords, i0 if run else None
 
 
 def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
@@ -525,22 +589,23 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     if any(c == T.zero_code for c in scale_codes):
         raise ValueError("scales must be nonzero")
 
-    tasks = [(axes, weight, evaluate, block)
-             for axes, weight, evaluate in _grids(T, v, base, scale_codes)
+    tasks = [(axes, weight, evaluate, run, block)
+             for axes, weight, evaluate, run in _grids(T, v, base, scale_codes)
              for block in _grid_blocks(tuple(len(a) for a in axes))]
 
-    def run(task):
-        axes, weight, evaluate, block = task
-        return weight, [_trace_counts(keys, p)
-                        for keys in evaluate(*_grid_coords(axes, block))]
+    def count(task):
+        axes, weight, evaluate, run, block = task
+        return weight, [_trace_counts(keys, p) for keys in
+                        evaluate(*_grid_coords(axes, run, block))]
 
     # one block in flight per thread, and no more threads than cores
     workers = min(threads or 1, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
+            results = list(pool.map(count, tasks))
     else:
-        results = [run(t) for t in tasks]
+        results = [count(t) for t in tasks]
 
     # integer counts times the integer weight, in Python ints: no floating
     # point, and no int64 overflow at weights near q^2
@@ -548,15 +613,16 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     for weight, counts in results:
         for i, c in enumerate(counts):
             for t in range(p):
-                totals[i][t] += weight * int(c[t])
+                totals[i][t] += weight * c[t]
     return totals
 
 
 def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
-    """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate)
-    triples (see _frobenius_grids).  evaluate(coords, npts) yields, for each
-    scale code, a flat array of keys congruent mod p to the trace of c*f at
-    the block's points that lie on X."""
+    """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate,
+    run) tuples (see _frobenius_grids).  evaluate(coords, start) yields, for
+    each scale code, a flat array of the traces of c*f in [0, p) at the
+    block's points that lie on X; start is the code the last coordinate
+    starts at when it is a run of codes, else None."""
     dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
     if v.kind == SL2:
         return _sl2_grids(T, v, base, scale_codes, dt)
@@ -573,7 +639,7 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
     # a term of weight k covers the product h * k below
     dt = _work_dtype(T, g_terms + h_terms + [(None, (k,))])
 
-    def evaluate(coords, npts):
+    def evaluate(coords, start):
         # the one kind that adds field elements: f = g / h^k by Zech
         # addition, then the trace of c*f read at its code
         zmasks = [None] * v.dim

@@ -12,8 +12,9 @@ from fractions import Fraction
 from importlib import resources
 
 from . import lfun, predict
+from .cli import _jsonable
 from .expsum import VarietySpec, power_sum_table, scaled_degree_check
-from .ffield import CyclotomicInt, build_field
+from .ffield import build_field
 from .padic import (PiNumber, RationalFunctionPi, dwork_twist, radius_profile,
                     robba_index)
 
@@ -258,20 +259,3 @@ def verify_suite(name: str) -> dict:
     return {"case": name, "passed": all(c["ok"] for c in checks),
             "checks": clean}
 
-
-def _jsonable(v):
-    """Report values as JSON data: a Fraction as "n/d" (an int when
-    integral), a cyclotomic integer as its coordinate list, and any object
-    JSON has no type for as its str."""
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
-            else v.numerator
-    if isinstance(v, CyclotomicInt):
-        return list(v.coords)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if v is None or isinstance(v, (bool, int, float, str)):
-        return v
-    return str(v)

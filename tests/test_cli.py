@@ -100,17 +100,25 @@ BAD_SUM_JOB = {"command": "sum", "payload": {"base": {"p": 3}}}
 # threads below the schema's minimum of 1
 NO_THREADS_JOBS = [{**SUM_JOB, "threads": t} for t in (0, -3)]
 
-# a field that must be an integer, given as a word
+# a field that must be an integer, given as a word, as a number with a
+# fractional part (which int() would truncate) or as a boolean (which
+# Python counts as an int); a case named field=value names its field
 NOT_INT_JOBS = {
     "threads": {**SUM_JOB, "threads": "two"},
     "budget": {**SUM_JOB, "budget": "lots"},
     "levels": {**SUM_JOB, "payload": {**SUM_JOB["payload"], "levels": "four"}},
     "base.n": {**SUM_JOB, "payload": {
         **SUM_JOB["payload"], "base": {"p": 3, "n": "two"}}},
+    "levels=2.9": {**SUM_JOB, "payload": {**SUM_JOB["payload"], "levels": 2.9}},
+    "levels=true": {**SUM_JOB, "payload": {
+        **SUM_JOB["payload"], "levels": True}},
+    "base.n=true": {**SUM_JOB, "payload": {
+        **SUM_JOB["payload"], "base": {"p": 3, "n": True}}},
 }
 
 # symbol depths the schema refuses: not an integer, or below 2
-BAD_SMAX_JOBS = {smax: {**DWORK_JOB, "smax": smax} for smax in ("many", 0, -3)}
+BAD_SMAX_JOBS = {smax: {**DWORK_JOB, "smax": smax}
+                 for smax in ("many", 0, -3, 30.7, True)}
 
 
 def _with_p(doc, p):
@@ -277,7 +285,16 @@ def test_exit_code_threads_below_one(tmp_path, capsys):
 def test_exit_code_field_not_an_integer(tmp_path, capsys, field):
     job = write_job(tmp_path, "word.json", NOT_INT_JOBS[field])
     code, out, err = run(capsys, ["sum", "--job", job])
-    assert code == cli.EXIT_SCHEMA and field in err and not out
+    assert code == cli.EXIT_SCHEMA and field.split("=")[0] in err and not out
+
+
+def test_integral_numbers_are_read_as_ints(tmp_path, capsys):
+    job = write_job(tmp_path, "sum.json", SUM_JOB)
+    want = run(capsys, ["sum", "--job", job])
+    doc = {**SUM_JOB, "budget": 1e9, "payload": {
+        **SUM_JOB["payload"], "levels": 4.0, "base": {"p": 3.0, "n": 1.0}}}
+    job = write_job(tmp_path, "floats.json", doc)
+    assert run(capsys, ["sum", "--job", job]) == want
 
 
 @pytest.mark.parametrize("value", ["0", "abc"])
@@ -298,7 +315,7 @@ def test_exit_code_bad_smax(tmp_path, capsys, command, smax):
                     {**BAD_SMAX_JOBS[smax], "command": command})
     code, out, err = run(capsys, [command, "--job", job])
     assert code == cli.EXIT_SCHEMA and "smax" in err and not out
-    if isinstance(smax, int):
+    if type(smax) is int:
         job = write_job(tmp_path, "dwork.json",
                         {**DWORK_JOB, "command": command})
         code, out, err = run(capsys,
@@ -306,17 +323,21 @@ def test_exit_code_bad_smax(tmp_path, capsys, command, smax):
         assert code == cli.EXIT_SCHEMA and "smax" in err and not out
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("name", sorted(NOT_PRIME_JOBS))
 def test_exit_code_p_not_prime(tmp_path, name):
     # in its own interpreter under a timeout, since p = 1 once hung
     doc = NOT_PRIME_JOBS[name]
     job = write_job(tmp_path, "p.json", doc)
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "expsumlab.cli", doc["command"], "--job", job],
-        capture_output=True, text=True, timeout=60, env=env)
+        capture_output=True, text=True, timeout=60, env=_src_env())
     assert proc.returncode == cli.EXIT_SCHEMA and not proc.stdout
     assert proc.stderr.startswith("schema error: ")
     assert "p must be" in proc.stderr
@@ -378,6 +399,15 @@ def test_unknown_verify_case_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--case", "not-a-case"])
     assert exc.value.code == 2  # argparse rejects unknown choices
+
+
+def test_cli_import_loads_neither_cases_nor_thread_pool():
+    # the verify command and a job with threads > 1 import them when run
+    code = ("import sys, expsumlab.cli; print(sorted(set(sys.modules) & "
+            "{'expsumlab.verify', 'concurrent.futures'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=_src_env())
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 def test_verify_all(capsys):

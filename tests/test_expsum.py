@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import tracemalloc
@@ -130,6 +131,9 @@ def test_kloosterman_first_sum():
     # a pole order past int64
     (VarietySpec.hypersurface_complement(
         1, {(1,): 1}, {(1,): 1, (0,): 1}, 10 ** 20 + 3), F5, 2),
+    # more trace classes than _trace_counts counts by passes
+    (VarietySpec.affine_space(2, {(2, 1): 1, (1, 0): 1}), build_field(17, 1),
+     1),
 ])
 def test_fast_path_matches_naive(v, base, m):
     assert power_sum(v, base, m) == power_sum_naive(v, base, m)
@@ -297,13 +301,14 @@ def test_galois_equivariance():
 
 
 def _size_checked(evaluate, sizes):
-    def checked(coords, npts):
+    def checked(coords, start):
+        npts = math.prod(np.broadcast_shapes((1,), *(x.shape for x in coords)))
         assert npts <= es._BLOCK
-        # the coordinates broadcast to exactly the block's points
-        assert math.prod(np.broadcast_shapes(*(x.shape for x in coords))) \
-            == npts
+        if start is not None:   # the last coordinate is the run it names
+            last = coords[-1]
+            assert np.array_equal(last, np.arange(start, start + last.size))
         sizes.append(npts)
-        return evaluate(coords, npts)
+        return evaluate(coords, start)
     return checked
 
 
@@ -314,17 +319,26 @@ def _size_checked(evaluate, sizes):
     pytest.param(VarietySpec.hypersurface_complement(0, {(): 2}, {(): 3}, 2),
                  F5, 2, id="dim0-complement"),
     pytest.param(VarietySpec.sl2([1]), F2, 2, id="sl2"),
+    pytest.param(VarietySpec.torus(2, {(1, 1): 1, (2, -1): 2, (0, 1): 1,
+                                       (1, 0): 1}), F3, 2, id="torus-dim2"),
+    # 16 copies of the trace table would outweigh the field's tables, so
+    # y z^16 is gathered
+    pytest.param(VarietySpec.affine_space(3, {(1, 0, 1): 1, (0, 1, 2): 2,
+                                              (2, 1, 0): 1, (0, 0, 1): 1,
+                                              (0, 1, 16): 1}),
+                 F3, 2, id="affine-dim3"),
 ])
 def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
-    # blocks of at most 7 points split the last coordinate of every grid
+    # blocks of at most 7 points split the last coordinate of every grid,
+    # so in dimension >= 2 its runs of codes start past 0
     want = power_sum_naive(v, base, m)
     grids, sizes, grid_points = es._grids, [], []
 
     def spied(*args):
         out = grids(*args)
-        grid_points.extend(math.prod(map(len, axes)) for axes, _, _ in out)
-        return [(axes, weight, _size_checked(evaluate, sizes))
-                for axes, weight, evaluate in out]
+        grid_points.extend(math.prod(map(len, axes)) for axes, *_ in out)
+        return [(axes, weight, _size_checked(evaluate, sizes), run)
+                for axes, weight, evaluate, run in out]
 
     monkeypatch.setattr(es, "_BLOCK", 7)
     monkeypatch.setattr(es, "_grids", spied)
@@ -352,7 +366,8 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch, cores, threads,
             return map(fn, tasks)
 
     want = power_sum_naive(KLOOSTERMAN, F5, 2)
-    monkeypatch.setattr(es, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingExecutor)
     monkeypatch.setattr(es, "_BLOCK", 7)   # four blocks at level 2
     monkeypatch.setattr(es.os, "cpu_count", lambda: cores)
     assert power_sum(KLOOSTERMAN, F5, 2, threads=threads) == want
@@ -388,9 +403,11 @@ def test_frobenius_orbits_of_f5_6():
 
 def test_plane_level_memory_is_bounded():
     # one level of x^2 y - x over F_5 at m = 6 (2,635 first coordinates
-    # times 15,625), tables prebuilt: a block holds one int32 index array
-    # and two uint8 trace arrays (6.2 MiB measured, where field addition
-    # over repeated coordinates peaked at 24.1 MiB)
+    # times 15,625), tables prebuilt: a block holds its uint8 keys, read as
+    # windows of the trace table, and one uint8 temporary of their mod-p
+    # reduction (2.1 MiB measured; a gather through an int32 index array
+    # peaked at 6.2 MiB, and field addition over repeated coordinates at
+    # 24.1 MiB)
     es.get_tables(build_field(5, 6))
     tracemalloc.start()
     try:
@@ -399,7 +416,7 @@ def test_plane_level_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert got == CyclotomicInt.from_int(5, 5 ** 6)
-    assert peak <= 12 << 20
+    assert peak <= 4 << 20
 
 
 def test_modulus_independence_of_sums():
