@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import lfun, predict
 from .expsum import (DEFAULT_BUDGET, BudgetExceededError, VarietySpec,
                      power_sum_table, scaled_degree_check)
-from .ffield import CyclotomicInt, build_field, is_prime
+from .ffield import _jsonable, build_field, is_prime
 from .lfun import ReconstructionError
 from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, NonStabilizedError, PiNumber,
                     RationalFunctionPi, radius_profile, recurrence_work,
@@ -85,24 +85,6 @@ def _prime(value, name: str) -> int:
     if not is_prime(number):
         raise SchemaError(f"{name} must be a prime, got {number}")
     return number
-
-
-def _jsonable(v):
-    """Report values as JSON data: a Fraction as "n/d" (an int when
-    integral), a cyclotomic integer as its coordinate list, and any object
-    JSON has no type for as its str."""
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
-            else v.numerator
-    if isinstance(v, CyclotomicInt):
-        return list(v.coords)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if v is None or isinstance(v, (bool, int, float, str)):
-        return v
-    return str(v)
 
 
 def _dump_report(report: dict) -> str:

@@ -43,10 +43,6 @@ from .tables import (_CHUNK, TABLE_BYTES_PER_ELEMENT, FieldTables,
 
 DEFAULT_BUDGET = 10 ** 9
 _BLOCK = 1 << 20
-# On 2^20 uint8 keys one count_nonzero pass took 0.19 ms and np.bincount,
-# which first copies the keys to intp, 2.5 ms (2-core Xeon, numpy 2.4), so
-# counting trace classes by passes pays up to p = 13
-_COUNT_PASSES = 12
 
 AFFINE = "affine"
 TORUS = "torus"
@@ -456,18 +452,10 @@ def _trace_sum(T: FieldTables, terms, scale_codes, may_vanish: bool):
 def _trace_counts(keys: np.ndarray, p: int) -> list:
     """How many of the keys, each in [0, p), take each value, as ints.
 
-    Up to _COUNT_PASSES + 1 classes, classes 0..p-2 are counted with
-    count_nonzero and the last class is the rest of the keys, so no key is
-    copied.  For larger p those p - 1 passes would cost more than
-    np.bincount's copy of every key to intp, and bincount runs on _CHUNK
-    slices, which bounds that copy."""
-    if p - 1 <= _COUNT_PASSES:
-        counts = [int(np.count_nonzero(keys == t)) for t in range(p - 1)]
-        return counts + [keys.size - sum(counts)]
-    counts = np.zeros(p, dtype=np.int64)
-    for i in range(0, keys.size, _CHUNK):
-        counts += np.bincount(keys[i:i + _CHUNK], minlength=p)
-    return counts.tolist()
+    Classes 0..p-2 are counted with count_nonzero and the last class is
+    the rest of the keys, so no key is copied."""
+    counts = [int(np.count_nonzero(keys == t)) for t in range(p - 1)]
+    return counts + [keys.size - sum(counts)]
 
 
 def _frobenius_orbits(n: int, q: int, m: int):

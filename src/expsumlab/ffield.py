@@ -348,6 +348,24 @@ class CyclotomicRat(_exactpoly.QuotientFieldElem):
         return f"CycQ({self.p}){[str(c) for c in self.coords]}"
 
 
+def _jsonable(v):
+    """Report values as JSON data: a Fraction as "n/d" (an int when
+    integral), a cyclotomic integer as its coordinate list, and any object
+    JSON has no type for as its str."""
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 \
+            else v.numerator
+    if isinstance(v, CyclotomicInt):
+        return list(v.coords)
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if v is None or isinstance(v, (bool, int, float, str)):
+        return v
+    return str(v)
+
+
 def additive_character(p: int, a: int) -> CyclotomicInt:
     """psi(a) = zeta_p^a for the standard character psi(1) = zeta_p."""
     return CyclotomicInt(p, _reduce_zeta_power(p, a))

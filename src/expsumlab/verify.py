@@ -12,9 +12,8 @@ from fractions import Fraction
 from importlib import resources
 
 from . import lfun, predict
-from .cli import _jsonable
 from .expsum import VarietySpec, power_sum_table, scaled_degree_check
-from .ffield import build_field
+from .ffield import _jsonable, build_field
 from .padic import (PiNumber, RationalFunctionPi, dwork_twist, radius_profile,
                     robba_index)
 

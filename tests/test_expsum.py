@@ -131,7 +131,7 @@ def test_kloosterman_first_sum():
     # a pole order past int64
     (VarietySpec.hypersurface_complement(
         1, {(1,): 1}, {(1,): 1, (0,): 1}, 10 ** 20 + 3), F5, 2),
-    # more trace classes than _trace_counts counts by passes
+    # a larger prime: 17 trace classes to count
     (VarietySpec.affine_space(2, {(2, 1): 1, (1, 0): 1}), build_field(17, 1),
      1),
 ])
