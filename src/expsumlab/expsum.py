@@ -4,24 +4,27 @@ The fast path encodes field elements by discrete logs (see tables.py) and
 runs the enumeration in blocked numpy integer arrays; per block it counts
 the points by the trace of f(x) mod p, so the exact sum is
 sum_t count[t] * zeta^t with ordinary integer counts.  Three identities cut
-the work.  Tr is F_p-linear, so on affine space and the torus the trace of
-f is the sum of its terms' traces, each read from the trace table at a
-code computed by integer arithmetic, and no field elements are added.  In
-dimension >= 2 a block's last coordinate is a run of consecutive codes, so
-a term reads each row of the block as one window of the table, contiguous
-for exponent 1 in that coordinate and strided otherwise; the sum is kept
-reduced mod p as the terms are added, and the classes are counted
-directly, with no copy of the keys.  The coefficients lie in F_q, so x -> x^q permutes the points and fixes Tr(f):
-the first coordinate runs over one representative of each orbit, and a
-block's counts are multiplied by the orbit size.  On SL2, f(A) =
-sum a_n Tr(Sym^n A) is F(t) for t = tr A, and x^2 - t x + 1 is the
-characteristic polynomial of Q^2 + Q, Q^2 - Q or Q^2 matrices in SL2(F_Q)
-as it has two roots in F_Q, none, or a double one: Q^2 - Q plus Q for each
-r in F_Q^* with r + 1/r = t.  So in every characteristic S = (Q^2 - Q)
-sum_t psi(Tr F(t)) + Q sum_r psi(Tr F(r + 1/r)), over one affine line and
-one torus.  A naive reference path (power_sum_naive) evaluates everything
-with FqElem arithmetic and is used to cross-check the table-driven path on
-small inputs.
+the work.  Tr is F_p-linear, so the trace of f is the sum of its terms'
+traces, each read from the trace table at a code computed by integer
+arithmetic (_trace_sum, for every kind).  On a complement, f = g / h^k is
+the sum of the terms of g times h^-k, so h's code is one more coordinate
+and h is the only sum of field elements, by Zech addition.  In dimension
+>= 2 a block's last coordinate is a run of consecutive codes, so a term
+reads each row of the block as one window of the table, contiguous for
+exponent 1 in that coordinate and strided otherwise; any other term reads
+the doubled table once per point.  The sum is kept reduced mod p as the
+terms are added, and the classes are counted directly, with no copy of
+the keys.  The coefficients lie in F_q, so x -> x^q permutes the points
+and fixes Tr(f): the first coordinate runs over one representative of
+each orbit, and a block's counts are multiplied by the orbit size.  On
+SL2, f(A) = sum a_n Tr(Sym^n A) is F(t) for t = tr A, and x^2 - t x + 1
+is the characteristic polynomial of Q^2 + Q, Q^2 - Q or Q^2 matrices in
+SL2(F_Q) as it has two roots in F_Q, none, or a double one: Q^2 - Q plus
+Q for each r in F_Q^* with r + 1/r = t.  So in every characteristic S =
+(Q^2 - Q) sum_t psi(Tr F(t)) + Q sum_r psi(Tr F(r + 1/r)), over one
+affine line and one torus.  A naive reference path (power_sum_naive)
+evaluates everything with FqElem arithmetic and is used to cross-check
+the table-driven path on small inputs.
 """
 
 from __future__ import annotations
@@ -289,11 +292,17 @@ def _coef_code(T: FieldTables, base: FieldCtx, coef) -> int:
 
 
 def _term_codes(T: FieldTables, base: FieldCtx, terms):
+    """(code, exponents) of the terms with a nonzero coefficient, each
+    exponent e taken to sign(e) ((|e| - 1) mod N + 1), N = q - 1: the same
+    power on nonzero x, at most N in size, so code sums fit int64, and
+    still positive where e is, so a term still vanishes at zero."""
+    n = T.group_order
     out = []
     for coef, exps in terms:
         code = _coef_code(T, base, coef)
         if code != T.zero_code:
-            out.append((code, exps))
+            out.append((code, tuple(
+                ((e > 0) - (e < 0)) * ((abs(e) - 1) % n + 1) for e in exps)))
     return out
 
 
@@ -305,14 +314,12 @@ def _work_dtype(T: FieldTables, terms) -> type:
     return np.int32 if weight * T.q < 2 ** 31 else np.int64
 
 
-def _eval_terms(T: FieldTables, terms, coords, zmasks, dt) -> np.ndarray:
+def _eval_terms(T: FieldTables, terms, coords, dt) -> np.ndarray:
     """Codes of sum_terms coef * prod x_j^(e_j), e_j >= 0, on a block of
-    points, by Zech addition; the result broadcasts over the block.
-
-    zmasks is a per-coordinate cache of (x == zero) masks, shared across
-    terms."""
+    points, by Zech addition; the result broadcasts over the block."""
     n = T.group_order
     z = T.zero_code
+    zmasks = [None] * len(coords)   # x == zero, shared across terms
     acc = None
     for code, exps in terms:
         t = None
@@ -354,86 +361,85 @@ def _strided_windows(table: np.ndarray, n: int, e: int, width: int):
         base, shape=(n, width), strides=(step, e * step), writeable=False)
 
 
-def _trace_sum(T: FieldTables, terms, scale_codes, may_vanish: bool):
-    """evaluate() of the affine and torus kinds: per scale c, Tr(c f) mod p
-    at the points of a block.
+def _trace_sum(T: FieldTables, terms, scale_codes, kind: str):
+    """evaluate() of every kind: per scale c, Tr(c f) mod p at the points
+    of a block, f the sum of the terms on a domain of the given kind.
 
     Tr is F_p-linear, so Tr(c f) is the sum over terms of Tr(c * term), and
     no field elements are added.  A term's code is its coefficient's code
-    plus c's plus sum_j e_j x_j, mod N = q - 1.  The outer coordinates are
-    (rows, 1) columns (see _grid_coords), so their part of the code is
-    reduced on a column, col.  Where the last coordinate is the run of
-    codes start, start + 1, ..., row r of a term with exponent e in it
-    reads the trace table at col_r + e start, then every e-th entry: one
-    window of a table of |e| + 1 copies (_strided_windows), and one fancy
-    index reads all rows.  In dimension 1, whose axis is the orbit
-    representatives, and for an |e| whose copies would take more bytes per
-    element than the budget counts for the field's tables, the last
-    coordinate's part is reduced on its chunk and one gather per point
-    from the doubled table adds the two.  On affine space a term vanishes
-    where a coordinate it contains is zero, and contributes 0 there.  The
-    accumulator starts as the first term's traces and is reduced mod p
-    after each further term, so no key leaves [0, p) and _trace_counts can
-    count the classes directly."""
+    plus c's plus sum_j e_j x_j, mod N = q - 1, and each term's traces are
+    read by one of two paths.  Where the last coordinate is the run of
+    codes start, start + 1, ... (dimension >= 2, see _grid_coords), the
+    outer coordinates are (rows, 1) columns, so their part of the code is
+    reduced on a column, col, and row r of a term with exponent e in the
+    last coordinate reads the trace table at col_r + e start, then every
+    e-th entry: one window of a table of |e| + 1 copies (_strided_windows),
+    and one fancy index reads all rows.  Every other term, and one whose
+    copies would take more bytes per element than the budget counts for the
+    field's tables, sums its code over all of its coordinates, broadcast,
+    and reduces it mod N once per block; each scale reads the doubled table
+    at col + s.  On affine space and complements a term vanishes where a
+    coordinate with a positive exponent in it is zero, and contributes 0
+    there.  A complement's last coordinate is h's code (see _grids), no
+    run, so it builds no windows.  The accumulator starts as the first
+    term's traces and is reduced mod p after each further term, so no key
+    leaves [0, p) and _trace_counts can count the classes directly."""
     n, z, p = T.group_order, T.zero_code, T.ctx.p
     # unsigned, so that the sum of two traces minus p wraps where it is < 0
     kd = next(t for t in (np.uint8, np.uint16, np.uint32)
               if 2 * (p - 1) <= np.iinfo(t).max)
     kp = kd(p)
+    dt = _work_dtype(T, terms)
+    may_vanish = kind != TORUS
     trace = T.trace_of_code[:n].astype(kd)
     # copies[k] is the table k times over, copies[k][i] = Tr(g^(i mod N)):
-    # the doubled table, and the |e| + 1 copies that a last exponent e in
-    # dimension >= 2 reads, where they fit the budget's bytes per element
+    # the doubled table, and the |e| + 1 copies that the windows of a last
+    # exponent e in dimension >= 2 read, where they fit the budget's bytes
+    # per element
     tiles = {abs(exps[-1]) + 1 for _, exps in terms
-             if len(exps) > 1 and exps[-1]}
+             if kind != COMPLEMENT and len(exps) > 1 and exps[-1]}
     copies = {k: np.tile(trace, k) for k in tiles | {2}
               if k * trace.itemsize <= TABLE_BYTES_PER_ELEMENT}
     trace2 = copies[2]
 
     def evaluate(coords, start):
         shape = _block_shape(coords)
-        outer, last = coords[:-1], coords[-1] if coords else None
         parts = []
         for code, exps in terms:
-            col, rows = code, None   # outer part of the code, vanishing rows
-            for e, x in zip(exps, outer):
-                if e:
-                    col = col + e * x.astype(np.int64)
-                    if may_vanish:
-                        rows = x == z if rows is None else rows | (x == z)
             e = exps[-1] if exps else 0
-            # the rows' windows, or else the last coordinate's part of the
-            # code, and the last coordinate's zero positions
-            win = row = cols = None
-            if e:
-                if start is not None and abs(e) + 1 in copies:
-                    win = _strided_windows(copies[abs(e) + 1], n, e,
-                                           last.size)
-                    col = col + e * start
-                else:
-                    row = last if e == 1 else (e * last.astype(np.int64) % n
-                                               ).astype(last.dtype)
-                if may_vanish:
-                    cols = np.flatnonzero(last == z)
-            parts.append((col, rows, e, win, row, cols))
-        # terms along the last coordinate first: their traces are fresh
+            window = start is not None and e and abs(e) + 1 in copies
+            col, zero = code, None   # the summed code, where it vanishes
+            for e_j, x in zip(exps, coords[:-1] if window else coords):
+                if e_j:
+                    x = x.astype(dt, copy=False)
+                    col = col + (x if e_j == 1 else e_j * x)
+                    if may_vanish and e_j > 0:
+                        zero = x == z if zero is None else zero | (x == z)
+            if window:
+                win = _strided_windows(copies[abs(e) + 1], n, e,
+                                       coords[-1].size)
+                cols = np.flatnonzero(coords[-1] == z) if may_vanish else None
+                parts.append(((col + e * start) % n, win, zero, cols))
+            else:
+                if zero is not None:   # as flat positions in col's shape
+                    zero = np.flatnonzero(np.broadcast_to(zero, col.shape))
+                col %= n   # in place: col is a new array or an int
+                parts.append((col, None, zero, None))
+        # windows and block-shaped reads first: their traces are fresh
         # arrays of the block's shape, which the accumulator can start as
-        parts.sort(key=lambda part: part[2] == 0)
+        parts.sort(key=lambda part: part[1] is None
+                   and np.shape(part[0]) != shape)
         for s in scale_codes:
             acc = None
-            for col, rows, e, win, row, cols in parts:
-                col = (col + s) % n
-                if not e:            # constant along the last coordinate
-                    t = trace[col]
-                    if rows is not None:
-                        t = np.where(rows, 0, t)
+            for col, win, zero, cols in parts:
+                if win is None:
+                    t = trace2[col + s]
+                    if zero is not None:
+                        t.put(zero, 0)
                 else:
-                    if win is not None:
-                        t = win[np.ravel(col)]
-                    else:
-                        t = trace2[row + np.asarray(col, dtype=row.dtype)]
-                    if rows is not None:
-                        t[rows.ravel()] = 0
+                    t = win[np.ravel((col + s) % n)]
+                    if zero is not None:
+                        t[zero.ravel()] = 0
                     if cols is not None:
                         t[..., cols] = 0
                 if acc is None:
@@ -494,17 +500,17 @@ def _frobenius_orbits(n: int, q: int, m: int):
 
 def _frobenius_grids(T: FieldTables, base: FieldCtx, lengths, dt, evaluate,
                      weight: int = 1):
-    """The (axes, weight, evaluate, run) grids of a domain whose coordinates
-    run over the codes below `lengths` (T.q: every element, T.q - 1: the
-    nonzero ones), each point standing for `weight` points.  run is True
-    when the last axis is the run of codes 0, 1, ..., len - 1.
+    """The (axes, weight, evaluate) grids of a domain whose coordinates run
+    over the codes below `lengths` (T.q: every element, T.q - 1: the
+    nonzero ones), each point standing for `weight` points.  Every axis but
+    the first is the run of codes 0, 1, ..., len - 1.
 
     The coefficients lie in F_q, so x -> x^q permutes the points and fixes
     Tr(f).  The first coordinate therefore runs over orbit representatives
     only, in one grid per orbit size, whose points stand for `size` times
     as many.  The zero code is a fixed point."""
     if not lengths:
-        return [((), weight, evaluate, False)]
+        return [((), weight, evaluate)]
     rest = tuple(np.arange(n, dtype=dt) for n in lengths[1:])
     grids = []
     for size, first in _frobenius_orbits(T.group_order, base.q,
@@ -512,7 +518,7 @@ def _frobenius_grids(T: FieldTables, base: FieldCtx, lengths, dt, evaluate,
         first = first.astype(dt)
         if size == 1 and lengths[0] == T.q:
             first = np.append(first, dt(T.zero_code))
-        grids.append(((first,) + rest, weight * size, evaluate, bool(rest)))
+        grids.append(((first,) + rest, weight * size, evaluate))
     return grids
 
 
@@ -532,10 +538,12 @@ def _grid_blocks(lengths):
             yield o0, o1, i0, min(i0 + chunk, last)
 
 
-def _grid_coords(axes, run: bool, block):
+def _grid_coords(axes, block):
     """Coordinate arrays of one block of _grid_blocks over `axes` (one array
     of codes per coordinate), and the code the block's last coordinate
-    starts at when its axis is a run of codes (None if not).
+    starts at when its axis is a run of codes, else None.  Only the first
+    axis holds orbit representatives (see _frobenius_grids), so the last
+    is a run exactly in dimension >= 2.
 
     The outer coordinates are decoded from the block's run of indices into
     (rows, 1) columns and the last is a slice of its axis, so together they
@@ -550,7 +558,7 @@ def _grid_coords(axes, run: bool, block):
             stride //= len(a)
             coords.append(a[o // stride % len(a), None])
         coords.append(axes[-1][i0:i1])
-    return coords, i0 if run else None
+    return coords, i0 if len(axes) > 1 else None
 
 
 def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
@@ -577,14 +585,14 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     if any(c == T.zero_code for c in scale_codes):
         raise ValueError("scales must be nonzero")
 
-    tasks = [(axes, weight, evaluate, run, block)
-             for axes, weight, evaluate, run in _grids(T, v, base, scale_codes)
+    tasks = [(axes, weight, evaluate, block)
+             for axes, weight, evaluate in _grids(T, v, base, scale_codes)
              for block in _grid_blocks(tuple(len(a) for a in axes))]
 
     def count(task):
-        axes, weight, evaluate, run, block = task
+        axes, weight, evaluate, block = task
         return weight, [_trace_counts(keys, p) for keys in
-                        evaluate(*_grid_coords(axes, run, block))]
+                        evaluate(*_grid_coords(axes, block))]
 
     # one block in flight per thread, and no more threads than cores
     workers = min(threads or 1, os.cpu_count() or 1)
@@ -606,38 +614,34 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
 
 
 def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
-    """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate,
-    run) tuples (see _frobenius_grids).  evaluate(coords, start) yields, for
+    """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate)
+    triples (see _frobenius_grids).  evaluate(coords, start) yields, for
     each scale code, a flat array of the traces of c*f in [0, p) at the
     block's points that lie on X; start is the code the last coordinate
-    starts at when it is a run of codes, else None."""
+    starts at when it is a run of codes, else None (see _grid_coords)."""
     dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
     if v.kind == SL2:
         return _sl2_grids(T, v, base, scale_codes, dt)
 
     lengths = (T.q - 1 if v.kind == TORUS else T.q,) * v.dim
     if v.kind != COMPLEMENT:
-        evaluate = _trace_sum(T, _term_codes(T, base, v.terms), scale_codes,
-                              v.kind == AFFINE)
-        return _frobenius_grids(T, base, lengths, dt, evaluate)
+        return _frobenius_grids(T, base, lengths, dt, _trace_sum(
+            T, _term_codes(T, base, v.terms), scale_codes, v.kind))
 
-    g_terms = _term_codes(T, base, v.g)
+    # Tr(c g / h^k) is the sum over the terms t of g of Tr(c t h^-k), so h,
+    # the one sum of field elements, is evaluated by Zech addition and its
+    # code is one more coordinate, with exponent -k in every term of g
     h_terms = _term_codes(T, base, v.h)
-    k = v.k % T.group_order   # h^(q-1) = 1 where h is nonzero
-    # a term of weight k covers the product h * k below
-    dt = _work_dtype(T, g_terms + h_terms + [(None, (k,))])
+    dt = _work_dtype(T, h_terms + [(None, (1,))])
+    traces = _trace_sum(T, _term_codes(T, base, [(c, e + (-v.k,))
+                                                  for c, e in v.g]),
+                        scale_codes, COMPLEMENT)
 
     def evaluate(coords, start):
-        # the one kind that adds field elements: f = g / h^k by Zech
-        # addition, then the trace of c*f read at its code
-        zmasks = [None] * v.dim
-        h = _eval_terms(T, h_terms, coords, zmasks, dt)
-        keep = np.broadcast_to(h != T.zero_code, _block_shape(coords))
-        g = _eval_terms(T, g_terms, coords, zmasks, dt)
-        hinv_k = np.where(keep, (-h * k) % T.group_order, 0)
-        f = T.vmul(g, hinv_k)[keep]
-        return (T.trace_of_code[f if c == 0 else T.vmul(f, c)]
-                for c in scale_codes)
+        h = _eval_terms(T, h_terms, coords, dt)
+        keep = np.broadcast_to(h != T.zero_code,
+                               _block_shape(coords)).ravel()
+        return (keys[keep] for keys in traces(coords + [h], None))
     return _frobenius_grids(T, base, lengths, dt, evaluate)
 
 
@@ -659,10 +663,10 @@ def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
     g = _term_codes(T, base, _normalize_terms(g_terms))
     q = T.q
     return (_frobenius_grids(T, base, (q,), dt,
-                             _trace_sum(T, f, scale_codes, True),
+                             _trace_sum(T, f, scale_codes, AFFINE),
                              weight=q * q - q)
             + _frobenius_grids(T, base, (q - 1,), dt,
-                               _trace_sum(T, g, scale_codes, False),
+                               _trace_sum(T, g, scale_codes, TORUS),
                                weight=q))
 
 

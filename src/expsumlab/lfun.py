@@ -41,18 +41,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.p != other.p:
-            raise ValueError("mixed coefficient fields")
-        order = min(self.order, other.order)
-        out = []
-        for k in range(order + 1):
-            acc = CyclotomicRat.zero(self.p)
-            for j in range(k + 1):
-                acc = acc + self.coeffs[j] * other.coeffs[k - j]
-            out.append(acc)
-        return TruncatedSeries(self.p, tuple(out))
-
 
 @dataclass(frozen=True)
 class LSeries:

@@ -418,6 +418,37 @@ def test_verify_all(capsys):
         assert verify_suite(case)["passed"]
 
 
+# `verify --all --out` of every case, recorded when complements still
+# evaluated g by Zech addition; CI compares the installed script's output
+# with the same file
+VERIFY_ALL_GOLDEN = Path(__file__).parent / "verify_all.json"
+
+
+def test_verify_all_report_bytes(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    code, _, _ = run(capsys, ["verify", "--all", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == VERIFY_ALL_GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("kind,exponent,coords", [
+    # S_2 of x^(2^62 + 1) on A^1(F_25) read [1, 2, 2, 0] when the exponent
+    # times a code wrapped in int64
+    ("affine", 2 ** 62 + 1, [[0, 0, 0, 0], [0, 0, 0, 0]]),
+    # x^(3^40) on the torus raised OverflowError
+    ("torus", 3 ** 40, [[-1, 0, 0, 0], [9, 0, 0, 0]]),
+])
+def test_sum_with_exponents_past_int64(tmp_path, capsys, kind, exponent,
+                                       coords):
+    job = write_job(tmp_path, "job.json", {"command": "sum", "payload": {
+        "base": {"p": 5},
+        "variety": {"kind": kind, "dim": 1, "f": [[1, [exponent]]]},
+        "levels": 2}})
+    code, out, _ = run(capsys, ["sum", "--job", job])
+    assert code == 0
+    assert [r["coords"] for r in json.loads(out)["records"]] == coords
+
+
 # report bytes of COMPLEMENT_JOB, recorded when `sum` still counted the
 # points of each level in a second enumeration
 COMPLEMENT_REPORT = (

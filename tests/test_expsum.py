@@ -134,6 +134,21 @@ def test_kloosterman_first_sum():
     # a larger prime: 17 trace classes to count
     (VarietySpec.affine_space(2, {(2, 1): 1, (1, 0): 1}), build_field(17, 1),
      1),
+    # exponents past int64 or near it, reduced mod q - 1 but kept positive
+    # where they are, in dimensions 1 and 2 and in a complement's h; 2^64
+    # is 0 mod 8, so x^(2^64) on F_9 is 1 but at x = 0
+    (VarietySpec.affine_space(1, {(2 ** 62 + 1,): 1}), F5, 2),
+    (VarietySpec.affine_space(1, {(3 ** 40,): 1, (1,): 2}), F5, 2),
+    (VarietySpec.torus(1, {(3 ** 40,): 1, (-(2 ** 70),): 1}), F5, 2),
+    (VarietySpec.affine_space(2, {(2 ** 64, 1): 1, (0, 3 ** 40): 2,
+                                  (2 ** 62 + 1, 0): 1}), F3, 2),
+    (VarietySpec.torus(2, {(3 ** 40, -(2 ** 63)): 1, (1, 2 ** 64 + 1): 1}),
+     F3, 2),
+    (VarietySpec.hypersurface_complement(
+        2, {(1, 0): 1, (0, 1): 1}, {(2 ** 62 + 1, 0): 1, (0, 3 ** 40): 1},
+        2), F3, 2),
+    (VarietySpec.hypersurface_complement(
+        1, {(3 ** 40,): 1}, {(2 ** 62 + 1,): 1, (0,): 1}, 3 ** 40), F5, 1),
 ])
 def test_fast_path_matches_naive(v, base, m):
     assert power_sum(v, base, m) == power_sum_naive(v, base, m)
@@ -318,6 +333,10 @@ def _size_checked(evaluate, sizes):
     pytest.param(KLOOSTERMAN, F5, 2, id="kloosterman"),
     pytest.param(VarietySpec.hypersurface_complement(0, {(): 2}, {(): 3}, 2),
                  F5, 2, id="dim0-complement"),
+    # h's code is one more coordinate of every term, split with the block
+    pytest.param(VarietySpec.hypersurface_complement(
+        2, {(2, 1): 1, (0, 1): 2, (1, 0): 1}, {(1, 1): 1, (0, 0): 1}, 2),
+                 F3, 2, id="dim2-complement"),
     pytest.param(VarietySpec.sl2([1]), F2, 2, id="sl2"),
     pytest.param(VarietySpec.torus(2, {(1, 1): 1, (2, -1): 2, (0, 1): 1,
                                        (1, 0): 1}), F3, 2, id="torus-dim2"),
@@ -337,8 +356,8 @@ def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
     def spied(*args):
         out = grids(*args)
         grid_points.extend(math.prod(map(len, axes)) for axes, *_ in out)
-        return [(axes, weight, _size_checked(evaluate, sizes), run)
-                for axes, weight, evaluate, run in out]
+        return [(axes, weight, _size_checked(evaluate, sizes))
+                for axes, weight, evaluate in out]
 
     monkeypatch.setattr(es, "_BLOCK", 7)
     monkeypatch.setattr(es, "_grids", spied)

@@ -44,7 +44,9 @@ def test_exp_times_exp_of_negated_is_one():
     S = [7, -2, 5, 1, -9]
     a = exp_power_sums(power_sums_from_ints(7, 1, S))
     b = exp_power_sums(power_sums_from_ints(7, 1, [-x for x in S]))
-    assert rationals(a * b) == [1, 0, 0, 0, 0, 0]
+    # the series product, truncated at the order both are known to
+    product = mul(list(a.coeffs), list(b.coeffs))[:len(a.coeffs)]
+    assert poly_rationals(product) == [1, 0, 0, 0, 0, 0]
 
 
 # -- Pade reconstruction -----------------------------------------------------------
