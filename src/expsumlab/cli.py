@@ -134,7 +134,7 @@ def _parse_operator(doc: dict):
 
 
 def _parse_grid(text_or_list):
-    """The radius weights: at least two positive rationals."""
+    """The radius weights: at least two distinct positive rationals."""
     if not isinstance(text_or_list, (list, tuple)):
         raise SchemaError("grid must be a list of weights")
     grid = tuple(_rational(x, "grid weight") for x in text_or_list)
@@ -142,6 +142,8 @@ def _parse_grid(text_or_list):
         raise SchemaError("grid needs at least two weights for slopes")
     if any(x <= 0 for x in grid):
         raise SchemaError("grid weights must be positive")
+    if len(set(grid)) < len(grid):
+        raise SchemaError("grid weights must be distinct")
     return grid
 
 

@@ -14,9 +14,11 @@ reads each row of the block as one window of the table, contiguous for
 exponent 1 in that coordinate and strided otherwise; any other term reads
 the doubled table once per point.  The sum is kept reduced mod p as the
 terms are added, and the classes are counted directly, with no copy of
-the keys.  The coefficients lie in F_q, so x -> x^q permutes the points
-and fixes Tr(f): the first coordinate runs over one representative of
-each orbit, and a block's counts are multiplied by the orbit size.  On
+the keys.  Each worker thread reuses its block buffers through a level
+(_Scratch) rather than faulting in fresh pages for every block.  The
+coefficients lie in F_q, so x -> x^q permutes the points and fixes
+Tr(f): the first coordinate runs over one representative of each orbit,
+and a block's counts are multiplied by the orbit size.  On
 SL2, f(A) = sum a_n Tr(Sym^n A) is F(t) for t = tr A, and x^2 - t x + 1
 is the characteristic polynomial of Q^2 + Q, Q^2 - Q or Q^2 matrices in
 SL2(F_Q) as it has two roots in F_Q, none, or a double one: Q^2 - Q plus
@@ -32,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -350,6 +353,28 @@ def _block_shape(coords) -> tuple:
     return np.broadcast_shapes((1,), *(x.shape for x in coords))
 
 
+class _Scratch(threading.local):
+    """Block-sized buffers that each worker thread reuses from block to
+    block through one level, so that a block's temporaries are neither
+    allocated nor faulted in afresh.  Being a threading.local, an instance
+    holds one set of buffers per thread that uses it."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def __call__(self, name: str, shape, dtype) -> np.ndarray:
+        """An uninitialised array of the shape and dtype, on the same memory
+        at every call with the name in this thread, whatever the dtype: what
+        the array from the last call held is overwritten.  The memory grows
+        to the largest block asked for, no further."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        if name not in self.buffers or self.buffers[name].size < size:
+            self.buffers.pop(name, None)   # freed before its successor
+            self.buffers[name] = np.empty(size, np.uint8)
+        return self.buffers[name][:size].view(dtype).reshape(shape)
+
+
 def _strided_windows(table: np.ndarray, n: int, e: int, width: int):
     """A read-only (n, width) view whose row c is table[c], table[c + e],
     ..., table[c + e (width - 1)], over a table of |e| + 1 copies of n
@@ -361,7 +386,8 @@ def _strided_windows(table: np.ndarray, n: int, e: int, width: int):
         base, shape=(n, width), strides=(step, e * step), writeable=False)
 
 
-def _trace_sum(T: FieldTables, terms, scale_codes, kind: str):
+def _trace_sum(T: FieldTables, terms, scale_codes, kind: str,
+               scratch: _Scratch):
     """evaluate() of every kind: per scale c, Tr(c f) mod p at the points
     of a block, f the sum of the terms on a domain of the given kind.
 
@@ -383,7 +409,10 @@ def _trace_sum(T: FieldTables, terms, scale_codes, kind: str):
     there.  A complement's last coordinate is h's code (see _grids), no
     run, so it builds no windows.  The accumulator starts as the first
     term's traces and is reduced mod p after each further term, so no key
-    leaves [0, p) and _trace_counts can count the classes directly."""
+    leaves [0, p) and _trace_counts can count the classes directly.  The
+    reduction's temporary, and the keys where no read is of the block's
+    shape, are the worker's scratch buffers, so the keys that evaluate
+    yields for a scale hold only until it is resumed."""
     n, z, p = T.group_order, T.zero_code, T.ctx.p
     # unsigned, so that the sum of two traces minus p wraps where it is < 0
     kd = next(t for t in (np.uint8, np.uint16, np.uint32)
@@ -443,24 +472,32 @@ def _trace_sum(T: FieldTables, terms, scale_codes, kind: str):
                     if cols is not None:
                         t[..., cols] = 0
                 if acc is None:
-                    acc = t if np.shape(t) == shape else \
-                        np.broadcast_to(t, shape).copy()
+                    acc = t
+                    if np.shape(t) != shape:
+                        acc = scratch("keys", shape, kd)
+                        acc[...] = t
                 else:
                     acc += t
-                    np.minimum(acc, acc - kp, out=acc)   # acc mod p
+                    low = scratch("temp", shape, kd)
+                    np.subtract(acc, kp, out=low)
+                    np.minimum(acc, low, out=acc)   # acc mod p
             if acc is None:   # f = 0
-                acc = np.zeros(shape, dtype=kd)
+                acc = scratch("keys", shape, kd)
+                acc.fill(0)
             yield acc.ravel()
 
     return evaluate
 
 
-def _trace_counts(keys: np.ndarray, p: int) -> list:
+def _trace_counts(keys: np.ndarray, p: int, scratch: _Scratch) -> list:
     """How many of the keys, each in [0, p), take each value, as ints.
 
     Classes 0..p-2 are counted with count_nonzero and the last class is
-    the rest of the keys, so no key is copied."""
-    counts = [int(np.count_nonzero(keys == t)) for t in range(p - 1)]
+    the rest of the keys, so no key is copied; the mask of a class is the
+    worker's temporary, the memory that _trace_sum reduces mod p in."""
+    mask = scratch("temp", keys.shape, bool)
+    counts = [int(np.count_nonzero(np.equal(keys, t, out=mask)))
+              for t in range(p - 1)]
     return counts + [keys.size - sum(counts)]
 
 
@@ -585,13 +622,15 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     if any(c == T.zero_code for c in scale_codes):
         raise ValueError("scales must be nonzero")
 
-    tasks = [(axes, weight, evaluate, block)
-             for axes, weight, evaluate in _grids(T, v, base, scale_codes)
+    # one set of block buffers per worker thread, for this level only
+    scratch = _Scratch()
+    tasks = [(axes, weight, evaluate, block) for axes, weight, evaluate
+             in _grids(T, v, base, scale_codes, scratch)
              for block in _grid_blocks(tuple(len(a) for a in axes))]
 
     def count(task):
         axes, weight, evaluate, block = task
-        return weight, [_trace_counts(keys, p) for keys in
+        return weight, [_trace_counts(keys, p, scratch) for keys in
                         evaluate(*_grid_coords(axes, block))]
 
     # one block in flight per thread, and no more threads than cores
@@ -613,20 +652,22 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     return totals
 
 
-def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
+def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
+           scratch: _Scratch):
     """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate)
     triples (see _frobenius_grids).  evaluate(coords, start) yields, for
     each scale code, a flat array of the traces of c*f in [0, p) at the
-    block's points that lie on X; start is the code the last coordinate
-    starts at when it is a run of codes, else None (see _grid_coords)."""
+    block's points that lie on X, which may be one of the thread's scratch
+    arrays; start is the code the last coordinate starts at when it is a
+    run of codes, else None (see _grid_coords)."""
     dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
     if v.kind == SL2:
-        return _sl2_grids(T, v, base, scale_codes, dt)
+        return _sl2_grids(T, v, base, scale_codes, dt, scratch)
 
     lengths = (T.q - 1 if v.kind == TORUS else T.q,) * v.dim
     if v.kind != COMPLEMENT:
         return _frobenius_grids(T, base, lengths, dt, _trace_sum(
-            T, _term_codes(T, base, v.terms), scale_codes, v.kind))
+            T, _term_codes(T, base, v.terms), scale_codes, v.kind, scratch))
 
     # Tr(c g / h^k) is the sum over the terms t of g of Tr(c t h^-k), so h,
     # the one sum of field elements, is evaluated by Zech addition and its
@@ -635,7 +676,7 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
     dt = _work_dtype(T, h_terms + [(None, (1,))])
     traces = _trace_sum(T, _term_codes(T, base, [(c, e + (-v.k,))
                                                   for c, e in v.g]),
-                        scale_codes, COMPLEMENT)
+                        scale_codes, COMPLEMENT, scratch)
 
     def evaluate(coords, start):
         h = _eval_terms(T, h_terms, coords, dt)
@@ -646,7 +687,7 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes):
 
 
 def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
-               dt):
+               dt, scratch: _Scratch):
     """SL2(F_Q) through the trace (see the module docstring): F(t) on the
     line of traces, each point standing for Q^2 - Q matrices, and G(r) =
     F(r + 1/r) on the torus, each point standing for Q.  s_n follows
@@ -663,10 +704,10 @@ def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
     g = _term_codes(T, base, _normalize_terms(g_terms))
     q = T.q
     return (_frobenius_grids(T, base, (q,), dt,
-                             _trace_sum(T, f, scale_codes, AFFINE),
+                             _trace_sum(T, f, scale_codes, AFFINE, scratch),
                              weight=q * q - q)
             + _frobenius_grids(T, base, (q - 1,), dt,
-                               _trace_sum(T, g, scale_codes, TORUS),
+                               _trace_sum(T, g, scale_codes, TORUS, scratch),
                                weight=q))
 
 

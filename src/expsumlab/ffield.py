@@ -64,11 +64,14 @@ def _mul_mod_p(modulus, p: int, a, b) -> tuple:
                  _exactpoly.reduce_monic(_exactpoly.mul(a, b), modulus))
 
 
+@lru_cache(maxsize=None)
 def _is_irreducible(f: tuple, p: int) -> bool:
     """Rabin's test: monic f of degree n is irreducible over F_p iff
     x^(p^n) = x (mod f) and x^(p^(n/l)) - x is a unit mod f for every prime
     l dividing n.  Once f divides x^(p^n) - x, F_p[x]/(f) is a product of
-    fields F_(p^d) with d | n, so u is a unit iff u^(p^n - 1) = 1."""
+    fields F_(p^d) with d | n, so u is a unit iff u^(p^n - 1) = 1.
+    Memoised, so FieldCtx's check of a modulus that build_field's search
+    has just tested does not run the test again."""
     n = len(f) - 1
     if n == 1:
         return True

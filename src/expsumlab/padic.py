@@ -477,6 +477,8 @@ def radius_profile(g: RationalFunctionPi, lam_grid=DEFAULT_GRID,
         raise ValueError("need at least two weights for slopes")
     if any(x <= 0 for x in grid):
         raise ValueError("weights must be positive (rho < 1)")
+    if len(set(grid)) < len(grid):
+        raise ValueError("weights must be distinct")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     U, W = _cleared(g)

@@ -139,7 +139,9 @@ NOT_PRIME_JOBS = {f"{doc['command']}-p{p}": _with_p(doc, p)
 # payloads each refused with exit 2: (job document, extra CLI arguments)
 BAD_PAYLOADS = {
     **{f"grid-{grid}": (RADIUS_JOB, ["--grid", grid])
-       for grid in ("abc", "1", "0,1")},
+       for grid in ("abc", "1", "0,1", "1,1", "1,1/2,1")},
+    "grid-repeated-in-job": ({**RADIUS_JOB, "payload": {
+        **RADIUS_JOB["payload"], "grid": ["1", "1"]}}, []),
     "g-coefficient": ({**RADIUS_JOB, "payload": {
         **RADIUS_JOB["payload"], "g": {"num": [["0", "x"]],
                                        "den": ["0", "0", "1"]}}}, []),

@@ -1,6 +1,8 @@
 import concurrent.futures
 import itertools
 import math
+import resource
+import threading
 import tracemalloc
 
 import numpy as np
@@ -393,6 +395,28 @@ def test_thread_pool_is_capped_at_cpu_count(monkeypatch, cores, threads,
     assert pools == pools_made
 
 
+def test_scratch_is_per_thread():
+    scratch = es._Scratch()
+    keys = scratch("keys", (3, 4), np.uint8)
+    assert np.shares_memory(keys, scratch("keys", (12,), bool))
+    assert not np.shares_memory(keys, scratch("temp", (3, 4), np.uint8))
+    other = []
+    worker = threading.Thread(
+        target=lambda: other.append(scratch("keys", (3, 4), np.uint8)))
+    worker.start()
+    worker.join()
+    assert not np.shares_memory(keys, other[0])
+
+
+def test_real_threads_at_the_real_block_size(monkeypatch):
+    # a pool of two threads over 2^20-point blocks, each thread with its
+    # own block buffers, counts what one thread counts
+    monkeypatch.setattr(es.os, "cpu_count", lambda: 2)
+    one = power_sum(NEWTON_DEGENERATE, F5, 6, threads=1)
+    assert power_sum(NEWTON_DEGENERATE, F5, 6, threads=2) == one
+    assert one == CyclotomicInt.from_int(5, 5 ** 6)
+
+
 def test_sl2_level_memory_is_bounded():
     # one SL2 level over F_2^8, tables prebuilt: the sum runs over a line
     # of 256 traces and a torus of 255 eigenvalues (15 KiB measured), where
@@ -423,10 +447,11 @@ def test_frobenius_orbits_of_f5_6():
 def test_plane_level_memory_is_bounded():
     # one level of x^2 y - x over F_5 at m = 6 (2,635 first coordinates
     # times 15,625), tables prebuilt: a block holds its uint8 keys, read as
-    # windows of the trace table, and one uint8 temporary of their mod-p
-    # reduction (2.1 MiB measured; a gather through an int32 index array
-    # peaked at 6.2 MiB, and field addition over repeated coordinates at
-    # 24.1 MiB)
+    # windows of the trace table, and the thread's one reused temporary,
+    # for their mod-p reduction and then the class masks (2.1 MiB measured;
+    # the temporary and a mask held apart took 3.1 MiB, a gather through an
+    # int32 index array 6.2 MiB, and field addition over repeated
+    # coordinates 24.1 MiB)
     es.get_tables(build_field(5, 6))
     tracemalloc.start()
     try:
@@ -436,6 +461,20 @@ def test_plane_level_memory_is_bounded():
         tracemalloc.stop()
     assert got == CyclotomicInt.from_int(5, 5 ** 6)
     assert peak <= 4 << 20
+
+
+def test_plane_level_reuses_block_buffers():
+    # a warm level of x^2 y - x over F_5 at m = 6 in one thread: the
+    # mod-p temporary, which the class masks share, is allocated once for
+    # the level, not once per block, so the sum faults in few fresh pages
+    # (340 to 570 measured, where fresh arrays per block took 18,200)
+    es.get_tables(build_field(5, 6))
+    power_sum(NEWTON_DEGENERATE, F5, 6)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    got = power_sum(NEWTON_DEGENERATE, F5, 6, threads=1)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert got == CyclotomicInt.from_int(5, 5 ** 6)
+    assert faults < 2000
 
 
 def test_modulus_independence_of_sums():

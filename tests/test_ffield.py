@@ -45,6 +45,16 @@ def test_build_field_deterministic_and_irreducible():
             for x in range(p))
 
 
+def test_build_field_tests_each_candidate_once():
+    # the search runs Rabin's test once on each candidate modulus, and
+    # FieldCtx's check of the modulus it returns finds the result memoised
+    _is_irreducible.cache_clear()
+    ctx = build_field.__wrapped__(5, 8)
+    info = _is_irreducible.cache_info()
+    rank = sum(c * 5 ** i for i, c in enumerate(ctx.modulus[:-1]))
+    assert (info.misses, info.hits) == (rank + 1, 1)
+
+
 def test_build_field_rejects_bad_input():
     with pytest.raises(ValueError):
         build_field(4, 1)

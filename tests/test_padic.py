@@ -265,6 +265,8 @@ def test_profile_grid_validation():
         radius_profile(g, lam_grid=(Fraction(1, 2),))
     with pytest.raises(ValueError):
         radius_profile(g, lam_grid=(0, 1))
+    with pytest.raises(ValueError):   # no slope between equal weights
+        radius_profile(g, lam_grid=(1, Fraction(1, 2), 1))
     for s_max in (0, -3):
         with pytest.raises(ValueError):
             radius_profile(g, s_max=s_max)
