@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import lfun, predict
 from .expsum import (DEFAULT_BUDGET, BudgetExceededError, VarietySpec,
-                     power_sum_table, scaled_degree_check)
+                     exact_int, power_sum_table, scaled_degree_check)
 from .ffield import _jsonable, build_field, is_prime
 from .lfun import ReconstructionError
 from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, NonStabilizedError, PiNumber,
@@ -53,18 +53,12 @@ def _require(doc: dict, key: str, kind=None):
 
 
 def _positive_int(value, name: str, least: int | None = 1) -> int:
-    """value as an int of at least `least` (any int if least is None);
-    SchemaError naming `name` if not.  A decimal string or an integral
-    number is read as its int; a boolean or a number with a fractional
-    part is refused, not truncated."""
+    """value as an int of at least `least` (any int if least is None), read
+    as expsum.exact_int reads it; SchemaError naming `name` if not."""
     try:
-        if isinstance(value, bool) or (isinstance(value, float)
-                                       and not value.is_integer()):
-            raise ValueError
-        number = int(value)
-    except (TypeError, ValueError):
-        raise SchemaError(
-            f"{name} must be an integer, got {value!r}") from None
+        number = exact_int(value, name)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     if least is not None and number < least:
         raise SchemaError(f"{name} must be at least {least}, got {number}")
     return number
@@ -326,6 +320,9 @@ def _verify_table(report: dict) -> str:
 
 # -- csv exports -----------------------------------------------------------------
 
+_CSV_COMMANDS = ("sum", "radius", "index")
+
+
 def _csv_for(report: dict) -> str:
     if report["command"] == "sum":
         width = len(report["records"][0]["coords"])
@@ -333,13 +330,11 @@ def _csv_for(report: dict) -> str:
         for rec in report["records"]:
             lines.append(",".join(str(x) for x in [rec["m"]] + rec["coords"]))
         return "\n".join(lines) + "\n"
-    if report["command"] in ("radius", "index"):
-        lines = ["lambda,r,stabilized"]
-        for s in report["samples"]:
-            lines.append(f"{s['lambda']},{s['r']},"
-                         f"{'true' if s['stabilized'] else 'false'}")
-        return "\n".join(lines) + "\n"
-    raise SchemaError(f"no CSV export for command {report['command']!r}")
+    lines = ["lambda,r,stabilized"]   # radius and index
+    for s in report["samples"]:
+        lines.append(f"{s['lambda']},{s['r']},"
+                     f"{'true' if s['stabilized'] else 'false'}")
+    return "\n".join(lines) + "\n"
 
 
 # -- entry point -------------------------------------------------------------------
@@ -409,6 +404,8 @@ def main(argv=None) -> int:
                 f"job file says {spec.get('command')!r}, "
                 f"subcommand is {args.command!r}")
         spec["command"] = args.command
+        if args.csv and args.command not in _CSV_COMMANDS:
+            raise SchemaError(f"no CSV export for command {args.command!r}")
         spec.setdefault("payload", {})
         for key in ("budget", "smax", "grid", "threads"):
             val = getattr(args, key, None)

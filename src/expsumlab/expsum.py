@@ -6,13 +6,14 @@ the points by the trace of f(x) mod p, so the exact sum is
 sum_t count[t] * zeta^t with ordinary integer counts.  Three identities cut
 the work.  Tr is F_p-linear, so the trace of f is the sum of its terms'
 traces, each read from the trace table at a code computed by integer
-arithmetic (_trace_sum, for every kind).  On a complement, f = g / h^k is
-the sum of the terms of g times h^-k, so h's code is one more coordinate
-and h is the only sum of field elements, by Zech addition.  In dimension
->= 2 a block's last coordinate is a run of consecutive codes, so a term
-reads each row of the block as one window of the table, contiguous for
-exponent 1 in that coordinate and strided otherwise; any other term reads
-the doubled table once per point.  The sum is kept reduced mod p as the
+arithmetic (_trace_sum, for every kind), and no field elements are added.
+On a complement, f = g / h^k is the sum of the terms of g times h^-k, so
+h's code is one more coordinate: h's traces at the scales g^(n-1)..g^0 are
+its trace digits, which the window decoder tables.FieldTables.log turns
+into that code.  In dimension >= 2 a block's last coordinate is a run of
+consecutive codes, so a term reads each row of the block as one window of
+the table, contiguous for exponent 1 in that coordinate and strided
+otherwise; any other term reads the doubled table once per point.  The sum is kept reduced mod p as the
 terms are added, and the classes are counted directly, with no copy of
 the keys.  Each worker thread reuses its block buffers through a level
 (_Scratch) rather than faulting in fresh pages for every block.  The
@@ -58,6 +59,20 @@ SL2 = "sl2"
 
 class BudgetExceededError(RuntimeError):
     """Estimated enumeration and table work exceeds the configured budget."""
+
+
+def exact_int(value, name: str) -> int:
+    """value as an int; ValueError naming `name` if not.  A decimal string
+    or an integral number is read as its int; a boolean or a number with a
+    fractional part is refused, not truncated."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{name} must be an integer, got {value!r}") from None
 
 
 def _normalize_terms(terms) -> tuple:
@@ -119,6 +134,8 @@ class VarietySpec:
             raise ValueError(f"unsupported variety kind {self.kind!r}")
         if self.kind in (AFFINE, TORUS, COMPLEMENT) and self.dim < 0:
             raise ValueError("dimension must be >= 0")
+        if any(len(e) != self.dim for _, e in self.terms + self.g + self.h):
+            raise ValueError(f"exponent vectors need dim = {self.dim} entries")
         if self.kind == AFFINE:
             for _, exps in self.terms:
                 if any(e < 0 for e in exps):
@@ -189,19 +206,20 @@ class VarietySpec:
                 if base is None:
                     raise ValueError("vector coefficients need a base field")
                 return base.element(c)
-            return int(c)
+            return exact_int(c, "coefficient")
 
         def load_terms(ts):
-            return [(load_coef(c), tuple(e)) for c, e in ts]
+            return [(load_coef(c), tuple(exact_int(x, "exponent") for x in e))
+                    for c, e in ts]
 
         kind = doc["kind"]
         if kind == SL2:
             return cls.sl2([load_coef(c) for c in doc["coeffs"]])
-        dim = int(doc["dim"])
+        dim = exact_int(doc["dim"], "dim")
         if kind == COMPLEMENT:
             return cls.hypersurface_complement(
                 dim, load_terms(doc["g"]), load_terms(doc["h"]),
-                int(doc.get("k", 1)))
+                exact_int(doc.get("k", 1), "k"))
         if kind == AFFINE:
             return cls.affine_space(dim, load_terms(doc["f"]))
         if kind == TORUS:
@@ -317,37 +335,6 @@ def _work_dtype(T: FieldTables, terms) -> type:
     return np.int32 if weight * T.q < 2 ** 31 else np.int64
 
 
-def _eval_terms(T: FieldTables, terms, coords, dt) -> np.ndarray:
-    """Codes of sum_terms coef * prod x_j^(e_j), e_j >= 0, on a block of
-    points, by Zech addition; the result broadcasts over the block."""
-    n = T.group_order
-    z = T.zero_code
-    zmasks = [None] * len(coords)   # x == zero, shared across terms
-    acc = None
-    for code, exps in terms:
-        t = None
-        vanish = None
-        for j, (e, x) in enumerate(zip(exps, coords)):
-            if e == 0:
-                continue
-            if zmasks[j] is None:
-                zmasks[j] = x == z
-            vanish = zmasks[j] if vanish is None else (vanish | zmasks[j])
-            contrib = x if e == 1 else e * x
-            t = contrib if t is None else t + contrib
-        if t is None:
-            t = np.full((1,), code, dtype=dt)
-        else:
-            t = t + code  # allocates, so aliasing a coordinate array is fine
-            t %= n
-        if vanish is not None:
-            t = np.where(vanish, z, t)
-        acc = t if acc is None else T.vadd(acc, t)
-    if acc is None:  # identically zero
-        acc = np.full((1,), z, dtype=dt)
-    return acc
-
-
 def _block_shape(coords) -> tuple:
     """The shape a block's coordinates broadcast to; (1,) in dimension 0."""
     return np.broadcast_shapes((1,), *(x.shape for x in coords))
@@ -406,11 +393,12 @@ def _trace_sum(T: FieldTables, terms, scale_codes, kind: str,
     and reduces it mod N once per block; each scale reads the doubled table
     at col + s.  On affine space and complements a term vanishes where a
     coordinate with a positive exponent in it is zero, and contributes 0
-    there.  A complement's last coordinate is h's code (see _grids), no
-    run, so it builds no windows.  The accumulator starts as the first
-    term's traces and is reduced mod p after each further term, so no key
-    leaves [0, p) and _trace_counts can count the classes directly.  The
-    reduction's temporary, and the keys where no read is of the block's
+    there.  A complement's h is summed here too, at the scale codes
+    n-1..0, for its trace digits, and g's last coordinate is h's code (see
+    _grids), no run, so g builds no windows.  The accumulator starts as the
+    first term's traces and is reduced mod p after each further term, so no
+    key leaves [0, p) and _trace_counts can count the classes directly.
+    The reduction's temporary, and the keys where no read is of the block's
     shape, are the worker's scratch buffers, so the keys that evaluate
     yields for a scale hold only until it is resumed."""
     n, z, p = T.group_order, T.zero_code, T.ctx.p
@@ -669,19 +657,30 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
         return _frobenius_grids(T, base, lengths, dt, _trace_sum(
             T, _term_codes(T, base, v.terms), scale_codes, v.kind, scratch))
 
-    # Tr(c g / h^k) is the sum over the terms t of g of Tr(c t h^-k), so h,
-    # the one sum of field elements, is evaluated by Zech addition and its
-    # code is one more coordinate, with exponent -k in every term of g
-    h_terms = _term_codes(T, base, v.h)
-    dt = _work_dtype(T, h_terms + [(None, (1,))])
+    # Tr(c g / h^k) is the sum over the terms t of g of Tr(c t h^-k), so h's
+    # code is one more coordinate, with exponent -k in every term of g.  h's
+    # traces at the scale codes n-1..0 are its trace digits Tr(g^j h), and
+    # Horner in p on them is the index that T.log decodes into h's code;
+    # index 0 is h = 0
+    p, log = T.ctx.p, T.log   # log built here, not in a worker
+    digits = _trace_sum(T, _term_codes(T, base, v.h),
+                        range(T.ctx.n - 1, -1, -1), AFFINE, scratch)
     traces = _trace_sum(T, _term_codes(T, base, [(c, e + (-v.k,))
                                                   for c, e in v.g]),
                         scale_codes, COMPLEMENT, scratch)
 
     def evaluate(coords, start):
-        h = _eval_terms(T, h_terms, coords, dt)
-        keep = np.broadcast_to(h != T.zero_code,
-                               _block_shape(coords)).ravel()
+        shape = _block_shape(coords)
+        index = scratch("h_index", (math.prod(shape),), dt)
+        index.fill(0)
+        for d in digits(coords, start):
+            index *= p
+            index += d
+        # "clip" takes unbuffered, so into the worker's buffer; every index
+        # is below q anyway
+        h = np.take(log, index, mode="clip",
+                    out=scratch("h", index.shape, log.dtype)).reshape(shape)
+        keep = index != 0
         return (keys[keep] for keys in traces(coords + [h], None))
     return _frobenius_grids(T, base, lengths, dt, evaluate)
 

@@ -1,26 +1,26 @@
-"""Discrete-log tables for fast exact enumeration over F_q.
+"""The trace table of F_q, the one table that exact enumeration reads.
 
 Nonzero elements are encoded by their discrete log with respect to a fixed
 generator g (code e  <->  g^e, e in [0, q-1)); the zero element gets the
-extra code q-1.  Multiplication is then index addition mod q-1 and field
-addition goes through the Zech logarithm z(d) = log(1 + g^d).  Everything
-is integer-valued, so numpy int64 vector ops stay exact.
+extra code q-1.  Multiplication is then index addition mod q-1, and the
+trace is F_p-linear, so a sum of terms has the sum of their traces: no
+field element is ever added.  Everything is integer-valued, so numpy
+integer vector ops stay exact.  The tables are int32 arrays of length q:
 
-An element is also indexed by its base-p integer: the coefficients of its
-polynomial basis read as base-p digits, constant term lowest (as in
-FieldCtx.element_at).  The tables are int32 arrays of length q:
+  trace_of_code[e]  trace of g^e to F_p, 0 at the zero code
+  log[i]            the code k whose trace window sum_j Tr(g^(k+j)) p^j,
+                    j < n, is i; log[0] is the zero code
 
-  trace_of_code[e]  trace of g^e to F_p
-  exp[e]            base-p index of g^e (exp[q-1] = 0, the zero element)
-  log[i]            code of the element with base-p index i (log[exp] = codes)
-  zech[d]           code of 1 + g^d, ZECH_SENTINEL where that is zero
-
-Sums over affine space, the torus and SL2 read only traces and the codes of
-the constants, so FieldTables.__init__ builds only trace_of_code, with one
-blocked product over F_p, and const_code.  exp, log and zech are built on
-first use, by code_of, element_of, vadd or embed_root: complements and
-bases larger than F_p need them.  A fully built field holds 16 bytes per
-element, which is what the work budget counts for it.
+The trace form is nondegenerate and g^0..g^(n-1) is a basis, so
+y -> (Tr(g^j y))_{j<n} is a bijection from F_q onto F_p^n, and for y = g^k
+that vector is the window of n consecutive entries of the m-sequence
+trace_of_code that starts at k.  Sums over affine space, the torus and
+SL2 read only traces and the codes of the constants, so
+FieldTables.__init__ builds only trace_of_code, with one blocked product
+over F_p, and const_code.  log is built on first use, by complements,
+whose h is decoded from its trace digits.  A base field larger than F_p
+embeds into its subfield of codes r u, r = (q - 1)/(q_b - 1), and
+embed_root and embed find a code there by comparing trace digits.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ import numpy as np
 
 from .ffield import FieldCtx, FqElem, _factor
 
-ZECH_SENTINEL = -1
-TABLE_BYTES_PER_ELEMENT = 16  # exp, log, zech and trace_of_code, int32 each
+# the work budget's units per table element: trace_of_code and log are
+# int32, and each set of copies of the trace table that a sum reads must
+# fit in it (see expsum._trace_sum)
+TABLE_BYTES_PER_ELEMENT = 16
 _CACHE_SIZE = 8
-_CHUNK = 1 << 16  # elements per pass of the table builds and of vadd's gather
+_CHUNK = 1 << 16  # elements per pass of the table builds
 
 
 def _mul_matrix(ctx: FieldCtx, h: FqElem) -> np.ndarray:
@@ -59,8 +61,8 @@ def _power_rows(step: np.ndarray, count: int, p: int) -> np.ndarray:
 
 
 class FieldTables:
-    """Trace and constant codes of one field context, with exp/log/Zech
-    tables built on first use."""
+    """Trace and constant codes of one field context, with the window
+    decoder log built on first use."""
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
@@ -79,7 +81,7 @@ class FieldTables:
         # F[k, l] = Tr(x^(k+l)), where Tr(y) is the trace of the matrix of
         # multiplication by y.  V W runs in row chunks of about _CHUNK
         # entries, each below n*p^2 and exact in int64.
-        self._L = L = isqrt(N - 1) + 1 if N > 1 else 1   # ceil(sqrt(N))
+        L = isqrt(N - 1) + 1 if N > 1 else 1   # ceil(sqrt(N))
         mul_x = _mul_matrix(ctx, ctx.element([0, 1]))
         power, tr_pow = np.eye(n, dtype=np.int64), []
         for _ in range(2 * n - 1):
@@ -110,49 +112,28 @@ class FieldTables:
         self._embed_roots: dict = {}
 
     @cached_property
-    def exp(self) -> np.ndarray:
-        """Base-p index of g^e for each code e, by about sqrt(q) steps of a
-        block of L powers by the matrix of g^L."""
-        ctx, p, N, L = self.ctx, self.ctx.p, self.group_order, self._L
-        block = _power_rows(_mul_matrix(ctx, self.generator), L, p)
-        step = _mul_matrix(ctx, self.generator ** L)
-        place = p ** np.arange(ctx.n, dtype=np.int64)   # base-p place values
-        exp = np.zeros(self.q, dtype=np.int32)   # exp[q-1] = 0: zero element
-        for start in range(0, N, L):
-            stop = min(start + L, N)
-            exp[start:stop] = block[:stop - start] @ place
-            block = block @ step % p
-        return exp
-
-    @cached_property
     def log(self) -> np.ndarray:
-        """Code of the element with each base-p index: exp inverted."""
-        exp = self.exp
+        """The window decoder: log[sum_j Tr(g^(k+j)) p^j] = k, j < n, and
+        log[0] is the zero code.  The codes go through in _CHUNK runs, and
+        a run's digit j is a slice of the trace table shifted by j; the
+        last run reads past g^(q-2) on from g^0."""
+        n, p, N, tr = self.ctx.n, self.ctx.p, self.group_order, \
+            self.trace_of_code
         log = np.full(self.q, -1, dtype=np.int32)
-        for start in range(0, self.q, _CHUNK):
-            stop = min(start + _CHUNK, self.q)
-            log[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
-        if log.min() < 0:   # q writes left a slot empty: a repeated power
+        log[0] = self.zero_code
+        for start in range(0, N, _CHUNK):
+            stop = min(start + _CHUNK, N)
+            run = tr[start:stop + n - 1]
+            if stop + n - 1 > N:
+                run = np.concatenate([tr[start:N], tr[:stop + n - 1 - N]])
+            index = np.zeros(stop - start, dtype=np.int64)
+            for j in reversed(range(n)):   # Horner in p on the digits
+                index *= p
+                index += run[j:j + stop - start]
+            log[index] = np.arange(start, stop, dtype=np.int32)
+        if log.min() < 0:   # q writes left a slot empty: a repeated window
             raise RuntimeError("generator order mismatch")
         return log
-
-    @cached_property
-    def zech(self) -> np.ndarray:
-        """zech[d] = log(1 + g^d).  Adding 1 changes only the lowest base-p
-        digit, which wraps from p-1 to 0 without a carry.  One extra
-        sentinel slot so vector code may index d = q-1 on entries that the
-        zero-operand masks discard anyway.  Fixed chunks keep the
-        temporaries small next to the tables."""
-        p, exp, log = self.ctx.p, self.exp, self.log
-        zech = np.full(self.q, ZECH_SENTINEL, dtype=np.int32)
-        for start in range(0, self.group_order, _CHUNK):
-            stop = min(start + _CHUNK, self.group_order)
-            one_plus = exp[start:stop] + 1
-            one_plus[one_plus % p == 0] -= p
-            chunk = log[one_plus]
-            chunk[one_plus == 0] = ZECH_SENTINEL   # 1 + g^d = 0
-            zech[start:stop] = chunk
-        return zech
 
     def _find_generator(self) -> FqElem:
         ctx = self.ctx
@@ -164,86 +145,47 @@ class FieldTables:
                 return cand
         raise RuntimeError("no generator found")  # unreachable
 
-    # -- codes of single elements ---------------------------------------------
-
-    def code_of(self, x: FqElem) -> int:
-        if x.ctx != self.ctx:
-            raise ValueError("element from a different context")
-        index = 0
-        for c in reversed(x.coeffs):
-            index = index * self.ctx.p + c
-        return int(self.log[index])
-
-    def element_of(self, code: int) -> FqElem:
-        return self.ctx.element_at(int(self.exp[code]))
-
-    # -- vector code arithmetic (numpy integer arrays of codes) ---------------
-    #
-    # Codes live in [0, q-1] with q-1 encoding zero, so sums of two codes stay
-    # below 2(q-1) and a compare-and-subtract replaces the integer division of
-    # a true modulo.  Each result is computed in place, the Zech gather a
-    # chunk at a time, so an operation holds one new array besides its
-    # operands.
-
-    def _fold(self, t: np.ndarray) -> np.ndarray:
-        n = self.group_order
-        np.subtract(t, n, out=t, where=t >= n)
-        return t
-
-    def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        z = self.zero_code
-        t = b - a   # a new array of the operands' broadcast shape
-        np.add(t, self.group_order, out=t, where=t < 0)
-        flat = t.reshape(-1)
-        for i in range(0, flat.size, _CHUNK):   # t = zech[t]
-            flat[i:i + _CHUNK] = self.zech[flat[i:i + _CHUNK]]
-        # a sentinel stays in place through the sum: no sum of codes is < 0
-        self._fold(np.add(a, t, out=t, where=t != ZECH_SENTINEL))
-        np.copyto(t, z, where=t == ZECH_SENTINEL)
-        np.copyto(t, a, where=b == z)
-        np.copyto(t, b, where=a == z)
-        return t
-
-    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        z = self.zero_code
-        t = self._fold(a + b)
-        np.copyto(t, z, where=(a == z) | (b == z))
-        return t
-
     # -- embedding of a base field into this one ------------------------------
 
-    def embed_root(self, base: FieldCtx) -> int:
-        """Smallest code of a root of the base modulus in this field (one
-        Horner pass over all nonzero codes, cached).  Hosting the base field
+    def _trace_digits(self, codes, coeffs=(0, 1)) -> np.ndarray:
+        """Column u: the trace digits Tr(g^j y) mod p, j < n, of
+        y = sum_i coeffs[i] g^(i codes[u]).  Tr is F_p-linear, so digit j
+        is sum_i coeffs[i] Tr(g^(j + i codes[u])); the default coeffs give
+        the window of g^codes[u]."""
+        j = np.arange(self.ctx.n)[:, None]
+        digits = sum(c * self.trace_of_code[(j + i * codes) % self.group_order]
+                     .astype(np.int64) for i, c in enumerate(coeffs) if c)
+        return np.remainder(digits, self.ctx.p)
+
+    def _subfield_codes(self, base: FieldCtx) -> np.ndarray:
+        """The codes r u, r = (q - 1)/(q_b - 1), of the nonzero elements
+        of the subfield with q_b = base.q elements.  Hosting the base field
         requires base.p == p and base.n | n."""
-        key = (base.p, base.n, base.modulus)
-        if key in self._embed_roots:
-            return self._embed_roots[key]
         if base.p != self.ctx.p or self.ctx.n % base.n != 0:
             raise ValueError("base field does not embed into this context")
-        if base.n == 1:
-            root = self.zero_code  # modulus is x; constants embed canonically
-        else:
-            cand = np.arange(self.group_order, dtype=np.int64)
-            acc = np.full_like(cand, self.const_code[base.modulus[-1] % base.p])
-            for c in reversed(base.modulus[:-1]):
-                acc = self.vadd(self.vmul(acc, cand),
-                                int(self.const_code[c % base.p]))
-            roots = np.flatnonzero(acc == self.zero_code)
-            if roots.size == 0:
-                raise RuntimeError("no root of base modulus found")
-            root = int(roots[0])
-        self._embed_roots[key] = root
-        return root
+        return np.arange(0, self.group_order, self.group_order
+                         // (base.q - 1), dtype=np.int64)
+
+    def embed_root(self, base: FieldCtx) -> int:
+        """Smallest code of a root of the base modulus in this field
+        (cached).  The roots lie in the subfield, and y = modulus(g^k) is
+        zero exactly where all of its trace digits are."""
+        key = (base.p, base.n, base.modulus)
+        if key not in self._embed_roots:
+            codes = self._subfield_codes(base)
+            roots = codes[~self._trace_digits(codes, base.modulus).any(0)]
+            self._embed_roots[key] = int(roots[0])   # deg | n: one exists
+        return self._embed_roots[key]
 
     def embed(self, x: FqElem, base: FieldCtx) -> int:
         """Code of the image of a base-field element under the cached
-        embedding: Horner's rule in FqElem at the root."""
-        root = self.element_of(self.embed_root(base))
-        acc = self.ctx.zero()
-        for c in reversed(x.coeffs):
-            acc = acc * root + c
-        return self.code_of(acc)
+        embedding: the subfield code whose trace window equals the digits
+        of sum_i x_i root^i.  A prime-field element is its constant."""
+        if x.in_prime_field():
+            return int(self.const_code[x.coeffs[0]])
+        codes = self._subfield_codes(base)
+        digits = self._trace_digits(self.embed_root(base), x.coeffs)
+        return int(codes[(self._trace_digits(codes) == digits).all(0)][0])
 
 
 _CACHE: OrderedDict = OrderedDict()

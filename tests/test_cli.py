@@ -100,6 +100,13 @@ BAD_SUM_JOB = {"command": "sum", "payload": {"base": {"p": 3}}}
 # threads below the schema's minimum of 1
 NO_THREADS_JOBS = [{**SUM_JOB, "threads": t} for t in (0, -3)]
 
+
+def _with_variety(doc, **fields):
+    payload = doc["payload"]
+    return {**doc, "payload": {**payload,
+                               "variety": {**payload["variety"], **fields}}}
+
+
 # a field that must be an integer, given as a word, as a number with a
 # fractional part (which int() would truncate) or as a boolean (which
 # Python counts as an int); a case named field=value names its field
@@ -114,6 +121,12 @@ NOT_INT_JOBS = {
         **SUM_JOB["payload"], "levels": True}},
     "base.n=true": {**SUM_JOB, "payload": {
         **SUM_JOB["payload"], "base": {"p": 3, "n": True}}},
+    "dim=1.7": _with_variety(SUM_JOB, dim=1.7),
+    "dim=true": _with_variety(SUM_JOB, dim=True),
+    "k=1.5": _with_variety(COMPLEMENT_JOB, k=1.5),
+    "exponent=1.9": _with_variety(SUM_JOB, f=[[1, [2, 1.9]], [-1, [1, 0]]]),
+    "coefficient=2.6": _with_variety(SUM_JOB,
+                                     f=[[2.6, [2, 1]], [-1, [1, 0]]]),
 }
 
 # symbol depths the schema refuses: not an integer, or below 2
@@ -160,6 +173,10 @@ BAD_PAYLOADS = {
     "lfun-scale-word": ({**SCALE_JOB, "payload": {
         **SCALE_JOB["payload"], "scale": "two"}}, []),
     **{name: (doc, []) for name, doc in SCALE_MIXED_JOBS.items()},
+    # exponent vectors whose length is not the variety's dim
+    "exponents-longer-than-dim": (
+        _with_variety(SUM_JOB, dim=1, f=[[1, [1, 2]]]), []),
+    "exponents-shorter-than-dim": (_with_variety(SUM_JOB, f=[[1, [1]]]), []),
 }
 
 
@@ -352,6 +369,22 @@ def test_exit_code_bad_payload(tmp_path, capsys, name):
     code, out, err = run(capsys, [doc["command"], "--job", job] + extra)
     assert code == cli.EXIT_SCHEMA and not out
     assert err.startswith("schema error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("doc", [KLOOSTERMAN_JOB, BETTI_JOB],
+                         ids=["lfun", "predict"])
+def test_exit_code_csv_of_a_command_without_one(tmp_path, capsys,
+                                                monkeypatch, doc):
+    def no_job(spec):
+        raise AssertionError("the job ran")
+
+    monkeypatch.setattr(cli, "run_job", no_job)
+    job = write_job(tmp_path, "job.json", doc)
+    csv = tmp_path / "out.csv"
+    code, out, err = run(capsys, [doc["command"], "--job", job,
+                                  "--csv", str(csv)])
+    assert code == cli.EXIT_SCHEMA and not out and "CSV" in err
+    assert not csv.exists()
 
 
 def test_exit_code_budget(tmp_path, capsys):
@@ -573,6 +606,54 @@ def test_kloosterman_f5_lfun_report_bytes(tmp_path, capsys):
     assert out == KLOOSTERMAN5_REPORT
 
 
+# g = x^2 y + 2y + x over h^2, h = xy + 1, on the complement of h = 0 in
+# A^2 over F_5 through level 5
+COMPLEMENT5_JOB = {"command": "sum", "payload": {
+    "base": {"p": 5},
+    "variety": {"kind": "complement", "dim": 2,
+                "g": [[1, [2, 1]], [2, [0, 1]], [1, [1, 0]]],
+                "h": [[1, [1, 1]], [1, [0, 0]]], "k": 2},
+    "levels": 5}}
+
+# report bytes of COMPLEMENT5_JOB, recorded when h was evaluated by Zech
+# addition
+COMPLEMENT5_REPORT = (
+    '{"command":"sum","n":1,"p":5,"points":[21,601,15501,390001,9762501],'
+    '"progress":[{"m":1,"points":25},{"m":2,"points":625},'
+    '{"m":3,"points":15625},{"m":4,"points":390625},'
+    '{"m":5,"points":9765625}],'
+    '"records":[{"coords":[1,0,0,0],"m":1},{"coords":[1,0,0,0],"m":2},'
+    '{"coords":[-374,0,0,0],"m":3},{"coords":[1,0,0,0],"m":4},'
+    '{"coords":[1,0,0,0],"m":5}]}\n')
+
+# x (1 + a) + 1/x on G_m over F_9 = F_3[a] through level 6
+F9_TORUS_JOB = {"command": "sum", "payload": {
+    "base": {"p": 3, "n": 2},
+    "variety": {"kind": "torus", "dim": 1, "f": [[[1, 1], [1]], [1, [-1]]]},
+    "levels": 6}}
+
+# report bytes of F9_TORUS_JOB, recorded when base-field coefficients were
+# embedded by a Horner walk over every code of the tower
+F9_TORUS_REPORT = (
+    '{"command":"sum","n":2,"p":3,"points":[8,80,728,6560,59048,531440],'
+    '"progress":[{"m":1,"points":8},{"m":2,"points":80},'
+    '{"m":3,"points":728},{"m":4,"points":6560},{"m":5,"points":59048},'
+    '{"m":6,"points":531440}],'
+    '"records":[{"coords":[-4,0],"m":1},{"coords":[2,0],"m":2},'
+    '{"coords":[44,0],"m":3},{"coords":[158,0],"m":4},'
+    '{"coords":[236,0],"m":5},{"coords":[-478,0],"m":6}]}\n')
+
+
+@pytest.mark.parametrize("doc,report", [
+    (COMPLEMENT5_JOB, COMPLEMENT5_REPORT), (F9_TORUS_JOB, F9_TORUS_REPORT)],
+    ids=["complement-f5", "torus-f9"])
+def test_sum_report_bytes(tmp_path, capsys, doc, report):
+    job = write_job(tmp_path, "job.json", doc)
+    code, out, _ = run(capsys, ["sum", "--job", job])
+    assert code == 0
+    assert out == report
+
+
 def test_job_documents_match_schema():
     jsonschema = pytest.importorskip("jsonschema")
     path = Path(cli.__file__).parent / "schemas" / "job.schema.json"
@@ -581,7 +662,8 @@ def test_job_documents_match_schema():
     validator = jsonschema.Draft202012Validator(schema)
     for doc in [SUM_JOB, KLOOSTERMAN_JOB, DWORK_JOB, RADIUS_JOB, SCALE_JOB,
                 COMPLEMENT_JOB, SL2_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
-                UNCERTIFIED_JOB, DWORK5_JOB, KLOOSTERMAN5_JOB] + PREDICT_JOBS:
+                UNCERTIFIED_JOB, DWORK5_JOB, KLOOSTERMAN5_JOB,
+                COMPLEMENT5_JOB, F9_TORUS_JOB] + PREDICT_JOBS:
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)
     assert not any(validator.is_valid(doc) for doc in NO_THREADS_JOBS)

@@ -151,9 +151,35 @@ def test_kloosterman_first_sum():
         2), F3, 2),
     (VarietySpec.hypersurface_complement(
         1, {(3 ** 40,): 1}, {(2 ** 62 + 1,): 1, (0,): 1}, 3 ** 40), F5, 1),
+    # F_9 coefficients, embedded by trace digits, on a torus and in both g
+    # and h of a complement, whose h is decoded from its trace digits
+    (VarietySpec.torus(1, {(1,): F9.element([1, 1]), (-1,): 1}), F9, 2),
+    (VarietySpec.affine_space(2, {(2, 1): F9.element([0, 1]),
+                                  (0, 1): F9.element([2, 1])}), F9, 1),
+    (VarietySpec.hypersurface_complement(
+        2, {(2, 1): F9.element([0, 1]), (1, 0): 1},
+        {(1, 1): 1, (0, 0): F9.element([1, 1])}, 2), F9, 1),
+    (VarietySpec.hypersurface_complement(
+        1, {(1,): 1}, {(2,): F9.element([0, 2]), (0,): 1}, 1), F9, 2),
 ])
 def test_fast_path_matches_naive(v, base, m):
     assert power_sum(v, base, m) == power_sum_naive(v, base, m)
+
+
+@pytest.mark.parametrize("v,base,tower", [
+    # x^4 + x^3 + x^2 + x + 1 is irreducible over F_2 and F_3 but not the
+    # lex-first modulus, and its root x has order 5, so x is no generator
+    (VarietySpec.torus(1, {(1,): build_field(2, 2).element([0, 1]),
+                           (-1,): 1}),
+     build_field(2, 2), FieldCtx(2, 4, (1, 1, 1, 1, 1))),
+    (VarietySpec.hypersurface_complement(
+        1, {(1,): F9.element([1, 2])}, {(1,): 1, (0,): F9.element([0, 1])},
+        2), F9, FieldCtx(3, 4, (1, 1, 1, 1, 1))),
+], ids=["F4-in-F16", "F9-in-F81"])
+def test_fast_path_matches_naive_in_another_tower(v, base, tower):
+    # a base with n > 1 embeds through a root of its modulus in the tower
+    assert power_sum(v, base, 2, tower=tower) == \
+        power_sum_naive(v, base, 2, tower=tower)
 
 
 HYPOTHESIS_BASES = [F2, F3, build_field(2, 2), F5]
@@ -574,6 +600,13 @@ def test_spec_validation_errors():
         VarietySpec("weird", dim=1)
     with pytest.raises(ValueError):
         VarietySpec.hypersurface_complement(1, {(1,): 1}, {}, 1)
+    # an exponent vector whose length is not the dimension
+    for spec in (lambda: VarietySpec.affine_space(1, {(1, 2): 1}),
+                 lambda: VarietySpec.torus(2, {(1,): 1}),
+                 lambda: VarietySpec.hypersurface_complement(
+                     2, {(1, 0): 1}, {(1,): 1}, 1)):
+        with pytest.raises(ValueError):
+            spec()
     with pytest.raises(ValueError):
         power_sum_table(KLOOSTERMAN, F5, 0)
 

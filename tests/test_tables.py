@@ -1,13 +1,14 @@
 """Differential tests of the field tables against plain FqElem arithmetic.
 
-tables.FieldTables builds its arrays with integer matrix passes over F_p,
-the trace table up front and exp/log/Zech on first use; this file is their
-exact reference path.  Every entry is recomputed here
-one element at a time with FqElem products, sums and traces: exhaustively
-on each field the rest of the suite builds (up to ~20k elements), on
-sampled codes for F_5^8 and F_3^12.  The exhaustive trace reference is the
-sum of the n Frobenius conjugates x^(p^i) = g^(e p^i), read off the list
-of powers; trace_to_prime itself runs on sampled codes.
+tables.FieldTables builds the trace table up front, with integer matrix
+passes over F_p, and the window decoder log on first use; this file is
+their exact reference path.  Every entry is recomputed here one element at
+a time with FqElem products, sums and traces: exhaustively on each field
+the rest of the suite builds (up to ~20k elements), on sampled codes for
+F_5^8 and F_3^12.  The exhaustive trace reference is the sum of the n
+Frobenius conjugates x^(p^i) = g^(e p^i), read off the list of powers;
+trace_to_prime itself runs on sampled codes.  The trace digits of g^k are
+the traces of g^j g^k, j < n, read the same way.
 """
 
 import random
@@ -19,8 +20,7 @@ import pytest
 from expsumlab import tables
 from expsumlab.expsum import VarietySpec, power_sum, power_sum_naive
 from expsumlab.ffield import FieldCtx, build_field, trace_to_prime
-from expsumlab.tables import (TABLE_BYTES_PER_ELEMENT, ZECH_SENTINEL,
-                              FieldTables, get_tables)
+from expsumlab.tables import FieldTables, get_tables
 
 SUITE_FIELDS = [build_field(2, n) for n in range(1, 9)] + \
     [build_field(3, n) for n in range(1, 7)] + \
@@ -46,37 +46,43 @@ def first_root_code(T, base):
     raise AssertionError("no root of the base modulus")
 
 
-def check_codes(T, codes, powers, traces):
-    """Every table entry at each code e, given powers[i] = g^codes[i] and
-    traces[i] = its trace to F_p."""
-    one = T.ctx.one()
-    for e, x, t in zip(codes, powers, traces):
-        assert T.element_of(e) == x
-        assert T.code_of(x) == e
-        y = one + x
-        if y.is_zero():
-            assert T.zech[e] == ZECH_SENTINEL
-        else:
-            assert T.element_of(int(T.zech[e])) == y
-        assert T.trace_of_code[e] == t
+def element_of(T, code):
+    return T.ctx.zero() if code == T.zero_code else T.generator ** code
+
+
+def check_codes(T, codes, traces_at):
+    """The trace and the log entry of each code e, where traces_at(e) is
+    the trace of g^e for any e >= 0."""
+    p = T.ctx.p
+    for e in codes:
+        assert T.trace_of_code[e] == traces_at(e)
+        index = sum(traces_at(e + j) * p ** j for j in range(T.ctx.n))
+        assert T.log[index] == e
 
 
 def check_constants(T):
     ctx, z = T.ctx, T.zero_code
-    assert T.element_of(z) == ctx.zero() and T.code_of(ctx.zero()) == z
-    assert T.zech[z] == ZECH_SENTINEL and T.trace_of_code[z] == 0
+    assert T.trace_of_code[z] == 0 and T.log[0] == z
     for c in range(ctx.p):
-        assert T.element_of(int(T.const_code[c])) == ctx.from_int(c)
-    nbytes = sum(a.nbytes for a in (T.exp, T.log, T.zech, T.trace_of_code))
-    assert nbytes <= TABLE_BYTES_PER_ELEMENT * T.q
+        assert element_of(T, int(T.const_code[c])) == ctx.from_int(c)
+        assert T.embed(ctx.from_int(c), ctx) == T.const_code[c]
+    assert T.log.nbytes + T.trace_of_code.nbytes \
+        <= tables.TABLE_BYTES_PER_ELEMENT * T.q
 
 
-def check_add(T, pairs):
-    a = np.array([x for x, _ in pairs], dtype=np.int64)
-    b = np.array([y for _, y in pairs], dtype=np.int64)
-    vec = T.vadd(a, b)
-    for (x, y), s in zip(pairs, vec):
-        assert T.element_of(int(s)) == T.element_of(x) + T.element_of(y)
+def check_embedding(T, base, every_element):
+    """embed_root is a root of the base modulus, and embed of each base
+    element is the code of its image: Horner's rule at the root."""
+    root = element_of(T, T.embed_root(base))
+    assert base_modulus_at(base, root).is_zero()
+    elements = list(base.elements())
+    if not every_element and len(elements) > 20:
+        elements = random.Random(T.q).sample(elements, 20)
+    for x in elements:
+        image = T.ctx.zero()
+        for c in reversed(x.coeffs):
+            image = image * root + c
+        assert element_of(T, T.embed(x, base)) == image
 
 
 def sampled_codes(T, k):
@@ -89,7 +95,7 @@ def sampled_codes(T, k):
     f"F{c.p}^{c.n}" + ("" if c == build_field(c.p, c.n) else "-alt")
     for c in SUITE_FIELDS])
 def test_tables_match_field_arithmetic(ctx, monkeypatch):
-    # chunks of 7 put chunk boundaries inside every field checked here
+    # runs of 7 put run boundaries inside every field checked here
     monkeypatch.setattr(tables, "_CHUNK", 7)
     p, n = ctx.p, ctx.n
     T = FieldTables(ctx)
@@ -105,37 +111,26 @@ def test_tables_match_field_arithmetic(ctx, monkeypatch):
         t = sum(conj[1:], conj[0])
         assert t.in_prime_field()
         traces.append(t.coeffs[0])
-    check_codes(T, range(order), powers, traces)
+    check_codes(T, range(order), lambda e: traces[e % order])
+    assert sorted(T.log) == list(range(T.q))
     for e in sampled_codes(T, 50):
-        assert T.element_of(e) == T.generator ** e
         assert T.trace_of_code[e] == trace_to_prime(powers[e])
     check_constants(T)
-    rng = random.Random(T.q)
-    pairs = [(rng.randrange(T.q), rng.randrange(T.q)) for _ in range(200)]
-    pairs += [(T.zero_code, 0), (0, T.zero_code), (T.zero_code, T.zero_code)]
-    codes = sampled_codes(T, 10)
-    pairs += [(e, T.code_of(-T.element_of(e))) for e in codes]   # sum 0
-    check_add(T, pairs)
     for k in range(2, n + 1):
         if n % k == 0:
             base = build_field(p, k)
             assert T.embed_root(base) == first_root_code(T, base)
+            check_embedding(T, base, every_element=k < n)
 
 
 @pytest.mark.parametrize("p,n", [(5, 8), (3, 12)])
 def test_tables_spot_checks_on_large_fields(p, n):
     T = FieldTables(build_field(p, n))
-    codes = sampled_codes(T, 100)
-    powers = [T.generator ** e for e in codes]
-    check_codes(T, codes, powers, [trace_to_prime(x) for x in powers])
+    check_codes(T, sampled_codes(T, 100),
+                lambda e: trace_to_prime(T.generator ** e))
     check_constants(T)
-    rng = random.Random(T.q)
-    check_add(T, [(rng.randrange(T.q), rng.randrange(T.q))
-                  for _ in range(100)])
     for k in (2, 4):   # a root; that it is the first one is checked above
-        base = build_field(p, k)
-        root = T.element_of(T.embed_root(base))
-        assert base_modulus_at(base, root).is_zero()
+        check_embedding(T, build_field(p, k), every_element=k == 2)
 
 
 def test_table_build_holds_little_beyond_the_tables():
@@ -143,11 +138,11 @@ def test_table_build_holds_little_beyond_the_tables():
     tracemalloc.start()
     try:
         T = FieldTables(ctx)
-        T.exp, T.log, T.zech   # built on first use
+        T.log   # built on first use
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= TABLE_BYTES_PER_ELEMENT * ctx.q + (2 << 20)
+    assert peak <= 8 * ctx.q + (2 << 20)   # two int32 tables
 
 
 def test_trace_table_build_holds_little_beyond_it():
@@ -158,7 +153,7 @@ def test_trace_table_build_holds_little_beyond_it():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not {"exp", "log", "zech"} & T.__dict__.keys()
+    assert "log" not in T.__dict__
     assert peak <= 4 * ctx.q + (2 << 20)   # one int32 per element
 
 
@@ -172,15 +167,16 @@ F3, F5, F9 = build_field(3, 1), build_field(5, 1), build_field(3, 2)
     (VarietySpec.hypersurface_complement(
         1, {(2,): 1}, {(1,): 1, (0,): -1}), F3, 2, True),
     (VarietySpec.torus(1, {(1,): F9.element([0, 1]), (-1,): 1}), F9, 2,
-     True),
+     False),
 ], ids=["affine", "torus", "sl2", "complement", "base-F9"])
-def test_only_complements_and_larger_bases_build_exp_log_zech(
-        v, base, m, built, monkeypatch):
+def test_only_complements_build_log(v, base, m, built, monkeypatch):
     monkeypatch.setattr(tables, "_CACHE", type(tables._CACHE)())
     assert power_sum(v, base, m) == power_sum_naive(v, base, m)
     T = get_tables(build_field(base.p, base.n * m))
-    for name in ("exp", "log", "zech"):
-        assert (name in T.__dict__) == built, name
+    arrays = {name for name, value in vars(T).items()
+              if isinstance(value, np.ndarray)}
+    assert arrays == {"trace_of_code", "const_code"} | ({"log"} if built
+                                                        else set())
 
 
 def test_cache_is_bounded_lru(monkeypatch):
