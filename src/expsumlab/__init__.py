@@ -24,7 +24,7 @@ _EXPORTS = {
         "GaussWeight", "NonStabilizedError", "PiNumber", "RadiusProfile",
         "RadiusSample", "RationalFunctionPi", "digit_sum", "dwork_twist",
         "factorial_valuation", "gauss_valuation", "radius_profile",
-        "robba_index", "symbol_sequence", "taylor_norm_check"),
+        "robba_index", "symbol_sequence"),
     "predict": (
         "BettiSpec", "ChernSpec", "CurveSpec", "NewtonSpec", "betti_degree",
         "chern_degree", "curve_degree", "fermat_chern_spec",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -186,11 +185,7 @@ def run_job(spec: dict):
     command = _require(spec, "command")
     payload = _require(spec, "payload", dict)
     budget = _positive_int(spec.get("budget", DEFAULT_BUDGET), "budget")
-    if "threads" in spec:
-        threads = _positive_int(spec["threads"], "threads")
-    else:
-        threads = _positive_int(os.environ.get("EXPSUMLAB_THREADS", 1),
-                                "EXPSUMLAB_THREADS")
+    threads = _positive_int(spec.get("threads", 1), "threads")
     if command == "sum":
         return _run_sum(payload, budget, threads)
     if command == "lfun":
@@ -356,15 +351,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="expsumlab",
         description="exact exponential-sum L-series laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command takes only the flags it reads
     for name in ("sum", "lfun", "predict", "radius", "index"):
         sp = sub.add_parser(name)
         sp.add_argument("--job", required=True,
                         help="JSON job file (see schemas/job.schema.json)")
-        sp.add_argument("--budget", type=int, default=None)
-        sp.add_argument("--smax", type=int, default=None)
-        sp.add_argument("--grid", default=None,
-                        help="comma-separated rational weights, e.g. 1/4,1/2,1")
-        sp.add_argument("--threads", type=int, default=None)
+        if name != "predict":
+            sp.add_argument("--budget", type=int, default=None)
+        if name in ("radius", "index"):
+            sp.add_argument("--smax", type=int, default=None)
+            sp.add_argument("--grid", default=None, help="comma-separated "
+                            "rational weights, e.g. 1/4,1/2,1")
+        if name in ("sum", "lfun"):
+            sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--out", default=None, help="write JSON report here")
         sp.add_argument("--csv", default=None, help="write CSV export here")
     vp = sub.add_parser("verify")

@@ -1,37 +1,41 @@
 """Point enumeration over F_{q^m} and exact accumulation of character sums.
 
-The fast path encodes field elements by discrete logs (see tables.py) and
-runs the enumeration in blocked numpy integer arrays; per block it counts
-the points by the trace of f(x) mod p, so the exact sum is
-sum_t count[t] * zeta^t with ordinary integer counts.  Three identities cut
-the work.  Tr is F_p-linear, so the trace of f is the sum of its terms'
-traces, each read from the trace table at a code computed by integer
-arithmetic (_trace_sum, for every kind), and no field elements are added.
-On a complement, f = g / h^k is the sum of the terms of g times h^-k, so
-h's code is one more coordinate: h's traces at the scales g^(n-1)..g^0 are
-its trace digits, which the window decoder tables.FieldTables.log turns
-into that code.  In dimension >= 2 a block's last coordinate is a run of
-consecutive codes, so a term reads each row of the block as one window of
-the table, contiguous for exponent 1 in that coordinate and strided
-otherwise; any other term reads the doubled table once per point.  The sum is kept reduced mod p as the
-terms are added, and the classes are counted directly, with no copy of
-the keys.  Each worker thread reuses its block buffers through a level
-(_Scratch) rather than faulting in fresh pages for every block.  The
-coefficients lie in F_q, so x -> x^q permutes the points and fixes
-Tr(f): the first coordinate runs over one representative of each orbit,
-and a block's counts are multiplied by the orbit size.  On
-SL2, f(A) = sum a_n Tr(Sym^n A) is F(t) for t = tr A, and x^2 - t x + 1
-is the characteristic polynomial of Q^2 + Q, Q^2 - Q or Q^2 matrices in
-SL2(F_Q) as it has two roots in F_Q, none, or a double one: Q^2 - Q plus
-Q for each r in F_Q^* with r + 1/r = t.  So in every characteristic S =
-(Q^2 - Q) sum_t psi(Tr F(t)) + Q sum_r psi(Tr F(r + 1/r)), over one
-affine line and one torus.  A naive reference path (power_sum_naive)
-evaluates everything with FqElem arithmetic and is used to cross-check
-the table-driven path on small inputs.
+Every domain is a union of tori.  A^n is the disjoint union over
+coordinate sets S of {x_i = 0, i in S} x G_m^(n - |S|), on which a term
+with a positive exponent in S vanishes and every other term loses S's
+coordinates; a complement of {h = 0} keeps the strata where h does not
+restrict to 0.  On SL2, f(A) = sum a_n Tr(Sym^n A) is F(t) for t = tr A,
+and x^2 - t x + 1 is the characteristic polynomial of Q^2 + Q, Q^2 - Q or
+Q^2 matrices in SL2(F_Q) as it has two roots in F_Q, none, or a double
+one: Q^2 - Q plus Q for each r in F_Q^* with r + 1/r = t.  So
+S = (Q^2 - Q) sum_t psi(Tr F(t)) + Q sum_r psi(Tr F(r + 1/r)) in every
+characteristic, over the strata of one affine line and one torus.
+
+A torus is enumerated by the discrete-log codes of its points (see
+tables.py) in blocked numpy integer arrays, and each block's points are
+counted by the trace of f mod p, so the exact sum is
+sum_t count[t] * zeta^t.  Tr is F_p-linear, so the trace of f is the sum
+of its terms' traces, each read from the trace table at a code computed
+by integer arithmetic (_trace_sum), and no field elements are added.  On
+a complement, f = g / h^k is the sum of the terms of g times h^-k, so h's
+code is one more coordinate, which tables.FieldTables.log decodes from
+h's traces at the scales g^(n-1)..g^0, its trace digits.  In dimension
+>= 2 a block's last coordinate is a run of consecutive codes, so a term
+reads each row of the block as one window of the table, contiguous for
+exponent 1 in that coordinate and strided otherwise; any other term
+reads the doubled table once per point.  The sum is kept mod p and its
+classes are counted with no copy of the keys, in block buffers that each
+worker thread reuses through a level (_Scratch).  The coefficients lie
+in F_q, so x -> x^q permutes the points and fixes Tr(f): the first
+coordinate runs over one representative of each orbit, and a block's
+counts are multiplied by the orbit size.  power_sum_naive, the reference
+path, evaluates everything with FqElem arithmetic and cross-checks the
+table path on small inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -295,7 +299,7 @@ def _enumeration_work(v: VarietySpec, q: int) -> int:
         return q ** v.dim
     if v.kind == TORUS:
         return (q - 1) ** v.dim
-    return q ** 3  # nominal: sl2 sums over the 2q points of _sl2_grids
+    return q ** 3  # nominal: sl2 sums over the 2q points of _grids
 
 
 def _level_work(v: VarietySpec, q: int) -> int:
@@ -316,7 +320,8 @@ def _term_codes(T: FieldTables, base: FieldCtx, terms):
     """(code, exponents) of the terms with a nonzero coefficient, each
     exponent e taken to sign(e) ((|e| - 1) mod N + 1), N = q - 1: the same
     power on nonzero x, at most N in size, so code sums fit int64, and
-    still positive where e is, so a term still vanishes at zero."""
+    still positive where e is, so _restrict drops the term where that
+    coordinate is zero."""
     n = T.group_order
     out = []
     for coef, exps in terms:
@@ -373,10 +378,24 @@ def _strided_windows(table: np.ndarray, n: int, e: int, width: int):
         base, shape=(n, width), strides=(step, e * step), writeable=False)
 
 
-def _trace_sum(T: FieldTables, terms, scale_codes, kind: str,
+def _trace_copies(T: FieldTables, tiles) -> dict:
+    """copies[k][i] = Tr(g^(i mod N)), N = q - 1, i < k N: k = 2, which
+    every term reads, and each k = |e| + 1 in tiles that the windows of a
+    last exponent e read (_trace_sum), where k copies fit the budget's
+    bytes per element.  Unsigned, so a sum of two traces minus p wraps
+    below 0, and as narrow as that sum allows."""
+    p = T.ctx.p
+    kd = next(t for t in (np.uint8, np.uint16, np.uint32)
+              if 2 * (p - 1) <= np.iinfo(t).max)
+    trace = T.trace_of_code[:T.group_order].astype(kd)
+    return {k: np.tile(trace, k) for k in set(tiles) | {2}
+            if k * trace.itemsize <= TABLE_BYTES_PER_ELEMENT}
+
+
+def _trace_sum(T: FieldTables, terms, scale_codes, copies: dict,
                scratch: _Scratch):
-    """evaluate() of every kind: per scale c, Tr(c f) mod p at the points
-    of a block, f the sum of the terms on a domain of the given kind.
+    """evaluate() of a torus: per scale c, Tr(c f) mod p at the points of a
+    block, f the sum of the terms, read from the copies of _trace_copies.
 
     Tr is F_p-linear, so Tr(c f) is the sum over terms of Tr(c * term), and
     no field elements are added.  A term's code is its coefficient's code
@@ -386,38 +405,20 @@ def _trace_sum(T: FieldTables, terms, scale_codes, kind: str,
     outer coordinates are (rows, 1) columns, so their part of the code is
     reduced on a column, col, and row r of a term with exponent e in the
     last coordinate reads the trace table at col_r + e start, then every
-    e-th entry: one window of a table of |e| + 1 copies (_strided_windows),
-    and one fancy index reads all rows.  Every other term, and one whose
-    copies would take more bytes per element than the budget counts for the
-    field's tables, sums its code over all of its coordinates, broadcast,
+    e-th entry: one window of copies[|e| + 1] (_strided_windows), and one
+    fancy index reads all rows.  Every other term, and one whose copies
+    were not made, sums its code over all of its coordinates, broadcast,
     and reduces it mod N once per block; each scale reads the doubled table
-    at col + s.  On affine space and complements a term vanishes where a
-    coordinate with a positive exponent in it is zero, and contributes 0
-    there.  A complement's h is summed here too, at the scale codes
-    n-1..0, for its trace digits, and g's last coordinate is h's code (see
-    _grids), no run, so g builds no windows.  The accumulator starts as the
-    first term's traces and is reduced mod p after each further term, so no
-    key leaves [0, p) and _trace_counts can count the classes directly.
-    The reduction's temporary, and the keys where no read is of the block's
-    shape, are the worker's scratch buffers, so the keys that evaluate
-    yields for a scale hold only until it is resumed."""
-    n, z, p = T.group_order, T.zero_code, T.ctx.p
-    # unsigned, so that the sum of two traces minus p wraps where it is < 0
-    kd = next(t for t in (np.uint8, np.uint16, np.uint32)
-              if 2 * (p - 1) <= np.iinfo(t).max)
-    kp = kd(p)
+    at col + s.  The accumulator starts as the first term's traces and is
+    reduced mod p after each further term, so no key leaves [0, p) and
+    _trace_counts can count the classes directly.  The reduction's
+    temporary, and the keys where no read is of the block's shape, are the
+    worker's scratch buffers, so the keys that evaluate yields for a scale
+    hold only until it is resumed."""
+    n, trace2 = T.group_order, copies[2]
+    kd = trace2.dtype.type
+    kp = kd(T.ctx.p)
     dt = _work_dtype(T, terms)
-    may_vanish = kind != TORUS
-    trace = T.trace_of_code[:n].astype(kd)
-    # copies[k] is the table k times over, copies[k][i] = Tr(g^(i mod N)):
-    # the doubled table, and the |e| + 1 copies that the windows of a last
-    # exponent e in dimension >= 2 read, where they fit the budget's bytes
-    # per element
-    tiles = {abs(exps[-1]) + 1 for _, exps in terms
-             if kind != COMPLEMENT and len(exps) > 1 and exps[-1]}
-    copies = {k: np.tile(trace, k) for k in tiles | {2}
-              if k * trace.itemsize <= TABLE_BYTES_PER_ELEMENT}
-    trace2 = copies[2]
 
     def evaluate(coords, start):
         shape = _block_shape(coords)
@@ -425,40 +426,26 @@ def _trace_sum(T: FieldTables, terms, scale_codes, kind: str,
         for code, exps in terms:
             e = exps[-1] if exps else 0
             window = start is not None and e and abs(e) + 1 in copies
-            col, zero = code, None   # the summed code, where it vanishes
+            col = code
             for e_j, x in zip(exps, coords[:-1] if window else coords):
                 if e_j:
                     x = x.astype(dt, copy=False)
                     col = col + (x if e_j == 1 else e_j * x)
-                    if may_vanish and e_j > 0:
-                        zero = x == z if zero is None else zero | (x == z)
             if window:
-                win = _strided_windows(copies[abs(e) + 1], n, e,
-                                       coords[-1].size)
-                cols = np.flatnonzero(coords[-1] == z) if may_vanish else None
-                parts.append(((col + e * start) % n, win, zero, cols))
+                parts.append(((col + e * start) % n, _strided_windows(
+                    copies[abs(e) + 1], n, e, coords[-1].size)))
             else:
-                if zero is not None:   # as flat positions in col's shape
-                    zero = np.flatnonzero(np.broadcast_to(zero, col.shape))
                 col %= n   # in place: col is a new array or an int
-                parts.append((col, None, zero, None))
+                parts.append((col, None))
         # windows and block-shaped reads first: their traces are fresh
         # arrays of the block's shape, which the accumulator can start as
         parts.sort(key=lambda part: part[1] is None
                    and np.shape(part[0]) != shape)
         for s in scale_codes:
             acc = None
-            for col, win, zero, cols in parts:
-                if win is None:
-                    t = trace2[col + s]
-                    if zero is not None:
-                        t.put(zero, 0)
-                else:
-                    t = win[np.ravel((col + s) % n)]
-                    if zero is not None:
-                        t[zero.ravel()] = 0
-                    if cols is not None:
-                        t[..., cols] = 0
+            for col, win in parts:
+                t = trace2[col + s] if win is None else \
+                    win[np.ravel((col + s) % n)]
                 if acc is None:
                     acc = t
                     if np.shape(t) != shape:
@@ -473,6 +460,31 @@ def _trace_sum(T: FieldTables, terms, scale_codes, kind: str,
                 acc = scratch("keys", shape, kd)
                 acc.fill(0)
             yield acc.ravel()
+
+    return evaluate
+
+
+def _complement_sum(T: FieldTables, g_sum, h_digits, dt,
+                    scratch: _Scratch):
+    """evaluate() of a complement's stratum: g_sum sums g with h's code as
+    its last coordinate, and h_digits yields h's traces at the scale codes
+    n-1..0, its trace digits, on which Horner in p is the index that T.log
+    decodes into h's code.  Index 0 is h = 0, and its points are dropped."""
+    p, log = T.ctx.p, T.log   # log built here, not in a worker
+
+    def evaluate(coords, start):
+        shape = _block_shape(coords)
+        index = scratch("h_index", (math.prod(shape),), dt)
+        index.fill(0)
+        for d in h_digits(coords, start):
+            index *= p
+            index += d
+        # "clip" takes unbuffered, so into the worker's buffer; every index
+        # is below q anyway
+        h = np.take(log, index, mode="clip",
+                    out=scratch("h", index.shape, log.dtype)).reshape(shape)
+        keep = index != 0
+        return (keys[keep] for keys in g_sum(coords + [h], None))
 
     return evaluate
 
@@ -523,28 +535,19 @@ def _frobenius_orbits(n: int, q: int, m: int):
     return orbits
 
 
-def _frobenius_grids(T: FieldTables, base: FieldCtx, lengths, dt, evaluate,
-                     weight: int = 1):
-    """The (axes, weight, evaluate) grids of a domain whose coordinates run
-    over the codes below `lengths` (T.q: every element, T.q - 1: the
-    nonzero ones), each point standing for `weight` points.  Every axis but
-    the first is the run of codes 0, 1, ..., len - 1.
+def _frobenius_grids(orbits, run, dim: int, weight: int, evaluate):
+    """The (axes, weight, evaluate) grids of the torus G_m^dim, each point
+    standing for `weight` points.  Every axis but the first is `run`, the
+    codes 0, 1, ..., q - 2 of the nonzero elements.
 
     The coefficients lie in F_q, so x -> x^q permutes the points and fixes
-    Tr(f).  The first coordinate therefore runs over orbit representatives
-    only, in one grid per orbit size, whose points stand for `size` times
-    as many.  The zero code is a fixed point."""
-    if not lengths:
+    Tr(f).  The first coordinate therefore runs over the representatives
+    of `orbits` (see _frobenius_orbits) only, in one grid per orbit size,
+    whose points stand for `size` times as many."""
+    if not dim:
         return [((), weight, evaluate)]
-    rest = tuple(np.arange(n, dtype=dt) for n in lengths[1:])
-    grids = []
-    for size, first in _frobenius_orbits(T.group_order, base.q,
-                                         T.ctx.n // base.n):
-        first = first.astype(dt)
-        if size == 1 and lengths[0] == T.q:
-            first = np.append(first, dt(T.zero_code))
-        grids.append(((first,) + rest, weight * size, evaluate))
-    return grids
+    return [((reps,) + (run,) * (dim - 1), weight * size, evaluate)
+            for size, reps in orbits]
 
 
 def _grid_blocks(lengths):
@@ -640,74 +643,88 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     return totals
 
 
+def _restrict(terms, zero):
+    """The terms on the stratum {x_i = 0 where zero[i]}: a term with a
+    positive exponent in a zero coordinate vanishes there, and every other
+    term loses those coordinates.  Coordinates past `zero` are kept."""
+    return [(code, tuple(e for e, z in itertools.zip_longest(
+        exps, zero, fillvalue=False) if not z))
+            for code, exps in terms
+            if not any(z and e > 0 for e, z in zip(exps, zero))]
+
+
+def _strata(dim: int, weight: int, f, h=None, torus: bool = False) -> list:
+    """The strata of A^dim (see the module docstring), or G_m^dim alone if
+    torus, as (dimension, weight, f, h or None) with the terms _restrict'ed
+    to each, less the strata where h restricts to 0."""
+    out = []
+    for zero in itertools.product((False,) if torus else (False, True),
+                                  repeat=dim):
+        h_zero = None if h is None else _restrict(h, zero)
+        if h_zero != []:
+            out.append((dim - sum(zero), weight, _restrict(f, zero), h_zero))
+    return out
+
+
 def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
            scratch: _Scratch):
     """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate)
-    triples (see _frobenius_grids).  evaluate(coords, start) yields, for
-    each scale code, a flat array of the traces of c*f in [0, p) at the
-    block's points that lie on X, which may be one of the thread's scratch
-    arrays; start is the code the last coordinate starts at when it is a
-    run of codes, else None (see _grid_coords)."""
-    dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
+    triples, each over a torus (see _frobenius_grids).  evaluate(coords,
+    start) yields, for each scale code, a flat array of the traces of c*f
+    in [0, p) at the block's points that lie on X, which may be one of the
+    thread's scratch arrays; start is the code the last coordinate starts
+    at when it is a run of codes, else None (see _grid_coords).
+
+    Every domain is a union of tori (_strata); the term codes, the copies
+    of the trace table and the Frobenius orbits are made once for all."""
+    q, n = T.q, T.group_order
+    codes = functools.partial(_term_codes, T, base)
     if v.kind == SL2:
-        return _sl2_grids(T, v, base, scale_codes, dt, scratch)
+        f, g = map(codes, _sl2_terms(v.sl2_coeffs))
+        tori = _strata(1, q * q - q, f) + _strata(1, q, g, torus=True)
+    elif v.kind == COMPLEMENT:
+        # Tr(c g / h^k) is the sum of Tr(c t h^-k) over the terms t of g:
+        # h's code is one more, last coordinate, with exponent -k
+        tori = _strata(v.dim, 1, codes([(c, e + (-v.k,)) for c, e in v.g]),
+                       codes(v.h))
+    else:
+        tori = _strata(v.dim, 1, codes(v.terms), torus=v.kind == TORUS)
 
-    lengths = (T.q - 1 if v.kind == TORUS else T.q,) * v.dim
-    if v.kind != COMPLEMENT:
-        return _frobenius_grids(T, base, lengths, dt, _trace_sum(
-            T, _term_codes(T, base, v.terms), scale_codes, v.kind, scratch))
-
-    # Tr(c g / h^k) is the sum over the terms t of g of Tr(c t h^-k), so h's
-    # code is one more coordinate, with exponent -k in every term of g.  h's
-    # traces at the scale codes n-1..0 are its trace digits Tr(g^j h), and
-    # Horner in p on them is the index that T.log decodes into h's code;
-    # index 0 is h = 0
-    p, log = T.ctx.p, T.log   # log built here, not in a worker
-    digits = _trace_sum(T, _term_codes(T, base, v.h),
-                        range(T.ctx.n - 1, -1, -1), AFFINE, scratch)
-    traces = _trace_sum(T, _term_codes(T, base, [(c, e + (-v.k,))
-                                                  for c, e in v.g]),
-                        scale_codes, COMPLEMENT, scratch)
-
-    def evaluate(coords, start):
-        shape = _block_shape(coords)
-        index = scratch("h_index", (math.prod(shape),), dt)
-        index.fill(0)
-        for d in digits(coords, start):
-            index *= p
-            index += d
-        # "clip" takes unbuffered, so into the worker's buffer; every index
-        # is below q anyway
-        h = np.take(log, index, mode="clip",
-                    out=scratch("h", index.shape, log.dtype)).reshape(shape)
-        keep = index != 0
-        return (keys[keep] for keys in traces(coords + [h], None))
-    return _frobenius_grids(T, base, lengths, dt, evaluate)
+    # the windows are read by the terms summed with the last coordinate a
+    # run of codes: f's, or on a complement h's, in dimension >= 2
+    copies = _trace_copies(T, {
+        abs(e[-1]) + 1 for dim, _, f, h in tori if dim > 1
+        for _, e in (f if h is None else h) if e[-1]})
+    dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
+    orbits = [(size, reps.astype(dt)) for size, reps in
+              _frobenius_orbits(n, base.q, T.ctx.n // base.n)]
+    # the axes past the first, made only where a torus has them
+    run = np.arange(n, dtype=dt) if any(t[0] > 1 for t in tori) else None
+    grids = []
+    for dim, weight, f, h in tori:
+        evaluate = _trace_sum(T, f, scale_codes, copies, scratch)
+        if h is not None:
+            evaluate = _complement_sum(T, evaluate, _trace_sum(
+                T, h, range(T.ctx.n - 1, -1, -1), copies, scratch),
+                dt, scratch)
+        grids += _frobenius_grids(orbits, run, dim, weight, evaluate)
+    return grids
 
 
-def _sl2_grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
-               dt, scratch: _Scratch):
-    """SL2(F_Q) through the trace (see the module docstring): F(t) on the
-    line of traces, each point standing for Q^2 - Q matrices, and G(r) =
-    F(r + 1/r) on the torus, each point standing for Q.  s_n follows
-    sym_trace's recurrence as an integer polynomial in t, and s_n(r + 1/r)
-    is r^n + r^(n-2) + ... + r^(-n)."""
+def _sl2_terms(coeffs) -> tuple:
+    """SL2(F_Q) through the trace (see the module docstring): the terms of
+    F(t), summed over the line of traces, each point standing for Q^2 - Q
+    matrices, and of G(r) = F(r + 1/r), summed over the torus, each point
+    standing for Q.  s_n follows sym_trace's recurrence as an integer
+    polynomial in t, and s_n(r + 1/r) is r^n + r^(n-2) + ... + r^(-n)."""
     f_terms, g_terms = [], []
     s_prev, s = [1], [0, 1]   # s_0 and s_1
-    for n, a in enumerate(v.sl2_coeffs, start=1):
+    for n, a in enumerate(coeffs, start=1):
         f_terms += [(a * c, (k,)) for k, c in enumerate(s) if c]
         g_terms += [(a, (n - 2 * j,)) for j in range(n + 1)]
         s_prev, s = s, _exactpoly.add(_exactpoly.mul([0, 1], s),
                                       _exactpoly.neg(s_prev))
-    f = _term_codes(T, base, _normalize_terms(f_terms))
-    g = _term_codes(T, base, _normalize_terms(g_terms))
-    q = T.q
-    return (_frobenius_grids(T, base, (q,), dt,
-                             _trace_sum(T, f, scale_codes, AFFINE, scratch),
-                             weight=q * q - q)
-            + _frobenius_grids(T, base, (q - 1,), dt,
-                               _trace_sum(T, g, scale_codes, TORUS, scratch),
-                               weight=q))
+    return _normalize_terms(f_terms), _normalize_terms(g_terms)
 
 
 def _counts_to_cyclotomic(p: int, counts) -> CyclotomicInt:

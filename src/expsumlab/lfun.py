@@ -53,11 +53,6 @@ class LSeries:
     certified_order: int
     bezout: tuple = ()  # (u, v) with u*P + v*Q = 1, the coprimality witness
 
-    def expansion(self, order=None) -> TruncatedSeries:
-        order = self.certified_order if order is None else order
-        return TruncatedSeries(self.p, tuple(
-            expand_quotient(list(self.P), list(self.Q), order)))
-
     def to_json(self) -> dict:
         def dump(poly):
             return [[[c.numerator, c.denominator] for c in coef.coords]

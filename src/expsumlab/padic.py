@@ -510,29 +510,6 @@ def radius_profile(g: RationalFunctionPi, lam_grid=DEFAULT_GRID,
     return RadiusProfile(p, tuple(samples), (outer, inner))
 
 
-def taylor_norm_check(lam: Fraction, r_weight: Fraction, p: int,
-                      truncation: int = 8) -> Fraction:
-    """Gauss valuation in y of sum_(nu>=1) y^nu / t^(nu+1) with |t| = p^(-lam)
-    and y-weight r_weight > lam: the minimum is at nu = 1 with value
-    r_weight - 2 lam (the valuation of r/rho^2).  Exercises gauss_valuation
-    on the coefficient field; raises if the truncation misses the minimum."""
-    lam, r_weight = Fraction(lam), Fraction(r_weight)
-    if not r_weight > lam:
-        raise ValueError("need r_weight > lam (inner radius strictly smaller)")
-    if truncation < 1:
-        raise ValueError("truncation too short to attain the minimum")
-    w = GaussWeight(lam)
-    vals = []
-    for nu in range(1, truncation + 1):
-        coef = RationalFunctionPi.monomial_ratio(p, 1, nu + 1)  # 1/t^(nu+1)
-        vals.append(gauss_valuation(coef, w) + nu * r_weight)
-    best = min(vals)
-    if vals[0] != best:
-        raise ValueError("minimum not attained at nu = 1; truncation invalid")
-    assert best == r_weight - 2 * lam
-    return best
-
-
 def robba_index(profile: RadiusProfile) -> int:
     """Index (Euler characteristic) of the operator on a closed annulus:
     d log R / d log rho at the inner radius minus the same at the outer

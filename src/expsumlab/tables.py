@@ -19,8 +19,10 @@ SL2 read only traces and the codes of the constants, so
 FieldTables.__init__ builds only trace_of_code, with one blocked product
 over F_p, and const_code.  log is built on first use, by complements,
 whose h is decoded from its trace digits.  A base field larger than F_p
-embeds into its subfield of codes r u, r = (q - 1)/(q_b - 1), and
-embed_root and embed find a code there by comparing trace digits.
+embeds into its subfield of codes r u, r = (q - 1)/(q_b - 1): embed_root
+finds a root of the base modulus there by its trace digits, and embed
+looks the digits of an image up among the subfield codes' trace windows,
+both computed once per base.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class FieldTables:
             c = c * h % p
         self.const_code = const
 
-        self._embed_roots: dict = {}
+        self._embeddings: dict = {}
 
     @cached_property
     def log(self) -> np.ndarray:
@@ -166,16 +168,25 @@ class FieldTables:
         return np.arange(0, self.group_order, self.group_order
                          // (base.q - 1), dtype=np.int64)
 
-    def embed_root(self, base: FieldCtx) -> int:
-        """Smallest code of a root of the base modulus in this field
-        (cached).  The roots lie in the subfield, and y = modulus(g^k) is
-        zero exactly where all of its trace digits are."""
+    def _embedding(self, base: FieldCtx):
+        """(root, windows) for the base field, cached: root is the smallest
+        code of a root of the base modulus in this field, and windows maps
+        the trace digits of each subfield code u, as a tuple, to u.  The
+        roots lie in the subfield, and y = modulus(g^k) is zero exactly
+        where all of its trace digits are."""
         key = (base.p, base.n, base.modulus)
-        if key not in self._embed_roots:
+        if key not in self._embeddings:
             codes = self._subfield_codes(base)
             roots = codes[~self._trace_digits(codes, base.modulus).any(0)]
-            self._embed_roots[key] = int(roots[0])   # deg | n: one exists
-        return self._embed_roots[key]
+            windows = zip(map(tuple, self._trace_digits(codes).T.tolist()),
+                          codes.tolist())
+            # deg | n: a root exists
+            self._embeddings[key] = int(roots[0]), dict(windows)
+        return self._embeddings[key]
+
+    def embed_root(self, base: FieldCtx) -> int:
+        """Smallest code of a root of the base modulus in this field."""
+        return self._embedding(base)[0]
 
     def embed(self, x: FqElem, base: FieldCtx) -> int:
         """Code of the image of a base-field element under the cached
@@ -183,9 +194,9 @@ class FieldTables:
         of sum_i x_i root^i.  A prime-field element is its constant."""
         if x.in_prime_field():
             return int(self.const_code[x.coeffs[0]])
-        codes = self._subfield_codes(base)
-        digits = self._trace_digits(self.embed_root(base), x.coeffs)
-        return int(codes[(self._trace_digits(codes) == digits).all(0)][0])
+        root, windows = self._embedding(base)
+        digits = self._trace_digits(root, x.coeffs)[:, 0]
+        return windows[tuple(digits.tolist())]
 
 
 _CACHE: OrderedDict = OrderedDict()

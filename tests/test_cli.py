@@ -316,15 +316,18 @@ def test_integral_numbers_are_read_as_ints(tmp_path, capsys):
     assert run(capsys, ["sum", "--job", job]) == want
 
 
-@pytest.mark.parametrize("value", ["0", "abc"])
-def test_exit_code_bad_threads_env(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("EXPSUMLAB_THREADS", value)
-    job = write_job(tmp_path, "sum.json", SUM_JOB)
-    code, out, err = run(capsys, ["sum", "--job", job])
-    assert code == cli.EXIT_SCHEMA and "EXPSUMLAB_THREADS" in err and not out
-    # an explicit thread count does not consult the default
-    code, out, _ = run(capsys, ["sum", "--job", job, "--threads", "1"])
-    assert code == cli.EXIT_OK and out
+@pytest.mark.parametrize("argv", [
+    ["sum", "--smax", "7"], ["sum", "--grid", "1/2,1"],
+    ["lfun", "--smax", "7"], ["predict", "--threads", "4"],
+    ["predict", "--smax", "3"], ["predict", "--budget", "1000"],
+    ["radius", "--threads", "2"], ["index", "--threads", "2"]],
+                         ids=" ".join)
+def test_flags_a_command_ignores_are_refused(tmp_path, capsys, argv):
+    job = write_job(tmp_path, "job.json", {"command": argv[0], "payload": {}})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + ["--job", job] + argv[1:])
+    assert exc.value.code == cli.EXIT_SCHEMA
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("smax", sorted(BAD_SMAX_JOBS, key=str))

@@ -324,16 +324,68 @@ def test_constant_function_gives_point_counts():
 
 
 def test_affine_line_decomposes_as_origin_plus_torus():
-    # A^1 = {0} + G_m pointwise for several f
-    for terms in ({(1,): 1}, {(2,): 1, (1,): 3}, {(3,): 2, (0,): 1}):
-        va = VarietySpec.affine_space(1, terms)
-        vt = VarietySpec.torus(1, terms)
-        f0 = terms.get((0,), 0)
-        for m in (1, 2):
-            lhs = power_sum(va, F5, m)
-            # the origin contributes psi(Tr f(0)) = psi(m * f0) at level m
-            rhs = power_sum(vt, F5, m) + additive_character(5, m * f0)
+    # A^n is the disjoint union over coordinate sets S of {x_i = 0, i in S}
+    # x G_m^(n - |S|): on each stratum a term with a positive exponent in S
+    # vanishes and every other term loses S's coordinates.  On the line
+    # that is the torus plus the origin, whose G_m^0 sum is psi(m f(0))
+    cases = [({(1,): 1}, F5, (1, 2)), ({(2,): 1, (1,): 3}, F5, (1, 2)),
+             ({(3,): 2, (0,): 1}, F5, (1, 2)),
+             ({(2, 1): 1, (1, 0): -1, (0, 0): 2}, F3, (1, 2)),
+             ({(1, 1): 1, (0, 3): 2, (2, 0): 1, (0, 1): 1}, F5, (1, 2)),
+             ({(1, 0, 1): 1, (0, 1, 2): 2, (2, 1, 0): 1, (0, 0, 1): 1,
+               (0, 0, 0): 1}, F3, (1, 2)),
+             ({(1, 1, 1): 2, (0, 2, 0): 1, (3, 0, 0): 1}, F2, (1, 2, 3))]
+    for terms, base, levels in cases:
+        dim = len(next(iter(terms)))
+        strata = []
+        for zero in itertools.product((False, True), repeat=dim):
+            restricted = {tuple(e for e, z in zip(exps, zero) if not z): c
+                          for exps, c in terms.items()
+                          if not any(e and z for e, z in zip(exps, zero))}
+            strata.append(VarietySpec.torus(dim - sum(zero), restricted))
+        for m in levels:
+            lhs = power_sum(VarietySpec.affine_space(dim, terms), base, m)
+            rhs = CyclotomicInt.zero(base.p)
+            for v in strata:
+                rhs = rhs + power_sum(v, base, m)
             assert lhs == rhs
+            if dim == 1:
+                f0 = terms.get((0,), 0)
+                assert power_sum(strata[-1], base, m) == additive_character(
+                    base.p, m * f0)
+
+
+@pytest.mark.parametrize("v,base", [
+    pytest.param(VarietySpec.sl2([1, 2]), F3, id="sl2"),
+    pytest.param(VarietySpec.hypersurface_complement(
+        2, {(2, 1): 1, (0, 1): 2, (1, 0): 1}, {(1, 1): 1, (0, 0): 1}, 2),
+                 F3, id="dim2-complement"),
+    pytest.param(NEWTON_DEGENERATE, F3, id="plane"),
+])
+def test_every_grid_is_a_torus(monkeypatch, v, base):
+    # affine space, complements and SL2's line of traces are summed over
+    # their coordinate strata: no axis holds the zero code, and one set of
+    # Frobenius orbits serves every stratum of a level
+    grids, orbits = es._grids, es._frobenius_orbits
+    levels, orbit_levels = [], []
+
+    def spied_grids(T, *args):
+        out = grids(T, *args)
+        levels.append(T.ctx.n)
+        for axes, _, _ in out:
+            assert not any(np.any(axis == T.zero_code) for axis in axes)
+        return out
+
+    def spied_orbits(n, q, m):
+        orbit_levels.append(m)
+        return orbits(n, q, m)
+
+    monkeypatch.setattr(es, "_grids", spied_grids)
+    monkeypatch.setattr(es, "_frobenius_orbits", spied_orbits)
+    seq = power_sum_table(v, base, 3)[0]
+    assert levels == [1, 2, 3] and orbit_levels == [1, 2, 3]
+    assert seq.values[:2] == tuple(power_sum_naive(v, base, m)
+                                   for m in (1, 2))
 
 
 def test_galois_equivariance():

@@ -10,8 +10,7 @@ from expsumlab.padic import (DEFAULT_GRID, INF, GaussWeight,
                              NonStabilizedError, PiNumber, RadiusProfile,
                              RadiusSample, RationalFunctionPi, digit_sum,
                              dwork_twist, factorial_valuation, gauss_valuation,
-                             radius_profile, robba_index, symbol_sequence,
-                             taylor_norm_check)
+                             radius_profile, robba_index, symbol_sequence)
 from expsumlab.padic import (_VP_BLOCK, _cleared, _estimate_radius,
                              _row_valuations, _symbol_numerators, _vp_array,
                              _vp_int)
@@ -428,18 +427,6 @@ def test_robba_index_synthetic():
     frac = profile([(1, 1), (2, 2), (3, 4)], (Fraction(1), Fraction(3, 2)))
     with pytest.raises(ValueError):
         robba_index(frac)
-
-
-def test_taylor_norm_check():
-    assert taylor_norm_check(1, 2, 3) == 0
-    assert taylor_norm_check(Fraction(1, 2), Fraction(3, 2), 5) == Fraction(1, 2)
-    # approaching the weight from above: value tends to -lam = v(1/rho)
-    eps = Fraction(1, 1000)
-    assert taylor_norm_check(1, 1 + eps, 3) == eps - 1
-    with pytest.raises(ValueError):
-        taylor_norm_check(1, 1, 3)
-    with pytest.raises(ValueError):
-        taylor_norm_check(1, 2, 3, truncation=0)
 
 
 def test_rational_function_algebra():

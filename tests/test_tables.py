@@ -123,6 +123,25 @@ def test_tables_match_field_arithmetic(ctx, monkeypatch):
             check_embedding(T, base, every_element=k < n)
 
 
+def test_embed_reads_the_subfield_windows_once(monkeypatch):
+    # every element of F_{5^4} into its own tables: the windows of the 624
+    # subfield codes are computed on the first call only, and each image
+    # is Horner's rule at the root
+    ctx = build_field(5, 4)
+    T = FieldTables(ctx)
+    trace_digits, windows = T._trace_digits, []
+
+    def spied(codes, coeffs=(0, 1)):
+        if tuple(coeffs) == (0, 1):
+            windows.append(np.size(codes))
+        return trace_digits(codes, coeffs)
+
+    monkeypatch.setattr(T, "_trace_digits", spied)
+    check_embedding(T, ctx, every_element=True)
+    assert T.embed_root(ctx) == first_root_code(T, ctx)
+    assert windows == [T.group_order]
+
+
 @pytest.mark.parametrize("p,n", [(5, 8), (3, 12)])
 def test_tables_spot_checks_on_large_fields(p, n):
     T = FieldTables(build_field(p, n))
