@@ -8,18 +8,18 @@ import importlib
 
 _EXPORTS = {
     "expsum": (
-        "BudgetExceededError", "PowerSumSequence", "ScaleCheckReport",
-        "VarietySpec", "count_points", "multiply_terms", "power_sum",
-        "power_sum_naive", "power_sum_table", "scaled_degree_check",
-        "sym_trace"),
+        "BudgetExceededError", "ScaleCheckReport", "VarietySpec",
+        "count_points", "multiply_terms", "power_sum", "power_sum_naive",
+        "power_sum_table", "scaled_degree_check", "sym_trace"),
     "ffield": (
         "CrossContextError", "CyclotomicInt", "CyclotomicRat", "FieldCtx",
         "FqElem", "additive_character", "build_field", "galois_twist",
         "trace", "trace_to_prime"),
     "lfun": (
-        "LSeries", "ReconstructionError", "TruncatedSeries", "degree",
-        "exp_power_sums", "log_derivative_check", "pade_reconstruct",
-        "reconstruct_auto", "total_degree"),
+        "LSeries", "PowerSumSequence", "ReconstructionError",
+        "TruncatedSeries", "degree", "exp_power_sums",
+        "log_derivative_check", "pade_reconstruct", "reconstruct_auto",
+        "total_degree"),
     "padic": (
         "GaussWeight", "NonStabilizedError", "PiNumber", "RadiusProfile",
         "RadiusSample", "RationalFunctionPi", "digit_sum", "dwork_twist",

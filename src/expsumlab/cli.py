@@ -142,35 +142,41 @@ def _parse_grid(text_or_list):
 
 def _parse_prediction(doc: dict):
     kind = _require(doc, "kind")
+
+    def num(key):
+        return _positive_int(doc[key], key, least=None)
+
+    def nums(key, entries=None):
+        return tuple(_positive_int(x, key, least=None)
+                     for x in (doc[key] if entries is None else entries))
+
     try:
         if kind == "chern":
-            spec = predict.ChernSpec(int(doc["n"]), tuple(doc["d"]),
-                                     tuple(doc["e"]))
+            spec = predict.ChernSpec(num("n"), nums("d"), nums("e"))
             value = predict.chern_degree(spec)
             return {"kind": kind, "predicted_degree": abs(value),
                     "signed_euler": value}
         if kind == "curve":
-            spec = predict.CurveSpec(int(doc["g"]), int(doc["c"]),
-                                     int(doc["m"]), int(doc["d"]))
+            spec = predict.CurveSpec(num("g"), num("c"), num("m"), num("d"))
             return {"kind": kind,
                     "predicted_degree": predict.curve_degree(spec)}
         if kind == "betti":
-            spec = predict.BettiSpec(int(doc["n"]), tuple(doc["b"]))
+            spec = predict.BettiSpec(num("n"), nums("b"))
             deg, bound = predict.betti_degree(spec)
             return {"kind": kind, "predicted_degree": deg,
                     "total_bound": bound}
         if kind == "newton":
-            spec = predict.NewtonSpec(int(doc["n"]),
-                                      tuple(tuple(v) for v in doc["support"]))
+            spec = predict.NewtonSpec(num("n"), tuple(
+                nums("support", v) for v in doc["support"]))
             value, degenerate = predict.newton_report(spec)
             return {"kind": kind, "predicted_degree": value,
                     "degenerate": degenerate}
         if kind == "sl2":
             return {"kind": kind,
-                    "predicted_degree": predict.sl2_degree(int(doc["N"]))}
+                    "predicted_degree": predict.sl2_degree(num("N"))}
         if kind == "fermat":
             return {"kind": kind,
-                    **predict.fermat_discrepancy_report(int(doc["n"]))}
+                    **predict.fermat_discrepancy_report(num("n"))}
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"bad {kind} prediction payload: {exc}") from exc
     raise SchemaError(f"unknown prediction kind {kind!r}")

@@ -41,14 +41,15 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _exactpoly
+from . import _exactpoly, lfun
 from .ffield import (CyclotomicInt, FieldCtx, FqElem, additive_character,
                      build_field, galois_twist, trace_to_prime)
+from .lfun import PowerSumSequence
 from .tables import (_CHUNK, TABLE_BYTES_PER_ELEMENT, FieldTables,
                      get_tables)
 
@@ -231,37 +232,6 @@ class VarietySpec:
         raise ValueError(f"unsupported variety kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class PowerSumSequence:
-    """S_1..S_M over the base field F_q, q = p^n, as exact cyclotomic integers."""
-
-    p: int
-    n: int
-    values: tuple
-    progress: tuple = field(default=(), compare=False)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, m: int) -> CyclotomicInt:
-        """S_m, 1-indexed."""
-        if not 1 <= m <= len(self.values):
-            raise IndexError(f"level {m} not computed")
-        return self.values[m - 1]
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "n": self.n,
-                "records": [{"m": i + 1, "coords": list(v.coords)}
-                            for i, v in enumerate(self.values)]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PowerSumSequence":
-        p = int(doc["p"])
-        vals = [CyclotomicInt(p, rec["coords"]) for rec in
-                sorted(doc["records"], key=lambda r: r["m"])]
-        return cls(p, int(doc["n"]), tuple(vals))
-
-
 def count_points(v: VarietySpec, base: FieldCtx, m: int,
                  budget: int = DEFAULT_BUDGET) -> int:
     """#X(k_m) where k_m = F_{q^m}."""
@@ -369,33 +339,20 @@ class _Scratch(threading.local):
 
 def _strided_windows(table: np.ndarray, n: int, e: int, width: int):
     """A read-only (n, width) view whose row c is table[c], table[c + e],
-    ..., table[c + e (width - 1)], over a table of |e| + 1 copies of n
-    entries.  With e < 0 the rows start in the last copy and step back.
-    Either way they stay inside the table while width <= n + 1."""
+    ..., table[c + e (width - 1)], over the doubled table of 2n entries.
+    With e < 0 the rows start in the second half and step back.  Either
+    way they stay inside the table while |e| (width - 1) <= n, as the
+    width of every block that reads windows is (see _grids)."""
+    assert abs(e) * (width - 1) <= n, "window past the doubled table"
     step = table.itemsize
-    base = table[len(table) - n:] if e < 0 else table
+    base = table[n:] if e < 0 else table
     return np.lib.stride_tricks.as_strided(
         base, shape=(n, width), strides=(step, e * step), writeable=False)
 
 
-def _trace_copies(T: FieldTables, tiles) -> dict:
-    """copies[k][i] = Tr(g^(i mod N)), N = q - 1, i < k N: k = 2, which
-    every term reads, and each k = |e| + 1 in tiles that the windows of a
-    last exponent e read (_trace_sum), where k copies fit the budget's
-    bytes per element.  Unsigned, so a sum of two traces minus p wraps
-    below 0, and as narrow as that sum allows."""
-    p = T.ctx.p
-    kd = next(t for t in (np.uint8, np.uint16, np.uint32)
-              if 2 * (p - 1) <= np.iinfo(t).max)
-    trace = T.trace_of_code[:T.group_order].astype(kd)
-    return {k: np.tile(trace, k) for k in set(tiles) | {2}
-            if k * trace.itemsize <= TABLE_BYTES_PER_ELEMENT}
-
-
-def _trace_sum(T: FieldTables, terms, scale_codes, copies: dict,
-               scratch: _Scratch):
+def _trace_sum(T: FieldTables, terms, scale_codes, scratch: _Scratch):
     """evaluate() of a torus: per scale c, Tr(c f) mod p at the points of a
-    block, f the sum of the terms, read from the copies of _trace_copies.
+    block, f the sum of the terms, read from the doubled trace table.
 
     Tr is F_p-linear, so Tr(c f) is the sum over terms of Tr(c * term), and
     no field elements are added.  A term's code is its coefficient's code
@@ -405,17 +362,17 @@ def _trace_sum(T: FieldTables, terms, scale_codes, copies: dict,
     outer coordinates are (rows, 1) columns, so their part of the code is
     reduced on a column, col, and row r of a term with exponent e in the
     last coordinate reads the trace table at col_r + e start, then every
-    e-th entry: one window of copies[|e| + 1] (_strided_windows), and one
-    fancy index reads all rows.  Every other term, and one whose copies
-    were not made, sums its code over all of its coordinates, broadcast,
-    and reduces it mod N once per block; each scale reads the doubled table
-    at col + s.  The accumulator starts as the first term's traces and is
-    reduced mod p after each further term, so no key leaves [0, p) and
-    _trace_counts can count the classes directly.  The reduction's
+    e-th entry: one window of the table (_strided_windows), which the
+    block's width keeps inside it (see _grids), and one fancy index reads
+    all rows.  Every other term sums its code over all of its coordinates,
+    broadcast, and reduces it mod N once per block; each scale reads the
+    table at col + s.  The accumulator starts as the first term's traces
+    and is reduced mod p after each further term, so no key leaves [0, p)
+    and _trace_counts can count the classes directly.  The reduction's
     temporary, and the keys where no read is of the block's shape, are the
     worker's scratch buffers, so the keys that evaluate yields for a scale
     hold only until it is resumed."""
-    n, trace2 = T.group_order, copies[2]
+    n, trace2 = T.group_order, T.trace_of_code
     kd = trace2.dtype.type
     kp = kd(T.ctx.p)
     dt = _work_dtype(T, terms)
@@ -425,7 +382,7 @@ def _trace_sum(T: FieldTables, terms, scale_codes, copies: dict,
         parts = []
         for code, exps in terms:
             e = exps[-1] if exps else 0
-            window = start is not None and e and abs(e) + 1 in copies
+            window = start is not None and e
             col = code
             for e_j, x in zip(exps, coords[:-1] if window else coords):
                 if e_j:
@@ -433,7 +390,7 @@ def _trace_sum(T: FieldTables, terms, scale_codes, copies: dict,
                     col = col + (x if e_j == 1 else e_j * x)
             if window:
                 parts.append(((col + e * start) % n, _strided_windows(
-                    copies[abs(e) + 1], n, e, coords[-1].size)))
+                    trace2, n, e, coords[-1].size)))
             else:
                 col %= n   # in place: col is a new array or an int
                 parts.append((col, None))
@@ -535,31 +492,34 @@ def _frobenius_orbits(n: int, q: int, m: int):
     return orbits
 
 
-def _frobenius_grids(orbits, run, dim: int, weight: int, evaluate):
-    """The (axes, weight, evaluate) grids of the torus G_m^dim, each point
-    standing for `weight` points.  Every axis but the first is `run`, the
-    codes 0, 1, ..., q - 2 of the nonzero elements.
+def _frobenius_grids(orbits, run, dim: int, weight: int, evaluate, width):
+    """The (axes, weight, evaluate, width) grids of the torus G_m^dim, each
+    point standing for `weight` points, whose blocks are at most `width`
+    wide along the last axis (see _grid_blocks).  Every axis but the first
+    is `run`, the codes 0, 1, ..., q - 2 of the nonzero elements.
 
     The coefficients lie in F_q, so x -> x^q permutes the points and fixes
     Tr(f).  The first coordinate therefore runs over the representatives
     of `orbits` (see _frobenius_orbits) only, in one grid per orbit size,
     whose points stand for `size` times as many."""
     if not dim:
-        return [((), weight, evaluate)]
-    return [((reps,) + (run,) * (dim - 1), weight * size, evaluate)
+        return [((), weight, evaluate, None)]
+    return [((reps,) + (run,) * (dim - 1), weight * size, evaluate, width)
             for size, reps in orbits]
 
 
-def _grid_blocks(lengths):
+def _grid_blocks(lengths, width):
     """Blocks of at most _BLOCK points covering the grid of all index tuples
     below `lengths`, last coordinate fastest.  A block (o0, o1, i0, i1) is a
-    run of indices into the outer coordinates times a chunk of the last one;
-    the last coordinate is split too, so the bound holds in every dimension.
-    An empty `lengths` is the one-point grid of dimension 0."""
+    run of indices into the outer coordinates times a chunk of the last one,
+    at most `width` wide unless width is None (see _grids), and as many rows
+    as fit; the last coordinate is split too, so the bound holds in every
+    dimension.  An empty `lengths` is the one-point grid of
+    dimension 0."""
     *outer, last = lengths or (1,)
     n_outer = math.prod(outer)
-    rows = max(1, _BLOCK // last)
-    chunk = min(last, _BLOCK)
+    chunk = min(last, width or _BLOCK, _BLOCK)
+    rows = max(1, _BLOCK // chunk)
     for o0 in range(0, n_outer, rows):
         o1 = min(o0 + rows, n_outer)
         for i0 in range(0, last, chunk):
@@ -615,9 +575,9 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
 
     # one set of block buffers per worker thread, for this level only
     scratch = _Scratch()
-    tasks = [(axes, weight, evaluate, block) for axes, weight, evaluate
+    tasks = [(axes, weight, evaluate, block) for axes, weight, evaluate, width
              in _grids(T, v, base, scale_codes, scratch)
-             for block in _grid_blocks(tuple(len(a) for a in axes))]
+             for block in _grid_blocks(tuple(len(a) for a in axes), width)]
 
     def count(task):
         axes, weight, evaluate, block = task
@@ -668,15 +628,18 @@ def _strata(dim: int, weight: int, f, h=None, torus: bool = False) -> list:
 
 def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
            scratch: _Scratch):
-    """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate)
-    triples, each over a torus (see _frobenius_grids).  evaluate(coords,
+    """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate,
+    width), each over a torus (see _frobenius_grids).  evaluate(coords,
     start) yields, for each scale code, a flat array of the traces of c*f
     in [0, p) at the block's points that lie on X, which may be one of the
     thread's scratch arrays; start is the code the last coordinate starts
-    at when it is a run of codes, else None (see _grid_coords).
+    at when it is a run of codes, else None (see _grid_coords).  There each
+    term with last exponent e reads a row of the block as a window of the
+    doubled trace table, |e| apart, so a torus of dimension >= 2 caps its
+    blocks' width at N // max |e| + 1, the longest such window that fits.
 
-    Every domain is a union of tori (_strata); the term codes, the copies
-    of the trace table and the Frobenius orbits are made once for all."""
+    Every domain is a union of tori (_strata); the term codes and the
+    Frobenius orbits are made once for all."""
     q, n = T.q, T.group_order
     codes = functools.partial(_term_codes, T, base)
     if v.kind == SL2:
@@ -690,24 +653,23 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
     else:
         tori = _strata(v.dim, 1, codes(v.terms), torus=v.kind == TORUS)
 
-    # the windows are read by the terms summed with the last coordinate a
-    # run of codes: f's, or on a complement h's, in dimension >= 2
-    copies = _trace_copies(T, {
-        abs(e[-1]) + 1 for dim, _, f, h in tori if dim > 1
-        for _, e in (f if h is None else h) if e[-1]})
     dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
-    orbits = [(size, reps.astype(dt)) for size, reps in
+    orbits = [(size, reps.astype(dt, copy=False)) for size, reps in
               _frobenius_orbits(n, base.q, T.ctx.n // base.n)]
     # the axes past the first, made only where a torus has them
     run = np.arange(n, dtype=dt) if any(t[0] > 1 for t in tori) else None
     grids = []
     for dim, weight, f, h in tori:
-        evaluate = _trace_sum(T, f, scale_codes, copies, scratch)
+        evaluate = _trace_sum(T, f, scale_codes, scratch)
         if h is not None:
             evaluate = _complement_sum(T, evaluate, _trace_sum(
-                T, h, range(T.ctx.n - 1, -1, -1), copies, scratch),
-                dt, scratch)
-        grids += _frobenius_grids(orbits, run, dim, weight, evaluate)
+                T, h, range(T.ctx.n - 1, -1, -1), scratch), dt, scratch)
+        # the windows are read by the terms summed with the last coordinate
+        # a run of codes: f's, or on a complement h's, in dimension >= 2
+        e = max((abs(x[-1]) for _, x in (f if h is None else h)),
+                default=0) if dim > 1 else 0
+        grids += _frobenius_grids(orbits, run, dim, weight, evaluate,
+                                  n // e + 1 if e else None)
     return grids
 
 
@@ -880,8 +842,6 @@ def scaled_degree_check(v: VarietySpec, base: FieldCtx, c, M: int, *,
     """Compare L-series invariants of f and c*f (c nonzero in F_q); also
     verifies S_m(c f) = galois_twist(S_m(f), c) when c is a prime-field
     scalar."""
-    from . import lfun
-
     if isinstance(c, FqElem):
         c_is_prime = c.in_prime_field()
         c_int = c.coeffs[0] if c_is_prime else None

@@ -15,12 +15,11 @@ exact; polynomials are little-endian lists of CyclotomicRat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._exactpoly import (add, derivative, divmod_, expand_quotient, mul, neg,
                          trim, xgcd)
-from .expsum import PowerSumSequence
 from .ffield import CyclotomicInt, CyclotomicRat
 
 
@@ -29,6 +28,37 @@ class ReconstructionError(RuntimeError):
 
 
 # -- domain types --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PowerSumSequence:
+    """S_1..S_M over the base field F_q, q = p^n, as exact cyclotomic integers."""
+
+    p: int
+    n: int
+    values: tuple
+    progress: tuple = field(default=(), compare=False)
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, m: int) -> CyclotomicInt:
+        """S_m, 1-indexed."""
+        if not 1 <= m <= len(self.values):
+            raise IndexError(f"level {m} not computed")
+        return self.values[m - 1]
+
+    def to_json(self) -> dict:
+        return {"p": self.p, "n": self.n,
+                "records": [{"m": i + 1, "coords": list(v.coords)}
+                            for i, v in enumerate(self.values)]}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "PowerSumSequence":
+        p = int(doc["p"])
+        vals = [CyclotomicInt(p, rec["coords"]) for rec in
+                sorted(doc["records"], key=lambda r: r["m"])]
+        return cls(p, int(doc["n"]), tuple(vals))
+
 
 @dataclass(frozen=True)
 class TruncatedSeries:

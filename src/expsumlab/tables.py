@@ -5,11 +5,14 @@ generator g (code e  <->  g^e, e in [0, q-1)); the zero element gets the
 extra code q-1.  Multiplication is then index addition mod q-1, and the
 trace is F_p-linear, so a sum of terms has the sum of their traces: no
 field element is ever added.  Everything is integer-valued, so numpy
-integer vector ops stay exact.  The tables are int32 arrays of length q:
+integer vector ops stay exact.  With N = q - 1 the tables are
 
-  trace_of_code[e]  trace of g^e to F_p, 0 at the zero code
-  log[i]            the code k whose trace window sum_j Tr(g^(k+j)) p^j,
-                    j < n, is i; log[0] is the zero code
+  trace_of_code[i]  Tr(g^(i mod N)) to F_p for i < 2N, unsigned and as
+                    narrow as a sum of two traces allows; a sum of two
+                    codes below N and a window of N + 1 entries read it
+  log[i]            the int32 code k whose trace window
+                    sum_j Tr(g^(k+j)) p^j, j < n, is i; log[0] is the
+                    zero code
 
 The trace form is nondegenerate and g^0..g^(n-1) is a basis, so
 y -> (Tr(g^j y))_{j<n} is a bijection from F_q onto F_p^n, and for y = g^k
@@ -35,9 +38,8 @@ import numpy as np
 
 from .ffield import FieldCtx, FqElem, _factor
 
-# the work budget's units per table element: trace_of_code and log are
-# int32, and each set of copies of the trace table that a sum reads must
-# fit in it (see expsum._trace_sum)
+# the work budget's units per table element: the doubled trace_of_code
+# (2 to 8 bytes) and the int32 log fit in it
 TABLE_BYTES_PER_ELEMENT = 16
 _CACHE_SIZE = 8
 _CHUNK = 1 << 16  # elements per pass of the table builds
@@ -92,13 +94,18 @@ class FieldTables:
         form = np.array(tr_pow)[np.add.outer(np.arange(n), np.arange(n))]
         W = form @ _power_rows(_mul_matrix(ctx, gen), L, p).T % p
         V = _power_rows(_mul_matrix(ctx, gen ** L), -(-N // L), p)
-        tr = np.zeros(q, dtype=np.int32)     # tr[q-1] = 0: the zero element
+        # unsigned, so a sum of two traces minus p wraps below 0 (see
+        # expsum._trace_sum)
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32)
+                     if 2 * (p - 1) <= np.iinfo(t).max)
+        tr = np.empty(2 * N, dtype=dtype)
         rows = max(1, _CHUNK // L)
         for i in range(0, V.shape[0], rows):
             block = V[i:i + rows] @ W
             np.remainder(block, p, out=block)
             stop = min((i + rows) * L, N)
             tr[i * L:stop] = block.reshape(-1)[:stop - i * L]
+        tr[N:] = tr[:N]
         self.trace_of_code = tr
 
         # the constants: h = g^(N/(p-1)) generates F_p^*, so the code of
@@ -117,8 +124,8 @@ class FieldTables:
     def log(self) -> np.ndarray:
         """The window decoder: log[sum_j Tr(g^(k+j)) p^j] = k, j < n, and
         log[0] is the zero code.  The codes go through in _CHUNK runs, and
-        a run's digit j is a slice of the trace table shifted by j; the
-        last run reads past g^(q-2) on from g^0."""
+        a run's digit j is a slice of the doubled trace table shifted by
+        j."""
         n, p, N, tr = self.ctx.n, self.ctx.p, self.group_order, \
             self.trace_of_code
         log = np.full(self.q, -1, dtype=np.int32)
@@ -126,8 +133,6 @@ class FieldTables:
         for start in range(0, N, _CHUNK):
             stop = min(start + _CHUNK, N)
             run = tr[start:stop + n - 1]
-            if stop + n - 1 > N:
-                run = np.concatenate([tr[start:N], tr[:stop + n - 1 - N]])
             index = np.zeros(stop - start, dtype=np.int64)
             for j in reversed(range(n)):   # Horner in p on the digits
                 index *= p

@@ -95,6 +95,10 @@ PREDICT_JOBS = [
     )]
 BETTI_JOB, FERMAT_JOB = PREDICT_JOBS[2], PREDICT_JOBS[5]
 
+
+def _with_prediction(doc, **fields):
+    return {**doc, "payload": {**doc["payload"], **fields}}
+
 BAD_SUM_JOB = {"command": "sum", "payload": {"base": {"p": 3}}}
 
 # threads below the schema's minimum of 1
@@ -127,6 +131,17 @@ NOT_INT_JOBS = {
     "exponent=1.9": _with_variety(SUM_JOB, f=[[1, [2, 1.9]], [-1, [1, 0]]]),
     "coefficient=2.6": _with_variety(SUM_JOB,
                                      f=[[2.6, [2, 1]], [-1, [1, 0]]]),
+    # the integer fields of a prediction, list entries too
+    "g=0.5": _with_prediction(PREDICT_JOBS[1], g=0.5),
+    "N=true": _with_prediction(PREDICT_JOBS[4], N=True),
+    "n=2.9": _with_prediction(PREDICT_JOBS[0], n=2.9),
+    "support=1.5": _with_prediction(PREDICT_JOBS[3], n=1,
+                                    support=[[1.5], [-1]]),
+    "b=1.5": _with_prediction(BETTI_JOB, n=2, b=[1.5]),
+    # the prediction of an lfun job
+    "d=2.5": {**KLOOSTERMAN_JOB, "payload": {
+        **KLOOSTERMAN_JOB["payload"],
+        "predict": {**KLOOSTERMAN_JOB["payload"]["predict"], "d": 2.5}}},
 }
 
 # symbol depths the schema refuses: not an integer, or below 2
@@ -302,9 +317,12 @@ def test_exit_code_threads_below_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("field", sorted(NOT_INT_JOBS))
 def test_exit_code_field_not_an_integer(tmp_path, capsys, field):
-    job = write_job(tmp_path, "word.json", NOT_INT_JOBS[field])
-    code, out, err = run(capsys, ["sum", "--job", job])
-    assert code == cli.EXIT_SCHEMA and field.split("=")[0] in err and not out
+    doc = NOT_INT_JOBS[field]
+    job = write_job(tmp_path, "word.json", doc)
+    code, out, err = run(capsys, [doc["command"], "--job", job])
+    name = field.split("=")[0]
+    assert code == cli.EXIT_SCHEMA and not out
+    assert f"{name} must be an integer" in err
 
 
 def test_integral_numbers_are_read_as_ints(tmp_path, capsys):
@@ -647,9 +665,30 @@ F9_TORUS_REPORT = (
     '{"coords":[236,0],"m":5},{"coords":[-478,0],"m":6}]}\n')
 
 
+# x y + x y^2 + ... + x y^7 on A^2 over F_5 through level 5: seven last
+# exponents, whose windows all read the one doubled trace table
+MULTI_EXPONENT_JOB = {"command": "sum", "payload": {
+    "base": {"p": 5},
+    "variety": {"kind": "affine", "dim": 2,
+                "f": [[1, [1, k]] for k in range(1, 8)]},
+    "levels": 5}}
+
+# report bytes of MULTI_EXPONENT_JOB, recorded when each last exponent e
+# read its own |e| + 1 copies of the trace table
+MULTI_EXPONENT_REPORT = (
+    '{"command":"sum","n":1,"p":5,"points":[25,625,15625,390625,9765625],'
+    '"progress":[{"m":1,"points":25},{"m":2,"points":625},'
+    '{"m":3,"points":15625},{"m":4,"points":390625},'
+    '{"m":5,"points":9765625}],'
+    '"records":[{"coords":[5,0,0,0],"m":1},{"coords":[25,0,0,0],"m":2},'
+    '{"coords":[125,0,0,0],"m":3},{"coords":[625,0,0,0],"m":4},'
+    '{"coords":[3125,0,0,0],"m":5}]}\n')
+
+
 @pytest.mark.parametrize("doc,report", [
-    (COMPLEMENT5_JOB, COMPLEMENT5_REPORT), (F9_TORUS_JOB, F9_TORUS_REPORT)],
-    ids=["complement-f5", "torus-f9"])
+    (COMPLEMENT5_JOB, COMPLEMENT5_REPORT), (F9_TORUS_JOB, F9_TORUS_REPORT),
+    (MULTI_EXPONENT_JOB, MULTI_EXPONENT_REPORT)],
+    ids=["complement-f5", "torus-f9", "multi-exponent-f5"])
 def test_sum_report_bytes(tmp_path, capsys, doc, report):
     job = write_job(tmp_path, "job.json", doc)
     code, out, _ = run(capsys, ["sum", "--job", job])
@@ -666,7 +705,8 @@ def test_job_documents_match_schema():
     for doc in [SUM_JOB, KLOOSTERMAN_JOB, DWORK_JOB, RADIUS_JOB, SCALE_JOB,
                 COMPLEMENT_JOB, SL2_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
                 UNCERTIFIED_JOB, DWORK5_JOB, KLOOSTERMAN5_JOB,
-                COMPLEMENT5_JOB, F9_TORUS_JOB] + PREDICT_JOBS:
+                COMPLEMENT5_JOB, F9_TORUS_JOB,
+                MULTI_EXPONENT_JOB] + PREDICT_JOBS:
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)
     assert not any(validator.is_valid(doc) for doc in NO_THREADS_JOBS)

@@ -372,7 +372,7 @@ def test_every_grid_is_a_torus(monkeypatch, v, base):
     def spied_grids(T, *args):
         out = grids(T, *args)
         levels.append(T.ctx.n)
-        for axes, _, _ in out:
+        for axes, _, _, _ in out:
             assert not any(np.any(axis == T.zero_code) for axis in axes)
         return out
 
@@ -420,12 +420,15 @@ def _size_checked(evaluate, sizes):
     pytest.param(VarietySpec.sl2([1]), F2, 2, id="sl2"),
     pytest.param(VarietySpec.torus(2, {(1, 1): 1, (2, -1): 2, (0, 1): 1,
                                        (1, 0): 1}), F3, 2, id="torus-dim2"),
-    # 16 copies of the trace table would outweigh the field's tables, so
-    # y z^16 is gathered
+    # z^16 is z^8 on F_9^*: y z^16 reads windows 8 apart, so the blocks
+    # are 2 wide, the most that fit in the doubled trace table
     pytest.param(VarietySpec.affine_space(3, {(1, 0, 1): 1, (0, 1, 2): 2,
                                               (2, 1, 0): 1, (0, 0, 1): 1,
                                               (0, 1, 16): 1}),
                  F3, 2, id="affine-dim3"),
+    # rows read backwards, 3 apart, in blocks 8 // 3 + 1 = 3 wide
+    pytest.param(VarietySpec.torus(2, {(1, -3): 1, (2, 1): 2, (0, -1): 1}),
+                 F3, 2, id="torus-last-exponent-minus-3"),
 ])
 def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
     # blocks of at most 7 points split the last coordinate of every grid,
@@ -436,8 +439,8 @@ def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
     def spied(*args):
         out = grids(*args)
         grid_points.extend(math.prod(map(len, axes)) for axes, *_ in out)
-        return [(axes, weight, _size_checked(evaluate, sizes))
-                for axes, weight, evaluate in out]
+        return [(axes, weight, _size_checked(evaluate, sizes), width)
+                for axes, weight, evaluate, width in out]
 
     monkeypatch.setattr(es, "_BLOCK", 7)
     monkeypatch.setattr(es, "_grids", spied)
@@ -539,6 +542,34 @@ def test_plane_level_memory_is_bounded():
         tracemalloc.stop()
     assert got == CyclotomicInt.from_int(5, 5 ** 6)
     assert peak <= 4 << 20
+
+
+# x y + x y^2 + ... + x y^7 on A^2: seven last exponents in one sum
+MULTI_EXPONENT = VarietySpec.affine_space(2, {(1, k): 1 for k in range(1, 8)})
+
+
+def test_grids_hold_within_the_table_budget():
+    # one level of MULTI_EXPONENT over F_5 at m = 6, tables prebuilt: every
+    # window reads the one doubled trace table, so what _grids builds (the
+    # axes and orbit representatives, about 5 bytes per element measured)
+    # stays within the budget's bytes per table element, where copies of
+    # the table for each last exponent took 40
+    T = es.get_tables(build_field(5, 6))
+    tracemalloc.start()
+    try:
+        grids = es._grids(T, MULTI_EXPONENT, F5, [int(T.const_code[1])],
+                          es._Scratch())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= es.TABLE_BYTES_PER_ELEMENT * T.q
+    # the three strata of dimension >= 1 in one grid per orbit size d | 6,
+    # and the origin; the plane's blocks are as wide as a window 7 apart
+    # allows
+    assert len(grids) == 13
+    assert {width for *_, width in grids} == {None, 15624 // 7 + 1}
+    assert power_sum(MULTI_EXPONENT, F5, 2) == \
+        power_sum_naive(MULTI_EXPONENT, F5, 2)
 
 
 def test_plane_level_reuses_block_buffers():

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expsumlab import lfun
 from expsumlab._exactpoly import (add, divmod_, expand_quotient, mul, neg,
                                   trim, xgcd)
 from expsumlab.ffield import CyclotomicRat
@@ -21,6 +26,19 @@ def rationals(series):
 
 def poly_rationals(poly):
     return [c.as_rational() for c in poly]
+
+
+def test_lfun_import_leaves_the_enumeration_and_numpy_out():
+    # L-series assembly is exact rational arithmetic over Q(zeta_p): it
+    # reads power sums and needs neither expsum nor numpy
+    src = str(Path(lfun.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, expsumlab.lfun; print(sorted(set(sys.modules) & "
+            "{'numpy', 'expsumlab.expsum'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 # -- exp of power sums ----------------------------------------------------------

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from expsumlab import tables
-from expsumlab.expsum import VarietySpec, power_sum, power_sum_naive
+from expsumlab.expsum import (VarietySpec, _counts_to_cyclotomic, power_sum,
+                              power_sum_naive)
 from expsumlab.ffield import FieldCtx, build_field, trace_to_prime
 from expsumlab.tables import FieldTables, get_tables
 
@@ -62,7 +63,7 @@ def check_codes(T, codes, traces_at):
 
 def check_constants(T):
     ctx, z = T.ctx, T.zero_code
-    assert T.trace_of_code[z] == 0 and T.log[0] == z
+    assert T.log[0] == z
     for c in range(ctx.p):
         assert element_of(T, int(T.const_code[c])) == ctx.from_int(c)
         assert T.embed(ctx.from_int(c), ctx) == T.const_code[c]
@@ -112,6 +113,9 @@ def test_tables_match_field_arithmetic(ctx, monkeypatch):
         assert t.in_prime_field()
         traces.append(t.coeffs[0])
     check_codes(T, range(order), lambda e: traces[e % order])
+    # the sequence twice over, in the narrowest unsigned type
+    assert T.trace_of_code.dtype == np.uint8
+    assert T.trace_of_code.tolist() == traces * 2
     assert sorted(T.log) == list(range(T.q))
     for e in sampled_codes(T, 50):
         assert T.trace_of_code[e] == trace_to_prime(powers[e])
@@ -152,6 +156,23 @@ def test_tables_spot_checks_on_large_fields(p, n):
         check_embedding(T, build_field(p, k), every_element=k == 2)
 
 
+def test_trace_table_widens_past_p_128():
+    # 2 (p - 1) > 255 at p = 131, so a sum of two traces needs 16 bits; on
+    # F_p the trace of g^e is g^e itself
+    F131 = build_field(131, 1)
+    T = FieldTables(F131)
+    assert T.trace_of_code.dtype == np.uint16
+    assert T.trace_of_code.tolist() == \
+        [(T.generator ** e).coeffs[0] for e in range(2 * 130)]
+    # x y + 5 x^2 / y^3 - y on the torus, counted by its values in Z/131
+    counts = [0] * 131
+    for x in range(1, 131):
+        for y in range(1, 131):
+            counts[(x * y + 5 * x * x * pow(y, -3, 131) - y) % 131] += 1
+    v = VarietySpec.torus(2, {(1, 1): 1, (2, -3): 5, (0, 1): -1})
+    assert power_sum(v, F131, 1) == _counts_to_cyclotomic(131, counts)
+
+
 def test_table_build_holds_little_beyond_the_tables():
     ctx = build_field(3, 12)
     tracemalloc.start()
@@ -161,7 +182,8 @@ def test_table_build_holds_little_beyond_the_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * ctx.q + (2 << 20)   # two int32 tables
+    # the int32 log and the doubled uint8 trace table
+    assert peak <= 6 * ctx.q + (2 << 20)
 
 
 def test_trace_table_build_holds_little_beyond_it():
@@ -173,7 +195,7 @@ def test_trace_table_build_holds_little_beyond_it():
     finally:
         tracemalloc.stop()
     assert "log" not in T.__dict__
-    assert peak <= 4 * ctx.q + (2 << 20)   # one int32 per element
+    assert peak <= 2 * ctx.q + (2 << 20)   # two uint8 per element
 
 
 F3, F5, F9 = build_field(3, 1), build_field(5, 1), build_field(3, 2)
