@@ -11,6 +11,18 @@ one: Q^2 - Q plus Q for each r in F_Q^* with r + 1/r = t.  So
 S = (Q^2 - Q) sum_t psi(Tr F(t)) + Q sum_r psi(Tr F(r + 1/r)) in every
 characteristic, over the strata of one affine line and one torus.
 
+On a torus stratum where f = A(x') y + B(x') is linear in a coordinate y
+(exponent 0 or 1 in every term; A = 0 if f does not use y), y is summed
+out by character orthogonality: over y in F_Q^*, Tr(c A y) takes each
+value of F_p Q/p times, 0 once less, where A != 0, and is 0 where A = 0.
+So the stratum's histogram is (Q/p) #{A != 0} + Q H_0 - H, where H counts
+Tr(c B) over the points x' and H_0 over those where A = 0: integers,
+equal class by class to the enumerated counts, on one coordinate fewer.
+A monomial A never vanishes on a torus; otherwise A = 0 exactly where its
+trace digits do.  One coordinate is summed out per stratum, the one whose
+A has the fewest terms (the last on a tie); a complement's strata are
+enumerated whole, as h's code is their last coordinate.
+
 A torus is enumerated by the discrete-log codes of its points (see
 tables.py) in blocked numpy integer arrays, and each block's points are
 counted by the trace of f mod p, so the exact sum is
@@ -446,6 +458,53 @@ def _complement_sum(T: FieldTables, g_sum, h_digits, dt,
     return evaluate
 
 
+def _linear_sum(T: FieldTables, a, b_sum, scratch: _Scratch):
+    """evaluate() of a torus stratum with f = A(x') y + B(x') and the
+    coordinate y summed out: each point x' of the block stands for the
+    Q - 1 points (x', y), y in F_Q^*.  Where A(x') != 0, A y runs over
+    F_Q^* with y, on which each trace in F_p is taken Q/p times but 0 once
+    less, so class t receives Q/p - [t = Tr(c B)]; where A(x') = 0, class
+    Tr(c B) receives Q - 1.  The block's histogram is therefore
+    (Q/p) #{A != 0} + Q H_0 - H, with H the histogram of Tr(c B) that
+    b_sum's keys give and H_0 that of the points where A = 0, all in
+    integers.
+
+    A monomial is never 0 on a torus, and A with no terms always is;
+    otherwise A = 0 exactly where its trace digits Tr(g^j A), j < n, all
+    are, read as a complement's h is, and or-ed into the worker's buffer
+    before b_sum reuses the scratch keys."""
+    Q, p = T.q, T.ctx.p
+    digits = _trace_sum(T, a, range(T.ctx.n), scratch) if len(a) > 1 \
+        else None
+
+    def evaluate(coords, start):
+        shape = _block_shape(coords)
+        size = math.prod(shape)
+        if digits is None:
+            n0 = 0 if a else size   # how many points have A = 0
+        else:
+            nonzero = scratch("a", (size,), T.trace_of_code.dtype)
+            nonzero.fill(0)
+            for d in digits(coords, start):
+                nonzero |= d
+            zero = np.equal(nonzero, 0, out=scratch("a_zero", (size,), bool))
+            n0 = int(np.count_nonzero(zero))
+        for keys in b_sum(coords, start):
+            h = _trace_counts(keys, p, scratch)
+            h0 = h if n0 == size else [0] * p if not n0 else \
+                _trace_counts(keys[zero], p, scratch)
+            yield [Q // p * (size - n0) + Q * z - t for t, z in zip(h, h0)]
+
+    return evaluate
+
+
+def _counted(evaluate, p: int, scratch: _Scratch):
+    """The evaluate() that yields the trace histogram of each flat array of
+    keys in [0, p) that `evaluate` yields."""
+    return lambda coords, start: (_trace_counts(keys, p, scratch)
+                                  for keys in evaluate(coords, start))
+
+
 def _trace_counts(keys: np.ndarray, p: int, scratch: _Scratch) -> list:
     """How many of the keys, each in [0, p), take each value, as ints.
 
@@ -581,8 +640,7 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
 
     def count(task):
         axes, weight, evaluate, block = task
-        return weight, [_trace_counts(keys, p, scratch) for keys in
-                        evaluate(*_grid_coords(axes, block))]
+        return weight, list(evaluate(*_grid_coords(axes, block)))
 
     # one block in flight per thread, and no more threads than cores
     workers = min(threads or 1, os.cpu_count() or 1)
@@ -626,21 +684,38 @@ def _strata(dim: int, weight: int, f, h=None, torus: bool = False) -> list:
     return out
 
 
+def _linear_coordinate(f, dim: int) -> Optional[int]:
+    """The coordinate y of a torus stratum to sum out (see _linear_sum): one
+    whose exponent is 0 or 1 in every term of f, so that f = A y + B, the
+    one whose A has the fewest terms, and the last one on a tie; None if no
+    coordinate qualifies.  A coordinate that f does not use has A = 0."""
+    best = None
+    for y in range(dim):
+        if all(exps[y] in (0, 1) for _, exps in f):
+            size = sum(exps[y] for _, exps in f)
+            if best is None or size <= best[0]:
+                best = size, y
+    return None if best is None else best[1]
+
+
 def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
            scratch: _Scratch):
     """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate,
     width), each over a torus (see _frobenius_grids).  evaluate(coords,
-    start) yields, for each scale code, a flat array of the traces of c*f
-    in [0, p) at the block's points that lie on X, which may be one of the
-    thread's scratch arrays; start is the code the last coordinate starts
-    at when it is a run of codes, else None (see _grid_coords).  There each
-    term with last exponent e reads a row of the block as a window of the
-    doubled trace table, |e| apart, so a torus of dimension >= 2 caps its
-    blocks' width at N // max |e| + 1, the longest such window that fits.
+    start) yields, for each scale code, the block's histogram of the traces
+    of c*f at its points that lie on X, p ints; start is the code the last
+    coordinate starts at when it is a run of codes, else None (see
+    _grid_coords).  There each term with last exponent e reads a row of
+    the block as a window of the doubled trace table, |e| apart, so a torus
+    of dimension >= 2 caps its blocks' width at N // max |e| + 1, the
+    longest such window that fits.
 
     Every domain is a union of tori (_strata); the term codes and the
-    Frobenius orbits are made once for all."""
-    q, n = T.q, T.group_order
+    Frobenius orbits are made once for all.  A torus on which f is linear
+    in a coordinate (_linear_coordinate) has it summed out (_linear_sum),
+    so its grid has one coordinate fewer; a complement's strata keep every
+    coordinate, as h's code is their last."""
+    q, n, p = T.q, T.group_order, T.ctx.p
     codes = functools.partial(_term_codes, T, base)
     if v.kind == SL2:
         f, g = map(codes, _sl2_terms(v.sl2_coeffs))
@@ -656,18 +731,30 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
     dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
     orbits = [(size, reps.astype(dt, copy=False)) for size, reps in
               _frobenius_orbits(n, base.q, T.ctx.n // base.n)]
-    # the axes past the first, made only where a torus has them
-    run = np.arange(n, dtype=dt) if any(t[0] > 1 for t in tori) else None
+    run = None   # the axes past the first, made only where a torus has them
     grids = []
     for dim, weight, f, h in tori:
-        evaluate = _trace_sum(T, f, scale_codes, scratch)
-        if h is not None:
-            evaluate = _complement_sum(T, evaluate, _trace_sum(
-                T, h, range(T.ctx.n - 1, -1, -1), scratch), dt, scratch)
+        y = None if h is not None else _linear_coordinate(f, dim)
+        if y is not None:
+            dim -= 1
+            a, f = ([(code, x[:y] + x[y + 1:]) for code, x in f if x[y] == k]
+                    for k in (1, 0))
+            evaluate = _linear_sum(T, a, _trace_sum(T, f, scale_codes,
+                                                    scratch), scratch)
+            read = a + f
+        else:
+            evaluate = _trace_sum(T, f, scale_codes, scratch)
+            if h is not None:
+                evaluate = _complement_sum(T, evaluate, _trace_sum(
+                    T, h, range(T.ctx.n - 1, -1, -1), scratch), dt, scratch)
+            evaluate = _counted(evaluate, p, scratch)
+            read = f if h is None else h
         # the windows are read by the terms summed with the last coordinate
-        # a run of codes: f's, or on a complement h's, in dimension >= 2
-        e = max((abs(x[-1]) for _, x in (f if h is None else h)),
-                default=0) if dim > 1 else 0
+        # a run of codes: f's (A's and B's), or on a complement h's, in
+        # dimension >= 2
+        e = max((abs(x[-1]) for _, x in read), default=0) if dim > 1 else 0
+        if dim > 1 and run is None:
+            run = np.arange(n, dtype=dt)
         grids += _frobenius_grids(orbits, run, dim, weight, evaluate,
                                   n // e + 1 if e else None)
     return grids

@@ -665,8 +665,8 @@ F9_TORUS_REPORT = (
     '{"coords":[236,0],"m":5},{"coords":[-478,0],"m":6}]}\n')
 
 
-# x y + x y^2 + ... + x y^7 on A^2 over F_5 through level 5: seven last
-# exponents, whose windows all read the one doubled trace table
+# x y + x y^2 + ... + x y^7 on A^2 over F_5 through level 5: linear in x,
+# with A = y + ... + y^7 of seven terms
 MULTI_EXPONENT_JOB = {"command": "sum", "payload": {
     "base": {"p": 5},
     "variety": {"kind": "affine", "dim": 2,
@@ -685,10 +685,56 @@ MULTI_EXPONENT_REPORT = (
     '{"coords":[3125,0,0,0],"m":5}]}\n')
 
 
+# x y + x y^2 + ... + x y^7 on G_m^2 over F_2 through level 9: linear in
+# x, with A = y + ... + y^7, which vanishes where y is a 7th root of unity
+# other than 1, so at levels 3, 6 and 9 only
+MULTI_TORUS_F2_JOB = {"command": "sum", "payload": {
+    "base": {"p": 2},
+    "variety": {"kind": "torus", "dim": 2,
+                "f": [[1, [1, k]] for k in range(1, 8)]},
+    "levels": 9}}
+
+# report bytes of MULTI_TORUS_F2_JOB, recorded when every point of the
+# torus was enumerated
+MULTI_TORUS_F2_REPORT = (
+    '{"command":"sum","n":1,"p":2,'
+    '"points":[1,9,49,225,961,3969,16129,65025,261121],'
+    '"progress":[{"m":1,"points":1},{"m":2,"points":9},{"m":3,"points":49},'
+    '{"m":4,"points":225},{"m":5,"points":961},{"m":6,"points":3969},'
+    '{"m":7,"points":16129},{"m":8,"points":65025},'
+    '{"m":9,"points":261121}],'
+    '"records":[{"coords":[-1],"m":1},{"coords":[-3],"m":2},'
+    '{"coords":[41],"m":3},{"coords":[-15],"m":4},{"coords":[-31],"m":5},'
+    '{"coords":[321],"m":6},{"coords":[-127],"m":7},'
+    '{"coords":[-255],"m":8},{"coords":[2561],"m":9}]}\n')
+
+# the plane x^2 y - x on A^2 over F_5 through level 6
+PLANE_F5_JOB = {"command": "sum", "payload": {
+    "base": {"p": 5},
+    "variety": {"kind": "affine", "dim": 2,
+                "f": [[1, [2, 1]], [-1, [1, 0]]]},
+    "levels": 6}}
+
+# report bytes of PLANE_F5_JOB, recorded when every point of each
+# coordinate stratum was enumerated
+PLANE_F5_REPORT = (
+    '{"command":"sum","n":1,"p":5,'
+    '"points":[25,625,15625,390625,9765625,244140625],'
+    '"progress":[{"m":1,"points":25},{"m":2,"points":625},'
+    '{"m":3,"points":15625},{"m":4,"points":390625},'
+    '{"m":5,"points":9765625},{"m":6,"points":244140625}],'
+    '"records":[{"coords":[5,0,0,0],"m":1},{"coords":[25,0,0,0],"m":2},'
+    '{"coords":[125,0,0,0],"m":3},{"coords":[625,0,0,0],"m":4},'
+    '{"coords":[3125,0,0,0],"m":5},{"coords":[15625,0,0,0],"m":6}]}\n')
+
+
 @pytest.mark.parametrize("doc,report", [
     (COMPLEMENT5_JOB, COMPLEMENT5_REPORT), (F9_TORUS_JOB, F9_TORUS_REPORT),
-    (MULTI_EXPONENT_JOB, MULTI_EXPONENT_REPORT)],
-    ids=["complement-f5", "torus-f9", "multi-exponent-f5"])
+    (MULTI_EXPONENT_JOB, MULTI_EXPONENT_REPORT),
+    (MULTI_TORUS_F2_JOB, MULTI_TORUS_F2_REPORT),
+    (PLANE_F5_JOB, PLANE_F5_REPORT)],
+    ids=["complement-f5", "torus-f9", "multi-exponent-f5",
+         "multi-exponent-torus-f2", "plane-f5"])
 def test_sum_report_bytes(tmp_path, capsys, doc, report):
     job = write_job(tmp_path, "job.json", doc)
     code, out, _ = run(capsys, ["sum", "--job", job])
@@ -705,8 +751,8 @@ def test_job_documents_match_schema():
     for doc in [SUM_JOB, KLOOSTERMAN_JOB, DWORK_JOB, RADIUS_JOB, SCALE_JOB,
                 COMPLEMENT_JOB, SL2_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
                 UNCERTIFIED_JOB, DWORK5_JOB, KLOOSTERMAN5_JOB,
-                COMPLEMENT5_JOB, F9_TORUS_JOB,
-                MULTI_EXPONENT_JOB] + PREDICT_JOBS:
+                COMPLEMENT5_JOB, F9_TORUS_JOB, MULTI_EXPONENT_JOB,
+                MULTI_TORUS_F2_JOB, PLANE_F5_JOB] + PREDICT_JOBS:
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)
     assert not any(validator.is_valid(doc) for doc in NO_THREADS_JOBS)

@@ -25,6 +25,9 @@ F7 = build_field(7, 1)
 F9 = build_field(3, 2)
 
 NEWTON_DEGENERATE = VarietySpec.affine_space(2, {(2, 1): 1, (1, 0): -1})
+# x^2 y^2 - x: linear in no coordinate of its torus, whose sum therefore
+# reads the windows of the trace table
+SQUARE_PLANE = VarietySpec.affine_space(2, {(2, 2): 1, (1, 0): -1})
 KLOOSTERMAN = VarietySpec.torus(1, {(1,): 1, (-1,): 1})
 TORUS_LINEAR = VarietySpec.torus(1, {(1,): 1})
 AFFINE_LINEAR = VarietySpec.affine_space(1, {(1,): 1})
@@ -388,6 +391,116 @@ def test_every_grid_is_a_torus(monkeypatch, v, base):
                                    for m in (1, 2))
 
 
+@st.composite
+def planted_linear_cases(draw):
+    """A random affine or torus variety of dimension 1-3 over F_2, F_3, F_5
+    or F_9 with f = A y + B planted in a random coordinate y, A zero, a
+    nonzero constant, a monomial or a sum of two or three terms, a level
+    small enough for power_sum_naive, and a scale c != 0."""
+    base = draw(st.sampled_from([F2, F3, F5, F9]))
+    if base.n == 1:
+        coef, unit = st.integers(-2, base.p), st.integers(1, base.p - 1)
+    else:
+        unit = st.integers(1, base.q - 1).map(base.element_at)
+        coef = st.one_of(st.integers(0, base.p - 1), unit)
+    m = draw(st.integers(1, 3 if base.q == 2 else 2 if base.q < 9 else 1))
+    size = base.q ** m
+    dim = draw(st.integers(1, max(d for d in (1, 2, 3) if size ** d <= 343)))
+    torus = draw(st.booleans())
+    y = draw(st.integers(0, dim - 1))
+    other = st.tuples(*[st.integers(-2 if torus else 0, 3)] * (dim - 1))
+    shape = draw(st.sampled_from(["zero", "constant", "monomial", "sum"]))
+    a = {"zero": st.just({}),
+         "constant": unit.map(lambda c: {(0,) * (dim - 1): c}),
+         "monomial": st.dictionaries(other, unit, min_size=1, max_size=1),
+         "sum": st.dictionaries(other, unit, min_size=2, max_size=3),
+         }[shape]
+    f = {e[:y] + (1,) + e[y:]: c for e, c in draw(a).items()}
+    f.update({e[:y] + (0,) + e[y:]: c for e, c in
+              draw(st.dictionaries(other, coef, max_size=3)).items()})
+    v = (VarietySpec.torus if torus else VarietySpec.affine_space)(dim, f)
+    return v, base, m, draw(unit)
+
+
+def assert_summed_out_matches(v, base, m, c):
+    """The sums of f and c f with the linear coordinates summed out match
+    power_sum_naive, and their trace histograms match those of the grids
+    with every coordinate enumerated, class by class."""
+    got = es._histograms(v, base, m, scales=(1, c))
+    for counts, scale in zip(got, (1, c)):
+        assert es._counts_to_cyclotomic(base.p, counts) == \
+            power_sum_naive(v.scaled(scale), base, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(es, "_linear_coordinate", lambda f, dim: None)
+        assert es._histograms(v, base, m, scales=(1, c)) == got
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_linear_cases())
+def test_summed_out_coordinate_matches_naive(case):
+    assert_summed_out_matches(*case)
+
+
+@pytest.mark.parametrize("v,base,m", [
+    # A = y + ... + y^7 vanishes at the 7th roots of unity but 1, which
+    # lie in F_8 and not in F_16
+    pytest.param(VarietySpec.torus(2, {(1, k): 1 for k in range(1, 8)}), F2,
+                 3, id="seventh-roots-F8"),
+    pytest.param(VarietySpec.torus(2, {(1, k): 1 for k in range(1, 8)}), F2,
+                 4, id="seventh-roots-F16"),
+    # A = x + 1 vanishes at x = -1; negative exponents beside it
+    pytest.param(VarietySpec.torus(3, {(1, 1, 0): 1, (0, 1, 0): 1,
+                                       (-2, 0, 1): 2, (1, 0, -1): 1}),
+                 F3, 1, id="torus-dim3"),
+    pytest.param(VarietySpec.affine_space(2, {(1, 1): 1, (0, 1): 1,
+                                              (2, 0): 1}), F3, 2,
+                 id="affine-x-plus-1"),
+    # A = a x^2 + 1 in F_9, zero where x^2 = -1/a
+    pytest.param(VarietySpec.torus(2, {(2, 1): F9.element([0, 1]),
+                                       (0, 1): 1, (-1, 0): 1}), F9, 1,
+                 id="torus-F9"),
+])
+def test_summed_out_coordinate_matches_naive_where_a_vanishes(v, base, m):
+    assert_summed_out_matches(v, base, m, base.element_at(base.q - 1))
+
+
+@pytest.mark.parametrize("v,base,largest,summed_out", [
+    pytest.param(NEWTON_DEGENERATE, F5, 1, 3, id="plane"),
+    pytest.param(SQUARE_PLANE, F5, 2, 2, id="square-plane"),
+    pytest.param(VarietySpec.hypersurface_complement(
+        2, {(2, 1): 1, (0, 1): 2, (1, 0): 1}, {(1, 1): 1, (0, 0): 1}, 2),
+                 F3, 2, 0, id="dim2-complement"),
+])
+def test_linear_coordinates_are_summed_out(monkeypatch, v, base, largest,
+                                           summed_out):
+    # the plane's torus, where f = x^2 y - x, and its two lines are summed
+    # out over their linear coordinate, so no grid is 2-D and no window is
+    # read; x^2 y^2 - x keeps its torus in the 2-D window kernel, as a
+    # complement keeps every stratum
+    grids, linear, windows = es._grids, es._linear_sum, es._strided_windows
+    axes, calls, steps = [], [], []
+
+    def spied_grids(*args):
+        out = grids(*args)
+        axes.append(max(len(a) for a, *_ in out))
+        return out
+
+    def spied_linear(*args):
+        calls.append(args)
+        return linear(*args)
+
+    def spied_windows(table, n, e, width):
+        steps.append(e)
+        return windows(table, n, e, width)
+
+    monkeypatch.setattr(es, "_grids", spied_grids)
+    monkeypatch.setattr(es, "_linear_sum", spied_linear)
+    monkeypatch.setattr(es, "_strided_windows", spied_windows)
+    assert power_sum(v, base, 2) == power_sum_naive(v, base, 2)
+    assert axes == [largest] and len(calls) == summed_out
+    assert bool(steps) == (largest == 2)
+
+
 def test_galois_equivariance():
     for v, base in ((NEWTON_DEGENERATE, F3), (KLOOSTERMAN, F5)):
         s1 = power_sum(v, base, 1)
@@ -420,8 +533,9 @@ def _size_checked(evaluate, sizes):
     pytest.param(VarietySpec.sl2([1]), F2, 2, id="sl2"),
     pytest.param(VarietySpec.torus(2, {(1, 1): 1, (2, -1): 2, (0, 1): 1,
                                        (1, 0): 1}), F3, 2, id="torus-dim2"),
-    # z^16 is z^8 on F_9^*: y z^16 reads windows 8 apart, so the blocks
-    # are 2 wide, the most that fit in the doubled trace table
+    # y is summed out, and z^16 is z^8 on F_9^*: A's term z^16 reads
+    # windows 8 apart, so the blocks are 2 wide, the most that fit in the
+    # doubled trace table
     pytest.param(VarietySpec.affine_space(3, {(1, 0, 1): 1, (0, 1, 2): 2,
                                               (2, 1, 0): 1, (0, 0, 1): 1,
                                               (0, 1, 16): 1}),
@@ -490,12 +604,20 @@ def test_scratch_is_per_thread():
 
 
 def test_real_threads_at_the_real_block_size(monkeypatch):
-    # a pool of two threads over 2^20-point blocks, each thread with its
-    # own block buffers, counts what one thread counts
+    # a pool of two threads, each with its own block buffers, counts what
+    # one thread counts; y is summed out, so the blocks are of x alone
     monkeypatch.setattr(es.os, "cpu_count", lambda: 2)
     one = power_sum(NEWTON_DEGENERATE, F5, 6, threads=1)
     assert power_sum(NEWTON_DEGENERATE, F5, 6, threads=2) == one
     assert one == CyclotomicInt.from_int(5, 5 ** 6)
+
+
+def test_window_kernel_real_threads_at_the_real_block_size(monkeypatch):
+    # the same over the window kernel's 2^20-point blocks of SQUARE_PLANE
+    monkeypatch.setattr(es.os, "cpu_count", lambda: 2)
+    one = power_sum(SQUARE_PLANE, F5, 6, threads=1)
+    assert power_sum(SQUARE_PLANE, F5, 6, threads=2) == one
+    assert one == CyclotomicInt.from_int(5, 15750)
 
 
 def test_sl2_level_memory_is_bounded():
@@ -525,64 +647,97 @@ def test_frobenius_orbits_of_f5_6():
     assert codes == list(range(5 ** 6 - 1))
 
 
-def test_plane_level_memory_is_bounded():
-    # one level of x^2 y - x over F_5 at m = 6 (2,635 first coordinates
-    # times 15,625), tables prebuilt: a block holds its uint8 keys, read as
-    # windows of the trace table, and the thread's one reused temporary,
-    # for their mod-p reduction and then the class masks (2.1 MiB measured;
-    # the temporary and a mask held apart took 3.1 MiB, a gather through an
-    # int32 index array 6.2 MiB, and field addition over repeated
-    # coordinates 24.1 MiB)
-    es.get_tables(build_field(5, 6))
+def level_peak(v, base, m):
+    """The traced peak of one power_sum call, tables prebuilt."""
+    es.get_tables(build_field(base.p, base.n * m))
     tracemalloc.start()
     try:
-        got = power_sum(NEWTON_DEGENERATE, F5, 6)
+        got = power_sum(v, base, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return got, peak
+
+
+def test_plane_level_memory_is_bounded():
+    # one level of x^2 y - x over F_5 at m = 6: y is summed out, so the
+    # main stratum is x over its 2,634 orbit representatives (0.26 MiB
+    # measured, where 2,634 times 15,624 points in windows took 2.1 MiB)
+    got, peak = level_peak(NEWTON_DEGENERATE, F5, 6)
     assert got == CyclotomicInt.from_int(5, 5 ** 6)
+    assert peak <= 1 << 20
+
+
+def test_window_kernel_level_memory_is_bounded():
+    # one level of SQUARE_PLANE over F_5 at m = 6 (2,634 first coordinates
+    # times 15,624): a block holds its uint8 keys, read as windows of the
+    # trace table, and the thread's one reused temporary, for their mod-p
+    # reduction and then the class masks (2.1 MiB measured; the temporary
+    # and a mask held apart took 3.1 MiB, a gather through an int32 index
+    # array 6.2 MiB, and field addition over repeated coordinates 24.1 MiB)
+    got, peak = level_peak(SQUARE_PLANE, F5, 6)
+    assert got == CyclotomicInt.from_int(5, 15750)
     assert peak <= 4 << 20
 
 
-# x y + x y^2 + ... + x y^7 on A^2: seven last exponents in one sum
+# x y + x y^2 + ... + x y^7 on A^2: seven last exponents in one sum, but
+# linear in x; x^2 y + ... + x^2 y^7 is linear in no coordinate of its torus
 MULTI_EXPONENT = VarietySpec.affine_space(2, {(1, k): 1 for k in range(1, 8)})
+MULTI_EXPONENT_SQUARE = VarietySpec.affine_space(
+    2, {(2, k): 1 for k in range(1, 8)})
 
 
 def test_grids_hold_within_the_table_budget():
-    # one level of MULTI_EXPONENT over F_5 at m = 6, tables prebuilt: every
-    # window reads the one doubled trace table, so what _grids builds (the
-    # axes and orbit representatives, about 5 bytes per element measured)
-    # stays within the budget's bytes per table element, where copies of
-    # the table for each last exponent took 40
+    # one level of MULTI_EXPONENT_SQUARE over F_5 at m = 6, tables prebuilt:
+    # every window reads the one doubled trace table, so what _grids builds
+    # (the axes and orbit representatives, about 5 bytes per element
+    # measured) stays within the budget's bytes per table element, where
+    # copies of the table for each last exponent took 40
     T = es.get_tables(build_field(5, 6))
     tracemalloc.start()
     try:
-        grids = es._grids(T, MULTI_EXPONENT, F5, [int(T.const_code[1])],
-                          es._Scratch())
+        grids = es._grids(T, MULTI_EXPONENT_SQUARE, F5,
+                          [int(T.const_code[1])], es._Scratch())
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert held <= es.TABLE_BYTES_PER_ELEMENT * T.q
-    # the three strata of dimension >= 1 in one grid per orbit size d | 6,
-    # and the origin; the plane's blocks are as wide as a window 7 apart
-    # allows
-    assert len(grids) == 13
+    # the torus in one grid per orbit size d | 6, its blocks as wide as a
+    # window 7 apart allows; the lines x = 0 and y = 0, where f = 0, are
+    # summed out to a point each, beside the origin
+    assert len(grids) == 7
+    assert sorted(len(axes) for axes, *_ in grids) == [0, 0, 0, 2, 2, 2, 2]
     assert {width for *_, width in grids} == {None, 15624 // 7 + 1}
-    assert power_sum(MULTI_EXPONENT, F5, 2) == \
-        power_sum_naive(MULTI_EXPONENT, F5, 2)
+    for v in (MULTI_EXPONENT, MULTI_EXPONENT_SQUARE):
+        assert power_sum(v, F5, 2) == power_sum_naive(v, F5, 2)
+
+
+def level_faults(v, base, m):
+    """Minor faults of a warm power_sum call in one thread."""
+    es.get_tables(build_field(base.p, base.n * m))
+    power_sum(v, base, m)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    got = power_sum(v, base, m, threads=1)
+    return got, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
 def test_plane_level_reuses_block_buffers():
-    # a warm level of x^2 y - x over F_5 at m = 6 in one thread: the
+    # a warm level of x^2 y - x over F_5 at m = 6 in one thread, y summed
+    # out: the blocks of x, a few KiB, fault in no fresh pages (0 measured,
+    # where 2,634 times 15,624 points in windows took 340 to 570)
+    got, faults = level_faults(NEWTON_DEGENERATE, F5, 6)
+    assert got == CyclotomicInt.from_int(5, 5 ** 6)
+    assert faults < 200
+
+
+def test_window_kernel_level_reuses_block_buffers():
+    # a warm level of SQUARE_PLANE over F_5 at m = 6 in one thread: the
     # mod-p temporary, which the class masks share, is allocated once for
     # the level, not once per block, so the sum faults in few fresh pages
-    # (340 to 570 measured, where fresh arrays per block took 18,200)
-    es.get_tables(build_field(5, 6))
-    power_sum(NEWTON_DEGENERATE, F5, 6)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    got = power_sum(NEWTON_DEGENERATE, F5, 6, threads=1)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert got == CyclotomicInt.from_int(5, 5 ** 6)
+    # (650 to 670 measured, where fresh arrays per block took 18,200 for
+    # the plane)
+    got, faults = level_faults(SQUARE_PLANE, F5, 6)
+    assert got == CyclotomicInt.from_int(5, 15750)
     assert faults < 2000
 
 
