@@ -70,11 +70,23 @@ def _is_irreducible(f: tuple, p: int) -> bool:
     x^(p^n) = x (mod f) and x^(p^(n/l)) - x is a unit mod f for every prime
     l dividing n.  Once f divides x^(p^n) - x, F_p[x]/(f) is a product of
     fields F_(p^d) with d | n, so u is a unit iff u^(p^n - 1) = 1.
-    Memoised, so FieldCtx's check of a modulus that build_field's search
-    has just tested does not run the test again."""
+    While p <= n^2, a scan of f at every a in F_p, p n steps, costs less
+    than Rabin's powers: f of degree >= 2 with a root is reducible, and
+    without one it is irreducible at degree 2 or 3.  Memoised, so
+    FieldCtx's check of a modulus that build_field's search has just
+    tested does not run the test again."""
     n = len(f) - 1
     if n == 1:
         return True
+    if p <= n * n:
+        for a in range(p):
+            value = 0
+            for c in reversed(f):   # Horner
+                value = (value * a + c) % p
+            if value == 0:
+                return False
+        if n <= 3:
+            return True
     one = (1,) + (0,) * (n - 1)
     mul = partial(_mul_mod_p, f, p)
 

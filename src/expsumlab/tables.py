@@ -19,8 +19,12 @@ y -> (Tr(g^j y))_{j<n} is a bijection from F_q onto F_p^n, and for y = g^k
 that vector is the window of n consecutive entries of the m-sequence
 trace_of_code that starts at k.  Sums over affine space, the torus and
 SL2 read only traces and the codes of the constants, so
-FieldTables.__init__ builds only trace_of_code, with one blocked product
-over F_p, and const_code.  log is built on first use, by complements,
+FieldTables.__init__ builds only trace_of_code and const_code, by integer
+matrix passes over F_p and no F_q product: from the companion matrix M_x
+of the modulus, the matrix of y = sum_i y_i x^i is sum_i y_i M_x^i, one
+chain of squares per candidate tests it for a generator, and the table
+is one blocked product summed in the narrowest unsigned type that holds
+it.  log is built on first use, by complements,
 whose h is decoded from its trace digits.  A base field larger than F_p
 embeds into its subfield of codes r u, r = (q - 1)/(q_b - 1): embed_root
 finds a root of the base modulus there by its trace digits, and embed
@@ -45,19 +49,17 @@ _CACHE_SIZE = 8
 _CHUNK = 1 << 16  # elements per pass of the table builds
 
 
-def _mul_matrix(ctx: FieldCtx, h: FqElem) -> np.ndarray:
-    """Multiplication by h as an F_p-linear map on coefficient row vectors:
-    row j holds the coefficients of x^j * h."""
-    return np.array([(ctx.element([0] * j + [1]) * h).coeffs
-                     for j in range(ctx.n)], dtype=np.int64)
+def _narrowest(bound: int):
+    """The narrowest unsigned numpy type that holds bound."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if bound <= np.iinfo(t).max)
 
 
 def _power_rows(step: np.ndarray, count: int, p: int) -> np.ndarray:
     """Rows 0..count-1: the coefficient vectors of h^0..h^(count-1), where
     step is the matrix of h.  Each pass doubles the block: the block times
-    the matrix of h^len is the next block.  Entries stay below n*p^2."""
-    block = np.zeros((1, step.shape[0]), dtype=np.int64)
-    block[0, 0] = 1
+    the matrix of h^len is the next block."""
+    block = np.eye(1, step.shape[0], dtype=np.int64)
     while block.shape[0] < count:
         block = np.concatenate([block, block @ step % p])
         step = step @ step % p
@@ -75,42 +77,52 @@ class FieldTables:
         self.zero_code = q - 1
         self.group_order = N = q - 1
 
-        gen = self._find_generator()
-        self.generator = gen
+        # M_x^0..M_x^(2n-2) for the companion matrix M_x of the modulus:
+        # row j of M_x is x^(j+1) mod f, the last row -f mod p.  The
+        # matrix of multiplication by y = sum_i y_i x^i is
+        # sum_i y_i M_x^i, y @ basis flattened, and Tr(y) is its trace.
+        mul_x = np.eye(n, k=1, dtype=np.int64)
+        mul_x[-1] = np.negative(ctx.modulus[:-1]) % p
+        powers = [np.eye(n, dtype=np.int64)]
+        for _ in range(2 * n - 2):
+            powers.append(powers[-1] @ mul_x % p)
+        powers = np.array(powers)
+        basis = powers[:n].reshape(n, n * n)
+        self.generator, mul_g, h = self._find_generator(basis)
 
         # With k = i L + j, g^k = sum_l V[i, l] x^l g^j, where row i of V
         # holds the coefficients of g^(iL).  Tr is F_p-linear, so
         # Tr(g^k) = sum_l V[i, l] W[l, j] with W[l, j] = Tr(x^l g^j), and
         # W = F G^T for the rows G of g^0..g^(L-1) and the trace form
-        # F[k, l] = Tr(x^(k+l)), where Tr(y) is the trace of the matrix of
-        # multiplication by y.  V W runs in row chunks of about _CHUNK
-        # entries, each below n*p^2 and exact in int64.
+        # F[k, l] = Tr(x^(k+l)).  Row L of G is g^L, whose matrix steps V.
         L = isqrt(N - 1) + 1 if N > 1 else 1   # ceil(sqrt(N))
-        mul_x = _mul_matrix(ctx, ctx.element([0, 1]))
-        power, tr_pow = np.eye(n, dtype=np.int64), []
-        for _ in range(2 * n - 1):
-            tr_pow.append(np.trace(power) % p)
-            power = power @ mul_x % p
-        form = np.array(tr_pow)[np.add.outer(np.arange(n), np.arange(n))]
-        W = form @ _power_rows(_mul_matrix(ctx, gen), L, p).T % p
-        V = _power_rows(_mul_matrix(ctx, gen ** L), -(-N // L), p)
+        rows = -(-N // L)
+        form = np.trace(powers, axis1=1, axis2=2) % p
+        form = form[np.add.outer(np.arange(n), np.arange(n))]
+        G = _power_rows(mul_g, L + 1, p)
+        W = form @ G[:L].T % p
+        V = _power_rows((G[L] @ basis % p).reshape(n, n), rows, p)
+        # V W in row chunks of about _CHUNK entries, each a sum of n
+        # products below p and so held exactly in the narrowest unsigned
+        # type that reaches n (p-1)^2: uint8 for p = 5 up to n = 15.  A
+        # chunk minus p times its floor quotient by p is the chunk mod p,
+        # faster than np.remainder.
+        acc = _narrowest(n * (p - 1) ** 2)
+        V, W = V.astype(acc), W.astype(acc)
         # unsigned, so a sum of two traces minus p wraps below 0 (see
         # expsum._trace_sum)
-        dtype = next(t for t in (np.uint8, np.uint16, np.uint32)
-                     if 2 * (p - 1) <= np.iinfo(t).max)
-        tr = np.empty(2 * N, dtype=dtype)
-        rows = max(1, _CHUNK // L)
-        for i in range(0, V.shape[0], rows):
-            block = V[i:i + rows] @ W
-            np.remainder(block, p, out=block)
-            stop = min((i + rows) * L, N)
+        tr = np.empty(2 * N, dtype=_narrowest(2 * (p - 1)))
+        chunk = max(1, _CHUNK // L)
+        for i in range(0, rows, chunk):
+            block = np.einsum("il,lj->ij", V[i:i + chunk], W)
+            block -= block // p * p
+            stop = min((i + chunk) * L, N)
             tr[i * L:stop] = block.reshape(-1)[:stop - i * L]
         tr[N:] = tr[:N]
         self.trace_of_code = tr
 
         # the constants: h = g^(N/(p-1)) generates F_p^*, so the code of
         # h^i is i N/(p-1); the zero constant has the zero code
-        h = (gen ** (N // (p - 1))).coeffs[0]
         const = np.full(p, N, dtype=np.int64)
         c = 1
         for i in range(p - 1):
@@ -142,14 +154,28 @@ class FieldTables:
             raise RuntimeError("generator order mismatch")
         return log
 
-    def _find_generator(self) -> FqElem:
+    def _find_generator(self, basis: np.ndarray):
+        """(g, M_g, h): g is the element_at of the first index whose
+        element is primitive, M_g its matrix, and h the constant
+        g^(N/(p-1)).  basis holds M_x^0..M_x^(n-1) as rows of n^2 entries,
+        so M_g is sum_i g_i M_x^i.  g is primitive iff g^(N/l) != 1 for
+        each prime l | N: along the chain of squares of M_g, one row pass
+        per square raises the row of 1 to every exponent at once."""
         ctx = self.ctx
-        order = ctx.q - 1
-        primes = _factor(order) if order > 1 else []
-        for idx in range(1, ctx.q):
+        p, n, N = ctx.p, ctx.n, self.group_order
+        exps = np.array([N // ell for ell in _factor(N)] + [N // (p - 1)])
+        bits = [exps >> k & 1 == 1 for k in range(N.bit_length())]
+        one = np.eye(1, n, dtype=np.int64)
+        # the constants' order divides p - 1 < N when n > 1
+        for idx in range(p if n > 1 else 1, ctx.q):
             cand = ctx.element_at(idx)
-            if all((cand ** (order // ell)) != ctx.one() for ell in primes):
-                return cand
+            mul_g = square = (cand.coeffs @ basis % p).reshape(n, n)
+            rows = one.repeat(len(exps), 0)
+            for bit in bits:   # square = M_g^(2^k) at bit k
+                rows[bit] = rows[bit] @ square % p
+                square = square @ square % p
+            if not (rows[:-1] == one).all(1).any():
+                return cand, mul_g, int(rows[-1, 0])
         raise RuntimeError("no generator found")  # unreachable
 
     # -- embedding of a base field into this one ------------------------------

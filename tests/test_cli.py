@@ -727,14 +727,33 @@ PLANE_F5_REPORT = (
     '{"coords":[125,0,0,0],"m":3},{"coords":[625,0,0,0],"m":4},'
     '{"coords":[3125,0,0,0],"m":5},{"coords":[15625,0,0,0],"m":6}]}\n')
 
+# x + 3/x on G_m over F_17 through level 3: the table product of F_17^2
+# and F_17^3 sums in uint16
+KLOOSTERMAN17_JOB = {"command": "sum", "payload": {
+    "base": {"p": 17},
+    "variety": {"kind": "torus", "dim": 1, "f": [[1, [1]], [3, [-1]]]},
+    "levels": 3}}
+
+# report bytes of KLOOSTERMAN17_JOB, recorded when the generator was found
+# by FqElem powers and the table product ran in int64
+KLOOSTERMAN17_REPORT = (
+    '{"command":"sum","n":1,"p":17,"points":[16,288,4912],'
+    '"progress":[{"m":1,"points":16},{"m":2,"points":288},'
+    '{"m":3,"points":4912}],'
+    '"records":[{"coords":[0,0,2,0,2,2,0,0,2,2,0,0,2,2,0,2],"m":1},'
+    '{"coords":[14,0,4,-4,-8,4,-4,-8,0,0,-8,-4,4,-8,-4,4],"m":2},'
+    '{"coords":[-48,0,-46,-48,-102,-46,-16,-64,-54,-54,-64,-16,-46,-102,'
+    '-48,-46],"m":3}]}\n')
+
 
 @pytest.mark.parametrize("doc,report", [
     (COMPLEMENT5_JOB, COMPLEMENT5_REPORT), (F9_TORUS_JOB, F9_TORUS_REPORT),
     (MULTI_EXPONENT_JOB, MULTI_EXPONENT_REPORT),
     (MULTI_TORUS_F2_JOB, MULTI_TORUS_F2_REPORT),
-    (PLANE_F5_JOB, PLANE_F5_REPORT)],
+    (PLANE_F5_JOB, PLANE_F5_REPORT),
+    (KLOOSTERMAN17_JOB, KLOOSTERMAN17_REPORT)],
     ids=["complement-f5", "torus-f9", "multi-exponent-f5",
-         "multi-exponent-torus-f2", "plane-f5"])
+         "multi-exponent-torus-f2", "plane-f5", "kloosterman-f17"])
 def test_sum_report_bytes(tmp_path, capsys, doc, report):
     job = write_job(tmp_path, "job.json", doc)
     code, out, _ = run(capsys, ["sum", "--job", job])
@@ -752,7 +771,8 @@ def test_job_documents_match_schema():
                 COMPLEMENT_JOB, SL2_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
                 UNCERTIFIED_JOB, DWORK5_JOB, KLOOSTERMAN5_JOB,
                 COMPLEMENT5_JOB, F9_TORUS_JOB, MULTI_EXPONENT_JOB,
-                MULTI_TORUS_F2_JOB, PLANE_F5_JOB] + PREDICT_JOBS:
+                MULTI_TORUS_F2_JOB, PLANE_F5_JOB,
+                KLOOSTERMAN17_JOB] + PREDICT_JOBS:
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)
     assert not any(validator.is_valid(doc) for doc in NO_THREADS_JOBS)

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expsumlab import tables
+from expsumlab import ffield, tables
 from expsumlab.expsum import (VarietySpec, _counts_to_cyclotomic, power_sum,
                               power_sum_naive)
 from expsumlab.ffield import FieldCtx, build_field, trace_to_prime
@@ -26,7 +26,10 @@ from expsumlab.tables import FieldTables, get_tables
 SUITE_FIELDS = [build_field(2, n) for n in range(1, 9)] + \
     [build_field(3, n) for n in range(1, 7)] + \
     [build_field(5, n) for n in range(1, 7)] + \
-    [FieldCtx(3, 2, (2, 1, 1))]   # a modulus that is not the lex-first one
+    [FieldCtx(3, 2, (2, 1, 1)),   # a modulus that is not the lex-first one
+     build_field(17, 2)]   # n (p-1)^2 = 512: the product sums in uint16
+SUITE_IDS = [f"F{c.p}^{c.n}" + ("" if c == build_field(c.p, c.n) else "-alt")
+             for c in SUITE_FIELDS]
 
 
 def base_modulus_at(base, x):
@@ -92,9 +95,7 @@ def sampled_codes(T, k):
         [rng.randrange(T.group_order) for _ in range(k)]
 
 
-@pytest.mark.parametrize("ctx", SUITE_FIELDS, ids=[
-    f"F{c.p}^{c.n}" + ("" if c == build_field(c.p, c.n) else "-alt")
-    for c in SUITE_FIELDS])
+@pytest.mark.parametrize("ctx", SUITE_FIELDS, ids=SUITE_IDS)
 def test_tables_match_field_arithmetic(ctx, monkeypatch):
     # runs of 7 put run boundaries inside every field checked here
     monkeypatch.setattr(tables, "_CHUNK", 7)
@@ -146,14 +147,50 @@ def test_embed_reads_the_subfield_windows_once(monkeypatch):
     assert windows == [T.group_order]
 
 
-@pytest.mark.parametrize("p,n", [(5, 8), (3, 12)])
+# F_257^2: n (p-1)^2 = 131072, so the product sums in uint32, and the
+# table is uint16
+@pytest.mark.parametrize("p,n", [(5, 8), (3, 12), (257, 2)])
 def test_tables_spot_checks_on_large_fields(p, n):
     T = FieldTables(build_field(p, n))
     check_codes(T, sampled_codes(T, 100),
                 lambda e: trace_to_prime(T.generator ** e))
     check_constants(T)
     for k in (2, 4):   # a root; that it is the first one is checked above
-        check_embedding(T, build_field(p, k), every_element=k == 2)
+        if n % k == 0:
+            base = build_field(p, k)
+            check_embedding(T, base, every_element=base.q <= 25)
+
+
+def order_of(x):
+    """The multiplicative order of x != 0, by repeated multiplication."""
+    y, k = x, 1
+    while y != x.ctx.one():
+        y, k = y * x, k + 1
+    return k
+
+
+@pytest.mark.parametrize("ctx", SUITE_FIELDS, ids=SUITE_IDS)
+def test_generator_is_first_primitive_element(ctx):
+    first = next(x for x in map(ctx.element_at, range(1, ctx.q))
+                 if order_of(x) == ctx.q - 1)
+    assert FieldTables(ctx).generator == first
+
+
+@pytest.mark.parametrize("ctx", [build_field(5, 6), build_field(2, 8),
+                                 FieldCtx(3, 2, (2, 1, 1))],
+                         ids=["F5^6", "F2^8", "F3^2-alt"])
+def test_table_build_does_no_polynomial_arithmetic(ctx, monkeypatch):
+    expected = FieldTables(ctx)
+
+    def refuse(*args):
+        raise AssertionError("an F_q product in the table build")
+
+    monkeypatch.setattr(ffield, "_mul_mod_p", refuse)
+    T = FieldTables(ctx)
+    assert T.generator.coeffs == expected.generator.coeffs
+    for name in ("trace_of_code", "const_code", "log"):
+        a, b = getattr(T, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_trace_table_widens_past_p_128():
