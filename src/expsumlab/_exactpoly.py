@@ -9,7 +9,8 @@ implementation serves Fractions, Q(zeta_p) and Q(pi) alike.
 QuotientRingElem is one element type for every ring Z[y]/(m) or Q[y]/(m)
 in the library: a subclass fixes the modulus and the coordinate type.
 Remainders modulo a monic polynomial are unique, so the coordinates are
-canonical and equality is coordinate equality.
+canonical and equality is coordinate equality; from_poly reduces to them
+any polynomial in y.
 """
 
 from functools import lru_cache
@@ -189,6 +190,12 @@ class QuotientRingElem:
         return cls(p, [a] + [0] * (len(cls._modulus(p)) - 2))
 
     @classmethod
+    def from_poly(cls, p: int, poly) -> "QuotientRingElem":
+        """c_0 + c_1 y + ... for poly = [c_0, c_1, ...] of any length (int
+        or Fraction coefficients), reduced modulo the ring's modulus."""
+        return cls(p, reduce_monic(poly, cls._modulus(p)))
+
+    @classmethod
     def zero(cls, p: int) -> "QuotientRingElem":
         return cls.constant(p, 0)
 
@@ -264,7 +271,7 @@ class QuotientFieldElem(QuotientRingElem):
             raise ZeroDivisionError("inverse of zero")
         modulus = [self._coord(c) for c in self._modulus(self.p)]
         inv = invmod(list(self.coords), modulus)
-        return type(self)(self.p, inv + [0] * (len(modulus) - 1 - len(inv)))
+        return type(self).from_poly(self.p, inv)
 
     def __truediv__(self, other):
         if type(other) in self._scalars:

@@ -30,6 +30,7 @@ from .lfun import ReconstructionError
 from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, NonStabilizedError, PiNumber,
                     RationalFunctionPi, radius_profile, recurrence_work,
                     robba_index)
+from .tables import TABLE_BYTES_PER_ELEMENT
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -94,10 +95,18 @@ def _table(rows) -> str:
 
 # -- payload parsing -------------------------------------------------------------
 
-def _parse_base(doc: dict):
+def _parse_base(doc: dict, budget: int):
     base = _require(doc, "base", dict)
-    return build_field(_prime(_require(base, "p"), "base.p"),
-                       _positive_int(base.get("n", 1), "base.n"))
+    p = _positive_int(_require(base, "p"), "base.p", least=2)
+    n = _positive_int(base.get("n", 1), "base.n")
+    # the level-1 table alone is charged before p's primality test or the
+    # field is built; p^n >= 2^n > budget once n reaches its bit length
+    if n >= budget.bit_length() or TABLE_BYTES_PER_ELEMENT * p ** n > budget:
+        raise BudgetExceededError(
+            f"F_{p}^{n} has {p}^{n} elements; its table needs "
+            f"{TABLE_BYTES_PER_ELEMENT} work units per table element; "
+            f"budget is {budget}")
+    return build_field(_prime(p, "base.p"), n)
 
 
 def _parse_variety(doc: dict, base) -> VarietySpec:
@@ -211,7 +220,7 @@ def run_job(spec: dict):
 
 
 def _run_sum(payload: dict, budget: int, threads: int):
-    base = _parse_base(payload)
+    base = _parse_base(payload, budget)
     v = _parse_variety(payload, base)
     M = _positive_int(_require(payload, "levels"), "levels")
     seq = power_sum_table(v, base, M, budget=budget, threads=threads)[0]
@@ -225,7 +234,7 @@ def _run_sum(payload: dict, budget: int, threads: int):
 
 
 def _run_lfun(payload: dict, budget: int, threads: int):
-    base = _parse_base(payload)
+    base = _parse_base(payload, budget)
     v = _parse_variety(payload, base)
     M = _positive_int(_require(payload, "levels"), "levels")
     scale = payload.get("scale")
@@ -284,15 +293,20 @@ def _run_lfun(payload: dict, budget: int, threads: int):
 
 
 def _run_radius(spec: dict, payload: dict, budget: int, want_index: bool):
-    p, g = _parse_operator(payload)
+    p = _positive_int(_require(payload, "p"), "p", least=2)
+    g = _require(payload, "g", dict)
     s_max = _positive_int(spec.get("smax", payload.get("smax", DEFAULT_S_MAX)),
                           "smax", least=2)
     grid = _parse_grid(spec.get("grid", payload.get("grid", DEFAULT_GRID)))
-    work = recurrence_work(g, s_max)
+    # charged from the payload's lengths, before p's primality test and the
+    # p - 1 coordinates of every coefficient
+    work = recurrence_work(p, len(_require(g, "num", list)),
+                           len(_require(g, "den", list)), s_max)
     if work > budget:
         raise BudgetExceededError(
             f"smax {s_max} needs ~{work} work units (symbol coordinates "
             f"times bits); budget is {budget}")
+    p, g = _parse_operator(payload)
     prof = radius_profile(g, grid, s_max)
     samples = [{"lambda": s.lam, "r": s.r, "stabilized": s.stabilized,
                 "method": s.method, "den_tie": s.den_tie}

@@ -26,7 +26,8 @@ enumerated whole, as h's code is their last coordinate.
 A torus is enumerated by the discrete-log codes of its points (see
 tables.py) in blocked numpy integer arrays, and each block's points are
 counted by the trace of f mod p, so the exact sum is
-sum_t count[t] * zeta^t.  Tr is F_p-linear, so the trace of f is the sum
+sum_t count[t] * zeta^t, the histogram reduced once in Z[zeta_p]
+(CyclotomicInt.from_poly).  Tr is F_p-linear, so the trace of f is the sum
 of its terms' traces, each read from the trace table at a code computed
 by integer arithmetic (_trace_sum), and no field elements are added.  On
 a complement, f = g / h^k is the sum of the terms of g times h^-k, so h's
@@ -288,6 +289,11 @@ def _level_work(v: VarietySpec, q: int) -> int:
     # A table element costs its bytes in budget units, so the budget bounds
     # the tower's memory as well as the point evaluations.
     return _enumeration_work(v, q) + TABLE_BYTES_PER_ELEMENT * q
+
+
+def _approx(work: int) -> str:
+    """~work, or ~2^k past 2^64: str() refuses ints of over 4,300 digits."""
+    return f"~{work}" if work < 2 ** 64 else f"~2^{work.bit_length() - 1}"
 
 
 def _coef_code(T: FieldTables, base: FieldCtx, coef) -> int:
@@ -621,8 +627,8 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     work = _level_work(v, base.q ** m)
     if work > budget:
         raise BudgetExceededError(
-            f"level {m} needs ~{work} work units (point evaluations plus "
-            f"{TABLE_BYTES_PER_ELEMENT} per table element); budget is {budget}")
+            f"level {m} needs {_approx(work)} work units (point evaluations "
+            f"plus {TABLE_BYTES_PER_ELEMENT} per table element); budget is {budget}")
     if tower is None:
         tower = build_field(p, base.n * m)
     elif tower.p != p or tower.n != base.n * m:
@@ -776,18 +782,13 @@ def _sl2_terms(coeffs) -> tuple:
     return _normalize_terms(f_terms), _normalize_terms(g_terms)
 
 
-def _counts_to_cyclotomic(p: int, counts) -> CyclotomicInt:
-    last = counts[p - 1]
-    return CyclotomicInt(p, [counts[i] - last for i in range(p - 1)])
-
-
 def power_sum(v: VarietySpec, base: FieldCtx, m: int, *,
               budget: int = DEFAULT_BUDGET, threads: int = 1,
               tower: Optional[FieldCtx] = None) -> CyclotomicInt:
     """S_m(f): the exact character sum over X(k_m)."""
     counts = _histograms(v, base, m, scales=(1,), budget=budget,
                          threads=threads, tower=tower)
-    return _counts_to_cyclotomic(base.p, counts[0])
+    return CyclotomicInt.from_poly(base.p, counts[0])
 
 
 def power_sum_table(v: VarietySpec, base: FieldCtx, M: int, *,
@@ -797,15 +798,19 @@ def power_sum_table(v: VarietySpec, base: FieldCtx, M: int, *,
 
     Returns {scale_index: PowerSumSequence}; scale_index runs over the
     positions in `scales`.  Refuses to start if the whole table, point
-    evaluations and field tables together, would exceed the work budget."""
+    evaluations and field tables together, would exceed the work budget;
+    the count stops at the first level that passes it."""
     if M < 1:
         raise ValueError("need at least one level")
-    total_work = sum(_level_work(v, base.q ** m) for m in range(1, M + 1))
-    if total_work > budget:
-        raise BudgetExceededError(
-            f"table through level {M} needs ~{total_work} work units (point "
-            f"evaluations plus {TABLE_BYTES_PER_ELEMENT} per table element); "
-            f"budget is {budget}")
+    total_work = 0
+    for m in range(1, M + 1):
+        total_work += _level_work(v, base.q ** m)
+        if total_work > budget:
+            raise BudgetExceededError(
+                f"table through level {m} of {M} needs {_approx(total_work)} "
+                f"work units (point evaluations plus "
+                f"{TABLE_BYTES_PER_ELEMENT} per table element); budget is "
+                f"{budget}")
     per_scale = [[] for _ in scales]
     progress = []
     for m in range(1, M + 1):
@@ -817,7 +822,7 @@ def power_sum_table(v: VarietySpec, base: FieldCtx, M: int, *,
                          "counted": sum(counts[0]),
                          "seconds": time.perf_counter() - t0})
         for i, c in enumerate(counts):
-            per_scale[i].append(_counts_to_cyclotomic(base.p, c))
+            per_scale[i].append(CyclotomicInt.from_poly(base.p, c))
     prog = tuple(progress)
     return {i: PowerSumSequence(base.p, base.n, tuple(vals), progress=prog)
             for i, vals in enumerate(per_scale)}

@@ -8,7 +8,9 @@ inverse x^(q-2) and Rabin's irreducibility test are the core's
 square-and-multiply over that product.  Character-sum values live in
 Z[zeta_p], stored as integer vectors of length p-1 under the relation
 1 + zeta + ... + zeta^(p-1) = 0; the rational variant backs the L-series
-coefficient field Q(zeta_p).  No floating point anywhere.
+coefficient field Q(zeta_p).  A power zeta^a or a Galois twist is written
+as a polynomial in zeta and reduced once by the core (from_poly).  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -293,17 +295,6 @@ def trace_to_prime(x: FqElem) -> int:
 
 # -- cyclotomic integers / rationals -----------------------------------------
 
-def _reduce_zeta_power(p: int, k: int):
-    """Coordinate vector of zeta^k in the canonical length-(p-1) basis."""
-    k %= p
-    coords = [0] * (p - 1)
-    if k < p - 1:
-        coords[k] = 1
-    else:  # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-        coords = [-1] * (p - 1)
-    return coords
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_modulus(p: int) -> tuple:
     """1 + y + ... + y^(p-1), the minimal polynomial of zeta_p."""
@@ -329,7 +320,7 @@ class CyclotomicInt(_exactpoly.QuotientRingElem):
 
     @classmethod
     def zeta(cls, p: int) -> "CyclotomicInt":
-        return cls(p, _reduce_zeta_power(p, 1))
+        return cls.from_poly(p, [0, 1])
 
     def __repr__(self):
         return f"Cyc({self.p}){list(self.coords)}"
@@ -383,21 +374,17 @@ def _jsonable(v):
 
 def additive_character(p: int, a: int) -> CyclotomicInt:
     """psi(a) = zeta_p^a for the standard character psi(1) = zeta_p."""
-    return CyclotomicInt(p, _reduce_zeta_power(p, a))
+    return CyclotomicInt.from_poly(p, [0] * (a % p) + [1])
 
 
 def galois_twist(v, u: int):
-    """Apply zeta -> zeta^u coordinate-wise (a ring automorphism for u
-    prime to p).  Works on both CyclotomicInt and CyclotomicRat."""
+    """Apply zeta -> zeta^u (a ring automorphism for u prime to p): zeta^i
+    moves to zeta^(i u mod p), then one reduction.  Works on both
+    CyclotomicInt and CyclotomicRat."""
     p = v.p
     if u % p == 0:
         raise ValueError("twist exponent must be a unit mod p")
-    out = [0] * (p - 1)
+    poly = [0] * p
     for i, a in enumerate(v.coords):
-        if not a:
-            continue
-        target = _reduce_zeta_power(p, i * u)
-        for j, t in enumerate(target):
-            if t:
-                out[j] += a * t
-    return type(v)(p, out)
+        poly[i * u % p] = a
+    return type(v).from_poly(p, poly)

@@ -18,11 +18,12 @@ neither pattern are flagged rather than guessed at.
 
 The symbols come from one polynomial recurrence over Z[pi], run on numpy
 object arrays of exact Python ints, in which multiplying by pi is a column
-shift (_symbol_numerators).  radius_profile streams them one at a time:
-of each it keeps only the exact valuations of its coefficients, as
-integers read off one gcd per coordinate, and one Gauss valuation per
-weight.  PiNumber.valuation and gauss_valuation are the independent
-reference path.
+shift (_symbol_numerators); numpy serves nothing else here.  radius_profile
+streams the symbols one at a time: of each it keeps only the exact
+valuations of its coefficients, Python ints read off one gcd per
+coordinate, and one Gauss valuation per weight, a minimum over the
+coefficients whose valuation falls below that of every lower one.
+PiNumber.valuation and gauss_valuation are the independent reference path.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Optional
 
 import numpy as np
 
@@ -104,9 +104,7 @@ class PiNumber(QuotientFieldElem):
 
     @classmethod
     def pi(cls, p: int) -> "PiNumber":
-        if p == 2:
-            return cls(2, [-2])
-        return cls(p, [0, 1] + [0] * (p - 3))
+        return cls.from_poly(p, [0, 1])
 
     def valuation(self):
         """v(sum a_i pi^i) = min_i (v_p(a_i) + i/(p-1)); INF for zero.
@@ -292,15 +290,15 @@ def _symbol_numerators(p: int, U, W, s_max: int):
         yield n
 
 
-def recurrence_work(g: RationalFunctionPi, s_max: int) -> int:
-    """Work units of the symbol recurrence to depth s_max, counted in
-    coordinates times bits: n_s has up to 1 + grow*s rows (grow as in
-    _symbol_numerators, at least 1) of p - 1 coordinates, which grow by
-    about a constant number of bits per step.  The symbols through s_max
-    therefore hold on the order of (p - 1) grow s_max^3 coordinate-bits,
-    and that product is the count."""
-    grow = max(len(g.den) - 2, len(g.num) - 1, 1)
-    return (g.p - 1) * grow * s_max ** 3
+def recurrence_work(p: int, num_len: int, den_len: int, s_max: int) -> int:
+    """Work units of the symbol recurrence to depth s_max for g = num/den
+    with num_len and den_len coefficients, counted in coordinates times
+    bits: n_s has up to 1 + grow*s rows (grow as in _symbol_numerators, at
+    least 1) of p - 1 coordinates, which grow by about a constant number of
+    bits per step.  The symbols through s_max therefore hold on the order
+    of (p - 1) grow s_max^3 coordinate-bits, and that product is the count."""
+    grow = max(den_len - 2, num_len - 1, 1)
+    return (p - 1) * grow * s_max ** 3
 
 
 def symbol_sequence(g: RationalFunctionPi, s_max: int):
@@ -336,47 +334,51 @@ def _vp_powers(p: int) -> tuple:
     return p ** _VP_BLOCK, {p ** k: k for k in range(_VP_BLOCK + 1)}
 
 
-def _vp_array(a, p: int):
-    """Exact v_p of every entry of a 1-D object array of nonzero ints, as
-    int64: one gcd per entry against p^B, whose value p^min(v_p, B) is read
-    off a table.  Only an entry that p^B divides is divided by it and tried
-    again.  ValueError for an entry 0."""
+def _vp_gcd(x: int, p: int) -> int:
+    """Exact v_p of a nonzero int: one gcd against p^B, whose value
+    p^min(v_p, B) is read off a table.  Only an x that p^B divides is
+    divided by it and tried again.  ValueError for 0."""
+    pB, table = _vp_powers(p)
+    v, g = 0, gcd(x, pB)
+    while g == pB:
+        if not x:
+            raise ValueError("valuation of 0")
+        x //= pB
+        v += _VP_BLOCK
+        g = gcd(x, pB)
+    return v + table[g]
+
+
+def _row_valuations(n, p: int) -> list:
+    """[(j, V_j)] for the nonzero rows j of a polynomial array n, in order:
+    V_j = (p-1) v(coefficient of x^j), the least (p-1) v_p + e over the
+    nonzero coordinates e of row j (their classes mod p-1 differ, so the
+    minimum is the valuation of the sum).  Each v_p is read off its first
+    gcd here; only a coordinate that p^B divides goes to _vp_gcd."""
     pB, table = _vp_powers(p)
     out = []
-    for x in a:
-        v, g = 0, gcd(x, pB)
-        while g == pB:
-            if not x:
-                raise ValueError("valuation of 0")
-            x //= pB
-            v += _VP_BLOCK
-            g = gcd(x, pB)
-        out.append(v + table[g])
-    return np.array(out, dtype=np.int64)
+    for j, row in enumerate(n.tolist()):
+        V = None
+        for e, c in enumerate(row):
+            if c:
+                g = gcd(c, pB)
+                w = (p - 1) * (table[g] if g != pB else _vp_gcd(c, p)) + e
+                if V is None or w < V:
+                    V = w
+        if V is not None:
+            out.append((j, V))
+    return out
 
 
-def _row_valuations(n, p: int):
-    """(j, V): the indices j of the nonzero rows of n and the exact integers
-    V_j = (p-1) v(coefficient of x^j), as int64 arrays.  One _vp_array pass
-    over the nonzero coordinates; V_j is the least (p-1) v_p + e over the
-    coordinates e of row j (their classes mod p-1 differ, so the minimum is
-    the valuation of the sum)."""
-    mask = n != 0
-    V = np.full(n.shape, np.iinfo(np.int64).max, dtype=np.int64)
-    V[mask] = (p - 1) * _vp_array(n[mask], p) + np.nonzero(mask)[1]
-    j = np.flatnonzero(mask.any(axis=1))
-    return j, V[j].min(axis=1)
-
-
-def _gauss_terms(rows, lam: Fraction, p: int):
-    """(p-1) den(lam) (v(coef_j) + j lam) for every nonzero coefficient of a
-    polynomial with row valuations rows = (j, V): V_j den + j num (p-1).
-    int64, or Python ints if a term or a factor could overflow int64."""
-    j, V = rows
-    a, b = lam.denominator, lam.numerator * (p - 1)
-    if (int(V.max()) + 1) * a + (int(j[-1]) + 1) * b >= 2 ** 63:
-        j, V = j.astype(object), V.astype(object)
-    return V * a + j * b
+def _record_rows(rows) -> list:
+    """The rows (j, V_j) whose V_j is below that of every earlier row.  At
+    a positive weight only these can attain min_j (V_j a + j b) with a, b
+    > 0: an earlier row i < j with V_i <= V_j has the smaller term."""
+    out = []
+    for j, V in rows:
+        if not out or V < out[-1][1]:
+            out.append((j, V))
+    return out
 
 
 # -- radius profiles -------------------------------------------------------------
@@ -390,8 +392,6 @@ class RadiusSample:
     stabilized: bool
     method: str              # "robba-clamp" | "power-subsequence" | "unstabilized"
     den_tie: bool = False    # Gauss minimum of den attained by several terms
-    raw_estimate: Optional[Fraction] = None   # clamped running max at s_max
-    oscillation: Optional[Fraction] = None    # est spread over the last window
 
 
 @dataclass(frozen=True)
@@ -440,10 +440,7 @@ def _estimate_radius(p: int, lam: Fraction, v_b, s_max: int):
             ests.append((factorial_valuation(s, p) - vb) / s)
 
     if all(e is None or e <= lam for e in ests):
-        return lam, True, "robba-clamp", lam, None
-
-    finite = [e for e in ests if e is not None]
-    raw = max([lam] + finite)
+        return lam, True, "robba-clamp"
 
     powers = []
     pk = p
@@ -454,13 +451,10 @@ def _estimate_radius(p: int, lam: Fraction, v_b, s_max: int):
     if len(window) >= 2 and all(v_b[s] is not INF for s in window):
         cands = {Fraction(1, p - 1) - Fraction(v_b[s]) / s for s in window}
         if len(cands) == 1:
-            r = max(lam, cands.pop())
-            return r, True, "power-subsequence", raw, None
+            return max(lam, cands.pop()), True, "power-subsequence"
 
-    window = ests[-max(1, -(-s_max // 4)):]
-    fin = [e for e in window if e is not None]
-    osc = (max(fin) - min(fin)) if fin else None
-    return raw, False, "unstabilized", raw, osc
+    raw = max([lam] + [e for e in ests if e is not None])
+    return raw, False, "unstabilized"
 
 
 def radius_profile(g: RationalFunctionPi, lam_grid=DEFAULT_GRID,
@@ -482,26 +476,25 @@ def radius_profile(g: RationalFunctionPi, lam_grid=DEFAULT_GRID,
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     U, W = _cleared(g)
-    den_rows = _row_valuations(W, p)
+    # at weight lam = num/den, (p-1) den (v(coef_j) + j lam) = V_j a + j b
+    weights = [(lam.denominator, lam.numerator * (p - 1)) for lam in grid]
+    den_rows = _row_valuations(W, p)   # every row, for the ties
     v_w, den_tie = [], []
-    for lam in grid:
-        terms = _gauss_terms(den_rows, lam, p)
-        v_w.append(int(terms.min()))
-        den_tie.append(bool(np.count_nonzero(terms == v_w[-1]) > 1))
+    for a, b in weights:
+        terms = [V * a + j * b for j, V in den_rows]
+        v_w.append(min(terms))
+        den_tie.append(terms.count(v_w[-1]) > 1)
     v_b = [[None] for _ in grid]
     symbols = _symbol_numerators(p, U, W, s_max)
     next(symbols)
     for s, n in enumerate(symbols, 1):
-        rows = _row_valuations(n, p) if len(n) else None
-        for lam, vb, vw in zip(grid, v_b, v_w):
-            vb.append(INF if rows is None else Fraction(
-                int(_gauss_terms(rows, lam, p).min()) - s * vw,
-                (p - 1) * lam.denominator))
+        rows = _record_rows(_row_valuations(n, p))
+        for (a, b), vb, vw in zip(weights, v_b, v_w):
+            vb.append(Fraction(min(V * a + j * b for j, V in rows) - s * vw,
+                               (p - 1) * a) if rows else INF)
 
-    samples = []
-    for lam, vb, tie in zip(grid, v_b, den_tie):
-        r, stab, method, raw, osc = _estimate_radius(p, lam, vb, s_max)
-        samples.append(RadiusSample(lam, r, stab, method, tie, raw, osc))
+    samples = [RadiusSample(lam, *_estimate_radius(p, lam, vb, s_max), tie)
+               for lam, vb, tie in zip(grid, v_b, den_tie)]
 
     outer = ((samples[1].r - samples[0].r)
              / (samples[1].lam - samples[0].lam))

@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
+from . import _exactpoly
+
 
 # -- Chern-series coefficient on P^n -------------------------------------------
 
@@ -38,32 +40,19 @@ class ChernSpec:
             raise ValueError("need d_i >= 1 and e_i >= 0")
 
 
-def _series_mul(a, b, order):
-    out = [0] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x:
-            for j, y in enumerate(b[: order + 1 - i]):
-                out[i + j] += x * y
-    return out
-
-
-def _inv_linear(c, order):
-    """Coefficients of 1/(1 + c h) through h^order."""
-    return [(-c) ** k for k in range(order + 1)]
-
-
 def chern_degree(s: ChernSpec) -> int:
     """(-1)^n times the h^n coefficient of
-    (1+h)^(n+1) / ((1 + E h) prod_i (1 + d_i h)),   E = sum e_i d_i."""
+    (1+h)^(n+1) / ((1 + E h) prod_i (1 + d_i h)),   E = sum e_i d_i,
+    with each 1/(1 + c h) expanded as sum_k (-c)^k h^k, and every product
+    truncated at h^n."""
     n = s.n
-    num = [1]
-    for _ in range(n + 1):
-        num = _series_mul(num, [1, 1], n)
     E = sum(di * ei for di, ei in zip(s.d, s.e))
-    series = _series_mul(num, _inv_linear(E, n), n)
-    for di in s.d:
-        series = _series_mul(series, _inv_linear(di, n), n)
-    return (-1) ** n * series[n]
+    factors = [[1, 1]] * (n + 1) + [[(-c) ** k for k in range(n + 1)]
+                                    for c in (E, *s.d)]
+    series = [1]
+    for factor in factors:
+        series = _exactpoly.mul(series, factor)[:n + 1]
+    return (-1) ** n * (series[n] if len(series) > n else 0)
 
 
 # -- curve count -----------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -595,6 +596,42 @@ def test_exit_code_budget_radius(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["index", "--job", job, "--smax", "30",
                                   "--budget", "1000"])
     assert code == cli.EXIT_BUDGET and "budget" in err and not out
+
+
+def _over_budget(command, **payload):
+    if command in ("sum", "lfun"):
+        payload = {"base": {"p": 2}, "levels": 1, "variety": {
+            "kind": "torus", "dim": 1, "f": [[1, [1]]]}, **payload}
+    else:
+        payload = {"g": {"num": ["1/3"], "den": ["0", "1"]}, **payload}
+    return {"command": command, "smax": 200, "payload": payload}
+
+
+# jobs over the budget that were once refused only after building F_(2^400)
+# or F_(2^800), trial division of a 54-bit p, or p - 1 coordinates for each
+# coefficient of g, or whose count of the work was too long to print
+EARLY_BUDGET_JOBS = {
+    "sum-f2^400": _over_budget("sum", base={"p": 2, "n": 400}),
+    "lfun-f2^800": _over_budget("lfun", base={"p": 2, "n": 800}),
+    "sum-p-54-bits": _over_budget("sum", base={"p": 10000000000000061}),
+    "sum-20000-levels": _over_budget("sum", levels=20000),
+    "lfun-100000-levels": _over_budget("lfun", levels=100000),
+    "sum-dim-20000": _over_budget("sum", variety={
+        "kind": "affine", "dim": 20000, "f": []}),
+    "radius-p-1000003": _over_budget("radius", p=1000003),
+    "index-p-100003": _over_budget("index", p=100003),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_BUDGET_JOBS))
+def test_exit_code_budget_before_building(tmp_path, capsys, name):
+    doc = EARLY_BUDGET_JOBS[name]
+    job = write_job(tmp_path, "big.json", doc)
+    start = time.perf_counter()
+    code, out, err = run(capsys, [doc["command"], "--job", job])
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_BUDGET and not out
+    assert err.startswith("budget exceeded: ") and len(err.splitlines()) == 1
 
 
 # a x + b/x on G_m over F_5 through level 8, as in the kloosterman-f5

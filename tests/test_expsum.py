@@ -428,7 +428,7 @@ def assert_summed_out_matches(v, base, m, c):
     with every coordinate enumerated, class by class."""
     got = es._histograms(v, base, m, scales=(1, c))
     for counts, scale in zip(got, (1, c)):
-        assert es._counts_to_cyclotomic(base.p, counts) == \
+        assert CyclotomicInt.from_poly(base.p, counts) == \
             power_sum_naive(v.scaled(scale), base, m)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(es, "_linear_coordinate", lambda f, dim: None)

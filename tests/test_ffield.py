@@ -335,3 +335,32 @@ def test_quotient_ring_products_match_reference(data):
     got = (PiNumber(p, a) * PiNumber(p, b)).coords
     assert list(got) == _reference_product(p, a, b, _pi_rule(p))
     assert all(type(c) is Fraction for c in got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_from_poly_matches_ring_arithmetic(data):
+    # sum c_k y^k accumulated with powers of y = zeta or pi, y built from
+    # its coordinates, against one reduction of the whole polynomial
+    from expsumlab.padic import PiNumber
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    ints = st.integers(-50, 50)
+    mixed = ints | st.fractions(-20, 20, max_denominator=9)
+    rings = ((CyclotomicInt, ints, -1, CyclotomicInt.zeta),
+             (CyclotomicRat, mixed, -1, None),
+             (PiNumber, mixed, -2, PiNumber.pi))
+    for ring, coef, y_at_2, generator in rings:
+        y = ring(p, [0, 1] + [0] * (p - 3)) if p > 2 else ring(2, [y_at_2])
+        assert ring.from_poly(p, [0, 1]) == y
+        if generator is not None:
+            assert generator(p) == y
+        poly = data.draw(st.lists(coef, max_size=3 * p))
+        expected, power = ring.zero(p), ring.one(p)
+        for c in poly:
+            expected = expected + power * c
+            power = power * y
+        got = ring.from_poly(p, poly)
+        assert got == expected
+        assert all(type(c) is ring._coord for c in got.coords)
+        for k in range(3 * p + 1):
+            assert ring.from_poly(p, [0] * k) == ring.zero(p)

@@ -12,8 +12,8 @@ from expsumlab.padic import (DEFAULT_GRID, INF, GaussWeight,
                              dwork_twist, factorial_valuation, gauss_valuation,
                              radius_profile, robba_index, symbol_sequence)
 from expsumlab.padic import (_VP_BLOCK, _cleared, _estimate_radius,
-                             _row_valuations, _symbol_numerators, _vp_array,
-                             _vp_int)
+                             _record_rows, _row_valuations, _symbol_numerators,
+                             _vp_gcd, _vp_int)
 
 
 def mono(p, coef, k):
@@ -280,9 +280,9 @@ def _reference_profile(g, grid, s_max):
         w = GaussWeight(lam)
         v_b = [None] + [gauss_valuation(b, w) for b in bs[1:]]
         den = [c.valuation() + j * lam for j, c in enumerate(g.den) if c]
-        r, stab, method, raw, osc = _estimate_radius(g.p, lam, v_b, s_max)
+        r, stab, method = _estimate_radius(g.p, lam, v_b, s_max)
         samples.append(RadiusSample(lam, r, stab, method,
-                                    den.count(min(den)) > 1, raw, osc))
+                                    den.count(min(den)) > 1))
     return tuple(samples)
 
 
@@ -333,10 +333,6 @@ def test_profile_matches_exact_reference(g, grid, s_max):
 _B = _VP_BLOCK
 
 
-def _objects(xs):
-    return np.array(xs, dtype=object)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7, 11]),
        st.lists(st.tuples(st.integers(0, 3 * _B), st.integers(1, 2 ** 2000),
@@ -346,21 +342,19 @@ def _objects(xs):
 @example(2, [(0, 2 ** 2000 - 1, True), (3 * _B, 3, False), (1, 1, False),
              (2 * _B - 1, 2 ** 1999 + 1, True), (_B, 5, False)])
 @example(11, [(3 * _B, 2 ** 2000, True)])
-def test_vp_array_matches_scalar_reference(p, entries):
+def test_vp_gcd_matches_scalar_reference(p, entries):
     # x = +-p^v u with p not dividing u: valuations on both sides of each
     # multiple of the gcd block, against the one-division-at-a-time v_p
     xs = [(-1 if neg else 1) * p ** v * (u + 1 if u % p == 0 else u)
           for v, u, neg in entries]
-    got = _vp_array(_objects(xs), p)
-    assert got.dtype == np.int64
-    assert got.tolist() == [_vp_int(x, p) for x in xs] == \
+    assert [_vp_gcd(x, p) for x in xs] == [_vp_int(x, p) for x in xs] == \
         [v for v, _, _ in entries]
 
 
-def test_vp_array_refuses_zero():
-    for xs in ([0], [5 ** (2 * _B), 0, 3], [0, 5]):
+def test_vp_gcd_refuses_zero():
+    for p in (2, 5):
         with pytest.raises(ValueError):
-            _vp_array(_objects(xs), 5)
+            _vp_gcd(0, p)
 
 
 def test_row_valuations_match_scalar_reference_to_depth_200():
@@ -370,21 +364,45 @@ def test_row_valuations_match_scalar_reference_to_depth_200():
     g = RationalFunctionPi(p, [PiNumber.pi(p), Fraction(1, 3)], [0, 0, 1])
     U, W = _cleared(g)
     for n in _symbol_numerators(p, U, W, 200):
-        j, V = _row_valuations(n, p)
         expected = [(i, min((p - 1) * _vp_int(c, p) + e
                             for e, c in enumerate(row) if c))
                     for i, row in enumerate(n.tolist()) if any(row)]
-        assert list(zip(j.tolist(), V.tolist())) == expected
+        assert _row_valuations(n, p) == expected
+    # and coordinates that p^B divides, whose v_p comes from _vp_gcd
+    n = np.array([[0] * 4, [p ** 70, 3 * p ** _B, 0, 0],
+                  [0, 2 * p ** 130, 0, 0]], dtype=object)
+    assert _row_valuations(n, p) == [(1, 4 * _B + 1), (2, 4 * 130 + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 60)), max_size=12),
+       st.integers(1, 40), st.integers(1, 40))
+def test_record_rows_attain_every_minimum(steps, a, b):
+    # rows (j, V_j) at increasing j; at every positive weight (a, b) the
+    # Gauss minimum over the kept rows is the minimum over all of them
+    rows, j = [], -1
+    for step, V in steps:
+        j += step
+        rows.append((j, V))
+    kept = _record_rows(rows)
+    assert all(row in rows for row in kept)
+    assert [V for _, V in kept] == sorted({V for _, V in kept}, reverse=True)
+    if rows:
+        assert min(V * a + j * b for j, V in kept) == \
+            min(V * a + j * b for j, V in rows)
+    else:
+        assert kept == []
 
 
 def test_estimator_flags_unstructured_profiles():
     # synthetic valuations that are neither clamped nor p-power linear
     p, s_max, lam = 3, 30, Fraction(1)
     v_b = [None] + [-Fraction(s * s, 40) for s in range(1, s_max + 1)]
-    r, stab, method, raw, osc = _estimate_radius(p, lam, v_b, s_max)
+    r, stab, method = _estimate_radius(p, lam, v_b, s_max)
     assert not stab and method == "unstabilized"
-    assert osc is not None and osc > 0
-    assert r == raw >= lam
+    # the clamped running maximum of (v(s!) - v(b_s)) / s
+    assert r == max((factorial_valuation(s, p) - v_b[s]) / s
+                    for s in range(1, s_max + 1)) > lam
 
 
 def test_dwork_twist_examples():
@@ -454,15 +472,14 @@ def test_default_grid_shape():
                             Fraction(3, 2), Fraction(2))
 
 
-def _rs(lam, r, method, den_tie=False, raw=None, osc=None):
+def _rs(lam, r, method, den_tie=False):
     return RadiusSample(Fraction(lam), Fraction(r), method != "unstabilized",
-                        method, den_tie, Fraction(raw if raw else r),
-                        None if osc is None else Fraction(osc))
+                        method, den_tie)
 
 
 @pytest.mark.parametrize("s_max,middle", [
-    (20, _rs("5/8", "3/4", "unstabilized", True, osc="7/152")),
-    (30, _rs("5/8", "4/5", "power-subsequence", True, raw="79/100")),
+    (20, _rs("5/8", "3/4", "unstabilized", True)),
+    (30, _rs("5/8", "4/5", "power-subsequence", True)),
 ])
 def test_profile_pinned_with_unequal_denominators(s_max, middle):
     # g = (1/2 + x/3) / (x^2/5 + pi): numerator and denominator clear with

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from expsumlab import ffield, tables
-from expsumlab.expsum import (VarietySpec, _counts_to_cyclotomic, power_sum,
-                              power_sum_naive)
-from expsumlab.ffield import FieldCtx, build_field, trace_to_prime
+from expsumlab.expsum import VarietySpec, power_sum, power_sum_naive
+from expsumlab.ffield import (CyclotomicInt, FieldCtx, build_field,
+                              trace_to_prime)
 from expsumlab.tables import FieldTables, get_tables
 
 SUITE_FIELDS = [build_field(2, n) for n in range(1, 9)] + \
@@ -207,7 +207,7 @@ def test_trace_table_widens_past_p_128():
         for y in range(1, 131):
             counts[(x * y + 5 * x * x * pow(y, -3, 131) - y) % 131] += 1
     v = VarietySpec.torus(2, {(1, 1): 1, (2, -3): 5, (0, 1): -1})
-    assert power_sum(v, F131, 1) == _counts_to_cyclotomic(131, counts)
+    assert power_sum(v, F131, 1) == CyclotomicInt.from_poly(131, counts)
 
 
 def test_table_build_holds_little_beyond_the_tables():
