@@ -10,9 +10,9 @@ Subcommands
   index     radius profile + annulus index from the endpoint slopes
   verify    named end-to-end cases with bundled expected records
 
-Exit codes: 0 ok; 1 failed assertions; 2 schema violation or unknown case;
-3 work budget exceeded; 4 reconstruction not certified; 5 radius profile
-not stabilized.
+Exit codes: 0 ok; 1 failed assertions; 2 schema violation, unknown case,
+unreadable job file or unwritable report; 3 work budget exceeded; 4
+reconstruction not certified; 5 radius profile not stabilized.
 """
 
 from __future__ import annotations
@@ -268,6 +268,9 @@ def _run_lfun(payload: dict, budget: int, threads: int):
         bounds = [_positive_int(b, "bounds", least=0) for b in bounds]
     verdict = (_parse_prediction(_require(payload, "predict", dict))
                if "predict" in payload else None)
+    if verdict is not None and "predicted_degree" not in verdict:
+        raise SchemaError(f"a {verdict['kind']} prediction has no single "
+                          f"degree to compare with the L-series")
     seq = power_sum_table(v, base, M, budget=budget, threads=threads)[0]
     series = lfun.exp_power_sums(seq)
     if bounds is not None:
@@ -408,14 +411,17 @@ def main(argv=None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_SCHEMA
             text = "".join(_verify_table(r) for r in reports)
-            payload = reports[0] if len(reports) == 1 else {
-                "command": "verify", "cases": reports,
-                "passed": all(r["passed"] for r in reports)}
-            _emit(payload, text, args.out, None)
             ok = all(r["passed"] for r in reports)
-            return EXIT_OK if ok else EXIT_FAIL
-        with open(args.job) as fh:
-            spec = json.load(fh)
+            payload = reports[0] if len(reports) == 1 else {
+                "command": "verify", "cases": reports, "passed": ok}
+            return _emit(payload, text, args.out, None) or (
+                EXIT_OK if ok else EXIT_FAIL)
+        try:
+            with open(args.job) as fh:
+                spec = json.load(fh)
+        except (json.JSONDecodeError, OSError) as exc:
+            print(f"cannot read job file: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
         if not isinstance(spec, dict):
             raise SchemaError("job document must be a JSON object")
         if spec.get("command", args.command) != args.command:
@@ -432,8 +438,7 @@ def main(argv=None) -> int:
                 spec[key] = val.split(",") if key == "grid" and \
                     isinstance(val, str) else val
         report, text = run_job(spec)
-        _emit(report, text, args.out, args.csv)
-        return EXIT_OK
+        return _emit(report, text, args.out, args.csv)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -446,23 +451,27 @@ def main(argv=None) -> int:
     except NonStabilizedError as exc:
         print(f"profile not stabilized: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"cannot read job file: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
 
 
-def _emit(report: dict, text: str, out_path, csv_path):
+def _emit(report: dict, text: str, out_path, csv_path) -> int:
+    """Write the report to out_path and its CSV export to csv_path, then
+    the rest to stdout and stderr; EXIT_SCHEMA, with nothing on stdout, if
+    a file cannot be written."""
     blob = _dump_report(report)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(blob)
-        sys.stdout.write(text)
-    else:
-        sys.stdout.write(blob)
+    for path, content in ((out_path, blob),
+                          (csv_path, csv_path and _csv_for(report))):
+        if path:
+            try:
+                with open(path, "w") as fh:
+                    fh.write(content)
+            except OSError as exc:
+                print(f"cannot write {path}: {exc.strerror or exc}",
+                      file=sys.stderr)
+                return EXIT_SCHEMA
+    sys.stdout.write(text if out_path else blob)
+    if not out_path:
         sys.stderr.write(text)
-    if csv_path:
-        with open(csv_path, "w") as fh:
-            fh.write(_csv_for(report))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

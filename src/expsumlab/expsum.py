@@ -9,15 +9,20 @@ and x^2 - t x + 1 is the characteristic polynomial of Q^2 + Q, Q^2 - Q or
 Q^2 matrices in SL2(F_Q) as it has two roots in F_Q, none, or a double
 one: Q^2 - Q plus Q for each r in F_Q^* with r + 1/r = t.  So
 S = (Q^2 - Q) sum_t psi(Tr F(t)) + Q sum_r psi(Tr F(r + 1/r)) in every
-characteristic, over the strata of one affine line and one torus.
+characteristic, over the strata of one affine line and one torus.  A
+coordinate of a stratum that no term of f (or h) reads multiplies its sum
+by its Q - 1 points, so it is dropped for that weight; strata on which f
+and h restrict to the same terms have the same sum, so each distinct
+restriction is summed once, the strata's weights added.
 
 On a torus stratum where f = A(x') y + B(x') is linear in a coordinate y
-(exponent 0 or 1 in every term; A = 0 if f does not use y), y is summed
-out by character orthogonality: over y in F_Q^*, Tr(c A y) takes each
-value of F_p Q/p times, 0 once less, where A != 0, and is 0 where A = 0.
-So the stratum's histogram is (Q/p) #{A != 0} + Q H_0 - H, where H counts
-Tr(c B) over the points x' and H_0 over those where A = 0: integers,
-equal class by class to the enumerated counts, on one coordinate fewer.
+(exponent 0 or 1 in every term, and f reads y, so A has a term), y is
+summed out by character orthogonality: over y in F_Q^*, Tr(c A y) takes
+each value of F_p Q/p times, 0 once less, where A != 0, and is 0 where
+A = 0.  So the stratum's histogram is (Q/p) #{A != 0} + Q H_0 - H, where
+H counts Tr(c B) over the points x' and H_0 over those where A = 0:
+integers, equal class by class to the enumerated counts, on one
+coordinate fewer.
 A monomial A never vanishes on a torus; otherwise A = 0 exactly where its
 trace digits do.  One coordinate is summed out per stratum, the one whose
 A has the fewest terms (the last on a tie); a complement's strata are
@@ -40,10 +45,10 @@ reads the doubled table once per point.  The sum is kept mod p and its
 classes are counted with no copy of the keys, in block buffers that each
 worker thread reuses through a level (_Scratch).  The coefficients lie
 in F_q, so x -> x^q permutes the points and fixes Tr(f): the first
-coordinate runs over one representative of each orbit, and a block's
-counts are multiplied by the orbit size.  power_sum_naive, the reference
-path, evaluates everything with FqElem arithmetic and cross-checks the
-table path on small inputs.
+coordinate runs over one representative of each orbit, every further
+one over all N codes, and a block's counts are multiplied by the orbit
+size.  power_sum_naive, the reference path, evaluates everything with
+FqElem arithmetic and cross-checks the table path on small inputs.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -475,10 +481,10 @@ def _linear_sum(T: FieldTables, a, b_sum, scratch: _Scratch):
     b_sum's keys give and H_0 that of the points where A = 0, all in
     integers.
 
-    A monomial is never 0 on a torus, and A with no terms always is;
-    otherwise A = 0 exactly where its trace digits Tr(g^j A), j < n, all
-    are, read as a complement's h is, and or-ed into the worker's buffer
-    before b_sum reuses the scratch keys."""
+    y is read by a term (see _strata), so A has one.  A monomial is never 0
+    on a torus; otherwise A = 0 exactly where its trace digits Tr(g^j A),
+    j < n, all are, read as a complement's h is, and or-ed into the
+    worker's buffer before b_sum reuses the scratch keys."""
     Q, p = T.q, T.ctx.p
     digits = _trace_sum(T, a, range(T.ctx.n), scratch) if len(a) > 1 \
         else None
@@ -486,9 +492,8 @@ def _linear_sum(T: FieldTables, a, b_sum, scratch: _Scratch):
     def evaluate(coords, start):
         shape = _block_shape(coords)
         size = math.prod(shape)
-        if digits is None:
-            n0 = 0 if a else size   # how many points have A = 0
-        else:
+        n0 = 0   # how many points have A = 0
+        if digits is not None:
             nonzero = scratch("a", (size,), T.trace_of_code.dtype)
             nonzero.fill(0)
             for d in digits(coords, start):
@@ -557,61 +562,42 @@ def _frobenius_orbits(n: int, q: int, m: int):
     return orbits
 
 
-def _frobenius_grids(orbits, run, dim: int, weight: int, evaluate, width):
-    """The (axes, weight, evaluate, width) grids of the torus G_m^dim, each
-    point standing for `weight` points, whose blocks are at most `width`
-    wide along the last axis (see _grid_blocks).  Every axis but the first
-    is `run`, the codes 0, 1, ..., q - 2 of the nonzero elements.
-
-    The coefficients lie in F_q, so x -> x^q permutes the points and fixes
-    Tr(f).  The first coordinate therefore runs over the representatives
-    of `orbits` (see _frobenius_orbits) only, in one grid per orbit size,
-    whose points stand for `size` times as many."""
-    if not dim:
-        return [((), weight, evaluate, None)]
-    return [((reps,) + (run,) * (dim - 1), weight * size, evaluate, width)
-            for size, reps in orbits]
-
-
-def _grid_blocks(lengths, width):
-    """Blocks of at most _BLOCK points covering the grid of all index tuples
-    below `lengths`, last coordinate fastest.  A block (o0, o1, i0, i1) is a
-    run of indices into the outer coordinates times a chunk of the last one,
-    at most `width` wide unless width is None (see _grids), and as many rows
-    as fit; the last coordinate is split too, so the bound holds in every
-    dimension.  An empty `lengths` is the one-point grid of
-    dimension 0."""
-    *outer, last = lengths or (1,)
-    n_outer = math.prod(outer)
+def _grid_blocks(reps, dim: int, n: int, width):
+    """Blocks of at most _BLOCK points covering a grid of the orbit
+    representatives `reps` times n codes in each of its dim - 1 further
+    coordinates, last coordinate fastest.  A block (o0, o1, i0, i1) is a
+    run of indices into the outer coordinates times a chunk of the last
+    one, at most `width` wide unless width is None (see _grids), and as
+    many rows as fit; the last coordinate is split too, so the bound holds
+    in every dimension.  In dimension 1 the representatives are the last
+    coordinate, and dimension 0 is the one-point grid."""
+    count = len(reps) if dim else 1
+    outer, last = (count * n ** (dim - 2), n) if dim > 1 else (1, count)
     chunk = min(last, width or _BLOCK, _BLOCK)
     rows = max(1, _BLOCK // chunk)
-    for o0 in range(0, n_outer, rows):
-        o1 = min(o0 + rows, n_outer)
+    for o0 in range(0, outer, rows):
+        o1 = min(o0 + rows, outer)
         for i0 in range(0, last, chunk):
             yield o0, o1, i0, min(i0 + chunk, last)
 
 
-def _grid_coords(axes, block):
-    """Coordinate arrays of one block of _grid_blocks over `axes` (one array
-    of codes per coordinate), and the code the block's last coordinate
-    starts at when its axis is a run of codes, else None.  Only the first
-    axis holds orbit representatives (see _frobenius_grids), so the last
-    is a run exactly in dimension >= 2.
+def _grid_coords(reps, dim: int, n: int, block):
+    """Coordinate arrays of one block of _grid_blocks, and the code that
+    the block's last coordinate starts at when it is a run of codes, that
+    is in dimension >= 2, else None.
 
-    The outer coordinates are decoded from the block's run of indices into
-    (rows, 1) columns and the last is a slice of its axis, so together they
+    A block's run of outer indices is decoded into (rows, 1) columns: the
+    orbit representative, then digits base n, one per further coordinate.
+    The last coordinate is the run of codes i0..i1, so together they
     broadcast to the block's (rows, chunk) points without repeating any of
     them."""
     o0, o1, i0, i1 = block
-    coords = []
-    if axes:
-        o = np.arange(o0, o1)
-        stride = math.prod(len(a) for a in axes[:-1])
-        for a in axes[:-1]:
-            stride //= len(a)
-            coords.append(a[o // stride % len(a), None])
-        coords.append(axes[-1][i0:i1])
-    return coords, i0 if len(axes) > 1 else None
+    if dim < 2:
+        return [reps[i0:i1]] if dim else [], None
+    index, *digits = np.unravel_index(np.arange(o0, o1),
+                                      (len(reps),) + (n,) * (dim - 2))
+    return [x[:, None] for x in [reps[index], *digits]] + [
+        np.arange(i0, i1, dtype=reps.dtype)], i0
 
 
 def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
@@ -640,13 +626,15 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
 
     # one set of block buffers per worker thread, for this level only
     scratch = _Scratch()
-    tasks = [(axes, weight, evaluate, block) for axes, weight, evaluate, width
+    n = T.group_order
+    tasks = [(reps, dim, weight, evaluate, block)
+             for reps, dim, weight, evaluate, width
              in _grids(T, v, base, scale_codes, scratch)
-             for block in _grid_blocks(tuple(len(a) for a in axes), width)]
+             for block in _grid_blocks(reps, dim, n, width)]
 
     def count(task):
-        axes, weight, evaluate, block = task
-        return weight, list(evaluate(*_grid_coords(axes, block)))
+        reps, dim, weight, evaluate, block = task
+        return weight, list(evaluate(*_grid_coords(reps, dim, n, block)))
 
     # one block in flight per thread, and no more threads than cores
     workers = min(threads or 1, os.cpu_count() or 1)
@@ -677,16 +665,27 @@ def _restrict(terms, zero):
             if not any(z and e > 0 for e, z in zip(exps, zero))]
 
 
-def _strata(dim: int, weight: int, f, h=None, torus: bool = False) -> list:
+def _strata(dim: int, weight: int, n: int, f, h=None,
+            torus: bool = False) -> Counter:
     """The strata of A^dim (see the module docstring), or G_m^dim alone if
-    torus, as (dimension, weight, f, h or None) with the terms _restrict'ed
-    to each, less the strata where h restricts to 0."""
-    out = []
+    torus, less those where h restricts to 0, as a Counter of (dimension,
+    f, h or None) -> weight, each point of a stratum standing for `weight`
+    points.  The terms are _restrict'ed to the stratum, and then to the
+    coordinates that a term of f or h reads: one that none reads multiplies
+    the weight by its n = Q - 1 points.  f and h are keyed as sorted tuples,
+    so strata on which they restrict to the same terms are summed once."""
+    out = Counter()
     for zero in itertools.product((False,) if torus else (False, True),
                                   repeat=dim):
-        h_zero = None if h is None else _restrict(h, zero)
-        if h_zero != []:
-            out.append((dim - sum(zero), weight, _restrict(f, zero), h_zero))
+        f_zero, h_zero = _restrict(f, zero), _restrict(h or [], zero)
+        if h is not None and not h_zero:
+            continue
+        unread = [not any(exps[j] for _, exps in f_zero + h_zero)
+                  for j in range(dim - sum(zero))]
+        f_zero, h_zero = (tuple(sorted(_restrict(terms, unread)))
+                          for terms in (f_zero, h_zero))
+        out[len(unread) - sum(unread), f_zero,
+            None if h is None else h_zero] += weight * n ** sum(unread)
     return out
 
 
@@ -694,7 +693,7 @@ def _linear_coordinate(f, dim: int) -> Optional[int]:
     """The coordinate y of a torus stratum to sum out (see _linear_sum): one
     whose exponent is 0 or 1 in every term of f, so that f = A y + B, the
     one whose A has the fewest terms, and the last one on a tie; None if no
-    coordinate qualifies.  A coordinate that f does not use has A = 0."""
+    coordinate qualifies."""
     best = None
     for y in range(dim):
         if all(exps[y] in (0, 1) for _, exps in f):
@@ -706,40 +705,46 @@ def _linear_coordinate(f, dim: int) -> Optional[int]:
 
 def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
            scratch: _Scratch):
-    """The grids that X(k_m) is enumerated over, as (axes, weight, evaluate,
-    width), each over a torus (see _frobenius_grids).  evaluate(coords,
-    start) yields, for each scale code, the block's histogram of the traces
-    of c*f at its points that lie on X, p ints; start is the code the last
-    coordinate starts at when it is a run of codes, else None (see
-    _grid_coords).  There each term with last exponent e reads a row of
-    the block as a window of the doubled trace table, |e| apart, so a torus
-    of dimension >= 2 caps its blocks' width at N // max |e| + 1, the
-    longest such window that fits.
+    """The grids that X(k_m) is enumerated over, as (reps, dim, weight,
+    evaluate, width): a torus G_m^dim whose first coordinate runs over the
+    orbit representatives reps, and every other over the N = Q - 1 codes,
+    each point standing for `weight` points, in blocks at most `width` wide
+    along the last coordinate (see _grid_blocks); dimension 0 is one point,
+    and reps None.  evaluate(coords, start) yields, for each scale code,
+    the block's histogram of the traces of c*f at its points that lie on X,
+    p ints; start is the code the last coordinate starts at when it is a
+    run of codes, else None (see _grid_coords).  There each term with last
+    exponent e reads a row of the block as a window of the doubled trace
+    table, |e| apart, so a torus of dimension >= 2 caps its blocks' width at
+    N // max |e| + 1, the longest such window that fits.
 
-    Every domain is a union of tori (_strata); the term codes and the
-    Frobenius orbits are made once for all.  A torus on which f is linear
-    in a coordinate (_linear_coordinate) has it summed out (_linear_sum),
-    so its grid has one coordinate fewer; a complement's strata keep every
-    coordinate, as h's code is their last."""
+    Every domain is a union of tori (_strata), each distinct restriction of
+    f (and h) enumerated once; the term codes and the Frobenius orbits are
+    made once for all.  The coefficients lie in F_q, so x -> x^q permutes
+    the points and fixes Tr(f): the first coordinate runs over the
+    representatives of the orbits (see _frobenius_orbits) only, in one grid
+    per orbit size, whose points stand for `size` times as many.  A torus
+    on which f is linear in a coordinate (_linear_coordinate) has it summed
+    out (_linear_sum), so its grid has one coordinate fewer; a complement's
+    strata keep every coordinate, as h's code is their last."""
     q, n, p = T.q, T.group_order, T.ctx.p
     codes = functools.partial(_term_codes, T, base)
     if v.kind == SL2:
         f, g = map(codes, _sl2_terms(v.sl2_coeffs))
-        tori = _strata(1, q * q - q, f) + _strata(1, q, g, torus=True)
+        tori = _strata(1, q * q - q, n, f) + _strata(1, q, n, g, torus=True)
     elif v.kind == COMPLEMENT:
         # Tr(c g / h^k) is the sum of Tr(c t h^-k) over the terms t of g:
         # h's code is one more, last coordinate, with exponent -k
-        tori = _strata(v.dim, 1, codes([(c, e + (-v.k,)) for c, e in v.g]),
-                       codes(v.h))
+        tori = _strata(v.dim, 1, n,
+                       codes([(c, e + (-v.k,)) for c, e in v.g]), codes(v.h))
     else:
-        tori = _strata(v.dim, 1, codes(v.terms), torus=v.kind == TORUS)
+        tori = _strata(v.dim, 1, n, codes(v.terms), torus=v.kind == TORUS)
 
     dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
     orbits = [(size, reps.astype(dt, copy=False)) for size, reps in
               _frobenius_orbits(n, base.q, T.ctx.n // base.n)]
-    run = None   # the axes past the first, made only where a torus has them
     grids = []
-    for dim, weight, f, h in tori:
+    for (dim, f, h), weight in tori.items():
         y = None if h is not None else _linear_coordinate(f, dim)
         if y is not None:
             dim -= 1
@@ -759,10 +764,9 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
         # a run of codes: f's (A's and B's), or on a complement h's, in
         # dimension >= 2
         e = max((abs(x[-1]) for _, x in read), default=0) if dim > 1 else 0
-        if dim > 1 and run is None:
-            run = np.arange(n, dtype=dt)
-        grids += _frobenius_grids(orbits, run, dim, weight, evaluate,
-                                  n // e + 1 if e else None)
+        grids += [(reps, dim, weight * size, evaluate,
+                   n // e + 1 if e else None)
+                  for size, reps in (orbits if dim else [(1, None)])]
     return grids
 
 

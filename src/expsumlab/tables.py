@@ -34,8 +34,7 @@ both computed once per base.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt
 
 import numpy as np
@@ -230,16 +229,8 @@ class FieldTables:
         return windows[tuple(digits.tolist())]
 
 
-_CACHE: OrderedDict = OrderedDict()
-
-
+@lru_cache(maxsize=_CACHE_SIZE)
 def get_tables(ctx: FieldCtx) -> FieldTables:
-    """The tables of ctx, kept for the _CACHE_SIZE most recently used fields."""
-    key = (ctx.p, ctx.n, ctx.modulus)
-    if key in _CACHE:
-        _CACHE.move_to_end(key)
-    else:
-        _CACHE[key] = FieldTables(ctx)
-        if len(_CACHE) > _CACHE_SIZE:
-            _CACHE.popitem(last=False)
-    return _CACHE[key]
+    """The tables of ctx, kept for the _CACHE_SIZE most recently used fields;
+    a FieldCtx hashes on (p, n, modulus)."""
+    return FieldTables(ctx)

@@ -96,6 +96,19 @@ PREDICT_JOBS = [
     )]
 BETTI_JOB, FERMAT_JOB = PREDICT_JOBS[2], PREDICT_JOBS[5]
 
+# (x^3 + y^3 + 1)/(xy) on G_m^2 over F_2, compared with a fermat report,
+# which holds candidate values but no single predicted degree
+FERMAT_LFUN_JOB = {
+    "command": "lfun",
+    "payload": {
+        "base": {"p": 2},
+        "variety": {"kind": "torus", "dim": 2,
+                    "f": [[1, [2, -1]], [1, [-1, 2]], [1, [-1, -1]]]},
+        "levels": 10, "bounds": [0, 9],
+        "predict": FERMAT_JOB["payload"],
+    },
+}
+
 
 def _with_prediction(doc, **fields):
     return {**doc, "payload": {**doc["payload"], **fields}}
@@ -407,6 +420,36 @@ def test_exit_code_csv_of_a_command_without_one(tmp_path, capsys,
                                   "--csv", str(csv)])
     assert code == cli.EXIT_SCHEMA and not out and "CSV" in err
     assert not csv.exists()
+
+
+def test_exit_code_prediction_without_a_degree(tmp_path, capsys,
+                                                monkeypatch):
+    def no_sums(*args, **kwargs):
+        raise AssertionError("the sums ran")
+
+    monkeypatch.setattr(cli, "power_sum_table", no_sums)
+    job = write_job(tmp_path, "fermat.json", FERMAT_LFUN_JOB)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["lfun", "--job", job])
+    assert time.perf_counter() - t0 < 1
+    assert code == cli.EXIT_SCHEMA and not out
+    assert err.startswith("schema error: a fermat prediction has no single")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--out"], ["sum", "--out"], ["sum", "--csv"],
+    ["verify", "--case", "fermat-discrepancy", "--out"]], ids=" ".join)
+def test_exit_code_unwritable_report(tmp_path, capsys, argv):
+    # the files are written first, so a failed write prints no report
+    path = str(tmp_path / "missing" / "report")
+    if argv[0] != "verify":
+        job = write_job(tmp_path, "job.json",
+                        BETTI_JOB if argv[0] == "predict" else SUM_JOB)
+        argv = argv[:1] + ["--job", job] + argv[1:]
+    code, out, err = run(capsys, argv + [path])
+    assert code == cli.EXIT_SCHEMA and not out
+    assert err == f"cannot write {path}: No such file or directory\n"
 
 
 def test_exit_code_budget(tmp_path, capsys):
@@ -817,6 +860,7 @@ def test_job_documents_match_schema():
     assert not any(validator.is_valid(doc) for doc in BAD_SMAX_JOBS.values())
     assert not any(validator.is_valid(doc)
                    for doc in SCALE_MIXED_JOBS.values())
+    assert not validator.is_valid(FERMAT_LFUN_JOB)
     assert not any(validator.is_valid(doc) for name, doc
                    in NOT_PRIME_JOBS.items() if name.endswith("-p1"))
 

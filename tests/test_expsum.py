@@ -17,6 +17,7 @@ from expsumlab.expsum import (BudgetExceededError, PowerSumSequence,
                               scaled_degree_check, sym_trace)
 from expsumlab.ffield import (CyclotomicInt, FieldCtx, additive_character,
                               build_field, galois_twist, trace_to_prime)
+from expsumlab.verify import _arrangement_terms
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
@@ -326,6 +327,24 @@ def test_constant_function_gives_point_counts():
                 base.p, count_points(v, base, m))
 
 
+def torus_strata(dim, terms) -> list:
+    """The coordinate strata of A^dim, as tori with the terms restricted to
+    each (see the expsum module docstring); the origin's is the last."""
+    return [VarietySpec.torus(dim - sum(zero), {
+        tuple(e for e, z in zip(exps, zero) if not z): c
+        for exps, c in terms.items()
+        if not any(e and z for e, z in zip(exps, zero))})
+            for zero in itertools.product((False, True), repeat=dim)]
+
+
+def sum_over(varieties, base, m):
+    """The sum of the power sums of the varieties, one at a time."""
+    acc = CyclotomicInt.zero(base.p)
+    for v in varieties:
+        acc = acc + power_sum(v, base, m)
+    return acc
+
+
 def test_affine_line_decomposes_as_origin_plus_torus():
     # A^n is the disjoint union over coordinate sets S of {x_i = 0, i in S}
     # x G_m^(n - |S|): on each stratum a term with a positive exponent in S
@@ -340,22 +359,106 @@ def test_affine_line_decomposes_as_origin_plus_torus():
              ({(1, 1, 1): 2, (0, 2, 0): 1, (3, 0, 0): 1}, F2, (1, 2, 3))]
     for terms, base, levels in cases:
         dim = len(next(iter(terms)))
-        strata = []
-        for zero in itertools.product((False, True), repeat=dim):
-            restricted = {tuple(e for e, z in zip(exps, zero) if not z): c
-                          for exps, c in terms.items()
-                          if not any(e and z for e, z in zip(exps, zero))}
-            strata.append(VarietySpec.torus(dim - sum(zero), restricted))
+        strata = torus_strata(dim, terms)
         for m in levels:
             lhs = power_sum(VarietySpec.affine_space(dim, terms), base, m)
-            rhs = CyclotomicInt.zero(base.p)
-            for v in strata:
-                rhs = rhs + power_sum(v, base, m)
-            assert lhs == rhs
+            assert lhs == sum_over(strata, base, m)
             if dim == 1:
                 f0 = terms.get((0,), 0)
                 assert power_sum(strata[-1], base, m) == additive_character(
                     base.p, m * f0)
+
+
+@st.composite
+def unread_coordinate_cases(draw):
+    """A variety over F_2, F_3 or F_5 with coordinates that no term reads,
+    or strata on which f restricts to the same terms, and a level small
+    enough for power_sum_naive (but F_5^5, summed stratum by stratum only),
+    as (v, base, m, f) with f the terms of an affine space, else None:
+    - an affine space of dimension 2-5, each coordinate symmetric, free or
+      unread, f the sum of c x_i^e over the symmetric ones plus up to two
+      terms in the symmetric and free ones;
+    - a torus of dimension 1-3 with one unread coordinate;
+    - a complement of dimension 2 or 3 with a coordinate that neither g
+      nor h reads;
+    - SL2 with F = 0 mod p, a constant, so every stratum restricts to the
+      same terms."""
+    base = draw(st.sampled_from([F2, F3, F5]))
+    q, p = base.q, base.p
+    coef, unit = st.integers(-2, p), st.integers(1, p - 1)
+    kind = draw(st.sampled_from(["affine", "torus", "complement", "sl2"]))
+    if kind == "sl2":
+        coeffs = draw(st.lists(st.sampled_from([0, p, 2 * p]), min_size=1,
+                               max_size=3))
+        return VarietySpec.sl2(coeffs), base, 1 if q > 2 else 2, None
+    dim = draw(st.integers(*{"affine": (2, 5), "torus": (1, 3),
+                             "complement": (2, 3)}[kind]))
+    if kind == "affine":
+        roles = draw(st.lists(st.sampled_from("sfu"), min_size=dim,
+                              max_size=dim))
+    else:
+        roles = ["f"] * dim
+        roles[draw(st.integers(0, dim - 1))] = "u"
+    low = -2 if kind == "torus" else 0
+    read = st.tuples(*[st.just(0) if r == "u" else st.integers(low, 3)
+                       for r in roles])
+    if kind == "complement":
+        g = draw(st.dictionaries(read, coef, max_size=3))
+        h = draw(st.dictionaries(read, unit, min_size=1, max_size=2))
+        v = VarietySpec.hypersurface_complement(dim, g, h,
+                                                draw(st.integers(0, 2)))
+        return v, base, 1 if q ** dim > 64 else 2, None
+    c, e = draw(unit), draw(st.integers(1, 3))
+    f = {tuple(e * (j == i) for j in range(dim)): c
+         for i, r in enumerate(roles) if r == "s"}
+    f.update(draw(st.dictionaries(read, coef, max_size=2)))
+    if kind == "torus":
+        m = draw(st.integers(1, 2 if (q * q - 1) ** dim <= 1024 else 1))
+        return VarietySpec.torus(dim, f), base, m, None
+    m = draw(st.integers(1, 2 if q ** (2 * dim) <= 1024 else 1))
+    return VarietySpec.affine_space(dim, f), base, m, f
+
+
+@settings(max_examples=40, deadline=None)
+@given(unread_coordinate_cases())
+def test_unread_coordinates_and_shared_strata_match_naive(case):
+    # an unread coordinate is a weight of N points, and strata on which f
+    # (and h) restrict to the same terms are summed once, in one grid
+    v, base, m, f = case
+    got = power_sum(v, base, m)
+    if f is not None:
+        assert got == sum_over(torus_strata(v.dim, f), base, m)
+    if base.q ** (m * v.dim) <= 1024:
+        assert got == power_sum_naive(v, base, m)
+
+
+@pytest.mark.parametrize("v,base,m,count", [
+    pytest.param(NEWTON_DEGENERATE, F5, 6, 6, id="plane"),
+    pytest.param(VarietySpec.affine_space(3, _arrangement_terms("a3")), F3,
+                 2, 3, id="a3-arrangement"),
+    pytest.param(VarietySpec.affine_space(5, {(1,) * 5: 1,
+                                              (1, 0, 0, 0, 0): 1}),
+                 F3, 1, 3, id="x1x2x3x4x5+x1"),
+    pytest.param(VarietySpec.affine_space(5, {
+        tuple(2 * (j == i) for j in range(5)): 1 for i in range(5)}),
+                 F3, 1, 6, id="sum-of-squares"),
+])
+def test_equal_strata_are_summed_once(monkeypatch, v, base, m, count):
+    # 7, 12, 32 and 32 grids when every stratum had its own: the strata on
+    # which f restricts to the same terms, after its unread coordinates are
+    # dropped, are one grid per orbit size
+    grids, counts = es._grids, []
+
+    def spied(*args):
+        out = grids(*args)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(es, "_grids", spied)
+    want = power_sum_naive(v, base, m) if base.q ** (m * v.dim) <= 729 \
+        else None
+    got = power_sum(v, base, m)
+    assert counts == [count] and want in (None, got)
 
 
 @pytest.mark.parametrize("v,base", [
@@ -367,7 +470,8 @@ def test_affine_line_decomposes_as_origin_plus_torus():
 ])
 def test_every_grid_is_a_torus(monkeypatch, v, base):
     # affine space, complements and SL2's line of traces are summed over
-    # their coordinate strata: no axis holds the zero code, and one set of
+    # their coordinate strata: no orbit representative is the zero code,
+    # every further coordinate runs over the codes below N, and one set of
     # Frobenius orbits serves every stratum of a level
     grids, orbits = es._grids, es._frobenius_orbits
     levels, orbit_levels = [], []
@@ -375,8 +479,9 @@ def test_every_grid_is_a_torus(monkeypatch, v, base):
     def spied_grids(T, *args):
         out = grids(T, *args)
         levels.append(T.ctx.n)
-        for axes, _, _, _ in out:
-            assert not any(np.any(axis == T.zero_code) for axis in axes)
+        for reps, dim, *_ in out:
+            assert (reps is None) == (dim == 0)
+            assert dim == 0 or not np.any(reps == T.zero_code)
         return out
 
     def spied_orbits(n, q, m):
@@ -465,24 +570,25 @@ def test_summed_out_coordinate_matches_naive_where_a_vanishes(v, base, m):
 
 
 @pytest.mark.parametrize("v,base,largest,summed_out", [
-    pytest.param(NEWTON_DEGENERATE, F5, 1, 3, id="plane"),
-    pytest.param(SQUARE_PLANE, F5, 2, 2, id="square-plane"),
+    pytest.param(NEWTON_DEGENERATE, F5, 1, 2, id="plane"),
+    pytest.param(SQUARE_PLANE, F5, 2, 1, id="square-plane"),
     pytest.param(VarietySpec.hypersurface_complement(
         2, {(2, 1): 1, (0, 1): 2, (1, 0): 1}, {(1, 1): 1, (0, 0): 1}, 2),
                  F3, 2, 0, id="dim2-complement"),
 ])
 def test_linear_coordinates_are_summed_out(monkeypatch, v, base, largest,
                                            summed_out):
-    # the plane's torus, where f = x^2 y - x, and its two lines are summed
+    # the plane's torus, where f = x^2 y - x, and its line y = 0 are summed
     # out over their linear coordinate, so no grid is 2-D and no window is
-    # read; x^2 y^2 - x keeps its torus in the 2-D window kernel, as a
-    # complement keeps every stratum
+    # read; on the line x = 0 f reads no coordinate, so it is a weight on
+    # the origin's point.  x^2 y^2 - x keeps its torus in the 2-D window
+    # kernel, as a complement keeps every stratum
     grids, linear, windows = es._grids, es._linear_sum, es._strided_windows
-    axes, calls, steps = [], [], []
+    dims, calls, steps = [], [], []
 
     def spied_grids(*args):
         out = grids(*args)
-        axes.append(max(len(a) for a, *_ in out))
+        dims.append(max(dim for _, dim, *_ in out))
         return out
 
     def spied_linear(*args):
@@ -497,7 +603,7 @@ def test_linear_coordinates_are_summed_out(monkeypatch, v, base, largest,
     monkeypatch.setattr(es, "_linear_sum", spied_linear)
     monkeypatch.setattr(es, "_strided_windows", spied_windows)
     assert power_sum(v, base, 2) == power_sum_naive(v, base, 2)
-    assert axes == [largest] and len(calls) == summed_out
+    assert dims == [largest] and len(calls) == summed_out
     assert bool(steps) == (largest == 2)
 
 
@@ -550,11 +656,12 @@ def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
     want = power_sum_naive(v, base, m)
     grids, sizes, grid_points = es._grids, [], []
 
-    def spied(*args):
-        out = grids(*args)
-        grid_points.extend(math.prod(map(len, axes)) for axes, *_ in out)
-        return [(axes, weight, _size_checked(evaluate, sizes), width)
-                for axes, weight, evaluate, width in out]
+    def spied(T, *args):
+        out = grids(T, *args)
+        grid_points.extend(len(reps) * T.group_order ** (dim - 1) if dim
+                           else 1 for reps, dim, *_ in out)
+        return [(reps, dim, weight, _size_checked(evaluate, sizes), width)
+                for reps, dim, weight, evaluate, width in out]
 
     monkeypatch.setattr(es, "_BLOCK", 7)
     monkeypatch.setattr(es, "_grids", spied)
@@ -690,9 +797,10 @@ MULTI_EXPONENT_SQUARE = VarietySpec.affine_space(
 def test_grids_hold_within_the_table_budget():
     # one level of MULTI_EXPONENT_SQUARE over F_5 at m = 6, tables prebuilt:
     # every window reads the one doubled trace table, so what _grids builds
-    # (the axes and orbit representatives, about 5 bytes per element
-    # measured) stays within the budget's bytes per table element, where
-    # copies of the table for each last exponent took 40
+    # (the orbit representatives, about 1 byte per element measured, where
+    # an axis of every code beside them took 5) stays within the budget's
+    # bytes per table element, where copies of the table for each last
+    # exponent took 40
     T = es.get_tables(build_field(5, 6))
     tracemalloc.start()
     try:
@@ -703,10 +811,10 @@ def test_grids_hold_within_the_table_budget():
         tracemalloc.stop()
     assert held <= es.TABLE_BYTES_PER_ELEMENT * T.q
     # the torus in one grid per orbit size d | 6, its blocks as wide as a
-    # window 7 apart allows; the lines x = 0 and y = 0, where f = 0, are
-    # summed out to a point each, beside the origin
-    assert len(grids) == 7
-    assert sorted(len(axes) for axes, *_ in grids) == [0, 0, 0, 2, 2, 2, 2]
+    # window 7 apart allows; f = 0 on the lines x = 0 and y = 0, which read
+    # no coordinate, so they are weights on the origin's one point
+    assert len(grids) == 5
+    assert sorted(dim for _, dim, *_ in grids) == [0, 2, 2, 2, 2]
     assert {width for *_, width in grids} == {None, 15624 // 7 + 1}
     for v in (MULTI_EXPONENT, MULTI_EXPONENT_SQUARE):
         assert power_sum(v, F5, 2) == power_sum_naive(v, F5, 2)

@@ -247,8 +247,8 @@ F3, F5, F9 = build_field(3, 1), build_field(5, 1), build_field(3, 2)
     (VarietySpec.torus(1, {(1,): F9.element([0, 1]), (-1,): 1}), F9, 2,
      False),
 ], ids=["affine", "torus", "sl2", "complement", "base-F9"])
-def test_only_complements_build_log(v, base, m, built, monkeypatch):
-    monkeypatch.setattr(tables, "_CACHE", type(tables._CACHE)())
+def test_only_complements_build_log(v, base, m, built):
+    get_tables.cache_clear()
     assert power_sum(v, base, m) == power_sum_naive(v, base, m)
     T = get_tables(build_field(base.p, base.n * m))
     arrays = {name for name, value in vars(T).items()
@@ -257,14 +257,16 @@ def test_only_complements_build_log(v, base, m, built, monkeypatch):
                                                         else set())
 
 
-def test_cache_is_bounded_lru(monkeypatch):
-    monkeypatch.setattr(tables, "_CACHE", type(tables._CACHE)())
+def test_cache_is_bounded_lru():
+    get_tables.cache_clear()
     first = build_field(2, 1)
     T = get_tables(first)
     for n in range(2, tables._CACHE_SIZE + 4):
         get_tables(build_field(2, n))
         assert get_tables(first) is T   # the most recent use keeps it
-        assert len(tables._CACHE) <= tables._CACHE_SIZE
-    assert len(tables._CACHE) == tables._CACHE_SIZE
-    evicted = build_field(2, 2)
-    assert (2, 2, evicted.modulus) not in tables._CACHE
+        assert get_tables.cache_info().currsize <= tables._CACHE_SIZE
+    assert get_tables.cache_info().currsize == tables._CACHE_SIZE
+    # the oldest entry, F_4's, was evicted: asking for it again is a miss
+    misses = get_tables.cache_info().misses
+    get_tables(build_field(2, 2))
+    assert get_tables.cache_info().misses == misses + 1
