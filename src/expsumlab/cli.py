@@ -27,9 +27,9 @@ from .expsum import (DEFAULT_BUDGET, BudgetExceededError, VarietySpec,
                      exact_int, power_sum_table, scaled_degree_check)
 from .ffield import _jsonable, build_field, is_prime
 from .lfun import ReconstructionError
-from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, NonStabilizedError, PiNumber,
-                    RationalFunctionPi, radius_profile, recurrence_work,
-                    robba_index)
+from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, WEIGHT_PASS_WORK,
+                    NonStabilizedError, PiNumber, RationalFunctionPi,
+                    radius_profile, recurrence_work, robba_index)
 from .tables import TABLE_BYTES_PER_ELEMENT
 
 EXIT_OK = 0
@@ -302,13 +302,16 @@ def _run_radius(spec: dict, payload: dict, budget: int, want_index: bool):
                           "smax", least=2)
     grid = _parse_grid(spec.get("grid", payload.get("grid", DEFAULT_GRID)))
     # charged from the payload's lengths, before p's primality test and the
-    # p - 1 coordinates of every coefficient
+    # p - 1 coordinates of every coefficient: the recurrence and the pass
+    # over the weights, each to the full depth
     work = recurrence_work(p, len(_require(g, "num", list)),
-                           len(_require(g, "den", list)), s_max)
+                           len(_require(g, "den", list)), s_max) \
+        + WEIGHT_PASS_WORK * s_max * len(grid)
     if work > budget:
         raise BudgetExceededError(
-            f"smax {s_max} needs ~{work} work units (symbol coordinates "
-            f"times bits); budget is {budget}")
+            f"smax {s_max} over {len(grid)} weights needs ~{work} work units "
+            f"(symbol coordinates times bits, plus {WEIGHT_PASS_WORK} per "
+            f"depth and weight); budget is {budget}")
     p, g = _parse_operator(payload)
     prof = radius_profile(g, grid, s_max)
     samples = [{"lambda": s.lam, "r": s.r, "stabilized": s.stabilized,

@@ -625,6 +625,23 @@ def test_dwork_p5_index_report_bytes(tmp_path, capsys):
     assert out == DWORK5_REPORT
 
 
+# the Dwork twist of (1/3)/x at p = 2, 3, 7 to depth 200, as DWORK5_JOB at
+# p = 5: g = (pi + x/3) / x^2, where pi = -2 at p = 2
+DWORK_TWIST_JOBS = {p: {"command": "index", "smax": 200, "payload": {
+    "p": p, "g": {"num": [pi, "1/3"], "den": ["0", "0", "1"]}}}
+    for p, pi in ((2, ["-2"]), (3, ["0", "1"]), (7, ["0", "1"] + ["0"] * 4))}
+INDEX_OUTPUTS = Path(__file__).parent / "index_outputs"
+
+
+@pytest.mark.parametrize("p", sorted(DWORK_TWIST_JOBS))
+def test_dwork_twist_index_report_bytes(tmp_path, capsys, p):
+    # reports recorded when the symbol recurrence ran to smax at every p
+    job = write_job(tmp_path, "dwork.json", DWORK_TWIST_JOBS[p])
+    code, out, _ = run(capsys, ["index", "--job", job])
+    assert code == 0
+    assert out == (INDEX_OUTPUTS / f"dwork-p{p}.json").read_text()
+
+
 def test_exit_code_budget_radius(tmp_path, capsys, monkeypatch):
     def no_recurrence(*args):
         raise AssertionError("symbol recurrence ran")
@@ -639,6 +656,24 @@ def test_exit_code_budget_radius(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["index", "--job", job, "--smax", "30",
                                   "--budget", "1000"])
     assert code == cli.EXIT_BUDGET and "budget" in err and not out
+
+
+def test_exit_code_budget_counts_weights(tmp_path, capsys, monkeypatch):
+    # 3,000 weights to depth 200: the recurrence alone fits the default
+    # budget, and with the pass over the weights it does not
+    def no_recurrence(*args):
+        raise AssertionError("symbol recurrence ran")
+
+    monkeypatch.setattr(padic, "_symbol_numerators", no_recurrence)
+    grid = [f"{k}/1000" for k in range(1, 3001)]
+    recurrence = padic.recurrence_work(5, 2, 3, 200)
+    assert recurrence < expsum.DEFAULT_BUDGET < \
+        recurrence + padic.WEIGHT_PASS_WORK * 200 * len(grid)
+    for command in ("radius", "index"):
+        job = write_job(tmp_path, "wide.json",
+                        {**DWORK5_JOB, "command": command, "grid": grid})
+        code, out, err = run(capsys, [command, "--job", job])
+        assert code == cli.EXIT_BUDGET and "3000 weights" in err and not out
 
 
 def _over_budget(command, **payload):
@@ -849,7 +884,8 @@ def test_job_documents_match_schema():
     validator = jsonschema.Draft202012Validator(schema)
     for doc in [SUM_JOB, KLOOSTERMAN_JOB, DWORK_JOB, RADIUS_JOB, SCALE_JOB,
                 COMPLEMENT_JOB, SL2_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
-                UNCERTIFIED_JOB, DWORK5_JOB, KLOOSTERMAN5_JOB,
+                UNCERTIFIED_JOB, DWORK5_JOB, *DWORK_TWIST_JOBS.values(),
+                KLOOSTERMAN5_JOB,
                 COMPLEMENT5_JOB, F9_TORUS_JOB, MULTI_EXPONENT_JOB,
                 MULTI_TORUS_F2_JOB, PLANE_F5_JOB,
                 KLOOSTERMAN17_JOB] + PREDICT_JOBS:

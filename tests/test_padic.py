@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expsumlab import padic
 from expsumlab.ffield import CyclotomicRat
 from expsumlab.padic import (DEFAULT_GRID, INF, GaussWeight,
                              NonStabilizedError, PiNumber, RadiusProfile,
@@ -278,9 +279,13 @@ def _reference_profile(g, grid, s_max):
     samples = []
     for lam in sorted(Fraction(x) for x in grid):
         w = GaussWeight(lam)
-        v_b = [None] + [gauss_valuation(b, w) for b in bs[1:]]
+        # (p-1) a v(b_s) for lam = b / ((p-1) a), as the estimator reads it
+        v_b = [gauss_valuation(b, w) * (g.p - 1) * lam.denominator
+               for b in bs[1:]]
+        assert all(v == INF or v.denominator == 1 for v in v_b)
+        M = [None] + [None if v == INF else int(v) for v in v_b]
         den = [c.valuation() + j * lam for j, c in enumerate(g.den) if c]
-        r, stab, method = _estimate_radius(g.p, lam, v_b, s_max)
+        r, stab, method = _estimate_radius(g.p, lam, M, s_max)
         samples.append(RadiusSample(lam, r, stab, method,
                                     den.count(min(den)) > 1))
     return tuple(samples)
@@ -326,6 +331,73 @@ def test_profile_matches_exact_reference(g, grid, s_max):
     # symbols in Q(pi), through the same estimator
     assert radius_profile(g, grid, s_max).samples == \
         _reference_profile(g, grid, s_max)
+
+
+def _depth_drawn(monkeypatch, g, s_max):
+    """radius_profile(g, DEFAULT_GRID, s_max) and the last depth of the
+    symbols it drew."""
+    drawn = []
+
+    def spy(*args):
+        for s, n in enumerate(_symbol_numerators(*args)):
+            drawn.append(s)
+            yield n
+
+    monkeypatch.setattr(padic, "_symbol_numerators", spy)
+    return radius_profile(g, DEFAULT_GRID, s_max), drawn[-1]
+
+
+@pytest.mark.parametrize("p,depth", [(2, 128), (3, 81), (5, 125), (7, 49)])
+def test_profile_stops_at_the_last_power_of_the_window(monkeypatch, p, depth):
+    # the Dwork twist of (1/3)/x: by the last p-power at most 200 every
+    # weight has a sample above it and agreeing window candidates.  Its
+    # reports, recorded at the full depth, are tests/index_outputs and
+    # DWORK5_REPORT in test_cli.py.
+    prof, drawn = _depth_drawn(monkeypatch,
+                               dwork_twist(mono(p, Fraction(1, 3), 1)), 200)
+    assert drawn == depth
+    assert all(s.method == "power-subsequence" for s in prof.samples)
+
+
+@pytest.mark.parametrize("g", [RationalFunctionPi.zero(5), mono(5, 4, 1),
+                               mono(3, Fraction(1, 2), 1)])
+def test_clamped_profile_draws_every_symbol(monkeypatch, g):
+    prof, drawn = _depth_drawn(monkeypatch, g, 60)
+    assert drawn == 60
+    assert all(s.method == "robba-clamp" for s in prof.samples)
+
+
+@pytest.mark.parametrize("v12,drawn,method", [
+    (10, 12, "power-subsequence"), (12, 26, "robba-clamp")])
+def test_profile_waits_for_a_refutation_after_the_window(monkeypatch, v12,
+                                                         drawn, method):
+    # no operator tried puts its first sample above lam past the window's
+    # last power, so synthetic numerators n_s = 3^(v_s) stand in for those
+    # of g = 1/3 (W = 3) at p = 3: v(b_s) = v_s - s.  With v_s = s the
+    # samples (v(s!) - v(b_s))/s = (s - digitsum(s))/(2s) stay below 1/2;
+    # v_6 = 5 lifts s = 6 to 1/2, which refutes nothing, and v_12 = 10 lifts
+    # s = 12 to 7/12.  At depth 26 the window is (3, 9): lam = 1/4 is
+    # decided at s = 3, lam = 1/2 not before s = 12, if ever.
+    p, s_max, grid = 3, 26, (Fraction(1, 4), Fraction(1, 2))
+    v = [s for s in range(s_max + 1)]
+    v[6], v[12] = 5, v12
+    depths = []
+
+    def synthetic(p, U, W, s_max):
+        for s in range(s_max + 1):
+            depths.append(s)
+            yield np.array([[p ** v[s], 0]], dtype=object)
+
+    monkeypatch.setattr(padic, "_symbol_numerators", synthetic)
+    prof = radius_profile(RationalFunctionPi(p, [Fraction(1, 3)], [1]),
+                          grid, s_max)
+    assert depths[-1] == drawn
+    # the samples of all 26 depths: M_s = (p-1) a v(b_s)
+    assert prof.samples == tuple(RadiusSample(lam, *_estimate_radius(
+        p, lam, [None] + [2 * lam.denominator * (v[s] - s)
+                          for s in range(1, s_max + 1)], s_max))
+        for lam in grid)
+    assert [s.method for s in prof.samples] == ["power-subsequence", method]
 
 
 # -- valuations of the integer symbols ------------------------------------------
@@ -395,10 +467,12 @@ def test_record_rows_attain_every_minimum(steps, a, b):
 
 
 def test_estimator_flags_unstructured_profiles():
-    # synthetic valuations that are neither clamped nor p-power linear
-    p, s_max, lam = 3, 30, Fraction(1)
+    # synthetic valuations v(b_s) = -s^2/40 that are neither clamped nor
+    # p-power linear, at lam = 1/20, where the estimator reads M_s = 40 v(b_s)
+    p, s_max, lam = 3, 30, Fraction(1, 20)
     v_b = [None] + [-Fraction(s * s, 40) for s in range(1, s_max + 1)]
-    r, stab, method = _estimate_radius(p, lam, v_b, s_max)
+    M = [None] + [-s * s for s in range(1, s_max + 1)]
+    r, stab, method = _estimate_radius(p, lam, M, s_max)
     assert not stab and method == "unstabilized"
     # the clamped running maximum of (v(s!) - v(b_s)) / s
     assert r == max((factorial_valuation(s, p) - v_b[s]) / s
