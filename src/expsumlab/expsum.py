@@ -38,17 +38,18 @@ by integer arithmetic (_trace_sum), and no field elements are added.  On
 a complement, f = g / h^k is the sum of the terms of g times h^-k, so h's
 code is one more coordinate, which tables.FieldTables.log decodes from
 h's traces at the scales g^(n-1)..g^0, its trace digits.  In dimension
->= 2 a block's last coordinate is a run of consecutive codes, so a term
+>= 1 a block's last coordinate is a run of consecutive codes, so a term
 reads each row of the block as one window of the table, contiguous for
 exponent 1 in that coordinate and strided otherwise; any other term
 reads the doubled table once per point.  The sum is kept mod p and its
 classes are counted with no copy of the keys, in block buffers that each
 worker thread reuses through a level (_Scratch).  The coefficients lie
-in F_q, so x -> x^q permutes the points and fixes Tr(f): the first
-coordinate runs over one representative of each orbit, every further
-one over all N codes, and a block's counts are multiplied by the orbit
-size.  power_sum_naive, the reference path, evaluates everything with
-FqElem arithmetic and cross-checks the table path on small inputs.
+in F_q, so x -> x^q permutes the points and fixes Tr(f): in dimension
+>= 2 the first coordinate runs over one representative of each orbit,
+and a block's counts are multiplied by the orbit size (in dimension 1
+the representatives cost more than the windows they save).
+power_sum_naive, the reference path, evaluates everything with FqElem
+arithmetic and cross-checks the table path on small inputs.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import math
 import os
 import threading
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -334,9 +335,16 @@ def _work_dtype(T: FieldTables, terms) -> type:
     return np.int32 if weight * T.q < 2 ** 31 else np.int64
 
 
-def _block_shape(coords) -> tuple:
-    """The shape a block's coordinates broadcast to; (1,) in dimension 0."""
-    return np.broadcast_shapes((1,), *(x.shape for x in coords))
+# A block's last coordinate: each row runs over `width` codes from start, an
+# int, or in dimension 1 a (rows, 1) column of starts (see _grid_coords).
+_Run = namedtuple("_Run", "start width")
+
+
+def _block_shape(coords, run) -> tuple:
+    """The shape a block's coordinates broadcast to, the run's rows among
+    them; (1,) in dimension 0."""
+    last = (1,) if run is None else (np.size(run.start), run.width)
+    return np.broadcast_shapes(last, *(x.shape for x in coords))
 
 
 class _Scratch(threading.local):
@@ -381,18 +389,18 @@ def _trace_sum(T: FieldTables, terms, scale_codes, scratch: _Scratch):
     Tr is F_p-linear, so Tr(c f) is the sum over terms of Tr(c * term), and
     no field elements are added.  A term's code is its coefficient's code
     plus c's plus sum_j e_j x_j, mod N = q - 1, and each term's traces are
-    read by one of two paths.  Where the last coordinate is the run of
-    codes start, start + 1, ... (dimension >= 2, see _grid_coords), the
-    outer coordinates are (rows, 1) columns, so their part of the code is
-    reduced on a column, col, and row r of a term with exponent e in the
-    last coordinate reads the trace table at col_r + e start, then every
-    e-th entry: one window of the table (_strided_windows), which the
-    block's width keeps inside it (see _grids), and one fancy index reads
-    all rows.  Every other term sums its code over all of its coordinates,
-    broadcast, and reduces it mod N once per block; each scale reads the
-    table at col + s.  The accumulator starts as the first term's traces
-    and is reduced mod p after each further term, so no key leaves [0, p)
-    and _trace_counts can count the classes directly.  The reduction's
+    read by one of two paths.  Where the last coordinate is a run of codes
+    start, start + 1, ... (dimension >= 1, see _Run), the others are
+    (rows, 1) columns, so their part of the code is reduced on a column,
+    col, and row r of a term with exponent e in the last coordinate reads
+    the trace table at col_r + e start_r, then every e-th entry: one
+    window of the table (_strided_windows), which the block's
+    width keeps inside it (see _grids), and one fancy index reads all rows.
+    Every other term sums its code over all of its coordinates, broadcast,
+    and reduces it mod N once per block; each scale reads the table at
+    col + s.  The accumulator starts as the first term's traces and is
+    reduced mod p after each further term, so no key leaves [0, p) and
+    _trace_counts can count the classes directly.  The reduction's
     temporary, and the keys where no read is of the block's shape, are the
     worker's scratch buffers, so the keys that evaluate yields for a scale
     hold only until it is resumed."""
@@ -401,20 +409,19 @@ def _trace_sum(T: FieldTables, terms, scale_codes, scratch: _Scratch):
     kp = kd(T.ctx.p)
     dt = _work_dtype(T, terms)
 
-    def evaluate(coords, start):
-        shape = _block_shape(coords)
+    def evaluate(coords, run):
+        shape = _block_shape(coords, run)
         parts = []
         for code, exps in terms:
-            e = exps[-1] if exps else 0
-            window = start is not None and e
+            e = exps[-1] if run is not None else 0
             col = code
-            for e_j, x in zip(exps, coords[:-1] if window else coords):
+            for e_j, x in zip(exps, coords):   # not the run's exponent
                 if e_j:
                     x = x.astype(dt, copy=False)
                     col = col + (x if e_j == 1 else e_j * x)
-            if window:
-                parts.append(((col + e * start) % n, _strided_windows(
-                    trace2, n, e, coords[-1].size)))
+            if e:
+                parts.append(((col + e * np.asarray(run.start, dt)) % n,
+                              _strided_windows(trace2, n, e, run.width)))
             else:
                 col %= n   # in place: col is a new array or an int
                 parts.append((col, None))
@@ -450,14 +457,15 @@ def _complement_sum(T: FieldTables, g_sum, h_digits, dt,
     """evaluate() of a complement's stratum: g_sum sums g with h's code as
     its last coordinate, and h_digits yields h's traces at the scale codes
     n-1..0, its trace digits, on which Horner in p is the index that T.log
-    decodes into h's code.  Index 0 is h = 0, and its points are dropped."""
+    decodes into h's code.  Index 0 is h = 0, and its points are dropped.
+    g_sum reads the run's codes as an array of dtype dt, like h's."""
     p, log = T.ctx.p, T.log   # log built here, not in a worker
 
-    def evaluate(coords, start):
-        shape = _block_shape(coords)
+    def evaluate(coords, run):
+        shape = _block_shape(coords, run)
         index = scratch("h_index", (math.prod(shape),), dt)
         index.fill(0)
-        for d in h_digits(coords, start):
+        for d in h_digits(coords, run):
             index *= p
             index += d
         # "clip" takes unbuffered, so into the worker's buffer; every index
@@ -465,6 +473,9 @@ def _complement_sum(T: FieldTables, g_sum, h_digits, dt,
         h = np.take(log, index, mode="clip",
                     out=scratch("h", index.shape, log.dtype)).reshape(shape)
         keep = index != 0
+        if run is not None:
+            coords = coords + [np.asarray(run.start, dt)
+                               + np.arange(run.width, dtype=dt)]
         return (keys[keep] for keys in g_sum(coords + [h], None))
 
     return evaluate
@@ -489,18 +500,17 @@ def _linear_sum(T: FieldTables, a, b_sum, scratch: _Scratch):
     digits = _trace_sum(T, a, range(T.ctx.n), scratch) if len(a) > 1 \
         else None
 
-    def evaluate(coords, start):
-        shape = _block_shape(coords)
-        size = math.prod(shape)
+    def evaluate(coords, run):
+        size = math.prod(_block_shape(coords, run))
         n0 = 0   # how many points have A = 0
         if digits is not None:
             nonzero = scratch("a", (size,), T.trace_of_code.dtype)
             nonzero.fill(0)
-            for d in digits(coords, start):
+            for d in digits(coords, run):
                 nonzero |= d
             zero = np.equal(nonzero, 0, out=scratch("a_zero", (size,), bool))
             n0 = int(np.count_nonzero(zero))
-        for keys in b_sum(coords, start):
+        for keys in b_sum(coords, run):
             h = _trace_counts(keys, p, scratch)
             h0 = h if n0 == size else [0] * p if not n0 else \
                 _trace_counts(keys[zero], p, scratch)
@@ -512,8 +522,8 @@ def _linear_sum(T: FieldTables, a, b_sum, scratch: _Scratch):
 def _counted(evaluate, p: int, scratch: _Scratch):
     """The evaluate() that yields the trace histogram of each flat array of
     keys in [0, p) that `evaluate` yields."""
-    return lambda coords, start: (_trace_counts(keys, p, scratch)
-                                  for keys in evaluate(coords, start))
+    return lambda coords, run: (_trace_counts(keys, p, scratch)
+                                for keys in evaluate(coords, run))
 
 
 def _trace_counts(keys: np.ndarray, p: int, scratch: _Scratch) -> list:
@@ -563,41 +573,43 @@ def _frobenius_orbits(n: int, q: int, m: int):
 
 
 def _grid_blocks(reps, dim: int, n: int, width):
-    """Blocks of at most _BLOCK points covering a grid of the orbit
-    representatives `reps` times n codes in each of its dim - 1 further
-    coordinates, last coordinate fastest.  A block (o0, o1, i0, i1) is a
-    run of indices into the outer coordinates times a chunk of the last
-    one, at most `width` wide unless width is None (see _grids), and as
-    many rows as fit; the last coordinate is split too, so the bound holds
-    in every dimension.  In dimension 1 the representatives are the last
-    coordinate, and dimension 0 is the one-point grid."""
-    count = len(reps) if dim else 1
-    outer, last = (count * n ** (dim - 2), n) if dim > 1 else (1, count)
+    """Blocks of at most _BLOCK points covering a grid of _grids, last
+    coordinate fastest.  A block (o0, o1, i0, i1) is a run of indices into
+    the outer coordinates (reps times n codes in each further one, in
+    dimension >= 2) times a chunk i0..i1 of the last one's n codes, at most
+    `width` wide unless width is None, and as many rows as fit; dimension
+    0 is one point.  In dimension 1 the rows o0..o1 are whole chunks of the
+    run (see _grid_coords), and the codes past them one more block."""
+    outer = len(reps) * n ** (dim - 2) if dim > 1 else 1
+    last = n if dim else 1
     chunk = min(last, width or _BLOCK, _BLOCK)
     rows = max(1, _BLOCK // chunk)
+    if dim == 1:
+        outer, last = n // chunk, chunk
     for o0 in range(0, outer, rows):
         o1 = min(o0 + rows, outer)
         for i0 in range(0, last, chunk):
             yield o0, o1, i0, min(i0 + chunk, last)
+    if dim == 1 and n % chunk:
+        yield 0, 1, n - n % chunk, n
 
 
 def _grid_coords(reps, dim: int, n: int, block):
-    """Coordinate arrays of one block of _grid_blocks, and the code that
-    the block's last coordinate starts at when it is a run of codes, that
-    is in dimension >= 2, else None.
-
-    A block's run of outer indices is decoded into (rows, 1) columns: the
-    orbit representative, then digits base n, one per further coordinate.
-    The last coordinate is the run of codes i0..i1, so together they
-    broadcast to the block's (rows, chunk) points without repeating any of
-    them."""
+    """The coordinate arrays of one block of _grid_blocks but the last, and
+    the _Run of codes that the last runs over (None in dimension 0).  The
+    outer indices are decoded into (rows, 1) columns: the orbit
+    representative, then digits base n, one per further coordinate, so
+    with the run, a (1, chunk) row of codes from i0, they broadcast to the
+    block's points without repeating any of them; in dimension 1, row o of
+    the run starts at i0 + o chunks."""
     o0, o1, i0, i1 = block
-    if dim < 2:
-        return [reps[i0:i1]] if dim else [], None
+    if not dim:
+        return [], None
+    if dim == 1:
+        return [], _Run((i0 + (i1 - i0) * np.arange(o0, o1))[:, None], i1 - i0)
     index, *digits = np.unravel_index(np.arange(o0, o1),
                                       (len(reps),) + (n,) * (dim - 2))
-    return [x[:, None] for x in [reps[index], *digits]] + [
-        np.arange(i0, i1, dtype=reps.dtype)], i0
+    return [x[:, None] for x in [reps[index], *digits]], _Run(i0, i1 - i0)
 
 
 def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
@@ -707,25 +719,26 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
            scratch: _Scratch):
     """The grids that X(k_m) is enumerated over, as (reps, dim, weight,
     evaluate, width): a torus G_m^dim whose first coordinate runs over the
-    orbit representatives reps, and every other over the N = Q - 1 codes,
-    each point standing for `weight` points, in blocks at most `width` wide
-    along the last coordinate (see _grid_blocks); dimension 0 is one point,
-    and reps None.  evaluate(coords, start) yields, for each scale code,
-    the block's histogram of the traces of c*f at its points that lie on X,
-    p ints; start is the code the last coordinate starts at when it is a
-    run of codes, else None (see _grid_coords).  There each term with last
-    exponent e reads a row of the block as a window of the doubled trace
-    table, |e| apart, so a torus of dimension >= 2 caps its blocks' width at
-    N // max |e| + 1, the longest such window that fits.
+    orbit representatives reps in dimension >= 2, and every other over the
+    N = Q - 1 codes, each point standing for `weight` points, in blocks at
+    most `width` wide along the last coordinate (see _grid_blocks); reps is
+    None in dimension 1, one run of the N codes, and in dimension 0, one
+    point.  evaluate(coords, run) yields, for each scale code, the block's
+    histogram of the traces of c*f at its points that lie on X, p ints; run
+    is the _Run of codes of the last coordinate, coords the others (see
+    _grid_coords).  Each term with last exponent e reads a row of the block
+    as a window of the doubled trace table, |e| apart, so a torus caps its
+    blocks' width at N // max |e| + 1, the longest such window that fits.
 
     Every domain is a union of tori (_strata), each distinct restriction of
     f (and h) enumerated once; the term codes and the Frobenius orbits are
-    made once for all.  The coefficients lie in F_q, so x -> x^q permutes
-    the points and fixes Tr(f): the first coordinate runs over the
-    representatives of the orbits (see _frobenius_orbits) only, in one grid
-    per orbit size, whose points stand for `size` times as many.  A torus
-    on which f is linear in a coordinate (_linear_coordinate) has it summed
-    out (_linear_sum), so its grid has one coordinate fewer; a complement's
+    made once for all, the orbits only for a level with a grid of dimension
+    >= 2.  The coefficients lie in F_q, so x -> x^q permutes the points and
+    fixes Tr(f): there the first coordinate runs over the representatives
+    of the orbits (see _frobenius_orbits) only, in one grid per orbit size,
+    whose points stand for `size` times as many.  A torus on which f is
+    linear in a coordinate (_linear_coordinate) has it summed out
+    (_linear_sum), so its grid has one coordinate fewer; a complement's
     strata keep every coordinate, as h's code is their last."""
     q, n, p = T.q, T.group_order, T.ctx.p
     codes = functools.partial(_term_codes, T, base)
@@ -741,8 +754,6 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
         tori = _strata(v.dim, 1, n, codes(v.terms), torus=v.kind == TORUS)
 
     dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
-    orbits = [(size, reps.astype(dt, copy=False)) for size, reps in
-              _frobenius_orbits(n, base.q, T.ctx.n // base.n)]
     grids = []
     for (dim, f, h), weight in tori.items():
         y = None if h is not None else _linear_coordinate(f, dim)
@@ -761,13 +772,15 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
             evaluate = _counted(evaluate, p, scratch)
             read = f if h is None else h
         # the windows are read by the terms summed with the last coordinate
-        # a run of codes: f's (A's and B's), or on a complement h's, in
-        # dimension >= 2
-        e = max((abs(x[-1]) for _, x in read), default=0) if dim > 1 else 0
-        grids += [(reps, dim, weight * size, evaluate,
-                   n // e + 1 if e else None)
-                  for size, reps in (orbits if dim else [(1, None)])]
-    return grids
+        # a run of codes: f's (A's and B's), or on a complement h's
+        e = max((abs(x[-1]) for _, x in read), default=0) if dim else 0
+        grids.append((dim, weight, evaluate, n // e + 1 if e else None))
+    orbits = [(size, reps.astype(dt, copy=False)) for size, reps in
+              _frobenius_orbits(n, base.q, T.ctx.n // base.n)] \
+        if any(dim > 1 for dim, *_ in grids) else []
+    return [(reps, dim, weight * size, evaluate, width)
+            for dim, weight, evaluate, width in grids
+            for size, reps in (orbits if dim > 1 else [(1, None)])]
 
 
 def _sl2_terms(coeffs) -> tuple:

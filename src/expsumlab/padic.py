@@ -19,10 +19,13 @@ neither pattern are flagged rather than guessed at.
 The symbols come from one polynomial recurrence over Z[pi], run on numpy
 object arrays of exact Python ints, in which multiplying by pi is a column
 shift (_symbol_numerators); numpy serves nothing else here.  radius_profile
-streams the symbols one at a time: of each it keeps only the exact
-valuations of its coefficients, Python ints read off one gcd per
-coordinate, and one Gauss valuation per weight, an integer minimum over the
-coefficients whose valuation falls below that of every lower one.  It stops
+streams the symbols one at a time: of each it keeps only the records, the
+coefficients whose valuation falls below that of every lower one, and one
+Gauss valuation per weight, an integer minimum over them.  A coefficient
+is a record iff p^k does not divide one of its coordinates, k fixed by
+the record so far and the coordinate's power of pi, so one divisibility
+test per coordinate dismisses the others, and only a record's exact
+valuation is read, off one gcd per coordinate, as Python ints.  It stops
 at the first depth, from the last p-power that the estimator compares on,
 where every weight has a sample above lambda and agreeing candidates: no
 deeper symbol can change its estimate, so the profile is that of s_max.
@@ -31,6 +34,7 @@ PiNumber.valuation and gauss_valuation are the independent reference path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -356,35 +360,58 @@ def _vp_gcd(x: int, p: int) -> int:
     return v + table[g]
 
 
+def _coefficient_valuation(row, p: int):
+    """(p-1) v of the coefficient whose coordinates for 1, pi, ... are
+    `row`: the least (p-1) v_p + e over its nonzero coordinates e (their
+    classes mod p-1 differ, so the minimum is the valuation of the sum);
+    None for 0.  Each v_p is read off its first gcd here; only a coordinate
+    that p^B divides goes to _vp_gcd."""
+    pB, table = _vp_powers(p)
+    V = None
+    for e, c in enumerate(row):
+        if c:
+            g = gcd(c, pB)
+            w = (p - 1) * (table[g] if g != pB else _vp_gcd(c, p)) + e
+            if V is None or w < V:
+                V = w
+    return V
+
+
 def _row_valuations(n, p: int) -> list:
     """[(j, V_j)] for the nonzero rows j of a polynomial array n, in order:
-    V_j = (p-1) v(coefficient of x^j), the least (p-1) v_p + e over the
-    nonzero coordinates e of row j (their classes mod p-1 differ, so the
-    minimum is the valuation of the sum).  Each v_p is read off its first
-    gcd here; only a coordinate that p^B divides goes to _vp_gcd."""
-    pB, table = _vp_powers(p)
-    out = []
-    for j, row in enumerate(n.tolist()):
-        V = None
-        for e, c in enumerate(row):
-            if c:
-                g = gcd(c, pB)
-                w = (p - 1) * (table[g] if g != pB else _vp_gcd(c, p)) + e
-                if V is None or w < V:
-                    V = w
-        if V is not None:
-            out.append((j, V))
-    return out
+    V_j = (p-1) v(coefficient of x^j), as _coefficient_valuation reads it."""
+    rows = enumerate(_coefficient_valuation(row, p) for row in n.tolist())
+    return [(j, V) for j, V in rows if V is not None]
 
 
 def _record_rows(rows) -> list:
     """The rows (j, V_j) whose V_j is below that of every earlier row.  At
     a positive weight only these can attain min_j (V_j a + j b) with a, b
-    > 0: an earlier row i < j with V_i <= V_j has the smaller term."""
+    > 0: an earlier row i < j with V_i <= V_j has the smaller term.  With
+    _row_valuations, the reference for _record_valuations."""
     out = []
     for j, V in rows:
         if not out or V < out[-1][1]:
             out.append((j, V))
+    return out
+
+
+def _record_valuations(n, p: int) -> list:
+    """_record_rows(_row_valuations(n, p)), with no valuation read for a
+    row that is no record.  Row j beats the record R so far iff some
+    nonzero coordinate c at e has (p-1) v_p(c) + e < R, that is v_p(c) <
+    k_e = ceil((R - e) / (p - 1)), or p^k_e does not divide c; where k_e <=
+    0 none can, and p^0 divides every c.  So a row is dismissed by one
+    divisibility test per coordinate, and only the records are valued."""
+    out, moduli = [], None
+    for j, row in enumerate(n.tolist()):
+        if moduli and not any(map(operator.mod, row, moduli)):
+            continue
+        V = _coefficient_valuation(row, p)
+        if V is not None:   # below the record, if there is one
+            out.append((j, V))
+            moduli = [p ** max(0, (V - e + p - 2) // (p - 1))
+                      for e in range(p - 1)]
     return out
 
 
@@ -509,7 +536,7 @@ def radius_profile(g: RationalFunctionPi, lam_grid=DEFAULT_GRID,
     symbols = _symbol_numerators(p, U, W, s_max)
     next(symbols)
     for s, n in enumerate(symbols, 1):
-        rows = _record_rows(_row_valuations(n, p))
+        rows = _record_valuations(n, p)
         f = s - digit_sum(s, p)
         for k, ((a, b), vw) in enumerate(zip(weights, v_w)):
             m = min(V * a + j * b for j, V in rows) - s * vw if rows else None

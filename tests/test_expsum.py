@@ -21,6 +21,7 @@ from expsumlab.verify import _arrangement_terms
 
 F2 = build_field(2, 1)
 F3 = build_field(3, 1)
+F4 = build_field(2, 2)
 F5 = build_field(5, 1)
 F7 = build_field(7, 1)
 F9 = build_field(3, 2)
@@ -433,7 +434,7 @@ def test_unread_coordinates_and_shared_strata_match_naive(case):
 
 
 @pytest.mark.parametrize("v,base,m,count", [
-    pytest.param(NEWTON_DEGENERATE, F5, 6, 6, id="plane"),
+    pytest.param(NEWTON_DEGENERATE, F5, 6, 3, id="plane"),
     pytest.param(VarietySpec.affine_space(3, _arrangement_terms("a3")), F3,
                  2, 3, id="a3-arrangement"),
     pytest.param(VarietySpec.affine_space(5, {(1,) * 5: 1,
@@ -444,9 +445,10 @@ def test_unread_coordinates_and_shared_strata_match_naive(case):
                  F3, 1, 6, id="sum-of-squares"),
 ])
 def test_equal_strata_are_summed_once(monkeypatch, v, base, m, count):
-    # 7, 12, 32 and 32 grids when every stratum had its own: the strata on
-    # which f restricts to the same terms, after its unread coordinates are
-    # dropped, are one grid per orbit size
+    # 7, 12, 32 and 32 grids when every stratum had its own, and a torus of
+    # dimension 1 one grid per orbit size: the strata on which f restricts
+    # to the same terms, after its unread coordinates are dropped, are one
+    # run of codes in dimension 1 and one grid per orbit size from 2 on
     grids, counts = es._grids, []
 
     def spied(*args):
@@ -461,18 +463,25 @@ def test_equal_strata_are_summed_once(monkeypatch, v, base, m, count):
     assert counts == [count] and want in (None, got)
 
 
-@pytest.mark.parametrize("v,base", [
-    pytest.param(VarietySpec.sl2([1, 2]), F3, id="sl2"),
+@pytest.mark.parametrize("v,base,orbit_levels_made", [
+    pytest.param(VarietySpec.sl2([1, 2]), F3, [], id="sl2"),
     pytest.param(VarietySpec.hypersurface_complement(
         2, {(2, 1): 1, (0, 1): 2, (1, 0): 1}, {(1, 1): 1, (0, 0): 1}, 2),
-                 F3, id="dim2-complement"),
-    pytest.param(NEWTON_DEGENERATE, F3, id="plane"),
+                 F3, [1, 2, 3], id="dim2-complement"),
+    pytest.param(NEWTON_DEGENERATE, F3, [], id="plane"),
+    pytest.param(KLOOSTERMAN, F5, [], id="kloosterman"),
+    pytest.param(VarietySpec.torus(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1}),
+                 F3, [1, 2, 3], id="x+y+1/(xy)"),
 ])
-def test_every_grid_is_a_torus(monkeypatch, v, base):
+def test_every_grid_is_a_torus(monkeypatch, v, base, orbit_levels_made):
     # affine space, complements and SL2's line of traces are summed over
     # their coordinate strata: no orbit representative is the zero code,
-    # every further coordinate runs over the codes below N, and one set of
-    # Frobenius orbits serves every stratum of a level
+    # every further coordinate runs over the codes below N, a grid of
+    # dimension 1 is a run of codes with no representatives, and one set
+    # of Frobenius orbits serves every stratum of dimension >= 2 of a level.
+    # So Kloosterman's torus, the plane's once y is summed out and SL2's
+    # line and torus of traces make no orbits, and x + y + 1/(xy), linear
+    # in neither coordinate, makes them once per level
     grids, orbits = es._grids, es._frobenius_orbits
     levels, orbit_levels = [], []
 
@@ -480,8 +489,8 @@ def test_every_grid_is_a_torus(monkeypatch, v, base):
         out = grids(T, *args)
         levels.append(T.ctx.n)
         for reps, dim, *_ in out:
-            assert (reps is None) == (dim == 0)
-            assert dim == 0 or not np.any(reps == T.zero_code)
+            assert (reps is None) == (dim < 2)
+            assert dim < 2 or not np.any(reps == T.zero_code)
         return out
 
     def spied_orbits(n, q, m):
@@ -491,7 +500,7 @@ def test_every_grid_is_a_torus(monkeypatch, v, base):
     monkeypatch.setattr(es, "_grids", spied_grids)
     monkeypatch.setattr(es, "_frobenius_orbits", spied_orbits)
     seq = power_sum_table(v, base, 3)[0]
-    assert levels == [1, 2, 3] and orbit_levels == [1, 2, 3]
+    assert levels == [1, 2, 3] and orbit_levels == orbit_levels_made
     assert seq.values[:2] == tuple(power_sum_naive(v, base, m)
                                    for m in (1, 2))
 
@@ -579,10 +588,11 @@ def test_summed_out_coordinate_matches_naive_where_a_vanishes(v, base, m):
 def test_linear_coordinates_are_summed_out(monkeypatch, v, base, largest,
                                            summed_out):
     # the plane's torus, where f = x^2 y - x, and its line y = 0 are summed
-    # out over their linear coordinate, so no grid is 2-D and no window is
-    # read; on the line x = 0 f reads no coordinate, so it is a weight on
-    # the origin's point.  x^2 y^2 - x keeps its torus in the 2-D window
-    # kernel, as a complement keeps every stratum
+    # out over their linear coordinate, so no grid is 2-D, and the torus's
+    # run of x's codes is read in windows; on the line x = 0 f reads no
+    # coordinate, so it is a weight on the origin's point.  x^2 y^2 - x
+    # keeps its torus in the 2-D window kernel, as a complement keeps every
+    # stratum
     grids, linear, windows = es._grids, es._linear_sum, es._strided_windows
     dims, calls, steps = [], [], []
 
@@ -603,8 +613,7 @@ def test_linear_coordinates_are_summed_out(monkeypatch, v, base, largest,
     monkeypatch.setattr(es, "_linear_sum", spied_linear)
     monkeypatch.setattr(es, "_strided_windows", spied_windows)
     assert power_sum(v, base, 2) == power_sum_naive(v, base, 2)
-    assert dims == [largest] and len(calls) == summed_out
-    assert bool(steps) == (largest == 2)
+    assert dims == [largest] and len(calls) == summed_out and steps
 
 
 def test_galois_equivariance():
@@ -614,15 +623,18 @@ def test_galois_equivariance():
             assert power_sum(v.scaled(u), base, 1) == galois_twist(s1, u)
 
 
-def _size_checked(evaluate, sizes):
-    def checked(coords, start):
-        npts = math.prod(np.broadcast_shapes((1,), *(x.shape for x in coords)))
+def _size_checked(evaluate, sizes, n):
+    def checked(coords, run):
+        shape = np.broadcast_shapes((1,), *(x.shape for x in coords))
+        if run is not None:   # every row of the run is codes below n
+            start = np.asarray(run.start)
+            assert run.width >= 1 and 0 <= start.min()
+            assert start.max() + run.width <= n
+            shape = np.broadcast_shapes(shape, start.shape, (1, run.width))
+        npts = math.prod(shape)
         assert npts <= es._BLOCK
-        if start is not None:   # the last coordinate is the run it names
-            last = coords[-1]
-            assert np.array_equal(last, np.arange(start, start + last.size))
         sizes.append(npts)
-        return evaluate(coords, start)
+        return evaluate(coords, run)
     return checked
 
 
@@ -652,21 +664,104 @@ def _size_checked(evaluate, sizes):
 ])
 def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
     # blocks of at most 7 points split the last coordinate of every grid,
-    # so in dimension >= 2 its runs of codes start past 0
+    # so in dimension >= 1 its runs of codes start past 0
     want = power_sum_naive(v, base, m)
     grids, sizes, grid_points = es._grids, [], []
 
     def spied(T, *args):
         out = grids(T, *args)
-        grid_points.extend(len(reps) * T.group_order ** (dim - 1) if dim
-                           else 1 for reps, dim, *_ in out)
-        return [(reps, dim, weight, _size_checked(evaluate, sizes), width)
+        n = T.group_order
+        grid_points.extend(len(reps) * n ** (dim - 1) if dim > 1
+                           else n ** dim for reps, dim, *_ in out)
+        return [(reps, dim, weight, _size_checked(evaluate, sizes, n), width)
                 for reps, dim, weight, evaluate, width in out]
 
     monkeypatch.setattr(es, "_BLOCK", 7)
     monkeypatch.setattr(es, "_grids", spied)
     assert power_sum(v, base, m, threads=threads) == want
     assert sizes and sum(sizes) == sum(grid_points)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("v,base,m", [
+    # runs 24 // 5 + 1 = 5 codes wide, read forwards 3 apart and backwards
+    # 5 apart, beside a constant term
+    pytest.param(VarietySpec.torus(1, {(3,): 1, (-5,): 2, (0,): 3}), F5, 2,
+                 id="torus-F25"),
+    pytest.param(VarietySpec.torus(1, {(-3,): F4.element([0, 1]), (2,): 1,
+                                       (0,): F4.element([1, 1])}), F4, 2,
+                 id="torus-F16"),
+    # h's windows set the width, 24 // 4 + 1 = 7, and g reads the run's
+    # codes beside h's
+    pytest.param(VarietySpec.hypersurface_complement(
+        1, {(3,): 1, (0,): 2}, {(4,): 1, (1,): 1, (0,): 1}, 2), F5, 2,
+                 id="complement-F25"),
+    pytest.param(VarietySpec.hypersurface_complement(
+        1, {(2,): F9.element([0, 1]), (0,): 1},
+        {(2,): 1, (0,): F9.element([1, 1])}, 1), F9, 1, id="complement-F9"),
+])
+def test_one_coordinate_runs_match_naive(monkeypatch, v, base, m, threads):
+    # a grid of dimension 1 is one run of the N codes, cut into rows no
+    # wider than N // max|e| + 1 and _BLOCK, each a window from its start;
+    # the blocks' rows tile the run, on one thread or two
+    want = power_sum_naive(v, base, m)
+    grids, runs = es._grids, {}
+
+    def spied(T, *args):
+        out = grids(T, *args)
+        for reps, dim, weight, evaluate, width in out:
+            if dim == 1:
+                runs[evaluate] = T.group_order, width, []
+        return [(reps, dim, weight, recorded(evaluate), width)
+                for reps, dim, weight, evaluate, width in out]
+
+    def recorded(evaluate):
+        def checked(coords, run):
+            if evaluate in runs:
+                assert coords == []
+                runs[evaluate][2].append(run)
+            return evaluate(coords, run)
+        return checked
+
+    monkeypatch.setattr(es, "_BLOCK", 8)
+    monkeypatch.setattr(es, "_grids", spied)
+    monkeypatch.setattr(es.os, "cpu_count", lambda: 2)
+    assert power_sum(v, base, m, threads=threads) == want
+    assert runs
+    for n, width, blocks in runs.values():
+        assert len(blocks) >= 2
+        assert all(run.width <= min(width, 8) for run in blocks)
+        codes = [np.ravel(run.start + np.arange(run.width)) for run in blocks]
+        assert all(c.size <= 8 for c in codes)
+        assert sorted(np.concatenate(codes)) == list(range(n))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_coordinate_blocks_are_full_whatever_the_exponent(monkeypatch,
+                                                              threads):
+    # x^N = 1 on the torus caps the rows at N // N + 1 = 2 codes, yet a
+    # block is _BLOCK // 2 such rows: ceil(N / _BLOCK) blocks, as for x
+    v = VarietySpec.torus(1, {(5 ** 3 - 1,): 1, (1,): 2, (-50,): 1})
+    want = power_sum_naive(v, F5, 3)
+    coords, sizes = es._grid_coords, []
+
+    def spied(reps, dim, n, block):
+        out = coords(reps, dim, n, block)
+        sizes.append(np.size(out[1].start) * out[1].width)
+        return out
+
+    monkeypatch.setattr(es, "_BLOCK", 8)
+    monkeypatch.setattr(es, "_grid_coords", spied)
+    monkeypatch.setattr(es.os, "cpu_count", lambda: 2)
+    assert power_sum(v, F5, 3, threads=threads) == want
+    assert sorted(sizes, reverse=True) == [8] * (124 // 8) + [4]
+    monkeypatch.undo()
+    # at full size too: x^(5^11 - 1) + x at level 11 is 47 blocks, not
+    # one per pair of codes
+    for n in (5 ** 8 - 1, 5 ** 11 - 1):
+        blocks = list(es._grid_blocks(None, 1, n, 2))
+        assert len(blocks) == -(-n // es._BLOCK)
+        assert sum((o1 - o0) * (i1 - i0) for o0, o1, i0, i1 in blocks) == n
 
 
 @pytest.mark.parametrize("cores,threads,pools_made", [
@@ -768,8 +863,9 @@ def level_peak(v, base, m):
 
 def test_plane_level_memory_is_bounded():
     # one level of x^2 y - x over F_5 at m = 6: y is summed out, so the
-    # main stratum is x over its 2,634 orbit representatives (0.26 MiB
-    # measured, where 2,634 times 15,624 points in windows took 2.1 MiB)
+    # main stratum is one run of x's 15,624 codes (0.03 MiB measured; its
+    # 2,634 orbit representatives took 0.26 MiB, and 2,634 times 15,624
+    # points in windows 2.1 MiB)
     got, peak = level_peak(NEWTON_DEGENERATE, F5, 6)
     assert got == CyclotomicInt.from_int(5, 5 ** 6)
     assert peak <= 1 << 20
@@ -831,8 +927,8 @@ def level_faults(v, base, m):
 
 def test_plane_level_reuses_block_buffers():
     # a warm level of x^2 y - x over F_5 at m = 6 in one thread, y summed
-    # out: the blocks of x, a few KiB, fault in no fresh pages (0 measured,
-    # where 2,634 times 15,624 points in windows took 340 to 570)
+    # out: the one block of x's codes, 15 KiB, faults in no fresh pages (0
+    # measured, where 2,634 times 15,624 points in windows took 340 to 570)
     got, faults = level_faults(NEWTON_DEGENERATE, F5, 6)
     assert got == CyclotomicInt.from_int(5, 5 ** 6)
     assert faults < 200

@@ -13,8 +13,8 @@ from expsumlab.padic import (DEFAULT_GRID, INF, GaussWeight,
                              dwork_twist, factorial_valuation, gauss_valuation,
                              radius_profile, robba_index, symbol_sequence)
 from expsumlab.padic import (_VP_BLOCK, _cleared, _estimate_radius,
-                             _record_rows, _row_valuations, _symbol_numerators,
-                             _vp_gcd, _vp_int)
+                             _record_rows, _record_valuations, _row_valuations,
+                             _symbol_numerators, _vp_gcd, _vp_int)
 
 
 def mono(p, coef, k):
@@ -440,6 +440,8 @@ def test_row_valuations_match_scalar_reference_to_depth_200():
                             for e, c in enumerate(row) if c))
                     for i, row in enumerate(n.tolist()) if any(row)]
         assert _row_valuations(n, p) == expected
+        # and the records, each row that is none dismissed by divisibility
+        assert _record_valuations(n, p) == _record_rows(expected)
     # and coordinates that p^B divides, whose v_p comes from _vp_gcd
     n = np.array([[0] * 4, [p ** 70, 3 * p ** _B, 0, 0],
                   [0, 2 * p ** 130, 0, 0]], dtype=object)
@@ -464,6 +466,30 @@ def test_record_rows_attain_every_minimum(steps, a, b):
             min(V * a + j * b for j, V in rows)
     else:
         assert kept == []
+
+
+@st.composite
+def planted_symbol_arrays(draw):
+    """(n, p): an (L, p - 1) object array of ints, each coordinate 0 or
+    +-p^v u with v planted, mostly small so that rows tie and nearly tie,
+    and sometimes past the gcd block; u may hold further factors of p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    v = st.one_of(st.integers(0, 6), st.integers(0, 2 * _B + 2))
+    unit = st.integers(-(2 ** 80), 2 ** 80).filter(bool)
+    coord = st.one_of(st.just(0), st.builds(lambda v, u: p ** v * u, v, unit))
+    rows = draw(st.lists(st.lists(coord, min_size=p - 1, max_size=p - 1),
+                         max_size=16))
+    return np.array(rows, dtype=object).reshape(-1, p - 1), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_symbol_arrays())
+def test_record_valuations_match_the_two_step_reference(case):
+    # a row is dismissed by one divisibility test per coordinate against
+    # the record so far; the records and their valuations are those of
+    # valuing every row and keeping the records
+    n, p = case
+    assert _record_valuations(n, p) == _record_rows(_row_valuations(n, p))
 
 
 def test_estimator_flags_unstructured_profiles():
