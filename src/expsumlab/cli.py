@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from . import lfun, predict
 from .expsum import (DEFAULT_BUDGET, BudgetExceededError, VarietySpec,
-                     exact_int, power_sum_table, scaled_degree_check)
+                     _approx, _enumeration_work, exact_int, power_sum_table,
+                     scaled_degree_check)
 from .ffield import _jsonable, build_field, is_prime
 from .lfun import ReconstructionError
 from .padic import (DEFAULT_GRID, DEFAULT_S_MAX, WEIGHT_PASS_WORK,
@@ -233,6 +234,22 @@ def _run_sum(payload: dict, budget: int, threads: int):
     return report, _table(rows)
 
 
+def _lseries_budget(base, v: VarietySpec, M: int, series: int,
+                    budget: int) -> int:
+    """The budget left for the power sums once the L-series work of
+    `series` reconstructions from S_1..S_M is charged, before any level
+    runs; BudgetExceededError if that work alone is over the budget.  A
+    coordinate of S_1 is at most its nominal point count."""
+    bits = _enumeration_work(v, base.q).bit_length()
+    work = series * lfun.lseries_work(base.p, M, bits)
+    if work > budget:
+        raise BudgetExceededError(
+            f"the L-series over Q(zeta_{base.p}) through order {M} needs "
+            f"{_approx(work)} work units ({lfun.PRODUCT_WORK} per "
+            f"coordinate-bit of each product); budget is {budget}")
+    return budget - work
+
+
 def _run_lfun(payload: dict, budget: int, threads: int):
     base = _parse_base(payload, budget)
     v = _parse_variety(payload, base)
@@ -246,6 +263,7 @@ def _run_lfun(payload: dict, budget: int, threads: int):
         if scale % base.p == 0:
             raise SchemaError(f"scale must be nonzero mod {base.p}, "
                               f"got {scale}")
+        budget = _lseries_budget(base, v, M, 2, budget)
         rep = scaled_degree_check(v, base, scale, M, budget=budget,
                                   threads=threads)
         report = {"command": "lfun", "scale": scale,
@@ -271,6 +289,7 @@ def _run_lfun(payload: dict, budget: int, threads: int):
     if verdict is not None and "predicted_degree" not in verdict:
         raise SchemaError(f"a {verdict['kind']} prediction has no single "
                           f"degree to compare with the L-series")
+    budget = _lseries_budget(base, v, M, 1, budget)
     seq = power_sum_table(v, base, M, budget=budget, threads=threads)[0]
     series = lfun.exp_power_sums(seq)
     if bounds is not None:

@@ -13,7 +13,9 @@ characteristic, over the strata of one affine line and one torus.  A
 coordinate of a stratum that no term of f (or h) reads multiplies its sum
 by its Q - 1 points, so it is dropped for that weight; strata on which f
 and h restrict to the same terms have the same sum, so each distinct
-restriction is summed once, the strata's weights added.
+restriction is summed once, the strata's weights added.  On a stratum's
+torus of Q - 1 points only e mod Q - 1 matters, so each exponent is read
+as its residue nearest 0: x^(Q-1) is a constant, x^(Q-2) is 1/x.
 
 On a torus stratum where f = A(x') y + B(x') is linear in a coordinate y
 (exponent 0 or 1 in every term, and f reads y, so A has a term), y is
@@ -41,13 +43,13 @@ h's traces at the scales g^(n-1)..g^0, its trace digits.  In dimension
 >= 1 a block's last coordinate is a run of consecutive codes, so a term
 reads each row of the block as one window of the table, contiguous for
 exponent 1 in that coordinate and strided otherwise; any other term
-reads the doubled table once per point.  The sum is kept mod p and its
-classes are counted with no copy of the keys, in block buffers that each
-worker thread reuses through a level (_Scratch).  The coefficients lie
-in F_q, so x -> x^q permutes the points and fixes Tr(f): in dimension
->= 2 the first coordinate runs over one representative of each orbit,
-and a block's counts are multiplied by the orbit size (in dimension 1
-the representatives cost more than the windows they save).
+reads the doubled table once per point.  The sum is kept mod p, in
+block buffers that each worker thread reuses through a level (_Scratch),
+and its classes are counted by one bincount pass, whatever p is.  The
+coefficients lie in F_q, so x -> x^q permutes the points and fixes Tr(f):
+in dimension >= 2 the first coordinate runs over one representative of
+each orbit, and a block's counts are multiplied by the orbit size (in
+dimension 1 the representatives cost more than the windows they save).
 power_sum_naive, the reference path, evaluates everything with FqElem
 arithmetic and cross-checks the table path on small inputs.
 """
@@ -312,18 +314,13 @@ def _coef_code(T: FieldTables, base: FieldCtx, coef) -> int:
 
 
 def _term_codes(T: FieldTables, base: FieldCtx, terms):
-    """(code, exponents) of the terms with a nonzero coefficient, each
-    exponent e taken to sign(e) ((|e| - 1) mod N + 1), N = q - 1: the same
-    power on nonzero x, at most N in size, so code sums fit int64, and
-    still positive where e is, so _restrict drops the term where that
-    coordinate is zero."""
-    n = T.group_order
+    """(code, exponents) of the terms with a nonzero coefficient; _strata
+    reduces the exponents once it has restricted the terms to a stratum."""
     out = []
     for coef, exps in terms:
         code = _coef_code(T, base, coef)
         if code != T.zero_code:
-            out.append((code, tuple(
-                ((e > 0) - (e < 0)) * ((abs(e) - 1) % n + 1) for e in exps)))
+            out.append((code, tuple(exps)))
     return out
 
 
@@ -395,7 +392,8 @@ def _trace_sum(T: FieldTables, terms, scale_codes, scratch: _Scratch):
     col, and row r of a term with exponent e in the last coordinate reads
     the trace table at col_r + e start_r, then every e-th entry: one
     window of the table (_strided_windows), which the block's
-    width keeps inside it (see _grids), and one fancy index reads all rows.
+    width keeps inside it (see _grids): a block of one row reads it as a
+    view, and one fancy index reads the rows of any other.
     Every other term sums its code over all of its coordinates, broadcast,
     and reduces it mod N once per block; each scale reads the table at
     col + s.  The accumulator starts as the first term's traces and is
@@ -432,8 +430,11 @@ def _trace_sum(T: FieldTables, terms, scale_codes, scratch: _Scratch):
         for s in scale_codes:
             acc = None
             for col, win in parts:
-                t = trace2[col + s] if win is None else \
-                    win[np.ravel((col + s) % n)]
+                if win is None:
+                    t = trace2[col + s]
+                else:   # one row is a view of the table, more a gather
+                    rows = np.ravel((col + s) % n)
+                    t = win[rows[0]] if rows.size == 1 else win[rows]
                 if acc is None:
                     acc = t
                     if np.shape(t) != shape:
@@ -511,31 +512,29 @@ def _linear_sum(T: FieldTables, a, b_sum, scratch: _Scratch):
             zero = np.equal(nonzero, 0, out=scratch("a_zero", (size,), bool))
             n0 = int(np.count_nonzero(zero))
         for keys in b_sum(coords, run):
-            h = _trace_counts(keys, p, scratch)
+            h = _trace_counts(keys, p)
             h0 = h if n0 == size else [0] * p if not n0 else \
-                _trace_counts(keys[zero], p, scratch)
+                _trace_counts(keys[zero], p)
             yield [Q // p * (size - n0) + Q * z - t for t, z in zip(h, h0)]
 
     return evaluate
 
 
-def _counted(evaluate, p: int, scratch: _Scratch):
+def _counted(evaluate, p: int):
     """The evaluate() that yields the trace histogram of each flat array of
     keys in [0, p) that `evaluate` yields."""
-    return lambda coords, run: (_trace_counts(keys, p, scratch)
+    return lambda coords, run: (_trace_counts(keys, p)
                                 for keys in evaluate(coords, run))
 
 
-def _trace_counts(keys: np.ndarray, p: int, scratch: _Scratch) -> list:
-    """How many of the keys, each in [0, p), take each value, as ints.
-
-    Classes 0..p-2 are counted with count_nonzero and the last class is
-    the rest of the keys, so no key is copied; the mask of a class is the
-    worker's temporary, the memory that _trace_sum reduces mod p in."""
-    mask = scratch("temp", keys.shape, bool)
-    counts = [int(np.count_nonzero(np.equal(keys, t, out=mask)))
-              for t in range(p - 1)]
-    return counts + [keys.size - sum(counts)]
+def _trace_counts(keys: np.ndarray, p: int) -> list:
+    """How many of the keys, each in [0, p), take each value, as ints: one
+    pass of bincount whatever p is, on _CHUNK slices, so its copy of the
+    keys to intp stays _CHUNK long."""
+    counts = np.zeros(p, np.int64)
+    for i in range(0, keys.size, _CHUNK):
+        counts += np.bincount(keys[i:i + _CHUNK], minlength=p)
+    return counts.tolist()
 
 
 def _frobenius_orbits(n: int, q: int, m: int):
@@ -677,19 +676,32 @@ def _restrict(terms, zero):
             if not any(z and e > 0 for e, z in zip(exps, zero))]
 
 
+def _nearest(terms, n: int) -> list:
+    """The terms with each exponent e read as its residue mod n nearest 0,
+    of e's sign on a tie: on a torus of n points x^e = x^(e mod n), so x^n
+    is a constant and x^(n-1) is x^(-1)."""
+    def nearest(e):
+        r = e % n
+        return r - n if 2 * r > n or (2 * r == n and e < 0) else r
+
+    return [(code, tuple(map(nearest, exps))) for code, exps in terms]
+
+
 def _strata(dim: int, weight: int, n: int, f, h=None,
             torus: bool = False) -> Counter:
     """The strata of A^dim (see the module docstring), or G_m^dim alone if
     torus, less those where h restricts to 0, as a Counter of (dimension,
     f, h or None) -> weight, each point of a stratum standing for `weight`
-    points.  The terms are _restrict'ed to the stratum, and then to the
-    coordinates that a term of f or h reads: one that none reads multiplies
-    the weight by its n = Q - 1 points.  f and h are keyed as sorted tuples,
-    so strata on which they restrict to the same terms are summed once."""
+    points.  The terms are _restrict'ed to the stratum, their exponents
+    read mod n = Q - 1 (_nearest), and then restricted to the coordinates
+    that a term of f or h reads: one that none reads multiplies the weight
+    by its n points.  f and h are keyed as sorted tuples, so strata on
+    which they restrict to the same terms are summed once."""
     out = Counter()
     for zero in itertools.product((False,) if torus else (False, True),
                                   repeat=dim):
-        f_zero, h_zero = _restrict(f, zero), _restrict(h or [], zero)
+        f_zero, h_zero = (_nearest(_restrict(terms, zero), n)
+                          for terms in (f, h or []))
         if h is not None and not h_zero:
             continue
         unread = [not any(exps[j] for _, exps in f_zero + h_zero)
@@ -769,7 +781,7 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
             if h is not None:
                 evaluate = _complement_sum(T, evaluate, _trace_sum(
                     T, h, range(T.ctx.n - 1, -1, -1), scratch), dt, scratch)
-            evaluate = _counted(evaluate, p, scratch)
+            evaluate = _counted(evaluate, p)
             read = f if h is None else h
         # the windows are read by the terms summed with the last coordinate
         # a run of codes: f's (A's and B's), or on a complement h's

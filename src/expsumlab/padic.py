@@ -38,6 +38,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, lcm
 
 import numpy as np
@@ -61,12 +62,6 @@ def _vp_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def _vp(q: Fraction, p: int):
-    if q == 0:
-        return INF
-    return _vp_int(q.numerator, p) - _vp_int(q.denominator, p)
 
 
 def digit_sum(s: int, p: int) -> int:
@@ -94,14 +89,26 @@ def _pi_modulus(p: int) -> tuple:
     return (p,) + (0,) * (p - 2) + (1,)
 
 
+def _fold_pi(c: list, p: int) -> list:
+    """The coordinates for 1, pi, ..., pi^(p-2) of sum_k c_k pi^k:
+    pi^(p-1) = -p moves each c_k, k >= p - 1, onto c_(k-p+1) times -p,
+    one slice of p - 1 at a time from the top."""
+    d = p - 1
+    while len(c) > d:
+        c = [x - p * y for x, y in zip_longest(c[:d], c[d:], fillvalue=0)]
+    return c + [0] * (d - len(c))
+
+
 class PiNumber(QuotientFieldElem):
-    """Element of Q[pi]/(pi^(p-1) + p), coordinates for 1, pi, ..., pi^(p-2).
+    """Element of Q[pi]/(pi^(p-1) + p), coordinates for 1, pi, ..., pi^(p-2):
+    an integer vector over one denominator, whose coords are Fractions.
 
     For p = 2 this is just Q with pi = -2."""
 
     __slots__ = ()
     _coord = Fraction
     _modulus = staticmethod(_pi_modulus)
+    _fold = staticmethod(_fold_pi)
     _scalars = (int, Fraction)
     _mixed = "mixed pi-adic levels"
 
@@ -117,9 +124,10 @@ class PiNumber(QuotientFieldElem):
         """v(sum a_i pi^i) = min_i (v_p(a_i) + i/(p-1)); INF for zero.
         Exact because the extension is totally ramified (the candidate
         valuations fall in distinct classes mod 1)."""
-        vals = [_vp(a, self.p) + Fraction(i, self.p - 1)
-                for i, a in enumerate(self.coords) if a != 0]
-        return min(vals) if vals else INF
+        p = self.p
+        vals = [_vp_int(a, p) + Fraction(i, p - 1)
+                for i, a in enumerate(self.num) if a]
+        return min(vals) - _vp_int(self.den, p) if vals else INF
 
     def __repr__(self):
         return f"Pi({self.p}){[str(c) for c in self.coords]}"
@@ -245,8 +253,8 @@ def _cleared(g: RationalFunctionPi):
     """(U, W): num(g) and den(g) times one common denominator of their
     coordinates, as integer arrays, so that U / W = g."""
     p = g.p
-    D = lcm(*(c.denominator for x in g.num + g.den for c in x.coords))
-    return tuple(np.array([[int(c * D) for c in x.coords] for x in poly],
+    D = lcm(*(x.den for x in g.num + g.den))
+    return tuple(np.array([[c * (D // x.den) for c in x.num] for x in poly],
                           dtype=object).reshape(-1, p - 1)
                  for poly in (g.num, g.den))
 

@@ -694,6 +694,7 @@ EARLY_BUDGET_JOBS = {
     "sum-p-54-bits": _over_budget("sum", base={"p": 10000000000000061}),
     "sum-20000-levels": _over_budget("sum", levels=20000),
     "lfun-100000-levels": _over_budget("lfun", levels=100000),
+    "lfun-p-100003": _over_budget("lfun", base={"p": 100003}),
     "sum-dim-20000": _over_budget("sum", variety={
         "kind": "affine", "dim": 20000, "f": []}),
     "radius-p-1000003": _over_budget("radius", p=1000003),
@@ -710,6 +711,22 @@ def test_exit_code_budget_before_building(tmp_path, capsys, name):
     assert time.perf_counter() - start < 1
     assert code == cli.EXIT_BUDGET and not out
     assert err.startswith("budget exceeded: ") and len(err.splitlines()) == 1
+
+
+def test_lfun_over_f4001_ends_within_seconds(tmp_path, capsys):
+    # x + 1/x over F_4001 through level 2 is inside the budget with its
+    # L-series charged; its products over Q(zeta_4001) and the counting of
+    # 4001 trace classes once ran 216 s before the reconstruction, which 2
+    # levels cannot certify
+    job = write_job(tmp_path, "kloosterman4001.json", {
+        "command": "lfun", "payload": {
+            "base": {"p": 4001}, "levels": 2,
+            "variety": {"kind": "torus", "dim": 1,
+                        "f": [[1, [1]], [1, [-1]]]}}})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["lfun", "--job", job])
+    assert time.perf_counter() - start < 10
+    assert code == cli.EXIT_UNCERTIFIED and not out
 
 
 # a x + b/x on G_m over F_5 through level 8, as in the kloosterman-f5
@@ -740,6 +757,30 @@ def test_kloosterman_f5_lfun_report_bytes(tmp_path, capsys):
     code, out, _ = run(capsys, ["lfun", "--job", job])
     assert code == 0
     assert out == KLOOSTERMAN5_REPORT
+
+
+# lfun reports over Q(zeta_7) and Q(zeta_211), recorded when every
+# coordinate of the L-series was a Fraction: x + 1/x on G_m over F_7
+# through level 6, and x^2 on A^1 over F_211 through level 2 with bounds
+# [1, 0], whose P has 210 coordinates per coefficient
+LFUN_OUTPUTS = Path(__file__).parent / "lfun_outputs"
+LFUN_GOLDEN_JOBS = {
+    "kloosterman-f7": {"base": {"p": 7}, "levels": 6, "variety": {
+        "kind": "torus", "dim": 1, "f": [[1, [1]], [1, [-1]]]}},
+    "square-f211": {"base": {"p": 211}, "levels": 2, "bounds": [1, 0],
+                    "variety": {"kind": "affine", "dim": 1,
+                                "f": [[1, [2]]]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LFUN_GOLDEN_JOBS))
+def test_lfun_reports_match_golden_bytes(tmp_path, capsys, name):
+    job = write_job(tmp_path, f"{name}.json", {
+        "command": "lfun", "payload": LFUN_GOLDEN_JOBS[name]})
+    out = tmp_path / "report.json"
+    code, _, _ = run(capsys, ["lfun", "--job", job, "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (LFUN_OUTPUTS / f"{name}.json").read_bytes()
 
 
 # g = x^2 y + 2y + x over h^2, h = xy + 1, on the complement of h = 0 in

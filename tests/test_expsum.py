@@ -739,8 +739,9 @@ def test_one_coordinate_runs_match_naive(monkeypatch, v, base, m, threads):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_one_coordinate_blocks_are_full_whatever_the_exponent(monkeypatch,
                                                               threads):
-    # x^N = 1 on the torus caps the rows at N // N + 1 = 2 codes, yet a
-    # block is _BLOCK // 2 such rows: ceil(N / _BLOCK) blocks, as for x
+    # x^N = 1 on the torus is a constant, and x^-50 caps the rows at
+    # N // 50 + 1 = 3 codes, yet a block is _BLOCK // 3 such rows: about
+    # N / _BLOCK blocks, as for x, and the codes past the whole rows one more
     v = VarietySpec.torus(1, {(5 ** 3 - 1,): 1, (1,): 2, (-50,): 1})
     want = power_sum_naive(v, F5, 3)
     coords, sizes = es._grid_coords, []
@@ -750,11 +751,11 @@ def test_one_coordinate_blocks_are_full_whatever_the_exponent(monkeypatch,
         sizes.append(np.size(out[1].start) * out[1].width)
         return out
 
-    monkeypatch.setattr(es, "_BLOCK", 8)
+    monkeypatch.setattr(es, "_BLOCK", 9)
     monkeypatch.setattr(es, "_grid_coords", spied)
     monkeypatch.setattr(es.os, "cpu_count", lambda: 2)
     assert power_sum(v, F5, 3, threads=threads) == want
-    assert sorted(sizes, reverse=True) == [8] * (124 // 8) + [4]
+    assert sorted(sizes, reverse=True) == [9] * (123 // 9) + [6, 1]
     monkeypatch.undo()
     # at full size too: x^(5^11 - 1) + x at level 11 is 47 blocks, not
     # one per pair of codes
@@ -762,6 +763,36 @@ def test_one_coordinate_blocks_are_full_whatever_the_exponent(monkeypatch,
         blocks = list(es._grid_blocks(None, 1, n, 2))
         assert len(blocks) == -(-n // es._BLOCK)
         assert sum((o1 - o0) * (i1 - i0) for o0, o1, i0, i1 in blocks) == n
+
+
+@pytest.mark.parametrize("kind", ["torus", "affine"])
+@pytest.mark.parametrize("base,m", [(build_field(5, 2), 1),
+                                    (build_field(5, 2), 2),
+                                    (build_field(5, 3), 1)],
+                         ids=["F25", "F25-level-2", "F125"])
+def test_exponents_near_the_group_order_match_naive(monkeypatch, kind, base,
+                                                    m):
+    # on a torus coordinate only e mod N matters, N = Q - 1: x^N is the
+    # constant 1, x^(N - 1) is x^-1, a run read backwards N wide, and
+    # x^(N/2 + 1) the widest exponent left, read 3 codes wide; where x = 0
+    # the positive exponents still make every such term vanish
+    n = base.q ** m - 1
+    widths = []
+    grids = es._grids
+
+    def spied(*args):
+        out = grids(*args)
+        widths.extend(width for *_, width in out)
+        return out
+
+    monkeypatch.setattr(es, "_grids", spied)
+    for e, width in ((n - 1, n + 1), (n, None), (n // 2 + 1, 3)):
+        terms = {(e,): 1, (1,): 2}
+        v = VarietySpec.torus(1, terms) if kind == "torus" \
+            else VarietySpec.affine_space(1, terms)
+        widths.clear()
+        assert power_sum(v, base, m) == power_sum_naive(v, base, m)
+        assert max(widths, key=lambda w: w or 0) == width
 
 
 @pytest.mark.parametrize("cores,threads,pools_made", [

@@ -289,9 +289,11 @@ def _reference_product(p, a, b, top):
     """Schoolbook product of coordinate vectors for 1, y, ..., y^(p-2),
     rewriting each y^k with k >= p-1 by the ring's rule `top`."""
     out = [0] * (p - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            top(out, i + j, x * y)
+        if x:
+            for j, y in b_terms:
+                top(out, i + j, x * y)
     return out
 
 
@@ -364,3 +366,56 @@ def test_from_poly_matches_ring_arithmetic(data):
         assert all(type(c) is ring._coord for c in got.coords)
         for k in range(3 * p + 1):
             assert ring.from_poly(p, [0] * k) == ring.zero(p)
+
+
+@st.composite
+def _ring_coordinates(draw, p, entry, sparse):
+    """p - 1 coordinates drawn from `entry`: all zero, or at most `sparse`
+    nonzero ones at random places (None: every place drawn)."""
+    if draw(st.integers(0, 9)) == 0:
+        return [0] * (p - 1)
+    if sparse is None:
+        return draw(st.lists(entry, min_size=p - 1, max_size=p - 1))
+    out = [0] * (p - 1)
+    for k, c in draw(st.dictionaries(st.integers(0, p - 2), entry,
+                                     max_size=sparse)).items():
+        out[k] = c
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kronecker_products_and_inverses_match_reference(data):
+    # the one product (a Kronecker convolution, folded by the ring) against
+    # the schoolbook, and the one inverse (extended Euclid on integer
+    # vectors) by x x^-1 = 1: mixed-sign coordinates of up to 300 bits,
+    # fractions with denominators up to 2^64, zero operands, and p = 1009,
+    # where the operands are sparse and the inverted ones c y^k
+    from fractions import Fraction
+
+    from expsumlab.padic import PiNumber
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 1009]))
+    sparse = 6 if p == 1009 else None
+    big = st.integers(-2 ** 300, 2 ** 300)
+    rational = st.builds(Fraction, big, st.integers(1, 2 ** 64)) | big
+    for ring, entry, rule in ((CyclotomicInt, big, _zeta_rule),
+                              (CyclotomicRat, rational, _zeta_rule),
+                              (PiNumber, rational, _pi_rule)):
+        a = data.draw(_ring_coordinates(p, entry, sparse))
+        b = data.draw(_ring_coordinates(p, entry, sparse))
+        x, y = ring(p, a), ring(p, b)
+        assert list((x * y).coords) == _reference_product(p, a, b, rule(p))
+        assert all(type(c) is ring._coord for c in (x * y).coords)
+        if ring is CyclotomicInt:
+            continue
+        if p == 1009:
+            k = data.draw(st.integers(0, p - 2))
+            x = ring.from_poly(p, [0] * k + [data.draw(rational)])
+        if not x:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            continue
+        inv = x.inverse()
+        assert x * inv == ring.one(p) and inv * x == ring.one(p)
+        assert inv.inverse() == x
+        assert y / x == y * inv
