@@ -30,8 +30,11 @@ trace digits do.  One coordinate is summed out per stratum, the one whose
 A has the fewest terms (the last on a tie); a complement's strata are
 enumerated whole, as h's code is their last coordinate.
 
-A torus is enumerated by the discrete-log codes of its points (see
-tables.py) in blocked numpy integer arrays, and each block's points are
+A torus is enumerated by the discrete-log codes of its points in blocked
+numpy integer arrays.  A level's codes are those of F_(q^m) on its
+primitive polynomial, whose root y generates them, so no field context is
+built for the level, and a base field's coefficients embed into the
+subfield of its codes (see tables.py).  Each block's points are
 counted by the trace of f mod p, so the exact sum is
 sum_t count[t] * zeta^t, the histogram reduced once in Z[zeta_p]
 (CyclotomicInt.from_poly).  Tr is F_p-linear, so the trace of f is the sum
@@ -39,17 +42,19 @@ of its terms' traces, each read from the trace table at a code computed
 by integer arithmetic (_trace_sum), and no field elements are added.  On
 a complement, f = g / h^k is the sum of the terms of g times h^-k, so h's
 code is one more coordinate, which tables.FieldTables.log decodes from
-h's traces at the scales g^(n-1)..g^0, its trace digits.  In dimension
+h's traces at the scales y^(n-1)..y^0, its trace digits.  In dimension
 >= 1 a block's last coordinate is a run of consecutive codes, so a term
 reads each row of the block as one window of the table, contiguous for
-exponent 1 in that coordinate and strided otherwise; any other term
-reads the doubled table once per point.  The sum is kept mod p, in
-block buffers that each worker thread reuses through a level (_Scratch),
-and its classes are counted by one bincount pass, whatever p is.  The
-coefficients lie in F_q, so x -> x^q permutes the points and fixes Tr(f):
-in dimension >= 2 the first coordinate runs over one representative of
-each orbit, and a block's counts are multiplied by the orbit size (in
-dimension 1 the representatives cost more than the windows they save).
+exponent 1 in that coordinate and strided otherwise: one row as a view,
+narrow rows by one gather per column, wide ones by one gather of the
+windows; any other term reads the doubled table once per point.  The sum
+is kept mod p, in block buffers that each worker thread reuses through a
+level (_Scratch), and its classes are counted by one bincount pass,
+whatever p is.  The coefficients lie in F_q, so x -> x^q permutes the
+points and fixes Tr(f): in dimension >= 2 the first coordinate runs over
+one representative of each orbit, and a block's counts are multiplied by
+the orbit size (in dimension 1 the representatives cost more than the
+windows they save).
 power_sum_naive, the reference path, evaluates everything with FqElem
 arithmetic and cross-checks the table path on small inputs.
 """
@@ -310,7 +315,7 @@ def _coef_code(T: FieldTables, base: FieldCtx, coef) -> int:
         if coef.ctx != base:
             raise ValueError("coefficient from a different base field")
         return T.embed(coef, base)
-    return int(T.const_code[coef % T.ctx.p])
+    return int(T.const_code[coef % T.p])
 
 
 def _term_codes(T: FieldTables, base: FieldCtx, terms):
@@ -393,7 +398,11 @@ def _trace_sum(T: FieldTables, terms, scale_codes, scratch: _Scratch):
     the trace table at col_r + e start_r, then every e-th entry: one
     window of the table (_strided_windows), which the block's
     width keeps inside it (see _grids): a block of one row reads it as a
-    view, and one fancy index reads the rows of any other.
+    view; rows that outnumber their codes are read a column at a time,
+    column j one gather of start_r + e j from the table, as a fancy index
+    of 2- or 3-code rows costs several times more; and one fancy index
+    reads the rows of any other block.  Each row start plus a scale code
+    is reduced mod N by one subtraction, both being below N.
     Every other term sums its code over all of its coordinates, broadcast,
     and reduces it mod N once per block; each scale reads the table at
     col + s.  The accumulator starts as the first term's traces and is
@@ -404,7 +413,7 @@ def _trace_sum(T: FieldTables, terms, scale_codes, scratch: _Scratch):
     hold only until it is resumed."""
     n, trace2 = T.group_order, T.trace_of_code
     kd = trace2.dtype.type
-    kp = kd(T.ctx.p)
+    kp = kd(T.p)
     dt = _work_dtype(T, terms)
 
     def evaluate(coords, run):
@@ -432,9 +441,18 @@ def _trace_sum(T: FieldTables, terms, scale_codes, scratch: _Scratch):
             for col, win in parts:
                 if win is None:
                     t = trace2[col + s]
-                else:   # one row is a view of the table, more a gather
-                    rows = np.ravel((col + s) % n)
-                    t = win[rows[0]] if rows.size == 1 else win[rows]
+                else:
+                    rows = np.ravel(col + s)   # < 2n: mod n by one subtraction
+                    np.subtract(rows, n, out=rows, where=rows >= n)
+                    if rows.size == 1:   # one row is a view of the table
+                        t = win[rows[0]]
+                    elif rows.size > run.width:   # narrow rows: column j
+                        # is one gather of start_r + e j from the table
+                        t = np.empty(shape, kd)
+                        for j, column in enumerate(win.T):
+                            np.take(column, rows, out=t[:, j], mode="clip")
+                    else:   # wide rows: one gather of the windows
+                        t = win[rows]
                 if acc is None:
                     acc = t
                     if np.shape(t) != shape:
@@ -460,7 +478,7 @@ def _complement_sum(T: FieldTables, g_sum, h_digits, dt,
     n-1..0, its trace digits, on which Horner in p is the index that T.log
     decodes into h's code.  Index 0 is h = 0, and its points are dropped.
     g_sum reads the run's codes as an array of dtype dt, like h's."""
-    p, log = T.ctx.p, T.log   # log built here, not in a worker
+    p, log = T.p, T.log   # log built here, not in a worker
 
     def evaluate(coords, run):
         shape = _block_shape(coords, run)
@@ -494,11 +512,11 @@ def _linear_sum(T: FieldTables, a, b_sum, scratch: _Scratch):
     integers.
 
     y is read by a term (see _strata), so A has one.  A monomial is never 0
-    on a torus; otherwise A = 0 exactly where its trace digits Tr(g^j A),
+    on a torus; otherwise A = 0 exactly where its trace digits Tr(y^j A),
     j < n, all are, read as a complement's h is, and or-ed into the
     worker's buffer before b_sum reuses the scratch keys."""
-    Q, p = T.q, T.ctx.p
-    digits = _trace_sum(T, a, range(T.ctx.n), scratch) if len(a) > 1 \
+    Q, p = T.q, T.p
+    digits = _trace_sum(T, a, range(T.n), scratch) if len(a) > 1 \
         else None
 
     def evaluate(coords, run):
@@ -617,7 +635,9 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     """Trace histograms of c*f over X(k_m) for each scale c.
 
     Returns a list of integer count-vectors of length p aligned with
-    `scales`; each sums to the number of points #X(k_m)."""
+    `scales`; each sums to the number of points #X(k_m).  A tower context
+    is checked for its degree only: the tables are F_(p^(n m))'s own, on
+    its primitive polynomial, whatever the tower's modulus."""
     p = base.p
     if m < 1:
         raise ValueError("level must be >= 1")
@@ -626,11 +646,9 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
         raise BudgetExceededError(
             f"level {m} needs {_approx(work)} work units (point evaluations "
             f"plus {TABLE_BYTES_PER_ELEMENT} per table element); budget is {budget}")
-    if tower is None:
-        tower = build_field(p, base.n * m)
-    elif tower.p != p or tower.n != base.n * m:
+    if tower is not None and (tower.p != p or tower.n != base.n * m):
         raise ValueError("tower context has the wrong degree")
-    T = get_tables(tower)
+    T = get_tables(p, base.n * m)
     scale_codes = [_coef_code(T, base, c) for c in scales]
     if any(c == T.zero_code for c in scale_codes):
         raise ValueError("scales must be nonzero")
@@ -752,7 +770,7 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
     linear in a coordinate (_linear_coordinate) has it summed out
     (_linear_sum), so its grid has one coordinate fewer; a complement's
     strata keep every coordinate, as h's code is their last."""
-    q, n, p = T.q, T.group_order, T.ctx.p
+    q, n, p = T.q, T.group_order, T.p
     codes = functools.partial(_term_codes, T, base)
     if v.kind == SL2:
         f, g = map(codes, _sl2_terms(v.sl2_coeffs))
@@ -780,7 +798,7 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
             evaluate = _trace_sum(T, f, scale_codes, scratch)
             if h is not None:
                 evaluate = _complement_sum(T, evaluate, _trace_sum(
-                    T, h, range(T.ctx.n - 1, -1, -1), scratch), dt, scratch)
+                    T, h, range(T.n - 1, -1, -1), scratch), dt, scratch)
             evaluate = _counted(evaluate, p)
             read = f if h is None else h
         # the windows are read by the terms summed with the last coordinate
@@ -788,7 +806,7 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
         e = max((abs(x[-1]) for _, x in read), default=0) if dim else 0
         grids.append((dim, weight, evaluate, n // e + 1 if e else None))
     orbits = [(size, reps.astype(dt, copy=False)) for size, reps in
-              _frobenius_orbits(n, base.q, T.ctx.n // base.n)] \
+              _frobenius_orbits(n, base.q, T.n // base.n)] \
         if any(dim > 1 for dim, *_ in grids) else []
     return [(reps, dim, weight * size, evaluate, width)
             for dim, weight, evaluate, width in grids

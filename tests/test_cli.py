@@ -783,6 +783,34 @@ def test_lfun_reports_match_golden_bytes(tmp_path, capsys, name):
     assert out.read_bytes() == (LFUN_OUTPUTS / f"{name}.json").read_bytes()
 
 
+# sum reports over bases larger than F_p, recorded when each level's field
+# was build_field's and its generator the first primitive element: a x^3 +
+# (1 + 2a)/x^2 + 3x on G_m over F_25 = F_5[a], and g = a x^2 y + y +
+# (1 + a) x over h = xy + 2a on the complement of h = 0 in A^2 over
+# F_9 = F_3[a], 3 levels each
+SUM_OUTPUTS = Path(__file__).parent / "sum_outputs"
+SUM_GOLDEN_JOBS = {
+    "torus-f25": {"base": {"p": 5, "n": 2}, "levels": 3, "variety": {
+        "kind": "torus", "dim": 1,
+        "f": [[[0, 1], [3]], [[1, 2], [-2]], [3, [1]]]}},
+    "complement-f9": {"base": {"p": 3, "n": 2}, "levels": 3, "variety": {
+        "kind": "complement", "dim": 2,
+        "g": [[[0, 1], [2, 1]], [1, [0, 1]], [[1, 1], [1, 0]]],
+        "h": [[1, [1, 1]], [[0, 2], [0, 0]]], "k": 1}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_GOLDEN_JOBS))
+def test_sum_reports_over_extension_bases_match_golden_bytes(tmp_path, capsys,
+                                                             name):
+    job = write_job(tmp_path, f"{name}.json", {
+        "command": "sum", "payload": SUM_GOLDEN_JOBS[name]})
+    out = tmp_path / "report.json"
+    code, _, _ = run(capsys, ["sum", "--job", job, "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (SUM_OUTPUTS / f"{name}.json").read_bytes()
+
+
 # g = x^2 y + 2y + x over h^2, h = xy + 1, on the complement of h = 0 in
 # A^2 over F_5 through level 5
 COMPLEMENT5_JOB = {"command": "sum", "payload": {
@@ -929,7 +957,9 @@ def test_job_documents_match_schema():
                 KLOOSTERMAN5_JOB,
                 COMPLEMENT5_JOB, F9_TORUS_JOB, MULTI_EXPONENT_JOB,
                 MULTI_TORUS_F2_JOB, PLANE_F5_JOB,
-                KLOOSTERMAN17_JOB] + PREDICT_JOBS:
+                KLOOSTERMAN17_JOB] + PREDICT_JOBS + [
+                    {"command": "sum", "payload": job}
+                    for job in SUM_GOLDEN_JOBS.values()]:
         validator.validate(doc)
     assert not validator.is_valid(BAD_SUM_JOB)
     assert not any(validator.is_valid(doc) for doc in NO_THREADS_JOBS)

@@ -487,7 +487,7 @@ def test_every_grid_is_a_torus(monkeypatch, v, base, orbit_levels_made):
 
     def spied_grids(T, *args):
         out = grids(T, *args)
-        levels.append(T.ctx.n)
+        levels.append(T.n)
         for reps, dim, *_ in out:
             assert (reps is None) == (dim < 2)
             assert dim < 2 or not np.any(reps == T.zero_code)
@@ -793,6 +793,27 @@ def test_exponents_near_the_group_order_match_naive(monkeypatch, kind, base,
         widths.clear()
         assert power_sum(v, base, m) == power_sum_naive(v, base, m)
         assert max(widths, key=lambda w: w or 0) == width
+
+
+def test_narrow_rows_are_read_column_by_column(monkeypatch):
+    # a last exponent near N/2 leaves rows 3 codes wide: more rows than
+    # codes per row are read by one gather per column, in dimension 1 and
+    # in a 2-D grid, and the sums are the naive ones
+    takes = []
+    take = es.np.take
+
+    def spied(*args, **kwargs):
+        takes.append(np.size(args[1]))
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(es.np, "take", spied)
+    n = 5 ** 2 - 1
+    for v in (VarietySpec.torus(1, {(n // 2 + 1,): 1, (1,): 2}),
+              VarietySpec.torus(2, {(1, n // 2 + 1): 1, (0, 1): 2,
+                                    (2, 0): 1})):
+        takes.clear()
+        assert power_sum(v, F5, 2) == power_sum_naive(v, F5, 2)
+        assert takes and min(takes) > 3
 
 
 @pytest.mark.parametrize("cores,threads,pools_made", [
