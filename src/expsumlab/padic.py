@@ -18,17 +18,21 @@ neither pattern are flagged rather than guessed at.
 
 The symbols come from one polynomial recurrence over Z[pi], run on numpy
 object arrays of exact Python ints, in which multiplying by pi is a column
-shift (_symbol_numerators); numpy serves nothing else here.  radius_profile
-streams the symbols one at a time: of each it keeps only the records, the
-coefficients whose valuation falls below that of every lower one, and one
-Gauss valuation per weight, an integer minimum over them.  A coefficient
-is a record iff p^k does not divide one of its coordinates, k fixed by
-the record so far and the coordinate's power of pi, so one divisibility
-test per coordinate dismisses the others, and only a record's exact
-valuation is read, off one gcd per coordinate, as Python ints.  It stops
-at the first depth, from the last p-power that the estimator compares on,
-where every weight has a sample above lambda and agreeing candidates: no
-deeper symbol can change its estimate, so the profile is that of s_max.
+shift (_symbol_numerators), untrimmed; numpy serves nothing else here.
+radius_profile streams the symbols one at a time and values only those
+that decide a sample: every one until each weight has a sample above
+lambda, then those at the p-powers that the estimator compares on.  Of a
+valued symbol it keeps only the records, the coefficients whose valuation
+falls below that of every lower one, and one Gauss valuation per weight,
+an integer minimum over them.  A coefficient is a record iff p^k does not
+divide one of its coordinates, k fixed by the record so far and the
+coordinate's power of pi, so one divisibility test per coordinate
+dismisses the others, and only a record's exact valuation is read, off
+one gcd per coordinate, as Python ints.  It stops at the first depth, from
+the last of those powers, where every weight has agreeing candidates: no
+other symbol can change its estimate, so the profile is that of s_max.  If
+they disagree there after a skip, the recurrence runs again and every
+symbol is valued, since an unstabilized sample reads them all.
 PiNumber.valuation and gauss_valuation are the independent reference path.
 """
 
@@ -282,8 +286,9 @@ def _symbol_numerators(p: int, U, W, s_max: int):
     degree 1 in (U, W), so U and W from _cleared have integer coordinates
     and the recurrence runs over Z[pi], exactly.  Each term w pi^e x^k of W
     adds w (i - s k) n_i to x^(i+k-1), row i + k of a new array whose row 0
-    (x^(-1), reached only with the factor 0) is dropped.  Each n_s is
-    trimmed to its last nonzero row; the zero polynomial has no rows."""
+    (x^(-1), reached only with the factor 0) is dropped.  No n_s is
+    trimmed: it keeps max(0, 1 + grow s) rows, trailing zero rows included,
+    and b_s = 0 iff every row is zero."""
     u_terms = [(k + 1, e, u) for k, e, u in _terms(U)]
     w_terms = _terms(W)
     grow = max(len(W) - 2, len(U) - 1)
@@ -291,15 +296,11 @@ def _symbol_numerators(p: int, U, W, s_max: int):
     n[0, 0] = 1
     yield n
     for s in range(s_max):
-        L = len(n)
-        if L:
-            out = np.zeros((L + grow + 1, p - 1), dtype=object)
-            i = np.arange(L, dtype=object)[:, None]
-            _mul_add(out, [(k, e, w * (i - s * k)) for k, e, w in w_terms],
-                     n, p)
-            _mul_add(out, u_terms, n, p)
-            rows = np.flatnonzero((out != 0).any(axis=1))
-            n = out[1:rows[-1] + 1] if len(rows) else out[:0]
+        out = np.zeros((len(n) + grow + 1, p - 1), dtype=object)
+        i = np.arange(len(n), dtype=object)[:, None]
+        _mul_add(out, [(k, e, w * (i - s * k)) for k, e, w in w_terms], n, p)
+        _mul_add(out, u_terms, n, p)
+        n = out[1:]
         yield n
 
 
@@ -334,16 +335,15 @@ def symbol_sequence(g: RationalFunctionPi, s_max: int):
     for s, n in enumerate(_symbol_numerators(p, U, W, s_max)):
         if s:
             wpow = mul(wpow, w_poly)
-        out.append(RationalFunctionPi(p, [PiNumber(p, row) for row in n], wpow)
-                   if len(n) else RationalFunctionPi.zero(p))
+        out.append(RationalFunctionPi(p, [PiNumber(p, r) for r in n], wpow))
     return out
 
 
-# v_p by gcd: for x != 0, gcd(x, p^B) = p^min(v_p(x), B).  On the dwork-p5
-# symbols (20,300 coordinates of up to 1,600 bits, every v_p <= 54; 2-vCPU
-# Xeon, Python 3.11.7) B = 48 and 64 tie as fastest, 32 and 96 are about
-# 30% slower and 128 about 60%: a larger p^B makes every gcd dearer, a
-# smaller one sends more coordinates round the division loop.
+# v_p by gcd: for x != 0, gcd(x, p^B) = p^min(v_p(x), B).  B = 64 was the
+# fastest when the dwork-p5 profile valued all 20,300 coordinates of n_1..
+# n_200 (up to 1,600 bits, v_p <= 54).  It values 688 now (depths 1-5, 25,
+# 125; up to 921 bits, v_p <= 35) in 0.22-0.25 ms for every B from 16 to
+# 128, under 3% of its profile (2-vCPU Xeon, Python 3.11.7).
 _VP_BLOCK = 64
 
 
@@ -457,12 +457,17 @@ DEFAULT_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2),
 DEFAULT_S_MAX = 200
 
 
+def _window(p: int, s_max: int) -> list:
+    """The depths _common_slope compares: the powers p^k <= s_max from p^2
+    on, or from p if fewer than three fit."""
+    powers = [p ** k for k in range(1, s_max.bit_length()) if p ** k <= s_max]
+    return powers[1:] if len(powers) >= 3 else powers
+
+
 def _common_slope(p: int, M, s_max: int):
     """(M_s, s) at the first depth s of the window if M_s s' = M_s' s at all
-    of its depths, else None: the powers p^k <= s_max from p^2 on (from p if
-    fewer than three fit), at least two, each within M and with b_s != 0."""
-    powers = [p ** k for k in range(1, s_max.bit_length()) if p ** k <= s_max]
-    window = powers[1:] if len(powers) >= 3 else powers
+    of its depths, else None: at least two, each within M and with b_s != 0."""
+    window = _window(p, s_max)
     if len(window) < 2 or len(M) <= window[-1] or \
             None in [M[t] for t in window]:
         return None
@@ -488,9 +493,9 @@ def _estimate_radius(p: int, lam: Fraction, M, s_max: int):
         spanning a factor p^2 of depths, still agree (_common_slope).
     (c) Otherwise the point is flagged and the clamped running maximum is
         reported.
-    Once some sample exceeds lam and the window agrees, deeper symbols
-    change nothing: (a) stays refuted and (b) reads only the window.  So M
-    may end at such a depth, from the window's last on."""
+    Once some sample exceeds lam and the window agrees, no other depth
+    changes anything: (a) stays refuted and (b) reads only the window.  So
+    M may end there, from the window's last depth on, or hold None off it."""
     a, b = lam.denominator, lam.numerator * (p - 1)
     top, at = 0, 0        # the largest sample so far, as (N_s, s)
     for s in range(1, len(M)):
@@ -508,6 +513,37 @@ def _estimate_radius(p: int, lam: Fraction, M, s_max: int):
     return Fraction(top, (p - 1) * a * at), False, "unstabilized"
 
 
+def _weight_minima(p: int, U, W, weights, v_w, s_max: int, skip: bool):
+    """M[k][s] = (p-1) a v(b_s) at the k-th weight (a, b), as
+    _estimate_radius reads it, v_w[k] the same of den(g) = W.  With skip,
+    once every weight has a sample above lambda, the depths below the
+    window's last power that are not in it are None, not valued, and if
+    any was, the result is None unless by that power the window agrees."""
+    window = _window(p, s_max)
+    last = window[-1] if skip and len(window) >= 2 else 0
+    M = [[None] for _ in weights]
+    refuted, skipped = [False] * len(weights), False
+    symbols = _symbol_numerators(p, U, W, s_max)
+    next(symbols)
+    for s, n in enumerate(symbols, 1):
+        if s < last and s not in window and all(refuted):
+            skipped = True
+            for Mk in M:
+                Mk.append(None)
+            continue
+        rows = _record_valuations(n, p)
+        f = s - digit_sum(s, p)
+        for k, ((a, b), vw) in enumerate(zip(weights, v_w)):
+            m = min(V * a + j * b for j, V in rows) - s * vw if rows else None
+            M[k].append(m)
+            refuted[k] |= m is not None and f * a - m > s * b
+        if all(refuted) and all(_common_slope(p, Mk, s_max) for Mk in M):
+            break
+        if skipped and s == last:
+            return None
+    return M
+
+
 def radius_profile(g: RationalFunctionPi, lam_grid=DEFAULT_GRID,
                    s_max: int = DEFAULT_S_MAX) -> RadiusProfile:
     """Profile of r(lambda) = -log_p R over the weight grid for the rank-one
@@ -515,10 +551,11 @@ def radius_profile(g: RationalFunctionPi, lam_grid=DEFAULT_GRID,
 
     Detection of the limit requires s_max >= p^2 (at least two p-power
     indices); small weights need correspondingly large s_max to resolve
-    divergence slower than p^(-1/(lambda(p-1))).  The recurrence stops at
-    the first depth, from the window's last p-power on, where every weight
-    has a sample above lambda and agreeing window candidates: deeper symbols
-    change no sample (_estimate_radius).  Otherwise it runs to s_max."""
+    divergence slower than p^(-1/(lambda(p-1))).  Symbols are valued at
+    every depth until each weight has a sample above lambda, then at the
+    window's powers, to the first depth from its last where it agrees at
+    every weight; if it disagrees there after a skip, the recurrence runs
+    again and values every depth, as an unstabilized sample needs."""
     p = g.p
     grid = sorted(Fraction(x) for x in lam_grid)
     if len(grid) < 2:
@@ -538,21 +575,8 @@ def radius_profile(g: RationalFunctionPi, lam_grid=DEFAULT_GRID,
         terms = [V * a + j * b for j, V in den_rows]
         v_w.append(min(terms))
         den_tie.append(terms.count(v_w[-1]) > 1)
-    # M[k][s] = (p-1) a v(b_s) at the k-th weight, as _estimate_radius reads
-    M = [[None] for _ in grid]
-    refuted = [False] * len(grid)
-    symbols = _symbol_numerators(p, U, W, s_max)
-    next(symbols)
-    for s, n in enumerate(symbols, 1):
-        rows = _record_valuations(n, p)
-        f = s - digit_sum(s, p)
-        for k, ((a, b), vw) in enumerate(zip(weights, v_w)):
-            m = min(V * a + j * b for j, V in rows) - s * vw if rows else None
-            M[k].append(m)
-            refuted[k] |= m is not None and f * a - m > s * b
-        if all(refuted) and all(_common_slope(p, Mk, s_max) for Mk in M):
-            break
-
+    M = _weight_minima(p, U, W, weights, v_w, s_max, True) or \
+        _weight_minima(p, U, W, weights, v_w, s_max, False)
     samples = [RadiusSample(lam, *_estimate_radius(p, lam, Mk, s_max), tie)
                for lam, Mk, tie in zip(grid, M, den_tie)]
 

@@ -597,45 +597,21 @@ def test_sl2_sum_report_bytes(tmp_path, capsys):
     assert out == SL2_REPORT
 
 
-# the Dwork twist of (1/3)/x at p = 5 to depth 200: g = (pi + x/3) / x^2
-DWORK5_JOB = {"command": "index", "smax": 200, "payload": {
-    "p": 5, "g": {"num": [["0", "1", "0", "0"], "1/3"],
-                  "den": ["0", "0", "1"]}}}
-
-# report bytes of DWORK5_JOB, recorded when v_p was read by a ladder of
-# divisions by p^(2^k)
-DWORK5_REPORT = (
-    '{"command":"index","endpoint_slopes":[2,2],"index":0,"p":5,"samples":['
-    '{"den_tie":false,"lambda":"1/4","method":"power-subsequence",'
-    '"r":"1/2","stabilized":true},'
-    '{"den_tie":false,"lambda":"1/2","method":"power-subsequence",'
-    '"r":1,"stabilized":true},'
-    '{"den_tie":false,"lambda":1,"method":"power-subsequence",'
-    '"r":2,"stabilized":true},'
-    '{"den_tie":false,"lambda":"3/2","method":"power-subsequence",'
-    '"r":3,"stabilized":true},'
-    '{"den_tie":false,"lambda":2,"method":"power-subsequence",'
-    '"r":4,"stabilized":true}]}\n')
-
-
-def test_dwork_p5_index_report_bytes(tmp_path, capsys):
-    job = write_job(tmp_path, "dwork5.json", DWORK5_JOB)
-    code, out, _ = run(capsys, ["index", "--job", job])
-    assert code == 0
-    assert out == DWORK5_REPORT
-
-
-# the Dwork twist of (1/3)/x at p = 2, 3, 7 to depth 200, as DWORK5_JOB at
-# p = 5: g = (pi + x/3) / x^2, where pi = -2 at p = 2
+# the Dwork twist of (1/3)/x to depth 200: g = (pi + x/3) / x^2, where pi
+# is -2 at p = 2 and has pi-coordinates (0, 1, 0, ...) at p = 3, 5, 7
 DWORK_TWIST_JOBS = {p: {"command": "index", "smax": 200, "payload": {
     "p": p, "g": {"num": [pi, "1/3"], "den": ["0", "0", "1"]}}}
-    for p, pi in ((2, ["-2"]), (3, ["0", "1"]), (7, ["0", "1"] + ["0"] * 4))}
+    for p, pi in ((2, ["-2"]), (3, ["0", "1"]), (5, ["0", "1", "0", "0"]),
+                  (7, ["0", "1"] + ["0"] * 4))}
+DWORK5_JOB = DWORK_TWIST_JOBS[5]
 INDEX_OUTPUTS = Path(__file__).parent / "index_outputs"
 
 
 @pytest.mark.parametrize("p", sorted(DWORK_TWIST_JOBS))
 def test_dwork_twist_index_report_bytes(tmp_path, capsys, p):
-    # reports recorded when the symbol recurrence ran to smax at every p
+    # reports recorded when the symbol recurrence ran to smax and every
+    # symbol was valued, at every p; that of p = 5 when v_p was read by a
+    # ladder of divisions by p^(2^k)
     job = write_job(tmp_path, "dwork.json", DWORK_TWIST_JOBS[p])
     code, out, _ = run(capsys, ["index", "--job", job])
     assert code == 0
@@ -953,7 +929,7 @@ def test_job_documents_match_schema():
     validator = jsonschema.Draft202012Validator(schema)
     for doc in [SUM_JOB, KLOOSTERMAN_JOB, DWORK_JOB, RADIUS_JOB, SCALE_JOB,
                 COMPLEMENT_JOB, SL2_JOB, BIG_SUM_JOB, BIG_TABLE_JOB,
-                UNCERTIFIED_JOB, DWORK5_JOB, *DWORK_TWIST_JOBS.values(),
+                UNCERTIFIED_JOB, *DWORK_TWIST_JOBS.values(),
                 KLOOSTERMAN5_JOB,
                 COMPLEMENT5_JOB, F9_TORUS_JOB, MULTI_EXPONENT_JOB,
                 MULTI_TORUS_F2_JOB, PLANE_F5_JOB,

@@ -334,36 +334,49 @@ def test_profile_matches_exact_reference(g, grid, s_max):
 
 
 def _depth_drawn(monkeypatch, g, s_max):
-    """radius_profile(g, DEFAULT_GRID, s_max) and the last depth of the
-    symbols it drew."""
-    drawn = []
+    """radius_profile(g, DEFAULT_GRID, s_max), the last depth of the symbols
+    it drew and the depths of those it valued by _record_valuations."""
+    drawn, valued = [], []
 
     def spy(*args):
         for s, n in enumerate(_symbol_numerators(*args)):
             drawn.append(s)
             yield n
 
+    def records(n, p):
+        valued.append(drawn[-1])
+        return _record_valuations(n, p)
+
     monkeypatch.setattr(padic, "_symbol_numerators", spy)
-    return radius_profile(g, DEFAULT_GRID, s_max), drawn[-1]
+    monkeypatch.setattr(padic, "_record_valuations", records)
+    return radius_profile(g, DEFAULT_GRID, s_max), drawn[-1], valued
+
+
+# the depths of the Dwork twists below whose symbols are valued
+_VALUED = {2: [*range(1, 9), 16, 32, 64, 128], 3: [1, 9, 27, 81],
+           5: [*range(1, 6), 25, 125], 7: [1, 7, 49]}
 
 
 @pytest.mark.parametrize("p,depth", [(2, 128), (3, 81), (5, 125), (7, 49)])
 def test_profile_stops_at_the_last_power_of_the_window(monkeypatch, p, depth):
     # the Dwork twist of (1/3)/x: by the last p-power at most 200 every
-    # weight has a sample above it and agreeing window candidates.  Its
-    # reports, recorded at the full depth, are tests/index_outputs and
-    # DWORK5_REPORT in test_cli.py.
-    prof, drawn = _depth_drawn(monkeypatch,
-                               dwork_twist(mono(p, Fraction(1, 3), 1)), 200)
+    # weight has a sample above it and agreeing window candidates, and
+    # once every weight has one, only the window's powers (from p^2 on, or
+    # from p where fewer than three fit) are valued.  Its reports, recorded
+    # at the full depth, are tests/index_outputs.
+    prof, drawn, valued = _depth_drawn(
+        monkeypatch, dwork_twist(mono(p, Fraction(1, 3), 1)), 200)
     assert drawn == depth
+    assert valued == _VALUED[p]
     assert all(s.method == "power-subsequence" for s in prof.samples)
 
 
 @pytest.mark.parametrize("g", [RationalFunctionPi.zero(5), mono(5, 4, 1),
                                mono(3, Fraction(1, 2), 1)])
 def test_clamped_profile_draws_every_symbol(monkeypatch, g):
-    prof, drawn = _depth_drawn(monkeypatch, g, 60)
+    prof, drawn, valued = _depth_drawn(monkeypatch, g, 60)
     assert drawn == 60
+    assert valued == list(range(1, 61))
     assert all(s.method == "robba-clamp" for s in prof.samples)
 
 
@@ -398,6 +411,36 @@ def test_profile_waits_for_a_refutation_after_the_window(monkeypatch, v12,
                           for s in range(1, s_max + 1)], s_max))
         for lam in grid)
     assert [s.method for s in prof.samples] == ["power-subsequence", method]
+
+
+def test_profile_values_every_depth_when_the_window_disagrees(monkeypatch):
+    # synthetic numerators n_s = 3^(v_s) for g = 1/3 (W = 3) at p = 3, as
+    # above: v(b_s) = v_s - s.  v_2 = 0 lifts the sample at s = 2 to 1,
+    # above both weights, so depths 4..8 are skipped; v_9 = 10 makes the
+    # window (3, 9) disagree at its last power; v_5 = 0 lifts s = 5, a
+    # skipped depth, to 6/5, the largest sample, which both unstabilized
+    # weights report.  So the recurrence runs again to s_max.
+    p, s_max, grid = 3, 26, (Fraction(1, 4), Fraction(1, 2))
+    v = [s for s in range(s_max + 1)]
+    v[2], v[5], v[9] = 0, 0, 10
+    draws = []
+
+    def synthetic(p, U, W, s_max):
+        draws.append(0)
+        for s in range(s_max + 1):
+            draws[-1] = s
+            yield np.array([[p ** v[s], 0]], dtype=object)
+
+    monkeypatch.setattr(padic, "_symbol_numerators", synthetic)
+    prof = radius_profile(RationalFunctionPi(p, [Fraction(1, 3)], [1]),
+                          grid, s_max)
+    assert draws == [9, 26]
+    assert prof.samples == tuple(RadiusSample(lam, *_estimate_radius(
+        p, lam, [None] + [2 * lam.denominator * (v[s] - s)
+                          for s in range(1, s_max + 1)], s_max))
+        for lam in grid)
+    assert [(s.r, s.method) for s in prof.samples] == \
+        [(Fraction(6, 5), "unstabilized")] * 2
 
 
 # -- valuations of the integer symbols ------------------------------------------
