@@ -46,15 +46,14 @@ h's traces at the scales y^(n-1)..y^0, its trace digits.  In dimension
 >= 1 a block's last coordinate is a run of consecutive codes, so a term
 reads each row of the block as one window of the table, contiguous for
 exponent 1 in that coordinate and strided otherwise: one row as a view,
-narrow rows by one gather per column, wide ones by one gather of the
-windows; any other term reads the doubled table once per point.  The sum
-is kept mod p, in block buffers that each worker thread reuses through a
-level (_Scratch), and its classes are counted by one bincount pass,
-whatever p is.  The coefficients lie in F_q, so x -> x^q permutes the
-points and fixes Tr(f): in dimension >= 2 the first coordinate runs over
-one representative of each orbit, and a block's counts are multiplied by
-the orbit size (in dimension 1 the representatives cost more than the
-windows they save).
+more rows by one gather of the windows; any other term reads the doubled
+table once per point.  The sum is kept mod p, in block buffers that each
+worker thread reuses through a level (_Scratch), and its classes are
+counted by one bincount pass, whatever p is.  The coefficients lie in
+F_q, so x -> x^q permutes the points and fixes Tr(f): in dimension >= 2
+the first coordinate runs over one representative of each orbit, and a
+block's counts are multiplied by the orbit size (in dimension 1 the
+representatives cost more than the windows they save).
 power_sum_naive, the reference path, evaluates everything with FqElem
 arithmetic and cross-checks the table path on small inputs.
 """
@@ -212,25 +211,6 @@ class VarietySpec:
 
     # JSON wire format ---------------------------------------------------------
 
-    def to_json(self) -> dict:
-        def dump_terms(ts):
-            return [[coef.coeffs if isinstance(coef, FqElem) else coef,
-                     list(e)] for coef, e in ts]
-
-        out = {"kind": self.kind}
-        if self.kind == SL2:
-            out["coeffs"] = [c.coeffs if isinstance(c, FqElem) else c
-                             for c in self.sl2_coeffs]
-            return out
-        out["dim"] = self.dim
-        if self.kind == COMPLEMENT:
-            out["g"] = dump_terms(self.g)
-            out["h"] = dump_terms(self.h)
-            out["k"] = self.k
-        else:
-            out["f"] = dump_terms(self.terms)
-        return out
-
     @classmethod
     def from_json(cls, doc: dict, base: Optional[FieldCtx] = None) -> "VarietySpec":
         def load_coef(c):
@@ -299,10 +279,34 @@ def _enumeration_work(v: VarietySpec, q: int) -> int:
     return q ** 3  # nominal: sl2 sums over the 2q points of _grids
 
 
+# Work units per zero pattern of _strata's walk, and as many again per term
+# that it restricts there: over A^12 and A^14 over F_2 a pattern took
+# 8.6-8.8 us with one term and 35 us with 14, 1.1 and 0.6 ns a unit, and a
+# point evaluation 0.4-3 ns (2-vCPU Xeon, Python 3.11.7)
+STRATUM_WORK = 4000
+
+
+def _strata_work(v: VarietySpec) -> int:
+    """What _grids' walk through _strata costs at each level: the 2^dim
+    zero patterns of A^dim or a complement, the one of a torus, or SL2's
+    line and torus, whose F and G have at most N + 1 and 2N + 1 terms."""
+    if v.kind == SL2:
+        N = len(v.sl2_coeffs)
+        return STRATUM_WORK * (2 * (N + 2) + (2 * N + 2))
+    patterns = 1 if v.kind == TORUS else 2 ** v.dim
+    return STRATUM_WORK * patterns * (1 + len(v.terms + v.g + v.h))
+
+
 def _level_work(v: VarietySpec, q: int) -> int:
     # A table element costs its bytes in budget units, so the budget bounds
     # the tower's memory as well as the point evaluations.
-    return _enumeration_work(v, q) + TABLE_BYTES_PER_ELEMENT * q
+    return (_enumeration_work(v, q) + TABLE_BYTES_PER_ELEMENT * q
+            + _strata_work(v))
+
+
+# what a level's work units count, for the budget's refusals
+_WORK_UNITS = (f"point evaluations plus {TABLE_BYTES_PER_ELEMENT} per table "
+               f"element and {STRATUM_WORK} per stratum and term")
 
 
 def _approx(work: int) -> str:
@@ -398,11 +402,9 @@ def _trace_sum(T: FieldTables, terms, scale_codes, scratch: _Scratch):
     the trace table at col_r + e start_r, then every e-th entry: one
     window of the table (_strided_windows), which the block's
     width keeps inside it (see _grids): a block of one row reads it as a
-    view; rows that outnumber their codes are read a column at a time,
-    column j one gather of start_r + e j from the table, as a fancy index
-    of 2- or 3-code rows costs several times more; and one fancy index
-    reads the rows of any other block.  Each row start plus a scale code
-    is reduced mod N by one subtraction, both being below N.
+    view, and one fancy index reads the rows of any other block.  Each row
+    start plus a scale code is reduced mod N by one subtraction, both
+    being below N.
     Every other term sums its code over all of its coordinates, broadcast,
     and reduces it mod N once per block; each scale reads the table at
     col + s.  The accumulator starts as the first term's traces and is
@@ -444,15 +446,8 @@ def _trace_sum(T: FieldTables, terms, scale_codes, scratch: _Scratch):
                 else:
                     rows = np.ravel(col + s)   # < 2n: mod n by one subtraction
                     np.subtract(rows, n, out=rows, where=rows >= n)
-                    if rows.size == 1:   # one row is a view of the table
-                        t = win[rows[0]]
-                    elif rows.size > run.width:   # narrow rows: column j
-                        # is one gather of start_r + e j from the table
-                        t = np.empty(shape, kd)
-                        for j, column in enumerate(win.T):
-                            np.take(column, rows, out=t[:, j], mode="clip")
-                    else:   # wide rows: one gather of the windows
-                        t = win[rows]
+                    # one row is a view of the table, more one gather
+                    t = win[rows[0]] if rows.size == 1 else win[rows]
                 if acc is None:
                     acc = t
                     if np.shape(t) != shape:
@@ -644,8 +639,8 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     work = _level_work(v, base.q ** m)
     if work > budget:
         raise BudgetExceededError(
-            f"level {m} needs {_approx(work)} work units (point evaluations "
-            f"plus {TABLE_BYTES_PER_ELEMENT} per table element); budget is {budget}")
+            f"level {m} needs {_approx(work)} work units ({_WORK_UNITS}); "
+            f"budget is {budget}")
     if tower is not None and (tower.p != p or tower.n != base.n * m):
         raise ValueError("tower context has the wrong degree")
     T = get_tables(p, base.n * m)
@@ -818,15 +813,24 @@ def _sl2_terms(coeffs) -> tuple:
     F(t), summed over the line of traces, each point standing for Q^2 - Q
     matrices, and of G(r) = F(r + 1/r), summed over the torus, each point
     standing for Q.  s_n follows sym_trace's recurrence as an integer
-    polynomial in t, and s_n(r + 1/r) is r^n + r^(n-2) + ... + r^(-n)."""
-    f_terms, g_terms = [], []
+    polynomial in t, and s_n(r + 1/r) is r^n + r^(n-2) + ... + r^(-n), so
+    G's coefficient of r^(+-e) is the sum of a_n over n >= e, n = e mod 2:
+    each coefficient is accumulated as it is made."""
+    f = [0] * (len(coeffs) + 1)
     s_prev, s = [1], [0, 1]   # s_0 and s_1
-    for n, a in enumerate(coeffs, start=1):
-        f_terms += [(a * c, (k,)) for k, c in enumerate(s) if c]
-        g_terms += [(a, (n - 2 * j,)) for j in range(n + 1)]
+    for a in coeffs:
+        for k, c in enumerate(s):
+            if c:
+                f[k] += a * c
         s_prev, s = s, _exactpoly.add(_exactpoly.mul([0, 1], s),
                                       _exactpoly.neg(s_prev))
-    return _normalize_terms(f_terms), _normalize_terms(g_terms)
+    g, tail = {}, [0, 0]   # tail[e % 2]: the sum of a_n, n >= e, n = e mod 2
+    for e in range(len(coeffs), 0, -1):
+        tail[e % 2] = coeffs[e - 1] + tail[e % 2]
+        g[e,] = g[-e,] = tail[e % 2]
+    g[0,] = tail[0]
+    return (_normalize_terms({(k,): c for k, c in enumerate(f)}),
+            _normalize_terms(g))
 
 
 def power_sum(v: VarietySpec, base: FieldCtx, m: int, *,
@@ -855,9 +859,7 @@ def power_sum_table(v: VarietySpec, base: FieldCtx, M: int, *,
         if total_work > budget:
             raise BudgetExceededError(
                 f"table through level {m} of {M} needs {_approx(total_work)} "
-                f"work units (point evaluations plus "
-                f"{TABLE_BYTES_PER_ELEMENT} per table element); budget is "
-                f"{budget}")
+                f"work units ({_WORK_UNITS}); budget is {budget}")
     per_scale = [[] for _ in scales]
     progress = []
     for m in range(1, M + 1):

@@ -3,11 +3,11 @@
 Field elements are coefficient vectors in the polynomial basis of a fixed
 monic irreducible modulus.  This module has no polynomial code of its own:
 a product is the exact core's (_exactpoly) schoolbook product and monic
-reduction over Z, with the coordinates taken mod p at the end (at degree
-n <= 8 the core's Kronecker convolution took 7.4 ms where this took 3.1 ms
-to build F_5^1..F_5^8, 2-vCPU Xeon), and powers, the Fermat inverse
-x^(q-2) and Rabin's irreducibility test are the core's square-and-multiply
-over that product.  Character-sum values live in
+reduction over Z, with the coordinates taken mod p at the end, and powers,
+the Fermat inverse x^(q-2) and Rabin's irreducibility test are the core's
+square-and-multiply over that product.  These serve base fields and the
+naive reference path only: the tables of a level build no field (see
+tables.py).  Character-sum values live in
 Z[zeta_p], stored as integer vectors of length p-1 under the relation
 1 + zeta + ... + zeta^(p-1) = 0; the rational variant backs the L-series
 coefficient field Q(zeta_p), as an integer vector over one denominator.
@@ -77,23 +77,11 @@ def _is_irreducible(f: tuple, p: int) -> bool:
     x^(p^n) = x (mod f) and x^(p^(n/l)) - x is a unit mod f for every prime
     l dividing n.  Once f divides x^(p^n) - x, F_p[x]/(f) is a product of
     fields F_(p^d) with d | n, so u is a unit iff u^(p^n - 1) = 1.
-    While p <= n^2, a scan of f at every a in F_p, p n steps, costs less
-    than Rabin's powers: f of degree >= 2 with a root is reducible, and
-    without one it is irreducible at degree 2 or 3.  Memoised, so
-    FieldCtx's check of a modulus that build_field's search has just
-    tested does not run the test again."""
+    Memoised, so FieldCtx's check of a modulus that build_field's search
+    has just tested does not run the test again."""
     n = len(f) - 1
     if n == 1:
         return True
-    if p <= n * n:
-        for a in range(p):
-            value = 0
-            for c in reversed(f):   # Horner
-                value = (value * a + c) % p
-            if value == 0:
-                return False
-        if n <= 3:
-            return True
     one = (1,) + (0,) * (n - 1)
     mul = partial(_mul_mod_p, f, p)
 
@@ -255,9 +243,6 @@ class FqElem:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def frobenius(self) -> "FqElem":
-        return self ** self.ctx.p
-
     def in_prime_field(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -275,25 +260,18 @@ class FqElem:
         return f"Fq({self.ctx.p}^{self.ctx.n}){list(self.coeffs)}"
 
 
-def trace(x: FqElem, sub_degree: int = 1) -> FqElem:
-    """Trace of x onto the subfield of degree sub_degree:
-    sum of x^(p^(i*sub_degree)) over the n/sub_degree Frobenius orbits."""
-    n = x.ctx.n
-    if sub_degree < 1 or n % sub_degree != 0:
-        raise ValueError(f"{sub_degree} does not divide the extension degree {n}")
-    p = x.ctx.p
-    acc = x.ctx.zero()
-    term = x
-    step = p ** sub_degree
-    for _ in range(n // sub_degree):
+def trace(x: FqElem) -> FqElem:
+    """Trace of x onto F_p: the sum of its n conjugates x^(p^i), i < n."""
+    acc, term = x.ctx.zero(), x
+    for _ in range(x.ctx.n):
         acc = acc + term
-        term = term ** step
+        term = term ** x.ctx.p
     return acc
 
 
 def trace_to_prime(x: FqElem) -> int:
     """Trace down to F_p, as an integer in [0, p)."""
-    t = trace(x, 1)
+    t = trace(x)
     assert t.in_prime_field()
     return t.coeffs[0]
 

@@ -339,11 +339,11 @@ def symbol_sequence(g: RationalFunctionPi, s_max: int):
     return out
 
 
-# v_p by gcd: for x != 0, gcd(x, p^B) = p^min(v_p(x), B).  B = 64 was the
-# fastest when the dwork-p5 profile valued all 20,300 coordinates of n_1..
-# n_200 (up to 1,600 bits, v_p <= 54).  It values 688 now (depths 1-5, 25,
-# 125; up to 921 bits, v_p <= 35) in 0.22-0.25 ms for every B from 16 to
-# 128, under 3% of its profile (2-vCPU Xeon, Python 3.11.7).
+# v_p by gcd: for x != 0, gcd(x, p^B) = p^min(v_p(x), B).  B = 64 lies above
+# the valuations a profile reads (v_p <= 54 in every coordinate of n_1..n_200
+# of the Dwork twist of (1/3)/x at p = 5), so one gcd values a coordinate;
+# the 688 that its profile values take 0.22-0.25 ms for every B from 16 to
+# 128, under 3% of the profile (2-vCPU Xeon, Python 3.11.7).
 _VP_BLOCK = 64
 
 
@@ -447,9 +447,6 @@ class RadiusProfile:
     p: int
     samples: tuple
     endpoint_slopes: tuple
-
-    def points(self):
-        return [(s.lam, s.r) for s in self.samples]
 
 
 DEFAULT_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2),

@@ -213,10 +213,6 @@ class FieldTables:
             self._embeddings[key] = int(roots[0]), dict(windows)  # deg | n
         return self._embeddings[key]
 
-    def embed_root(self, base: FieldCtx) -> int:
-        """Smallest code of a root of the base modulus in this field."""
-        return self._embedding(base)[0]
-
     def embed(self, x: FqElem, base: FieldCtx) -> int:
         """Code of the image of x under the cached embedding: the constant's
         code in F_p, else the code whose window is sum_i x_i root^i's."""

@@ -468,6 +468,26 @@ def test_exit_code_budget_counts_tables(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_BUDGET and "table element" in err and not out
 
 
+def test_exit_code_budget_counts_strata(tmp_path, capsys, monkeypatch):
+    # x_1 on A^20 over F_2 at level 1: 2^20 points and a 2-element table
+    # fit the default budget, but the walk through its 2^20 zero patterns
+    # does not, so it is refused before any level runs
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(expsum, "_histograms", no_level)
+    monkeypatch.setattr(expsum, "_strata", no_level)
+    assert 2 ** 20 + expsum.TABLE_BYTES_PER_ELEMENT * 2 < expsum.DEFAULT_BUDGET
+    job = write_job(tmp_path, "strata.json", {"command": "sum", "payload": {
+        "base": {"p": 2}, "levels": 1, "variety": {
+            "kind": "affine", "dim": 20, "f": [[1, [1] + [0] * 19]]}}})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["sum", "--job", job])
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_BUDGET and "per stratum and term" in err
+    assert "table element" in err and not out
+
+
 def test_exit_code_uncertified(tmp_path, capsys):
     job = write_job(tmp_path, "tight.json", UNCERTIFIED_JOB)
     code, out, err = run(capsys, ["lfun", "--job", job])
@@ -763,9 +783,17 @@ def test_lfun_reports_match_golden_bytes(tmp_path, capsys, name):
 # was build_field's and its generator the first primitive element: a x^3 +
 # (1 + 2a)/x^2 + 3x on G_m over F_25 = F_5[a], and g = a x^2 y + y +
 # (1 + a) x over h = xy + 2a on the complement of h = 0 in A^2 over
-# F_9 = F_3[a], 3 levels each
+# F_9 = F_3[a], 3 levels each; and two over F_5 recorded when rows that
+# outnumber their codes were read one gather per column: x^313 + 2x on G_m
+# through level 6, whose rows from level 3 on are 3, 3, 10 and 50 codes
+# wide, and x y^313 + 2y + x^2 on G_m^2 through level 4
 SUM_OUTPUTS = Path(__file__).parent / "sum_outputs"
 SUM_GOLDEN_JOBS = {
+    "narrow-1d": {"base": {"p": 5}, "levels": 6, "variety": {
+        "kind": "torus", "dim": 1, "f": [[1, [313]], [2, [1]]]}},
+    "narrow-2d": {"base": {"p": 5}, "levels": 4, "variety": {
+        "kind": "torus", "dim": 2,
+        "f": [[1, [1, 313]], [2, [0, 1]], [1, [2, 0]]]}},
     "torus-f25": {"base": {"p": 5, "n": 2}, "levels": 3, "variety": {
         "kind": "torus", "dim": 1,
         "f": [[[0, 1], [3]], [[1, 2], [-2]], [3, [1]]]}},

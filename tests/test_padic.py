@@ -198,7 +198,7 @@ def test_dwork_operator_profile(p):
         assert s.method == "power-subsequence"
     assert prof.endpoint_slopes == (2, 2)
     # slope exactly 2 between every adjacent sample pair, not just the ends
-    pts = prof.points()
+    pts = [(s.lam, s.r) for s in prof.samples]
     for (l0, r0), (l1, r1) in zip(pts, pts[1:]):
         assert (r1 - r0) / (l1 - l0) == 2
     # index of the trivial operator: slopes (1, 1) cancel
@@ -231,7 +231,8 @@ def test_profile_is_representation_independent():
     plain = radius_profile(mono(p, pi, 2), s_max=30)
     padded = radius_profile(
         RationalFunctionPi(p, [0, pi], [0, 0, 0, 1]), s_max=30)
-    assert plain.points() == padded.points()
+    assert [(s.lam, s.r) for s in plain.samples] == \
+        [(s.lam, s.r) for s in padded.samples]
 
 
 def test_wildly_ramified_exponent_profile():

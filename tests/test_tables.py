@@ -55,7 +55,7 @@ def base_modulus_at(base, x):
 
 def first_root_code(T, base):
     """Smallest code e with modulus(y^e) = 0, by scalar search in FqElem
-    arithmetic (the search embed_root once did one code at a time)."""
+    arithmetic, one code at a time: the reference for _embedding's root."""
     field, y = root_of(T)
     x = field.one()
     for e in range(T.group_order):
@@ -90,10 +90,10 @@ def check_constants(T):
 
 
 def check_embedding(T, base, every_element):
-    """embed_root is a root of the base modulus, and embed of each base
-    element is the code of its image: Horner's rule at the root."""
+    """_embedding's root is a root of the base modulus, and embed of each
+    base element is the code of its image: Horner's rule at the root."""
     field = root_of(T)[0]
-    root = element_of(T, T.embed_root(base))
+    root = element_of(T, T._embedding(base)[0])
     assert base_modulus_at(base, root).is_zero()
     elements = list(base.elements())
     if not every_element and len(elements) > 20:
@@ -152,7 +152,7 @@ def test_tables_match_field_arithmetic(ctx, monkeypatch):
         if n % k == 0:
             base = build_field(p, k)
             for b in {base, ctx} if k == n else {base}:
-                assert T.embed_root(b) == first_root_code(T, b)
+                assert T._embedding(b)[0] == first_root_code(T, b)
                 check_embedding(T, b, every_element=k < n or b != base)
 
 
@@ -171,7 +171,7 @@ def test_embed_reads_the_subfield_windows_once(monkeypatch):
 
     monkeypatch.setattr(T, "_trace_digits", spied)
     check_embedding(T, ctx, every_element=True)
-    assert T.embed_root(ctx) == first_root_code(T, ctx)
+    assert T._embedding(ctx)[0] == first_root_code(T, ctx)
     assert windows == [T.group_order]
 
 
