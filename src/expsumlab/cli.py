@@ -150,7 +150,7 @@ def _parse_grid(text_or_list):
     return grid
 
 
-def _parse_prediction(doc: dict):
+def _parse_prediction(doc: dict, budget: int = DEFAULT_BUDGET):
     kind = _require(doc, "kind")
 
     def num(key):
@@ -178,6 +178,12 @@ def _parse_prediction(doc: dict):
         if kind == "newton":
             spec = predict.NewtonSpec(num("n"), tuple(
                 nums("support", v) for v in doc["support"]))
+            work = predict.newton_work(spec)
+            if work > budget:
+                raise BudgetExceededError(
+                    f"the Newton polytope's hull needs {_approx(work)} work "
+                    f"units ({predict.HULL_SUBSET_WORK} per {spec.n}-subset "
+                    f"of the support with 0); budget is {budget}")
             value, degenerate = predict.newton_report(spec)
             return {"kind": kind, "predicted_degree": value,
                     "degenerate": degenerate}
@@ -207,7 +213,7 @@ def run_job(spec: dict):
     if command == "lfun":
         return _run_lfun(payload, budget, threads)
     if command == "predict":
-        report = _parse_prediction(payload)
+        report = _parse_prediction(payload, budget)
         return report, _table(sorted(report.items()))
     if command == "radius":
         return _run_radius(spec, payload, budget, want_index=False)
@@ -284,7 +290,7 @@ def _run_lfun(payload: dict, budget: int, threads: int):
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise SchemaError("bounds must be a pair [deg P, deg Q]")
         bounds = [_positive_int(b, "bounds", least=0) for b in bounds]
-    verdict = (_parse_prediction(_require(payload, "predict", dict))
+    verdict = (_parse_prediction(_require(payload, "predict", dict), budget)
                if "predict" in payload else None)
     if verdict is not None and "predicted_degree" not in verdict:
         raise SchemaError(f"a {verdict['kind']} prediction has no single "

@@ -16,15 +16,18 @@ with v(s!) = (s - digitsum_p(s)) / (p-1).  Two structural detectors make
 the limsup exact at finite s_max (see radius_profile); profiles that fit
 neither pattern are flagged rather than guessed at.
 
-The symbols come from one polynomial recurrence over Z[pi], run on numpy
-object arrays of exact Python ints, in which multiplying by pi is a column
-shift (_symbol_numerators), untrimmed; numpy serves nothing else here.
-radius_profile streams the symbols one at a time and values only those
-that decide a sample: every one until each weight has a sample above
-lambda, then those at the p-powers that the estimator compares on.  Of a
-valued symbol it keeps only the records, the coefficients whose valuation
-falls below that of every lower one, and one Gauss valuation per weight,
-an integer minimum over them.  A coefficient is a record iff p^k does not
+The symbols come from one polynomial recurrence over Z[pi], on lists of
+Python ints, one for each class (row + power of pi) mod (p - 1) that a
+symbol occupies: multiplying by c pi^e x^k moves a class by k + e, and
+pi^(p-1) = -p keeps it, so the operators whose terms all shift classes
+alike, pi/x^2, c/x and their Dwork twists, hold one coordinate per row
+(_symbol_numerators), untrimmed.  radius_profile streams the symbols one
+at a time and values only those that decide a sample: every one until
+each weight has a sample above lambda, then those at the p-powers that the
+estimator compares on, made into rows there.  Of a valued symbol it keeps
+only the records, the coefficients whose valuation falls below that of
+every lower one, and one Gauss valuation per weight, an integer minimum
+over them.  A coefficient is a record iff p^k does not
 divide one of its coordinates, k fixed by the record so far and the
 coordinate's power of pi, so one divisibility test per coordinate
 dismisses the others, and only a record's exact valuation is read, off
@@ -42,10 +45,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import cycle, zip_longest
 from math import gcd, lcm
-
-import numpy as np
 
 from ._exactpoly import (QuotientFieldElem, add, derivative, divmod_, mul, neg,
                          scale, trim, xgcd)
@@ -248,59 +249,111 @@ def gauss_valuation(f: RationalFunctionPi, w: GaussWeight):
 
 # -- symbols of D^s -------------------------------------------------------------
 #
-# A polynomial in x over Z[pi] is an (L, p-1) object array of Python ints:
-# row i holds the coordinates of the coefficient of x^i for 1, pi, ...,
-# pi^(p-2).  Multiplying by pi^e shifts the columns by e, and the columns
-# that wrap around are multiplied by -p, because pi^(p-1) = -p.
+# A polynomial in x over Z[pi] is a list of rows of Python ints: row j holds
+# the coordinates of the coefficient of x^j for 1, pi, ..., pi^(p-2).  The
+# recurrence holds its symbols by class instead.  The coordinate of pi^e x^j
+# has class (j + e) mod (p-1), so each row has one coordinate in each
+# class, and a symbol is {class: list of its coordinates over the rows},
+# with no class whose coordinates are all zero.  Multiplying by c pi^e x^k
+# carries class r to class r + k + e: a coordinate whose power of pi passes
+# p - 2 wraps to the power p - 1 below it times -p (pi^(p-1) = -p), which
+# keeps its class.
 
 def _cleared(g: RationalFunctionPi):
     """(U, W): num(g) and den(g) times one common denominator of their
-    coordinates, as integer arrays, so that U / W = g."""
-    p = g.p
+    coordinates, as rows of ints, so that U / W = g."""
     D = lcm(*(x.den for x in g.num + g.den))
-    return tuple(np.array([[c * (D // x.den) for c in x.num] for x in poly],
-                          dtype=object).reshape(-1, p - 1)
+    return tuple([[c * (D // x.den) for c in x.num] for x in poly]
                  for poly in (g.num, g.den))
 
 
-def _terms(a):
-    """The nonzero coordinates (i, e, c) of an array: c pi^e x^i."""
-    return [(i, e, c) for (i, e), c in np.ndenumerate(a) if c]
+def _terms(rows):
+    """The nonzero coordinates (i, e, c) of rows: c pi^e x^i."""
+    return [(i, e, c) for i, row in enumerate(rows)
+            for e, c in enumerate(row) if c]
 
 
-def _mul_add(out, terms, n, p: int):
-    """out += (sum of c pi^e x^i over terms) * n in place; c int or column."""
-    d, L = p - 1, len(n)
-    for i, e, c in terms:
-        out[i:i + L, e:] += c * n[:, :d - e]
-        if e:
-            out[i:i + L, :e] -= (p * c) * n[:, d - e:]
+def _rows(n: dict, p: int) -> list:
+    """The rows of a symbol held by class, as many as its classes' lists
+    are long: none if it is zero."""
+    d = p - 1
+    rows = [[0] * d for _ in next(iter(n.values()), ())]
+    for r, col in n.items():
+        for j, c in enumerate(col):
+            rows[j][(r - j) % d] = c
+    return rows
 
 
 def _symbol_numerators(p: int, U, W, s_max: int):
-    """Yield n_0..n_(s_max) with b_s = n_s / W^s:
+    """Yield n_0..n_(s_max), held by class, with b_s = n_s / W^s:
     n_(s+1) = n_s' W - s n_s W' + U n_s   (U / W = g).
 
     This closed polynomial recurrence avoids quotient-rule denominator
     blowup; b_(s+1) = b_s' + g b_s holds identically.  It is homogeneous of
     degree 1 in (U, W), so U and W from _cleared have integer coordinates
-    and the recurrence runs over Z[pi], exactly.  Each term w pi^e x^k of W
-    adds w (i - s k) n_i to x^(i+k-1), row i + k of a new array whose row 0
-    (x^(-1), reached only with the factor 0) is dropped.  No n_s is
-    trimmed: it keeps max(0, 1 + grow s) rows, trailing zero rows included,
-    and b_s = 0 iff every row is zero."""
-    u_terms = [(k + 1, e, u) for k, e, u in _terms(U)]
-    w_terms = _terms(W)
+    and the recurrence runs over Z[pi], exactly.  Each term u pi^e x^k of U
+    adds u n_j to x^(j+k), and each term w pi^e x^k of W adds w (j - s k)
+    n_j to x^(j+k-1) (from x^(-1) only with the factor 0), so the terms
+    sharing (row shift t, e) carry row j to row j + t times one factor
+    a + b j.  Each target class is built once per step, one after the
+    other, as the sum of lazy products of whole source lists, each a slice
+    of the list padded with zeros, so that row i of every product is row i
+    of the target.  Every list of n_s has 1 + grow s rows, trailing zero
+    rows included; b_s = 0 iff no class is left.  When every term shifts
+    the classes alike, as for pi/x^2, c/x and their Dwork twists, each n_s
+    lies in one class: one coordinate a row.  tests/test_padic.py keeps
+    the recurrence on numpy object arrays of whole rows as the reference."""
+    d = p - 1
+    groups = {}   # (t, e) -> (a0, a1, b): the factor a0 - s a1 + b j
+    for k, e, u in _terms(U):
+        a0, a1, b = groups.get((k, e), (0, 0, 0))
+        groups[k, e] = (a0 + u, a1, b)
+    for k, e, w in _terms(W):
+        a0, a1, b = groups.get((k - 1, e), (0, 0, 0))
+        groups[k - 1, e] = (a0, a1 + k * w, b + w)
     grow = max(len(W) - 2, len(U) - 1)
-    n = np.zeros((1, p - 1), dtype=object)
-    n[0, 0] = 1
+    left = max(t for t, _ in groups)   # W != 0 has a term
+    shifts = {(t + e) % d for t, e in groups}
+    # -p where 1 <= x mod d <= e: row i of the class r' that pi^e carries
+    # from class r' - e has the power of pi (r' - e - i) mod d before it,
+    # which wraps from x = (e - r') mod d on
+    wraps = {e: ([1] + [-p] * e + [1] * (d - 1 - e)) * 2
+             for _, e in groups if e}
+    n = {0: [1]}
     yield n
     for s in range(s_max):
-        out = np.zeros((len(n) + grow + 1, p - 1), dtype=object)
-        i = np.arange(len(n), dtype=object)[:, None]
-        _mul_add(out, [(k, e, w * (i - s * k)) for k, e, w in w_terms], n, p)
-        _mul_add(out, u_terms, n, p)
-        n = out[1:]
+        size = len(next(iter(n.values()), ())) + grow
+        m = min(size, d)
+        # per group, the factor a + b i at target row i = j + t, over the
+        # rows; it is made per target below where pi^e wraps and b = 0
+        factors = []
+        for (t, e), (a0, a1, b) in groups.items():
+            a = a0 - s * a1 - b * t
+            if b:
+                factors.append((t, e, a, range(a, a + b * size, b)))
+            else:
+                factors.append((t, e, a, None if e else [a] * size))
+        # target row i reads source row i - t of the padded list
+        padded = {r: [0] * left + col + [0] * (grow + 1)
+                  for r, col in n.items()}
+        targets = {(r + k) % d for r in n for k in shifts}
+        n = {}
+        for r in targets:      # each built and summed before the next
+            acc = None
+            for t, e, a, f in factors:
+                source = padded.get((r - t - e) % d)
+                if source is None:
+                    continue
+                if e:
+                    x = (e - r) % d
+                    wrap = wraps[e][x:x + m]
+                    f = cycle([a * w for w in wrap]) if f is None else \
+                        map(operator.mul, f, cycle(wrap))
+                terms = map(operator.mul, source[left - t:left - t + size], f)
+                acc = terms if acc is None else map(operator.add, acc, terms)
+            col = list(acc)
+            if any(col):
+                n[r] = col
         yield n
 
 
@@ -316,8 +369,9 @@ def recurrence_work(p: int, num_len: int, den_len: int, s_max: int) -> int:
 
 
 # Work units per depth and weight of radius_profile's pass over the weights:
-# with 2,000 weights on the Dwork twists of (1/3)/x at p = 3, 5 a pair took
-# 1.6-2.2 us, a recurrence_work unit 1.0-1.1 ns (2-vCPU Xeon, Python 3.11.7)
+# with 2,000 weights on the Dwork twist of (1/3)/x at p = 5, which values
+# all 200 depths, a pair took 1.4 us; a recurrence_work unit took 0.17 ns
+# there and 0.34 ns at p = 3 (2-vCPU Xeon, Python 3.11.7)
 WEIGHT_PASS_WORK = 2000
 
 
@@ -335,15 +389,16 @@ def symbol_sequence(g: RationalFunctionPi, s_max: int):
     for s, n in enumerate(_symbol_numerators(p, U, W, s_max)):
         if s:
             wpow = mul(wpow, w_poly)
-        out.append(RationalFunctionPi(p, [PiNumber(p, r) for r in n], wpow))
+        out.append(RationalFunctionPi(p, [PiNumber(p, r) for r in _rows(n, p)],
+                                      wpow))
     return out
 
 
 # v_p by gcd: for x != 0, gcd(x, p^B) = p^min(v_p(x), B).  B = 64 lies above
 # the valuations a profile reads (v_p <= 54 in every coordinate of n_1..n_200
 # of the Dwork twist of (1/3)/x at p = 5), so one gcd values a coordinate;
-# the 688 that its profile values take 0.22-0.25 ms for every B from 16 to
-# 128, under 3% of the profile (2-vCPU Xeon, Python 3.11.7).
+# the 15 that its profile values take 0.017-0.023 ms for every B from 16 to
+# 128, under 1% of the profile (2-vCPU Xeon, Python 3.11.7).
 _VP_BLOCK = 64
 
 
@@ -386,9 +441,10 @@ def _coefficient_valuation(row, p: int):
 
 
 def _row_valuations(n, p: int) -> list:
-    """[(j, V_j)] for the nonzero rows j of a polynomial array n, in order:
-    V_j = (p-1) v(coefficient of x^j), as _coefficient_valuation reads it."""
-    rows = enumerate(_coefficient_valuation(row, p) for row in n.tolist())
+    """[(j, V_j)] for the nonzero rows j of a polynomial's rows n, in
+    order: V_j = (p-1) v(coefficient of x^j), as _coefficient_valuation
+    reads it."""
+    rows = enumerate(_coefficient_valuation(row, p) for row in n)
     return [(j, V) for j, V in rows if V is not None]
 
 
@@ -412,7 +468,7 @@ def _record_valuations(n, p: int) -> list:
     0 none can, and p^0 divides every c.  So a row is dismissed by one
     divisibility test per coordinate, and only the records are valued."""
     out, moduli = [], None
-    for j, row in enumerate(n.tolist()):
+    for j, row in enumerate(n):
         if moduli and not any(map(operator.mod, row, moduli)):
             continue
         V = _coefficient_valuation(row, p)
@@ -528,7 +584,7 @@ def _weight_minima(p: int, U, W, weights, v_w, s_max: int, skip: bool):
             for Mk in M:
                 Mk.append(None)
             continue
-        rows = _record_valuations(n, p)
+        rows = _record_valuations(_rows(n, p), p)
         f = s - digit_sum(s, p)
         for k, ((a, b), vw) in enumerate(zip(weights, v_w)):
             m = min(V * a + j * b for j, V in rows) - s * vw if rows else None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Tuple
 
 from . import _exactpoly
@@ -208,6 +208,23 @@ def _hull_volume(points, dim) -> Fraction:
         height = b - sum(a * c for a, c in zip(normal, centroid))
         total += abs(height) * _hull_volume(proj, dim - 1) / abs(normal[j])
     return total / dim
+
+
+# Work units per n-subset of the points that _facets tries: on n = 4 with
+# 20, 30 and 40 random points of [0, 5]^4 a subset took 40-49 us, facet
+# recursion included (24-40 us at n = 3, 24-25 us at n = 2), a unit about
+# 1 ns, as padic.WEIGHT_PASS_WORK is (2-vCPU Xeon, Python 3.11.7)
+HULL_SUBSET_WORK = 50000
+
+
+def newton_work(s: NewtonSpec) -> int:
+    """Work units of newton_report(s): HULL_SUBSET_WORK for each n-subset
+    of the support with 0 adjoined, which its hull's _facets tries; none
+    for n = 1, whose hull is an interval."""
+    if s.n == 1:
+        return 0
+    return HULL_SUBSET_WORK * comb(len(set(map(tuple, s.support))
+                                       | {(0,) * s.n}), s.n)
 
 
 def newton_report(s: NewtonSpec) -> Tuple[Fraction, bool]:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from expsumlab import cli, expsum, padic
+from expsumlab import cli, expsum, padic, predict
 
 
 def write_job(tmp_path, name, doc):
@@ -488,6 +489,45 @@ def test_exit_code_budget_counts_strata(tmp_path, capsys, monkeypatch):
     assert "table element" in err and not out
 
 
+def _newton_payload(points: int) -> dict:
+    """A newton prediction on n = 4 over `points` random points of
+    [0, 5]^4, seeded by their number."""
+    rnd = random.Random(points)
+    return {"kind": "newton", "n": 4, "support": [
+        [rnd.randint(0, 5) for _ in range(4)] for _ in range(points)]}
+
+
+def test_newton_hull_is_charged_before_it_is_built():
+    # the hull tries every 4-subset of the support with 0: 20 points fit
+    # the default budget, 30 and 40 (2.5 and 6 s jobs) do not; a hull in
+    # dimension 1 is an interval, read off its ends
+    work = [predict.newton_work(predict.NewtonSpec(4, tuple(
+        map(tuple, _newton_payload(k)["support"])))) for k in (20, 30, 40)]
+    assert work[0] < expsum.DEFAULT_BUDGET < work[1] < work[2]
+    assert predict.newton_work(predict.NewtonSpec(1, tuple(
+        (k,) for k in range(-20000, 20000)))) == 0
+
+
+@pytest.mark.parametrize("command", ["predict", "lfun"])
+def test_exit_code_budget_counts_the_newton_hull(tmp_path, capsys,
+                                                 monkeypatch, command):
+    def no_hull(*args):
+        raise AssertionError("the hull was built")
+
+    monkeypatch.setattr(predict, "newton_report", no_hull)
+    monkeypatch.setattr(cli, "power_sum_table", no_hull)
+    payload = _newton_payload(40)
+    if command == "lfun":
+        payload = {**KLOOSTERMAN_JOB["payload"], "predict": payload}
+    job = write_job(tmp_path, "newton.json",
+                    {"command": command, "payload": payload})
+    start = time.perf_counter()
+    code, out, err = run(capsys, [command, "--job", job])
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_BUDGET and not out
+    assert err.startswith("budget exceeded: the Newton polytope's hull")
+
+
 def test_exit_code_uncertified(tmp_path, capsys):
     job = write_job(tmp_path, "tight.json", UNCERTIFIED_JOB)
     code, out, err = run(capsys, ["lfun", "--job", job])
@@ -636,6 +676,33 @@ def test_dwork_twist_index_report_bytes(tmp_path, capsys, p):
     code, out, _ = run(capsys, ["index", "--job", job])
     assert code == 0
     assert out == (INDEX_OUTPUTS / f"dwork-p{p}.json").read_text()
+
+
+# operators whose symbols fill more than one class, each to its smax:
+# g = pi f' for f = x + 1/x at p = 5, two classes, and a g at p = 7 whose
+# numerator and denominator fill all six; reports recorded when the symbol
+# recurrence ran on numpy object arrays of whole rows
+RADIUS_JOBS = {
+    "kloosterman-p5": {"command": "radius", "smax": 200, "payload": {
+        "p": 5, "g": {"num": [["0", "-1", "0", "0"], "0",
+                              ["0", "1", "0", "0"]],
+                      "den": ["0", "0", "1"]}}},
+    "dense-p7": {"command": "radius", "smax": 60, "payload": {
+        "p": 7, "g": {"num": [["1/2", "-3", "2", "0", "5/7", "1"],
+                              ["0", "1", "-1/3", "4", "0", "2"]],
+                      "den": [["2", "1", "0", "-1", "0", "1/7"],
+                              ["0", "1", "0", "0", "0", "0"]]}}},
+}
+RADIUS_OUTPUTS = Path(__file__).parent / "radius_outputs"
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_JOBS))
+def test_radius_reports_over_several_classes_match_golden_bytes(
+        tmp_path, capsys, name):
+    job = write_job(tmp_path, "radius.json", RADIUS_JOBS[name])
+    code, out, _ = run(capsys, ["radius", "--job", job])
+    assert code == 0
+    assert out == (RADIUS_OUTPUTS / f"{name}.json").read_text()
 
 
 def test_exit_code_budget_radius(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from expsumlab.padic import (DEFAULT_GRID, INF, GaussWeight,
                              radius_profile, robba_index, symbol_sequence)
 from expsumlab.padic import (_VP_BLOCK, _cleared, _estimate_radius,
                              _record_rows, _record_valuations, _row_valuations,
-                             _symbol_numerators, _vp_gcd, _vp_int)
+                             _rows, _symbol_numerators, _vp_gcd, _vp_int)
 
 
 def mono(p, coef, k):
@@ -400,7 +404,7 @@ def test_profile_waits_for_a_refutation_after_the_window(monkeypatch, v12,
     def synthetic(p, U, W, s_max):
         for s in range(s_max + 1):
             depths.append(s)
-            yield np.array([[p ** v[s], 0]], dtype=object)
+            yield {0: [p ** v[s]]}
 
     monkeypatch.setattr(padic, "_symbol_numerators", synthetic)
     prof = radius_profile(RationalFunctionPi(p, [Fraction(1, 3)], [1]),
@@ -430,7 +434,7 @@ def test_profile_values_every_depth_when_the_window_disagrees(monkeypatch):
         draws.append(0)
         for s in range(s_max + 1):
             draws[-1] = s
-            yield np.array([[p ** v[s], 0]], dtype=object)
+            yield {0: [p ** v[s]]}
 
     monkeypatch.setattr(padic, "_symbol_numerators", synthetic)
     prof = radius_profile(RationalFunctionPi(p, [Fraction(1, 3)], [1]),
@@ -442,6 +446,103 @@ def test_profile_values_every_depth_when_the_window_disagrees(monkeypatch):
         for lam in grid)
     assert [(s.r, s.method) for s in prof.samples] == \
         [(Fraction(6, 5), "unstabilized")] * 2
+
+
+# -- the recurrence by class, against numpy object arrays ---------------------
+
+def _mul_add(out, terms, n, p: int):
+    """out += (sum of c pi^e x^i over terms) * n in place; c int or column."""
+    d, L = p - 1, len(n)
+    for i, e, c in terms:
+        out[i:i + L, e:] += c * n[:, :d - e]
+        if e:
+            out[i:i + L, :e] -= (p * c) * n[:, d - e:]
+
+
+def _reference_numerators(p, U, W, s_max):
+    """n_0..n_(s_max) of _symbol_numerators as (L, p-1) object arrays of
+    ints, row i the coordinates of x^i for 1, pi, ..., pi^(p-2): each term
+    of U and of W updates whole column slices, the columns that wrap past
+    pi^(p-2) times -p.  Every n_s keeps max(0, 1 + grow s) rows."""
+    def terms(rows):
+        a = np.array(rows, dtype=object).reshape(-1, p - 1)
+        return [(i, e, c) for (i, e), c in np.ndenumerate(a) if c]
+
+    u_terms = [(k + 1, e, u) for k, e, u in terms(U)]
+    w_terms = terms(W)
+    grow = max(len(W) - 2, len(U) - 1)
+    n = np.zeros((1, p - 1), dtype=object)
+    n[0, 0] = 1
+    yield n
+    for s in range(s_max):
+        out = np.zeros((len(n) + grow + 1, p - 1), dtype=object)
+        i = np.arange(len(n), dtype=object)[:, None]
+        _mul_add(out, [(k, e, w * (i - s * k)) for k, e, w in w_terms], n, p)
+        _mul_add(out, u_terms, n, p)
+        n = out[1:]
+        yield n
+
+
+@st.composite
+def _dense_operators(draw):
+    """g = U / W with every pi-coordinate of up to three coefficients of U
+    and two of W drawn, zeros included: their terms fill every class."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    coeff = st.lists(st.integers(-40, 40), min_size=p - 1, max_size=p - 1)
+    num = [PiNumber(p, c) for c in draw(st.lists(coeff, max_size=3))]
+    den = [PiNumber(p, c) for c in draw(st.lists(coeff, max_size=1))]
+    den.append(PiNumber(p, draw(coeff.filter(any))))
+    return RationalFunctionPi(p, num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_operators(), _dense_operators()), st.integers(0, 40))
+@example(RationalFunctionPi.zero(5), 12)
+@example(RationalFunctionPi(7, [0, 0, PiNumber.pi(7)], [1, 3]), 30)
+@example(RationalFunctionPi(5, [0, 1], [PiNumber.pi(5), 0, 0, 2]), 25)
+@example(RationalFunctionPi(3, [0, PiNumber(3, [1, 2])],
+                            [PiNumber(3, [5, -1]), 1]), 40)
+def test_symbols_by_class_match_the_array_recurrence(g, s_max):
+    # every coordinate of n_0..n_(s_max), against the numpy recurrence
+    # over whole rows; g = 0, and numerators with a zero constant row
+    p = g.p
+    U, W = _cleared(g)
+    ours = list(_symbol_numerators(p, U, W, s_max))
+    ref = list(_reference_numerators(p, U, W, s_max))
+    assert len(ours) == len(ref) == s_max + 1
+    for n, m in zip(ours, ref):
+        assert all(any(col) for col in n.values())
+        rows = _rows(n, p)
+        assert len(rows) in (0, len(m))
+        assert rows == m.tolist() if rows else not m.any()
+
+
+@pytest.mark.parametrize("p,depth", [(3, 200), (5, 200), (7, 200)])
+def test_dwork_twist_symbols_occupy_one_class(p, depth):
+    # pi/x^2 + (1/3)/x shifts every class by 1 at each step, so n_s lies in
+    # the class s mod (p - 1), one nonzero coordinate a row: at p = 5 the
+    # 20,301 rows of n_0..n_200, a quarter of their 81,204 coordinates
+    g = dwork_twist(mono(p, Fraction(1, 3), 1))
+    U, W = _cleared(g)
+    rows = 0
+    for s, n in enumerate(_symbol_numerators(p, U, W, depth)):
+        assert list(n) == [s % (p - 1)] and all(n[s % (p - 1)])
+        rows += len(n[s % (p - 1)])
+    assert rows == sum(1 + s for s in range(depth + 1))
+    if p == 5:
+        assert (rows, 4 * rows) == (20301, 81204)
+
+
+def test_padic_import_leaves_numpy_out():
+    # the symbols and their valuations are Python ints
+    src = str(Path(padic.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, expsumlab.padic; "
+            "print(sorted(set(sys.modules) & {'numpy'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 # -- valuations of the integer symbols ------------------------------------------
@@ -480,15 +581,15 @@ def test_row_valuations_match_scalar_reference_to_depth_200():
     g = RationalFunctionPi(p, [PiNumber.pi(p), Fraction(1, 3)], [0, 0, 1])
     U, W = _cleared(g)
     for n in _symbol_numerators(p, U, W, 200):
+        n = _rows(n, p)
         expected = [(i, min((p - 1) * _vp_int(c, p) + e
                             for e, c in enumerate(row) if c))
-                    for i, row in enumerate(n.tolist()) if any(row)]
+                    for i, row in enumerate(n) if any(row)]
         assert _row_valuations(n, p) == expected
         # and the records, each row that is none dismissed by divisibility
         assert _record_valuations(n, p) == _record_rows(expected)
     # and coordinates that p^B divides, whose v_p comes from _vp_gcd
-    n = np.array([[0] * 4, [p ** 70, 3 * p ** _B, 0, 0],
-                  [0, 2 * p ** 130, 0, 0]], dtype=object)
+    n = [[0] * 4, [p ** 70, 3 * p ** _B, 0, 0], [0, 2 * p ** 130, 0, 0]]
     assert _row_valuations(n, p) == [(1, 4 * _B + 1), (2, 4 * 130 + 1)]
 
 
@@ -514,16 +615,16 @@ def test_record_rows_attain_every_minimum(steps, a, b):
 
 @st.composite
 def planted_symbol_arrays(draw):
-    """(n, p): an (L, p - 1) object array of ints, each coordinate 0 or
-    +-p^v u with v planted, mostly small so that rows tie and nearly tie,
-    and sometimes past the gcd block; u may hold further factors of p."""
+    """(n, p): L rows of p - 1 ints, each coordinate 0 or +-p^v u with v
+    planted, mostly small so that rows tie and nearly tie, and sometimes
+    past the gcd block; u may hold further factors of p."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     v = st.one_of(st.integers(0, 6), st.integers(0, 2 * _B + 2))
     unit = st.integers(-(2 ** 80), 2 ** 80).filter(bool)
     coord = st.one_of(st.just(0), st.builds(lambda v, u: p ** v * u, v, unit))
     rows = draw(st.lists(st.lists(coord, min_size=p - 1, max_size=p - 1),
                          max_size=16))
-    return np.array(rows, dtype=object).reshape(-1, p - 1), p
+    return rows, p
 
 
 @settings(max_examples=300, deadline=None)
