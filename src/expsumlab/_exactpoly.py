@@ -5,7 +5,9 @@ for a monic integer modulus m.
 Polynomials are lists in little-endian order (index = degree).  The
 polynomial functions use only the coefficients' own operators: + - *,
 truthiness meaning "nonzero", and 1/c where a division is needed.  So one
-implementation serves integers, Q(zeta_p) and Q(pi) alike.
+implementation serves integers, Q(zeta_p) and Q(pi) alike.  remainder_rows
+is the one polynomial Euclid: lfun reads its rows as Pade approximants, and
+padic's rational functions take its last nonzero remainder as a gcd.
 
 convolve multiplies two integer polynomials by Kronecker substitution:
 each is packed into one Python int, its coefficients in two's-complement
@@ -90,37 +92,21 @@ def divmod_(a, b):
     return trim(q), trim(a)
 
 
-def xgcd(a, b):
-    """Extended Euclid over a field: (g, u, v) with u*a + v*b = g, where g
-    is monic unless both inputs are zero."""
-    r0, r1 = trim(a), trim(b)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = divmod_(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, add(u0, neg(mul(q, u1)))
-        v0, v1 = v1, add(v0, neg(mul(q, v1)))
-    if r0:
-        lead_inv = 1 / r0[-1]
-        r0, u0, v0 = (scale(x, lead_inv) for x in (r0, u0, v0))
-    return r0, u0, v0
-
-
-def expand_quotient(P, Q, order):
-    """Power-series coefficients of P/Q through t^order; Q(0) must be
-    invertible."""
-    if not Q or not Q[0]:
-        raise ZeroDivisionError("denominator vanishes at 0")
-    inv0 = 1 / Q[0]
-    zero = Q[0] * 0
-    out = []
-    for k in range(order + 1):
-        acc = P[k] if k < len(P) else zero
-        for j in range(1, min(k, len(Q) - 1) + 1):
-            acc = acc - Q[j] * out[k - j]
-        out.append(acc * inv0)
-    return out
+def remainder_rows(a, b):
+    """The rows (r_j, v_j), j >= 1, of extended Euclid over a field on (a, b),
+    not both zero: r_j = u_j a + v_j b with r_1 = b, v_1 = 1, gcd(u_j, v_j)
+    = 1 and deg r_j falling, ending at r_j = 0, so that for b nonzero the
+    last nonzero r_j is a gcd of a and b.  Each division runs only when the
+    next row is asked for."""
+    r_prev, r = trim(a), trim(b)
+    v_prev, v = [], [(r or r_prev)[-1] * 0 + 1]
+    while True:
+        yield r, v
+        if not r:
+            return
+        q, rem = divmod_(r_prev, r)
+        r_prev, r = r, rem
+        v_prev, v = v, add(v_prev, neg(mul(q, v)))
 
 
 @lru_cache(maxsize=256)   # build_field passes every candidate modulus

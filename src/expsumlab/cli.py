@@ -12,7 +12,8 @@ Subcommands
 
 Exit codes: 0 ok; 1 failed assertions; 2 schema violation, unknown case,
 unreadable job file or unwritable report; 3 work budget exceeded; 4
-reconstruction not certified; 5 radius profile not stabilized.
+reconstruction not certified; 5 radius profile not stabilized, or an index
+whose endpoint slopes differ by a non-integer.
 """
 
 from __future__ import annotations
@@ -346,7 +347,10 @@ def _run_radius(spec: dict, payload: dict, budget: int, want_index: bool):
               "samples": samples,
               "endpoint_slopes": list(prof.endpoint_slopes)}
     if want_index:
-        report["index"] = robba_index(prof)
+        try:
+            report["index"] = robba_index(prof)
+        except ValueError as exc:   # an end pair straddles a profile break
+            raise NonStabilizedError(str(exc)) from None
     rows = [("lambda", "r  (stabilized)")] + [
         (s.lam, f"{s.r}  ({'yes' if s.stabilized else 'NO'})")
         for s in prof.samples]

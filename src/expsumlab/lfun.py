@@ -3,10 +3,12 @@
 exp_power_sums turns S_1..S_M into the truncated series
 exp(sum_m S_m t^m / m) via the recurrence M c_M = sum_j S_j c_(M-j);
 pade_reconstruct finds coprime P/Q matching the truncation within given
-degree bounds and certifies the result by re-expansion.  Both it and
-reconstruct_auto read the rows r_j = u_j t^(M+1) + v_j s of one extended
-Euclid walk on (t^(M+1), s), which passes through the Pade approximant of
-every degree bound.  reconstruct_auto takes the rows with
+degree bounds.  Both it and reconstruct_auto read the rows
+r_j = u_j t^(M+1) + v_j s of the core's one extended Euclid walk
+(_exactpoly.remainder_rows) on (t^(M+1), s), which passes through the Pade
+approximant of every degree bound.  A row's candidate is certified by
+products alone, Q s = P mod t^(M+1) before any inverse, and only the row
+returned is normalised to Q(0) = 1.  reconstruct_auto takes the rows with
 deg r_j <= M - slack - 1 as candidates, keeps the certified one of least
 (total degree, -deg Q), and stops at a certified row of total T with
 2T <= M, since no other candidate can then differ from it.  Everything is
@@ -21,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._exactpoly import (add, derivative, divmod_, expand_quotient, mul, neg,
-                         trim, xgcd)
+from ._exactpoly import add, derivative, mul, neg, remainder_rows, trim
 from .ffield import CyclotomicInt, CyclotomicRat
 
 
@@ -99,7 +100,6 @@ class LSeries:
     P: tuple
     Q: tuple
     certified_order: int
-    bezout: tuple = ()  # (u, v) with u*P + v*Q = 1, the coprimality witness
 
     def to_json(self) -> dict:
         def dump(poly):
@@ -126,44 +126,35 @@ def exp_power_sums(S: PowerSumSequence) -> TruncatedSeries:
 
 
 def _remainder_rows(s: TruncatedSeries):
-    """The rows (r_j, v_j), j >= 1, of extended Euclid on (t^(M+1), s):
-    r_j = u_j t^(M+1) + v_j s with gcd(u_j, v_j) = 1 and deg r_j falling,
-    ending at r_j = 0.  Each division runs only when the next row is asked
-    for."""
-    zero, one = CyclotomicRat.zero(s.p), CyclotomicRat.one(s.p)
-    r_prev, r = [zero] * (s.order + 1) + [one], trim(s.coeffs)
-    v_prev, v = [], [one]
-    while True:
-        yield r, v
-        if not r:
-            return
-        q, rem = divmod_(r_prev, r)
-        r_prev, r = r, rem
-        v_prev, v = v, add(v_prev, neg(mul(q, v)))
+    """The rows (r_j, v_j) of extended Euclid on (t^(M+1), s)."""
+    top = [CyclotomicRat.zero(s.p)] * (s.order + 1) + [CyclotomicRat.one(s.p)]
+    return remainder_rows(top, s.coeffs)
 
 
-def _certify(s: TruncatedSeries, r, v, dQ: int) -> LSeries:
-    """The candidate r/v of a remainder row as a certified LSeries.  From
-    r = u t^(M+1) + v s, t^k divides r for k = val_t(v), and gcd(u, v) = 1
-    makes gcd(r, v) = t^k; so P/Q = (r/t^k)/(v/t^k) is reduced with
-    Q(0) != 0.  Q must have degree <= dQ, and P/Q, normalised to Q(0) = 1,
-    must re-expand to s."""
+def _certify(s: TruncatedSeries, r, v, dQ: int) -> tuple:
+    """The candidate (P, Q) of a remainder row, reduced and certified by
+    products alone, not yet normalised.  From r = u t^(M+1) + v s, t^k
+    divides r for k = val_t(v), and gcd(u, v) = 1 makes gcd(r, v) = t^k;
+    so P/Q = (r/t^k)/(v/t^k) is reduced with Q(0) != 0.  Q must have
+    degree <= dQ, and Q s = P mod t^(M+1), which for Q(0) != 0 says that
+    P/Q expands to s through t^M."""
     k = next(i for i, c in enumerate(v) if c)
-    P_raw, Q_raw = r[k:], v[k:]
-    if len(Q_raw) - 1 > dQ:
+    P, Q = r[k:], v[k:]
+    if len(Q) - 1 > dQ:
         raise ReconstructionError(
-            f"no denominator of degree <= {dQ} matches (needed {len(Q_raw) - 1})")
-    inv0 = Q_raw[0].inverse()
-    P = [x * inv0 for x in P_raw]
-    Q = [x * inv0 for x in Q_raw]
-    if expand_quotient(P, Q, s.order) != list(s.coeffs):
+            f"no denominator of degree <= {dQ} matches (needed {len(Q) - 1})")
+    if trim(mul(Q, s.coeffs)[:s.order + 1]) != P:
         raise ReconstructionError(
             "expansion mismatch: series is not rational within the bounds "
             "(order too small or bounds wrong)")
-    g, u, w = xgcd(P, Q)
-    assert len(g) == 1
-    return LSeries(s.p, tuple(P), tuple(Q), s.order,
-                   bezout=(tuple(u), tuple(w)))
+    return P, Q
+
+
+def _lseries(s: TruncatedSeries, P, Q) -> LSeries:
+    """A certified (P, Q) normalised to Q(0) = 1, by one inverse."""
+    inv0 = Q[0].inverse()
+    return LSeries(s.p, tuple(x * inv0 for x in P),
+                   tuple(x * inv0 for x in Q), s.order)
 
 
 def pade_reconstruct(s: TruncatedSeries, dP: int, dQ: int) -> LSeries:
@@ -176,7 +167,7 @@ def pade_reconstruct(s: TruncatedSeries, dP: int, dQ: int) -> LSeries:
         raise ReconstructionError(
             f"certification needs dP + dQ + 1 <= M; got {dP}+{dQ}+1 > {s.order}")
     r, v = next(row for row in _remainder_rows(s) if len(row[0]) - 1 <= dP)
-    return _certify(s, r, v, dQ)
+    return _lseries(s, *_certify(s, r, v, dQ))
 
 
 def reconstruct_auto(s: TruncatedSeries, slack: int = 2) -> LSeries:
@@ -190,7 +181,8 @@ def reconstruct_auto(s: TruncatedSeries, slack: int = 2) -> LSeries:
     least (T_j, deg r_j), shrinking the bound on T as it goes; no later row
     totals less than M + 1 - deg r_j.  It stops at a certified row with
     2 T_j <= M: any other certified P'/Q' of total <= T_j agrees with it
-    mod t^(M+1), and P Q' - P' Q has degree <= 2 T_j, so they are equal."""
+    mod t^(M+1), and P Q' - P' Q has degree <= 2 T_j, so they are equal.
+    Only the row it returns is normalised."""
     M = s.order
     bound = M - 1 - max(slack, 0)   # certification needs T + 1 <= M
     best = None
@@ -201,15 +193,15 @@ def reconstruct_auto(s: TruncatedSeries, slack: int = 2) -> LSeries:
         except ReconstructionError:
             pass
         else:
-            bound = dP + len(best.Q) - 1
+            bound = dP + len(best[1]) - 1
             if 2 * bound <= M:
-                return best
+                break
         if len(r) + bound < M + 2:
             break
     if best is None:
         raise ReconstructionError(
             f"no rational function certified at order {M} with slack {slack}")
-    return best
+    return _lseries(s, *best)
 
 
 def degree(L: LSeries) -> int:

@@ -49,7 +49,7 @@ from itertools import cycle, zip_longest
 from math import gcd, lcm
 
 from ._exactpoly import (QuotientFieldElem, add, derivative, divmod_, mul, neg,
-                         scale, trim, xgcd)
+                         remainder_rows, scale, trim)
 from .ffield import is_prime
 
 INF = float("inf")
@@ -172,8 +172,11 @@ class RationalFunctionPi:
         return not self.num
 
     def reduce(self) -> "RationalFunctionPi":
-        g, _, _ = xgcd(self.num, self.den)
+        """num/den over their monic gcd, the last nonzero remainder of the
+        walk on (num, den)."""
+        g = [r for r, _ in remainder_rows(self.num, self.den) if r][-1]
         if len(g) > 1:
+            g = scale(g, 1 / g[-1])
             num, _ = divmod_(self.num, g)
             den, _ = divmod_(self.den, g)
             return RationalFunctionPi(self.p, num, den)
@@ -654,7 +657,8 @@ def robba_index(profile: RadiusProfile) -> int:
     slope_outer, slope_inner = profile.endpoint_slopes
     chi = slope_inner - slope_outer
     if chi.denominator != 1:
-        raise ValueError(f"non-integral slope difference {chi}")
+        raise ValueError(f"endpoint slopes {slope_outer} and {slope_inner} "
+                         f"differ by {chi}, not an integer")
     return int(chi)
 
 

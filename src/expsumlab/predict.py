@@ -18,8 +18,6 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Tuple
 
-from . import _exactpoly
-
 
 # -- Chern-series coefficient on P^n -------------------------------------------
 
@@ -43,16 +41,18 @@ class ChernSpec:
 def chern_degree(s: ChernSpec) -> int:
     """(-1)^n times the h^n coefficient of
     (1+h)^(n+1) / ((1 + E h) prod_i (1 + d_i h)),   E = sum e_i d_i,
-    with each 1/(1 + c h) expanded as sum_k (-c)^k h^k, and every product
-    truncated at h^n."""
+    truncated at h^n: the binomials C(n+1, k) as a running product, then
+    one division pass per factor, b_k -= c b_(k-1) for k = 1..n in place,
+    O(n (r+1)) integer steps in all."""
     n = s.n
     E = sum(di * ei for di, ei in zip(s.d, s.e))
-    factors = [[1, 1]] * (n + 1) + [[(-c) ** k for k in range(n + 1)]
-                                    for c in (E, *s.d)]
     series = [1]
-    for factor in factors:
-        series = _exactpoly.mul(series, factor)[:n + 1]
-    return (-1) ** n * (series[n] if len(series) > n else 0)
+    for k in range(1, n + 1):
+        series.append(series[-1] * (n + 2 - k) // k)
+    for c in (E, *s.d):
+        for k in range(1, n + 1):
+            series[k] -= c * series[k - 1]
+    return (-1) ** n * series[n]
 
 
 # -- curve count -----------------------------------------------------------------
@@ -108,6 +108,11 @@ def betti_degree(s: BettiSpec) -> Tuple[int, int]:
 
 # -- Newton polytope volume --------------------------------------------------------
 
+def _torus_dimension(n: int) -> None:
+    if not 1 <= n <= 4:
+        raise ValueError("torus dimension must be between 1 and 4")
+
+
 @dataclass(frozen=True)
 class NewtonSpec:
     """Exponent support of a Laurent polynomial on an n-torus, n <= 4."""
@@ -116,8 +121,7 @@ class NewtonSpec:
     support: tuple
 
     def __post_init__(self):
-        if not 1 <= self.n <= 4:
-            raise ValueError("torus dimension must be between 1 and 4")
+        _torus_dimension(self.n)
         if not self.support:
             raise ValueError("support must be non-empty")
         for v in self.support:
@@ -281,7 +285,9 @@ def fermat_chern_spec(n: int) -> ChernSpec:
 
 def fermat_torus_support(n: int) -> NewtonSpec:
     """Exponent support of (x_1^(n+1) + ... + x_n^(n+1) + 1)/(x_1...x_n) on
-    the n-torus written in affine torus coordinates."""
+    the n-torus written in affine torus coordinates; n is checked before
+    its n + 1 rows are built."""
+    _torus_dimension(n)
     rows = [tuple(-1 for _ in range(n))]
     for i in range(n):
         rows.append(tuple(n if j == i else -1 for j in range(n)))
@@ -296,9 +302,10 @@ def fermat_alternative_value(n: int) -> int:
 
 def fermat_discrepancy_report(n: int) -> dict:
     """Both candidate degrees for the Fermat-type family, with a flag when
-    they disagree.  Neither value is asserted as the truth."""
-    chern = chern_degree(fermat_chern_spec(n))
+    they disagree.  Neither value is asserted as the truth.  The Newton
+    value comes first, as its spec refuses n > 4."""
     newton = newton_degree(fermat_torus_support(n))
+    chern = chern_degree(fermat_chern_spec(n))
     alt = fermat_alternative_value(n)
     return {
         "n": n,

@@ -555,6 +555,50 @@ def test_exit_code_unstable(tmp_path, capsys):
     assert code == cli.EXIT_UNSTABLE and "not stabilized" in err
 
 
+# g = 7 / x^3 at p = 7: the outer pair of weights, lambda = 1/4 (a
+# robba-clamp sample) and 1/2, straddles a break of the profile, so the
+# endpoint slopes 5/3 and 3 differ by 4/3 and there is no index
+STRADDLE_JOB = {"command": "index", "payload": {
+    "p": 7, "g": {"num": ["7"], "den": ["0", "0", "0", "1"]}}}
+
+
+@pytest.mark.parametrize("smax", ["60", "200"])
+def test_exit_code_index_of_slopes_with_a_fractional_difference(
+        tmp_path, capsys, smax):
+    job = write_job(tmp_path, "straddle.json", STRADDLE_JOB)
+    code, out, err = run(capsys, ["index", "--job", job, "--smax", smax])
+    assert code == cli.EXIT_UNSTABLE and not out
+    assert err == ("profile not stabilized: endpoint slopes 5/3 and 3 "
+                   "differ by 4/3, not an integer\n")
+    job = write_job(tmp_path, "radius.json",
+                    {**STRADDLE_JOB, "command": "radius"})
+    code, out, _ = run(capsys, ["radius", "--job", job, "--smax", smax])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["endpoint_slopes"] == ["5/3", 3]
+
+
+@pytest.mark.parametrize("command", ["predict", "lfun"])
+def test_exit_code_fermat_prediction_checks_n_first(tmp_path, capsys,
+                                                    monkeypatch, command):
+    # the Newton spec refuses n > 4 before the Chern value is computed
+    def no_chern(*args):
+        raise AssertionError("the Chern value was computed")
+
+    monkeypatch.setattr(predict, "chern_degree", no_chern)
+    monkeypatch.setattr(cli, "power_sum_table", no_chern)
+    payload = {"kind": "fermat", "n": 10 ** 4}
+    if command == "lfun":
+        payload = {**KLOOSTERMAN_JOB["payload"], "predict": payload}
+    job = write_job(tmp_path, "fermat.json",
+                    {"command": command, "payload": payload})
+    start = time.perf_counter()
+    code, out, err = run(capsys, [command, "--job", job])
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_SCHEMA and not out
+    assert err == ("schema error: bad fermat prediction payload: torus "
+                   "dimension must be between 1 and 4\n")
+
+
 def test_unknown_verify_case_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--case", "not-a-case"])
@@ -825,11 +869,19 @@ def test_kloosterman_f5_lfun_report_bytes(tmp_path, capsys):
 # lfun reports over Q(zeta_7) and Q(zeta_211), recorded when every
 # coordinate of the L-series was a Fraction: x + 1/x on G_m over F_7
 # through level 6, and x^2 on A^1 over F_211 through level 2 with bounds
-# [1, 0], whose P has 210 coordinates per coefficient
+# [1, 0], whose P has 210 coordinates per coefficient; and two recorded
+# when a certified L carried a Bezout witness and was certified by
+# re-expansion: x^2 y - x on A^2 over F_5 (the plane-f5 benchmark job at
+# c = 1) and x^2 + 1/x on G_m over F_13, whose P has degree 3, through
+# level 6 each
 LFUN_OUTPUTS = Path(__file__).parent / "lfun_outputs"
 LFUN_GOLDEN_JOBS = {
     "kloosterman-f7": {"base": {"p": 7}, "levels": 6, "variety": {
         "kind": "torus", "dim": 1, "f": [[1, [1]], [1, [-1]]]}},
+    "plane-f5": {"base": {"p": 5}, "levels": 6, "variety": {
+        "kind": "affine", "dim": 2, "f": [[1, [2, 1]], [-1, [1, 0]]]}},
+    "twist-f13": {"base": {"p": 13}, "levels": 6, "variety": {
+        "kind": "torus", "dim": 1, "f": [[1, [2]], [1, [-1]]]}},
     "square-f211": {"base": {"p": 211}, "levels": 2, "bounds": [1, 0],
                     "variety": {"kind": "affine", "dim": 1,
                                 "f": [[1, [2]]]}},

@@ -2,7 +2,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from expsumlab import _exactpoly
 from expsumlab.predict import (BettiSpec, ChernSpec, CurveSpec, NewtonSpec,
                                betti_degree, chern_degree, curve_degree,
                                fermat_alternative_value, fermat_chern_spec,
@@ -30,6 +33,36 @@ def test_chern_against_inclusion_exclusion():
         for r in range(0, 5):
             got = chern_degree(ChernSpec(n, tuple([1] * r), tuple([0] * r)))
             assert got == (-1) ** n * chi(n, r), (n, r)
+
+
+def _chern_product(s):
+    """chern_degree as a product: (1+h)^(n+1) and each 1/(1 + c h) expanded
+    as sum_k (-c)^k h^k, multiplied factor by factor and truncated at h^n."""
+    n = s.n
+    E = sum(di * ei for di, ei in zip(s.d, s.e))
+    factors = [[1, 1]] * (n + 1) + [[(-c) ** k for k in range(n + 1)]
+                                    for c in (E, *s.d)]
+    series = [1]
+    for factor in factors:
+        series = _exactpoly.mul(series, factor)[:n + 1]
+    return (-1) ** n * (series[n] if len(series) > n else 0)
+
+
+@st.composite
+def _chern_specs(draw):
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(0, 5))
+    return ChernSpec(n, tuple(draw(st.lists(st.integers(1, 9), min_size=r,
+                                            max_size=r))),
+                     tuple(draw(st.lists(st.integers(0, 4), min_size=r,
+                                         max_size=r))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chern_specs())
+@example(ChernSpec(40, (3, 1, 7), (2, 0, 5)))
+def test_chern_matches_the_product_form(spec):
+    assert chern_degree(spec) == _chern_product(spec)
 
 
 def test_chern_validation():
