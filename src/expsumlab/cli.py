@@ -11,9 +11,14 @@ Subcommands
   verify    named end-to-end cases with bundled expected records
 
 Exit codes: 0 ok; 1 failed assertions; 2 schema violation, unknown case,
-unreadable job file or unwritable report; 3 work budget exceeded; 4
-reconstruction not certified; 5 radius profile not stabilized, or an index
-whose endpoint slopes differ by a non-integer.
+unreadable job file or unwritable report (as is one holding an int of over
+4,300 digits); 3 work budget exceeded; 4 reconstruction not certified; 5
+radius profile not stabilized, or an index whose endpoint slopes differ by
+a non-integer.
+
+Work is charged before it starts, each family priced by its own *_work
+function, and every refusal is one line from expsum.charge: `budget
+exceeded: <what> needs ~<work> work units (<units>); budget is <budget>`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 
 from . import lfun, predict
 from .expsum import (DEFAULT_BUDGET, BudgetExceededError, VarietySpec,
-                     _approx, _enumeration_work, exact_int, power_sum_table,
+                     _enumeration_work, charge, exact_int, power_sum_table,
                      scaled_degree_check)
 from .ffield import _jsonable, build_field, is_prime
 from .lfun import ReconstructionError
@@ -44,6 +49,12 @@ EXIT_UNSTABLE = 5
 
 class SchemaError(ValueError):
     """Job document does not match the documented schema."""
+
+
+class ReportError(Exception):
+    """A report holds an int too long to print: str() refuses ints of over
+    4,300 digits, and lifting that limit would leave parsing them quadratic
+    and uncharged."""
 
 
 def _require(doc: dict, key: str, kind=None):
@@ -84,13 +95,19 @@ def _prime(value, name: str) -> int:
 
 
 def _dump_report(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    try:
+        return json.dumps(_jsonable(report), sort_keys=True,
+                          separators=(",", ":")) + "\n"
+    except ValueError as exc:
+        raise ReportError(str(exc)) from None
 
 
 def _table(rows) -> str:
     """Aligned two-column plain-text table."""
-    rows = [(str(a), str(b)) for a, b in rows]
+    try:
+        rows = [(str(a), str(b)) for a, b in rows]
+    except ValueError as exc:
+        raise ReportError(str(exc)) from None
     width = max((len(a) for a, _ in rows), default=0)
     return "\n".join(f"{a:<{width}}  {b}" for a, b in rows) + "\n"
 
@@ -102,12 +119,12 @@ def _parse_base(doc: dict, budget: int):
     p = _positive_int(_require(base, "p"), "base.p", least=2)
     n = _positive_int(base.get("n", 1), "base.n")
     # the level-1 table alone is charged before p's primality test or the
-    # field is built; p^n >= 2^n > budget once n reaches its bit length
-    if n >= budget.bit_length() or TABLE_BYTES_PER_ELEMENT * p ** n > budget:
-        raise BudgetExceededError(
-            f"F_{p}^{n} has {p}^{n} elements; its table needs "
-            f"{TABLE_BYTES_PER_ELEMENT} work units per table element; "
-            f"budget is {budget}")
+    # field is built; p^n >= 2^n > budget once n reaches its bit length,
+    # and p^n is then not formed
+    work = (TABLE_BYTES_PER_ELEMENT * p ** n if n < budget.bit_length()
+            else f"{TABLE_BYTES_PER_ELEMENT}*{p}^{n}")
+    charge(work, budget, f"the table of F_{p}^{n}",
+           f"{TABLE_BYTES_PER_ELEMENT} per table element")
     return build_field(_prime(p, "base.p"), n)
 
 
@@ -179,12 +196,9 @@ def _parse_prediction(doc: dict, budget: int = DEFAULT_BUDGET):
         if kind == "newton":
             spec = predict.NewtonSpec(num("n"), tuple(
                 nums("support", v) for v in doc["support"]))
-            work = predict.newton_work(spec)
-            if work > budget:
-                raise BudgetExceededError(
-                    f"the Newton polytope's hull needs {_approx(work)} work "
-                    f"units ({predict.HULL_SUBSET_WORK} per {spec.n}-subset "
-                    f"of the support with 0); budget is {budget}")
+            charge(predict.newton_work(spec), budget,
+                   "the Newton polytope's hull", f"{predict.HULL_SUBSET_WORK}"
+                   f" per {spec.n}-subset of the support with 0")
             value, degenerate = predict.newton_report(spec)
             return {"kind": kind, "predicted_degree": value,
                     "degenerate": degenerate}
@@ -248,13 +262,9 @@ def _lseries_budget(base, v: VarietySpec, M: int, series: int,
     runs; BudgetExceededError if that work alone is over the budget.  A
     coordinate of S_1 is at most its nominal point count."""
     bits = _enumeration_work(v, base.q).bit_length()
-    work = series * lfun.lseries_work(base.p, M, bits)
-    if work > budget:
-        raise BudgetExceededError(
-            f"the L-series over Q(zeta_{base.p}) through order {M} needs "
-            f"{_approx(work)} work units ({lfun.PRODUCT_WORK} per "
-            f"coordinate-bit of each product); budget is {budget}")
-    return budget - work
+    return charge(series * lfun.lseries_work(base.p, M, bits), budget,
+                  f"the L-series over Q(zeta_{base.p}) through order {M}",
+                  f"{lfun.PRODUCT_WORK} per coordinate-bit of each product")
 
 
 def _run_lfun(payload: dict, budget: int, threads: int):
@@ -330,14 +340,11 @@ def _run_radius(spec: dict, payload: dict, budget: int, want_index: bool):
     # charged from the payload's lengths, before p's primality test and the
     # p - 1 coordinates of every coefficient: the recurrence and the pass
     # over the weights, each to the full depth
-    work = recurrence_work(p, len(_require(g, "num", list)),
-                           len(_require(g, "den", list)), s_max) \
-        + WEIGHT_PASS_WORK * s_max * len(grid)
-    if work > budget:
-        raise BudgetExceededError(
-            f"smax {s_max} over {len(grid)} weights needs ~{work} work units "
-            f"(symbol coordinates times bits, plus {WEIGHT_PASS_WORK} per "
-            f"depth and weight); budget is {budget}")
+    charge(recurrence_work(p, len(_require(g, "num", list)),
+                           len(_require(g, "den", list)), s_max)
+           + WEIGHT_PASS_WORK * s_max * len(grid), budget,
+           f"smax {s_max} over {len(grid)} weights", f"symbol coordinates "
+           f"times bits, plus {WEIGHT_PASS_WORK} per depth and weight")
     p, g = _parse_operator(payload)
     prof = radius_profile(g, grid, s_max)
     samples = [{"lambda": s.lam, "r": s.r, "stabilized": s.stabilized,
@@ -451,7 +458,7 @@ def main(argv=None) -> int:
         try:
             with open(args.job) as fh:
                 spec = json.load(fh)
-        except (json.JSONDecodeError, OSError) as exc:
+        except (ValueError, OSError) as exc:   # JSON or an int too long
             print(f"cannot read job file: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
         if not isinstance(spec, dict):
@@ -483,6 +490,9 @@ def main(argv=None) -> int:
     except NonStabilizedError as exc:
         print(f"profile not stabilized: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
+    except ReportError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
 
 def _emit(report: dict, text: str, out_path, csv_path) -> int:

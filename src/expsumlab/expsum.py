@@ -92,6 +92,22 @@ class BudgetExceededError(RuntimeError):
     """Estimated enumeration and table work exceeds the configured budget."""
 
 
+def charge(work: int | str, budget: int, what: str, units: str) -> int:
+    """The budget left once `work` units are spent; BudgetExceededError,
+    as `<what> needs ~<work> work units (<units>); budget is <budget>`, if
+    work is over the budget.  Past 2^64 the work prints as ~2^k, the least
+    power of two not below it: str() refuses ints of over 4,300 digits.  A
+    work too large to form is given as the text of its exact value, and is
+    refused: its caller has shown it to be over the budget."""
+    if isinstance(work, int):
+        if work <= budget:
+            return budget - work
+        if work >= 2 ** 64:
+            work = f"2^{(work - 1).bit_length()}"
+    raise BudgetExceededError(
+        f"{what} needs ~{work} work units ({units}); budget is {budget}")
+
+
 def exact_int(value, name: str) -> int:
     """value as an int; ValueError naming `name` if not.  A decimal string
     or an integral number is read as its int; a boolean or a number with a
@@ -307,11 +323,6 @@ def _level_work(v: VarietySpec, q: int) -> int:
 # what a level's work units count, for the budget's refusals
 _WORK_UNITS = (f"point evaluations plus {TABLE_BYTES_PER_ELEMENT} per table "
                f"element and {STRATUM_WORK} per stratum and term")
-
-
-def _approx(work: int) -> str:
-    """~work, or ~2^k past 2^64: str() refuses ints of over 4,300 digits."""
-    return f"~{work}" if work < 2 ** 64 else f"~2^{work.bit_length() - 1}"
 
 
 def _coef_code(T: FieldTables, base: FieldCtx, coef) -> int:
@@ -636,11 +647,7 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     p = base.p
     if m < 1:
         raise ValueError("level must be >= 1")
-    work = _level_work(v, base.q ** m)
-    if work > budget:
-        raise BudgetExceededError(
-            f"level {m} needs {_approx(work)} work units ({_WORK_UNITS}); "
-            f"budget is {budget}")
+    charge(_level_work(v, base.q ** m), budget, f"level {m}", _WORK_UNITS)
     if tower is not None and (tower.p != p or tower.n != base.n * m):
         raise ValueError("tower context has the wrong degree")
     T = get_tables(p, base.n * m)
@@ -856,10 +863,8 @@ def power_sum_table(v: VarietySpec, base: FieldCtx, M: int, *,
     total_work = 0
     for m in range(1, M + 1):
         total_work += _level_work(v, base.q ** m)
-        if total_work > budget:
-            raise BudgetExceededError(
-                f"table through level {m} of {M} needs {_approx(total_work)} "
-                f"work units ({_WORK_UNITS}); budget is {budget}")
+        charge(total_work, budget, f"table through level {m} of {M}",
+               _WORK_UNITS)
     per_scale = [[] for _ in scales]
     progress = []
     for m in range(1, M + 1):

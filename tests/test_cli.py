@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -818,6 +819,106 @@ def test_exit_code_budget_before_building(tmp_path, capsys, name):
     assert time.perf_counter() - start < 1
     assert code == cli.EXIT_BUDGET and not out
     assert err.startswith("budget exceeded: ") and len(err.splitlines()) == 1
+
+
+# expsum.charge's one message: the work's figure, ~2^k past 2^64, or the
+# exact ~16*p^n of a level-1 table too large to form
+GATE_MESSAGE = re.compile(r"budget exceeded: (?P<what>.+) needs "
+                          r"~(\d+|2\^\d+|16\*\d+\^\d+) work units "
+                          r"\(.+\); budget is \d+\n")
+
+# refused jobs of each family the budget prices, with their flags, by the
+# start of what the gate says needs the work
+GATE_JOBS = {
+    "table-f5^20": (_over_budget("sum", base={"p": 5, "n": 20}), [],
+                    "the table of F_5^20"),
+    "table-f2^400": (EARLY_BUDGET_JOBS["sum-f2^400"], [],
+                     "the table of F_2^400"),
+    "table-f2^800": (EARLY_BUDGET_JOBS["lfun-f2^800"], [],
+                     "the table of F_2^800"),
+    "table-p-54-bits": (EARLY_BUDGET_JOBS["sum-p-54-bits"], [],
+                        "the table of F_10000000000000061^1"),
+    "levels-budget-1000": (BIG_SUM_JOB, ["--budget", "1000"],
+                           "table through level "),
+    "levels-big-table": (BIG_TABLE_JOB, [], "table through level 11 of 12"),
+    "levels-20000": (EARLY_BUDGET_JOBS["sum-20000-levels"], [],
+                     "table through level "),
+    "levels-dim-20000": (EARLY_BUDGET_JOBS["sum-dim-20000"], [],
+                         "table through level 1 of 1"),
+    "lseries-p-100003": (EARLY_BUDGET_JOBS["lfun-p-100003"], [],
+                         "the L-series over Q(zeta_100003) through order 1"),
+    "lseries-100000-levels": (EARLY_BUDGET_JOBS["lfun-100000-levels"], [],
+                              "the L-series over Q(zeta_2) through order "
+                              "100000"),
+    "recurrence-smax-1600": ({**DWORK5_JOB, "smax": 1600}, [],
+                             "smax 1600 over 5 weights"),
+    "recurrence-3000-weights": (
+        {**DWORK5_JOB, "grid": [f"{k}/1000" for k in range(1, 3001)]}, [],
+        "smax 200 over 3000 weights"),
+    "recurrence-p-1000003": (EARLY_BUDGET_JOBS["radius-p-1000003"], [],
+                             "smax 200 over 5 weights"),
+    "recurrence-budget-1000": (DWORK_JOB, ["--smax", "30", "--budget", "1000"],
+                               "smax 30 over 5 weights"),
+    # a work of over 4,300 digits, once printed whole: a ValueError, exit 1
+    "recurrence-smax-1500-digits": (
+        {**DWORK5_JOB, "smax": int("1" * 1500)}, [], "smax 1111"),
+    "newton-predict": ({"command": "predict",
+                        "payload": _newton_payload(40)}, [],
+                       "the Newton polytope's hull"),
+    "newton-lfun": ({"command": "lfun", "payload": {
+        **KLOOSTERMAN_JOB["payload"], "predict": _newton_payload(40)}}, [],
+        "the Newton polytope's hull"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_JOBS))
+def test_budget_refusals_share_one_gate(tmp_path, capsys, name):
+    doc, flags, what = GATE_JOBS[name]
+    job = write_job(tmp_path, "over.json", doc)
+    code, out, err = run(capsys, [doc["command"], "--job", job] + flags)
+    assert code == cli.EXIT_BUDGET and not out
+    match = GATE_MESSAGE.fullmatch(err)
+    assert match and match["what"].startswith(what), err
+
+
+needs_int_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python converts ints of any length to and from strings")
+
+
+@needs_int_limit
+@pytest.mark.parametrize("command", ["sum", "radius"])
+def test_exit_code_job_file_int_too_long(tmp_path, capsys, command):
+    # json.load refuses an int of over 4,300 digits with a ValueError, and
+    # json.dumps would refuse to write it
+    job = tmp_path / "long.json"
+    job.write_text((
+        '{"payload": {"base": {"p": 3}, "levels": %s, "variety": {"kind": '
+        '"affine", "dim": 1, "f": [[1, [1]]]}}}' if command == "sum" else
+        '{"smax": %s, "payload": {"p": 5, "g": {"num": ["1/3"], '
+        '"den": ["0", "1"]}}}') % ("1" * 5000))
+    code, out, err = run(capsys, [command, "--job", str(job)])
+    assert code == cli.EXIT_SCHEMA and not out
+    assert err.startswith("cannot read job file: ")
+    assert len(err.splitlines()) == 1
+
+
+@needs_int_limit
+@pytest.mark.parametrize("payload", [
+    {"kind": "sl2", "N": "9" * 4300},
+    {"kind": "chern", "n": 3000, "d": [9, 9, 9], "e": [9, 9, 9]}],
+    ids=["sl2", "chern"])
+def test_exit_code_report_int_too_long(tmp_path, capsys, payload):
+    # a prediction of over 4,300 digits cannot be printed, and is not
+    # printed in part
+    job = write_job(tmp_path, "huge.json",
+                    {"command": "predict", "payload": payload})
+    report = tmp_path / "report.json"
+    for argv in ([], ["--out", str(report)]):
+        code, out, err = run(capsys, ["predict", "--job", job] + argv)
+        assert code == cli.EXIT_SCHEMA and not out and not report.exists()
+        assert err.startswith("cannot write report: ")
+        assert len(err.splitlines()) == 1
 
 
 def test_lfun_over_f4001_ends_within_seconds(tmp_path, capsys):

@@ -1052,6 +1052,23 @@ def test_budget_refusal():
         power_sum(NEWTON_DEGENERATE, F5, 6, budget=10 ** 6)
 
 
+def test_charge_returns_what_is_left_or_refuses_in_one_shape():
+    assert es.charge(7, 10, "a job", "units") == 3
+    assert es.charge(10, 10, "a job", "units") == 0
+    # past 2^64 the figure is the least power of two not below the work,
+    # which str() prints however long the work; a work too large to form
+    # is refused with the text of its exact value
+    huge = 10 ** 5000
+    for work, figure in ((11, "11"), (2 ** 64 - 1, str(2 ** 64 - 1)),
+                         (2 ** 64, "2^64"), (2 ** 64 + 1, "2^65"),
+                         (huge, "2^16610"), ("16*3^100000", "16*3^100000")):
+        with pytest.raises(BudgetExceededError) as exc:
+            es.charge(work, 10, "a job", "units")
+        assert str(exc.value) == \
+            f"a job needs ~{figure} work units (units); budget is 10"
+    assert 2 ** 16609 < huge <= 2 ** 16610
+
+
 def test_budget_counts_table_elements(monkeypatch):
     # x over G_m(F_5) through level 12: ~3.1e8 point evaluations fit the
     # default budget, but the level-12 tables alone are 2.4e8 elements, ~4 GB
