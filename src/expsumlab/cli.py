@@ -23,7 +23,6 @@ exceeded: <what> needs ~<work> work units (<units>); budget is <budget>`.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
@@ -181,6 +180,9 @@ def _parse_prediction(doc: dict, budget: int = DEFAULT_BUDGET):
     try:
         if kind == "chern":
             spec = predict.ChernSpec(num("n"), nums("d"), nums("e"))
+            charge(predict.chern_work(spec), budget, "the Chern series",
+                   f"one per step and {predict.CHERN_BITS_PER_UNIT} "
+                   f"coefficient bits")
             value = predict.chern_degree(spec)
             return {"kind": kind, "predicted_degree": abs(value),
                     "signed_euler": value}
@@ -206,8 +208,14 @@ def _parse_prediction(doc: dict, budget: int = DEFAULT_BUDGET):
             return {"kind": kind,
                     "predicted_degree": predict.sl2_degree(num("N"))}
         if kind == "fermat":
-            return {"kind": kind,
-                    **predict.fermat_discrepancy_report(num("n"))}
+            n = num("n")   # the Newton spec refuses n > 4 first
+            charge(predict.newton_work(predict.fermat_torus_support(n))
+                   + predict.chern_work(predict.fermat_chern_spec(n)), budget,
+                   "the Fermat prediction", f"the Newton hull's "
+                   f"{predict.HULL_SUBSET_WORK} per subset, and the Chern "
+                   f"series' one per step and "
+                   f"{predict.CHERN_BITS_PER_UNIT} coefficient bits")
+            return {"kind": kind, **predict.fermat_discrepancy_report(n)}
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaError(f"bad {kind} prediction payload: {exc}") from exc
     raise SchemaError(f"unknown prediction kind {kind!r}")
@@ -408,7 +416,12 @@ class _CaseNames:
         return name in tuple(self)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The command line's parser.  argparse, and gettext with it, is
+    imported here: run_job reads no argv, and a job run through it loads
+    neither."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="expsumlab",
         description="exact exponential-sum L-series laboratory")

@@ -9,26 +9,35 @@ and x^2 - t x + 1 is the characteristic polynomial of Q^2 + Q, Q^2 - Q or
 Q^2 matrices in SL2(F_Q) as it has two roots in F_Q, none, or a double
 one: Q^2 - Q plus Q for each r in F_Q^* with r + 1/r = t.  So
 S = (Q^2 - Q) sum_t psi(Tr F(t)) + Q sum_r psi(Tr F(r + 1/r)) in every
-characteristic, over the strata of one affine line and one torus.  A
-coordinate of a stratum that no term of f (or h) reads multiplies its sum
-by its Q - 1 points, so it is dropped for that weight; strata on which f
-and h restrict to the same terms have the same sum, so each distinct
-restriction is summed once, the strata's weights added.  On a stratum's
-torus of Q - 1 points only e mod Q - 1 matters, so each exponent is read
-as its residue nearest 0: x^(Q-1) is a constant, x^(Q-2) is 1/x.
+characteristic, over the strata of one affine line and one torus.  On a
+stratum's torus of Q - 1 points only e mod Q - 1 matters, so each exponent
+is read as its residue nearest 0: x^(Q-1) is a constant, x^(Q-2) is 1/x,
+and terms on the same monomial are added.  A coordinate that no term of f
+(or h) reads multiplies the sum by its Q - 1 points, so it is dropped for
+that weight; strata on which f and h restrict to the same terms have the
+same sum, so each distinct restriction is summed once, the strata's
+weights added.  The strata are planned from the exponents and the
+coefficients in F_q alone, before any table of F_(q^m) exists.
 
-On a torus stratum where f = A(x') y + B(x') is linear in a coordinate y
-(exponent 0 or 1 in every term, and f reads y, so A has a term), y is
-summed out by character orthogonality: over y in F_Q^*, Tr(c A y) takes
-each value of F_p Q/p times, 0 once less, where A != 0, and is 0 where
-A = 0.  So the stratum's histogram is (Q/p) #{A != 0} + Q H_0 - H, where
-H counts Tr(c B) over the points x' and H_0 over those where A = 0:
-integers, equal class by class to the enumerated counts, on one
-coordinate fewer.
-A monomial A never vanishes on a torus; otherwise A = 0 exactly where its
-trace digits do.  One coordinate is summed out per stratum, the one whose
-A has the fewest terms (the last on a tie); a complement's strata are
-enumerated whole, as h's code is their last coordinate.
+On a torus stratum where f reads a coordinate y in one term alone, with
+exponent 1 or -1, f = A(x') y^(+-1) + B(x') with A a monomial, which never
+vanishes on the torus.  y -> 1/y permutes the torus, and by character
+orthogonality Tr(c A y) takes each value of F_p Q/p times as y runs over
+F_Q^*, 0 once less.  So the stratum's histogram is (Q/p) (Q-1)^(dim-1) in
+every class plus that of B on one coordinate fewer, at minus the weight:
+integers, equal class by class to the enumerated counts.  This repeats on
+B to a fixed point (_sum_out).  A stratum with no coordinate left is a
+point, where Tr(c f) = m Tr_(F_q/F_p)(c f) is base-field arithmetic.  So
+F_(q^m)'s table is built only for the strata left: x^2 y - x sums out to
+points at every level and builds none.  On a torus stratum left where
+f = A(x') y + B(x') is linear in y (exponent 0 or 1 in every term) with
+an A of two terms or more, y is summed out over the grid of x': A = 0
+exactly where its trace digits are, and the histogram is
+(Q/p) #{A != 0} + Q H_0 - H, where H counts Tr(c B) over the points x'
+and H_0 over those where A = 0.  One such coordinate is summed out per
+stratum, the one whose A has the fewest terms (the last on a tie); a
+complement's strata are enumerated whole, as h's code is their last
+coordinate.
 
 A torus is enumerated by the discrete-log codes of its points in blocked
 numpy integer arrays.  A level's codes are those of F_(q^m) on its
@@ -60,7 +69,6 @@ arithmetic and cross-checks the table path on small inputs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -325,23 +333,25 @@ _WORK_UNITS = (f"point evaluations plus {TABLE_BYTES_PER_ELEMENT} per table "
                f"element and {STRATUM_WORK} per stratum and term")
 
 
-def _coef_code(T: FieldTables, base: FieldCtx, coef) -> int:
+def _coords(base: FieldCtx, coef) -> tuple:
+    """coef's coordinates in base, each in [0, p): an int is a constant.
+    ValueError if coef is an element of another field."""
     if isinstance(coef, FqElem):
         if coef.ctx != base:
             raise ValueError("coefficient from a different base field")
-        return T.embed(coef, base)
-    return int(T.const_code[coef % T.p])
+        return coef.coeffs
+    return (coef % base.p,) + (0,) * (base.n - 1)
 
 
-def _term_codes(T: FieldTables, base: FieldCtx, terms):
-    """(code, exponents) of the terms with a nonzero coefficient; _strata
-    reduces the exponents once it has restricted the terms to a stratum."""
-    out = []
-    for coef, exps in terms:
-        code = _coef_code(T, base, coef)
-        if code != T.zero_code:
-            out.append((code, tuple(exps)))
-    return out
+def _coef_code(T: FieldTables, base: FieldCtx, coords) -> int:
+    """The code of the base-field element with these coordinates."""
+    return T.embed(FqElem(base, coords), base)
+
+
+def _term_codes(T: FieldTables, base: FieldCtx, terms) -> list:
+    """(code, exponents) of terms keyed by their coefficients' coordinates,
+    each nonzero (see _merge)."""
+    return [(_coef_code(T, base, coef), exps) for coef, exps in terms]
 
 
 def _work_dtype(T: FieldTables, terms) -> type:
@@ -517,24 +527,22 @@ def _linear_sum(T: FieldTables, a, b_sum, scratch: _Scratch):
     b_sum's keys give and H_0 that of the points where A = 0, all in
     integers.
 
-    y is read by a term (see _strata), so A has one.  A monomial is never 0
-    on a torus; otherwise A = 0 exactly where its trace digits Tr(y^j A),
-    j < n, all are, read as a complement's h is, and or-ed into the
-    worker's buffer before b_sum reuses the scratch keys."""
+    A monomial A, never 0 on a torus, is summed out before any table is
+    built (_sum_out), so A has two terms or more here.  A = 0 exactly where
+    its trace digits Tr(y^j A), j < n, all are, read as a complement's h
+    is, and or-ed into the worker's buffer before b_sum reuses the scratch
+    keys."""
     Q, p = T.q, T.p
-    digits = _trace_sum(T, a, range(T.n), scratch) if len(a) > 1 \
-        else None
+    digits = _trace_sum(T, a, range(T.n), scratch)
 
     def evaluate(coords, run):
         size = math.prod(_block_shape(coords, run))
-        n0 = 0   # how many points have A = 0
-        if digits is not None:
-            nonzero = scratch("a", (size,), T.trace_of_code.dtype)
-            nonzero.fill(0)
-            for d in digits(coords, run):
-                nonzero |= d
-            zero = np.equal(nonzero, 0, out=scratch("a_zero", (size,), bool))
-            n0 = int(np.count_nonzero(zero))
+        nonzero = scratch("a", (size,), T.trace_of_code.dtype)
+        nonzero.fill(0)
+        for d in digits(coords, run):
+            nonzero |= d
+        zero = np.equal(nonzero, 0, out=scratch("a_zero", (size,), bool))
+        n0 = int(np.count_nonzero(zero))   # how many points have A = 0
         for keys in b_sum(coords, run):
             h = _trace_counts(keys, p)
             h0 = h if n0 == size else [0] * p if not n0 else \
@@ -641,26 +649,43 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     """Trace histograms of c*f over X(k_m) for each scale c.
 
     Returns a list of integer count-vectors of length p aligned with
-    `scales`; each sums to the number of points #X(k_m).  A tower context
-    is checked for its degree only: the tables are F_(p^(n m))'s own, on
-    its primitive polynomial, whatever the tower's modulus."""
+    `scales`; each sums to the number of points #X(k_m).  The strata are
+    reduced (_strata) before any table exists: what was summed out is a
+    count in every class, and a point of a torus adds its weight at the
+    trace of c f there, m Tr(c c_0) with Tr from F_q, by base-field
+    arithmetic.  F_(q^m)'s tables are built, and _grids called, only for
+    the strata left.  A tower context is checked for its degree only: the
+    tables are F_(p^(n m))'s own, on its primitive polynomial, whatever the
+    tower's modulus."""
     p = base.p
     if m < 1:
         raise ValueError("level must be >= 1")
     charge(_level_work(v, base.q ** m), budget, f"level {m}", _WORK_UNITS)
     if tower is not None and (tower.p != p or tower.n != base.n * m):
         raise ValueError("tower context has the wrong degree")
+    scales = [_coords(base, c) for c in scales]
+    if not all(map(any, scales)):
+        raise ValueError("scales must be nonzero")
+    flat, tori = _strata(v, base, m)
+    totals = [[flat] * p for _ in scales]
+    for (dim, f, h), weight in list(tori.items()):
+        if dim or h is not None:
+            continue
+        del tori[dim, f, h]
+        for counts, c in zip(totals, scales):   # f is 0 or a constant
+            counts[sum(m * trace_to_prime(FqElem(base, c) * FqElem(base, c0))
+                       for c0, _ in f) % p] += weight
+    if not tori:
+        return totals
+
     T = get_tables(p, base.n * m)
     scale_codes = [_coef_code(T, base, c) for c in scales]
-    if any(c == T.zero_code for c in scale_codes):
-        raise ValueError("scales must be nonzero")
-
     # one set of block buffers per worker thread, for this level only
     scratch = _Scratch()
     n = T.group_order
     tasks = [(reps, dim, weight, evaluate, block)
              for reps, dim, weight, evaluate, width
-             in _grids(T, v, base, scale_codes, scratch)
+             in _grids(T, tori, base, scale_codes, scratch)
              for block in _grid_blocks(reps, dim, n, width)]
 
     def count(task):
@@ -678,7 +703,6 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
 
     # integer counts times the integer weight, in Python ints: no floating
     # point, and no int64 overflow at weights near q^2
-    totals = [[0] * p for _ in scales]
     for weight, counts in results:
         for i, c in enumerate(counts):
             for t in range(p):
@@ -686,14 +710,14 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     return totals
 
 
-def _restrict(terms, zero):
+def _restrict(terms, zero) -> tuple:
     """The terms on the stratum {x_i = 0 where zero[i]}: a term with a
     positive exponent in a zero coordinate vanishes there, and every other
     term loses those coordinates.  Coordinates past `zero` are kept."""
-    return [(code, tuple(e for e, z in itertools.zip_longest(
+    return tuple((coef, tuple(e for e, z in itertools.zip_longest(
         exps, zero, fillvalue=False) if not z))
-            for code, exps in terms
-            if not any(z and e > 0 for e, z in zip(exps, zero))]
+            for coef, exps in terms
+            if not any(z and e > 0 for e, z in zip(exps, zero)))
 
 
 def _nearest(terms, n: int) -> list:
@@ -704,33 +728,109 @@ def _nearest(terms, n: int) -> list:
         r = e % n
         return r - n if 2 * r > n or (2 * r == n and e < 0) else r
 
-    return [(code, tuple(map(nearest, exps))) for code, exps in terms]
+    return [(coef, tuple(map(nearest, exps))) for coef, exps in terms]
 
 
-def _strata(dim: int, weight: int, n: int, f, h=None,
-            torus: bool = False) -> Counter:
-    """The strata of A^dim (see the module docstring), or G_m^dim alone if
-    torus, less those where h restricts to 0, as a Counter of (dimension,
-    f, h or None) -> weight, each point of a stratum standing for `weight`
-    points.  The terms are _restrict'ed to the stratum, their exponents
-    read mod n = Q - 1 (_nearest), and then restricted to the coordinates
-    that a term of f or h reads: one that none reads multiplies the weight
-    by its n points.  f and h are keyed as sorted tuples, so strata on
-    which they restrict to the same terms are summed once."""
-    out = Counter()
-    for zero in itertools.product((False,) if torus else (False, True),
-                                  repeat=dim):
-        f_zero, h_zero = (_nearest(_restrict(terms, zero), n)
-                          for terms in (f, h or []))
-        if h is not None and not h_zero:
-            continue
-        unread = [not any(exps[j] for _, exps in f_zero + h_zero)
-                  for j in range(dim - sum(zero))]
-        f_zero, h_zero = (tuple(sorted(_restrict(terms, unread)))
-                          for terms in (f_zero, h_zero))
-        out[len(unread) - sum(unread), f_zero,
-            None if h is None else h_zero] += weight * n ** sum(unread)
-    return out
+def _merge(terms, p: int) -> tuple:
+    """The terms with equal exponents added into one, by their
+    coefficients' coordinates mod p, those that cancel dropped, sorted by
+    exponents: so no two terms share a monomial, and the restrictions of f
+    to two strata are equal exactly when their keys are."""
+    merged = {}
+    for coef, exps in terms:
+        if exps in merged:
+            coef = tuple((a + b) % p for a, b in zip(merged[exps], coef))
+        merged[exps] = coef
+    return tuple((merged[e], e) for e in sorted(merged) if any(merged[e]))
+
+
+def _read(dim: int, f, h, weight: int, n: int):
+    """The entry (dim, f, h) of _strata on the coordinates that a term of f
+    or h reads, and its weight: one that none reads multiplies the weight
+    by its n points.  Coordinates past dim (a complement's h) are kept."""
+    unread = [not any(exps[j] for _, exps in f + (h or ()))
+              for j in range(dim)]
+    return ((dim - sum(unread), _restrict(f, unread),
+             None if h is None else _restrict(h, unread)),
+            weight * n ** sum(unread))
+
+
+def _monomial_coordinate(f, dim: int) -> Optional[int]:
+    """The first coordinate y of a torus entry that f reads in one term
+    alone, with exponent 1 or -1: f = A y^(+-1) + B with A a monomial;
+    None if no coordinate qualifies."""
+    for y in range(dim):
+        reads = [exps[y] for _, exps in f if exps[y]]
+        if reads in ([1], [-1]):
+            return y
+    return None
+
+
+def _sum_out(key, weight: int, n: int, p: int):
+    """(closed, key, weight): the torus entry (dim, f, None) of _strata at
+    `weight`, its monomial coordinates summed out (_monomial_coordinate).
+    On G_m^dim, with Q = n + 1 points in F_Q, f = A y^(+-1) + B and A a
+    monomial, which never vanishes: y -> 1/y permutes the torus, and over y
+    in F_Q^* the trace of c A y^(+-1) takes each value of F_p Q/p times, 0
+    once less.  So the entry's histogram is closed = (Q/p) n^(dim-1) weight
+    in every class plus that of B on G_m^(dim-1) at -weight, B's unread
+    coordinates folded into the weight (_read); repeated until no
+    coordinate qualifies.  A complement's entry is returned as it is."""
+    closed = 0
+    dim, f, h = key
+    while h is None and (y := _monomial_coordinate(f, dim)) is not None:
+        closed += weight * ((n + 1) // p) * n ** (dim - 1)
+        (dim, f, h), weight = _read(
+            dim - 1, tuple((coef, exps[:y] + exps[y + 1:])
+                           for coef, exps in f if not exps[y]),
+            None, -weight, n)
+    return closed, (dim, f, h), weight
+
+
+def _strata(v: VarietySpec, base: FieldCtx, m: int):
+    """(flat, tori): X(k_m) as `flat` points in every trace class plus a
+    Counter of (dimension, f, h or None) -> weight, each point of such a
+    torus standing for `weight` points (possibly negative), built from the
+    exponents and the coefficients' coordinates in base alone.
+
+    The strata of A^dim (see the module docstring), or G_m^dim alone for a
+    torus, less those where h restricts to 0: SL2 is the line of traces,
+    each point standing for Q^2 - Q matrices, and a torus, each for Q
+    (_sl2_terms); a complement's g has h's code as one more, last
+    coordinate, with exponent -k.  The terms are _restrict'ed to the
+    stratum, their exponents read mod n = Q - 1 (_nearest), like terms
+    merged (_merge), unread coordinates folded into the weight (_read),
+    and the monomial coordinates of a torus summed out (_sum_out), so
+    entries on which f and h restrict to the same terms are summed once;
+    those whose weights cancel are dropped."""
+    Q, p = base.q ** m, base.p
+    n = Q - 1
+
+    def coords(terms):
+        return [(_coords(base, coef), tuple(exps)) for coef, exps in terms]
+
+    if v.kind == SL2:
+        f, g = map(coords, _sl2_terms(v.sl2_coeffs))
+        pieces = [(1, Q * Q - Q, f, None, False), (1, Q, g, None, True)]
+    elif v.kind == COMPLEMENT:
+        pieces = [(v.dim, 1, coords([(c, e + (-v.k,)) for c, e in v.g]),
+                   coords(v.h), False)]
+    else:
+        pieces = [(v.dim, 1, coords(v.terms), None, v.kind == TORUS)]
+    flat, out = 0, Counter()
+    for dim, weight, f, h, torus in pieces:
+        for zero in itertools.product((False,) if torus else (False, True),
+                                      repeat=dim):
+            f_zero, h_zero = (_merge(_nearest(_restrict(terms, zero), n), p)
+                              for terms in (f, h or ()))
+            if h is not None and not h_zero:
+                continue
+            closed, key, w = _sum_out(*_read(
+                dim - sum(zero), f_zero, None if h is None else h_zero,
+                weight, n), n, p)
+            flat += closed
+            out[key] += w
+    return flat, {key: w for key, w in out.items() if w}
 
 
 def _linear_coordinate(f, dim: int) -> Optional[int]:
@@ -747,47 +847,36 @@ def _linear_coordinate(f, dim: int) -> Optional[int]:
     return None if best is None else best[1]
 
 
-def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
+def _grids(T: FieldTables, tori, base: FieldCtx, scale_codes,
            scratch: _Scratch):
-    """The grids that X(k_m) is enumerated over, as (reps, dim, weight,
-    evaluate, width): a torus G_m^dim whose first coordinate runs over the
-    orbit representatives reps in dimension >= 2, and every other over the
-    N = Q - 1 codes, each point standing for `weight` points, in blocks at
-    most `width` wide along the last coordinate (see _grid_blocks); reps is
-    None in dimension 1, one run of the N codes, and in dimension 0, one
-    point.  evaluate(coords, run) yields, for each scale code, the block's
-    histogram of the traces of c*f at its points that lie on X, p ints; run
-    is the _Run of codes of the last coordinate, coords the others (see
-    _grid_coords).  Each term with last exponent e reads a row of the block
-    as a window of the doubled trace table, |e| apart, so a torus caps its
-    blocks' width at N // max |e| + 1, the longest such window that fits.
+    """The grids that the entries `tori` of _strata are enumerated over, as
+    (reps, dim, weight, evaluate, width): a torus G_m^dim whose first
+    coordinate runs over the orbit representatives reps in dimension >= 2,
+    and every other over the N = Q - 1 codes, each point standing for
+    `weight` points, in blocks at most `width` wide along the last
+    coordinate (see _grid_blocks); reps is None in dimension 1, one run of
+    the N codes, and in dimension 0, one point.  evaluate(coords, run)
+    yields, for each scale code, the block's histogram of the traces of
+    c*f at its points that lie on X, p ints; run is the _Run of codes of
+    the last coordinate, coords the others (see _grid_coords).  Each term
+    with last exponent e reads a row of the block as a window of the
+    doubled trace table, |e| apart, so a torus caps its blocks' width at
+    N // max |e| + 1, the longest such window that fits.
 
-    Every domain is a union of tori (_strata), each distinct restriction of
-    f (and h) enumerated once; the term codes and the Frobenius orbits are
-    made once for all, the orbits only for a level with a grid of dimension
-    >= 2.  The coefficients lie in F_q, so x -> x^q permutes the points and
-    fixes Tr(f): there the first coordinate runs over the representatives
-    of the orbits (see _frobenius_orbits) only, in one grid per orbit size,
-    whose points stand for `size` times as many.  A torus on which f is
-    linear in a coordinate (_linear_coordinate) has it summed out
-    (_linear_sum), so its grid has one coordinate fewer; a complement's
-    strata keep every coordinate, as h's code is their last."""
-    q, n, p = T.q, T.group_order, T.p
-    codes = functools.partial(_term_codes, T, base)
-    if v.kind == SL2:
-        f, g = map(codes, _sl2_terms(v.sl2_coeffs))
-        tori = _strata(1, q * q - q, n, f) + _strata(1, q, n, g, torus=True)
-    elif v.kind == COMPLEMENT:
-        # Tr(c g / h^k) is the sum of Tr(c t h^-k) over the terms t of g:
-        # h's code is one more, last coordinate, with exponent -k
-        tori = _strata(v.dim, 1, n,
-                       codes([(c, e + (-v.k,)) for c, e in v.g]), codes(v.h))
-    else:
-        tori = _strata(v.dim, 1, n, codes(v.terms), torus=v.kind == TORUS)
-
+    Each entry's coefficients are mapped to their codes, and the Frobenius
+    orbits are made once, only for a level with a grid of dimension >= 2.
+    The coefficients lie in F_q, so x -> x^q permutes the points and fixes
+    Tr(f): there the first coordinate runs over the representatives of the
+    orbits (see _frobenius_orbits) only, in one grid per orbit size, whose
+    points stand for `size` times as many.  A torus on which f is linear in
+    a coordinate (_linear_coordinate) has it summed out (_linear_sum), so
+    its grid has one coordinate fewer; a complement's strata keep every
+    coordinate, as h's code is their last."""
+    n, p = T.group_order, T.p
     dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
     grids = []
     for (dim, f, h), weight in tori.items():
+        f = _term_codes(T, base, f)
         y = None if h is not None else _linear_coordinate(f, dim)
         if y is not None:
             dim -= 1
@@ -799,6 +888,7 @@ def _grids(T: FieldTables, v: VarietySpec, base: FieldCtx, scale_codes,
         else:
             evaluate = _trace_sum(T, f, scale_codes, scratch)
             if h is not None:
+                h = _term_codes(T, base, h)
                 evaluate = _complement_sum(T, evaluate, _trace_sum(
                     T, h, range(T.n - 1, -1, -1), scratch), dt, scratch)
             evaluate = _counted(evaluate, p)

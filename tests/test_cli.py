@@ -821,6 +821,32 @@ def test_exit_code_budget_before_building(tmp_path, capsys, name):
     assert err.startswith("budget exceeded: ") and len(err.splitlines()) == 1
 
 
+CHERN_1600_JOB = {"command": "predict", "payload": {
+    "kind": "chern", "n": 1600, "d": [1] * 1601, "e": [1] * 1601}}
+
+
+@pytest.mark.parametrize("command", ["predict", "lfun"])
+def test_exit_code_budget_counts_the_chern_series(tmp_path, capsys,
+                                                  monkeypatch, command):
+    # the Chern series is charged its steps and coefficient bits before it
+    # is summed
+    def no_chern(*args):
+        raise AssertionError("the Chern value was computed")
+
+    monkeypatch.setattr(predict, "chern_degree", no_chern)
+    monkeypatch.setattr(cli, "power_sum_table", no_chern)
+    payload = CHERN_1600_JOB["payload"]
+    if command == "lfun":
+        payload = {**KLOOSTERMAN_JOB["payload"], "predict": payload}
+    job = write_job(tmp_path, "chern.json",
+                    {"command": command, "payload": payload})
+    start = time.perf_counter()
+    code, out, err = run(capsys, [command, "--job", job])
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_BUDGET and not out
+    assert err.startswith("budget exceeded: the Chern series needs ")
+
+
 # expsum.charge's one message: the work's figure, ~2^k past 2^64, or the
 # exact ~16*p^n of a level-1 table too large to form
 GATE_MESSAGE = re.compile(r"budget exceeded: (?P<what>.+) needs "
@@ -865,6 +891,14 @@ GATE_JOBS = {
     "newton-predict": ({"command": "predict",
                         "payload": _newton_payload(40)}, [],
                        "the Newton polytope's hull"),
+    # fermat_chern_spec(1600): 2-3 s of division passes, once uncharged
+    "chern-1600": (CHERN_1600_JOB, [], "the Chern series"),
+    "chern-lfun": ({"command": "lfun", "payload": {
+        **KLOOSTERMAN_JOB["payload"], "predict": CHERN_1600_JOB["payload"]}},
+        [], "the Chern series"),
+    "fermat-budget-1000": ({"command": "predict", "budget": 1000,
+                            "payload": {"kind": "fermat", "n": 3}}, [],
+                           "the Fermat prediction"),
     "newton-lfun": ({"command": "lfun", "payload": {
         **KLOOSTERMAN_JOB["payload"], "predict": _newton_payload(40)}}, [],
         "the Newton polytope's hull"),

@@ -30,6 +30,11 @@ NEWTON_DEGENERATE = VarietySpec.affine_space(2, {(2, 1): 1, (1, 0): -1})
 # x^2 y^2 - x: linear in no coordinate of its torus, whose sum therefore
 # reads the windows of the trace table
 SQUARE_PLANE = VarietySpec.affine_space(2, {(2, 2): 1, (1, 0): -1})
+# x y + x y^2 + ... + x y^7 on A^2: seven last exponents in one sum, but
+# linear in x; x^2 y + ... + x^2 y^7 is linear in no coordinate of its torus
+MULTI_EXPONENT = VarietySpec.affine_space(2, {(1, k): 1 for k in range(1, 8)})
+MULTI_EXPONENT_SQUARE = VarietySpec.affine_space(
+    2, {(2, k): 1 for k in range(1, 8)})
 KLOOSTERMAN = VarietySpec.torus(1, {(1,): 1, (-1,): 1})
 TORUS_LINEAR = VarietySpec.torus(1, {(1,): 1})
 AFFINE_LINEAR = VarietySpec.affine_space(1, {(1,): 1})
@@ -434,21 +439,28 @@ def test_unread_coordinates_and_shared_strata_match_naive(case):
 
 
 @pytest.mark.parametrize("v,base,m,count", [
-    pytest.param(NEWTON_DEGENERATE, F5, 6, 3, id="plane"),
+    pytest.param(NEWTON_DEGENERATE, F5, 6, 0, id="plane"),
+    pytest.param(SQUARE_PLANE, F5, 6, 4, id="square-plane"),
+    pytest.param(MULTI_EXPONENT, F5, 2, 1, id="multi"),
     pytest.param(VarietySpec.affine_space(3, _arrangement_terms("a3")), F3,
-                 2, 3, id="a3-arrangement"),
+                 2, 2, id="a3-arrangement"),
     pytest.param(VarietySpec.affine_space(5, {(1,) * 5: 1,
                                               (1, 0, 0, 0, 0): 1}),
-                 F3, 1, 3, id="x1x2x3x4x5+x1"),
+                 F3, 1, 0, id="x1x2x3x4x5+x1"),
     pytest.param(VarietySpec.affine_space(5, {
         tuple(2 * (j == i) for j in range(5)): 1 for i in range(5)}),
-                 F3, 1, 6, id="sum-of-squares"),
+                 F3, 1, 0, id="sum-of-squares"),
 ])
 def test_equal_strata_are_summed_once(monkeypatch, v, base, m, count):
-    # 7, 12, 32 and 32 grids when every stratum had its own, and a torus of
-    # dimension 1 one grid per orbit size: the strata on which f restricts
-    # to the same terms, after its unread coordinates are dropped, are one
-    # run of codes in dimension 1 and one grid per orbit size from 2 on
+    # the plane, a3, x1 x2 x3 x4 x5 + x1 and the sum of squares took 7, 12,
+    # 32 and 32 grids when every stratum had its own, and a torus of
+    # dimension 1 one grid per orbit size: the strata on which f
+    # restricts to the same terms, after its unread coordinates are
+    # dropped, are one run of codes in dimension 1 and one grid per orbit
+    # size from 2 on, and a point of a torus is no grid.  The plane and
+    # x1 x2 x3 x4 x5 + x1 are summed out to points, and x^2 = 1 on F_3^*
+    # makes every stratum of the sum of squares a point, so they reach no
+    # grid at all
     grids, counts = es._grids, []
 
     def spied(*args):
@@ -460,28 +472,33 @@ def test_equal_strata_are_summed_once(monkeypatch, v, base, m, count):
     want = power_sum_naive(v, base, m) if base.q ** (m * v.dim) <= 729 \
         else None
     got = power_sum(v, base, m)
-    assert counts == [count] and want in (None, got)
+    assert counts == ([count] if count else []) and want in (None, got)
 
 
-@pytest.mark.parametrize("v,base,orbit_levels_made", [
-    pytest.param(VarietySpec.sl2([1, 2]), F3, [], id="sl2"),
+@pytest.mark.parametrize("v,base,levels_made,orbit_levels_made", [
+    pytest.param(VarietySpec.sl2([1, 2]), F3, [1, 2, 3], [], id="sl2"),
     pytest.param(VarietySpec.hypersurface_complement(
         2, {(2, 1): 1, (0, 1): 2, (1, 0): 1}, {(1, 1): 1, (0, 0): 1}, 2),
-                 F3, [1, 2, 3], id="dim2-complement"),
-    pytest.param(NEWTON_DEGENERATE, F3, [], id="plane"),
-    pytest.param(KLOOSTERMAN, F5, [], id="kloosterman"),
+                 F3, [1, 2, 3], [1, 2, 3], id="dim2-complement"),
+    pytest.param(NEWTON_DEGENERATE, F3, [], [], id="plane"),
+    pytest.param(MULTI_EXPONENT, F5, [1, 2, 3], [], id="multi"),
+    pytest.param(SQUARE_PLANE, F5, [1, 2, 3], [1, 2, 3], id="square-plane"),
+    pytest.param(KLOOSTERMAN, F5, [1, 2, 3], [], id="kloosterman"),
     pytest.param(VarietySpec.torus(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1}),
-                 F3, [1, 2, 3], id="x+y+1/(xy)"),
+                 F3, [1, 2, 3], [1, 2, 3], id="x+y+1/(xy)"),
 ])
-def test_every_grid_is_a_torus(monkeypatch, v, base, orbit_levels_made):
+def test_every_grid_is_a_torus(monkeypatch, v, base, levels_made,
+                               orbit_levels_made):
     # affine space, complements and SL2's line of traces are summed over
     # their coordinate strata: no orbit representative is the zero code,
     # every further coordinate runs over the codes below N, a grid of
     # dimension 1 is a run of codes with no representatives, and one set
     # of Frobenius orbits serves every stratum of dimension >= 2 of a level.
-    # So Kloosterman's torus, the plane's once y is summed out and SL2's
-    # line and torus of traces make no orbits, and x + y + 1/(xy), linear
-    # in neither coordinate, makes them once per level
+    # So Kloosterman's torus, the multi job's once x is summed out and
+    # SL2's line and torus of traces make no orbits, and x + y + 1/(xy)
+    # and x^2 y^2 - x, linear in neither coordinate of their torus, make
+    # them once per level; the plane is summed out to points before any
+    # grid is made
     grids, orbits = es._grids, es._frobenius_orbits
     levels, orbit_levels = [], []
 
@@ -500,7 +517,7 @@ def test_every_grid_is_a_torus(monkeypatch, v, base, orbit_levels_made):
     monkeypatch.setattr(es, "_grids", spied_grids)
     monkeypatch.setattr(es, "_frobenius_orbits", spied_orbits)
     seq = power_sum_table(v, base, 3)[0]
-    assert levels == [1, 2, 3] and orbit_levels == orbit_levels_made
+    assert levels == levels_made and orbit_levels == orbit_levels_made
     assert seq.values[:2] == tuple(power_sum_naive(v, base, m)
                                    for m in (1, 2))
 
@@ -539,12 +556,14 @@ def planted_linear_cases(draw):
 def assert_summed_out_matches(v, base, m, c):
     """The sums of f and c f with the linear coordinates summed out match
     power_sum_naive, and their trace histograms match those of the grids
-    with every coordinate enumerated, class by class."""
+    with every coordinate enumerated, class by class: no monomial
+    coordinate summed out before the grids, and none in them."""
     got = es._histograms(v, base, m, scales=(1, c))
     for counts, scale in zip(got, (1, c)):
         assert CyclotomicInt.from_poly(base.p, counts) == \
             power_sum_naive(v.scaled(scale), base, m)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(es, "_monomial_coordinate", lambda f, dim: None)
         patch.setattr(es, "_linear_coordinate", lambda f, dim: None)
         assert es._histograms(v, base, m, scales=(1, c)) == got
 
@@ -578,21 +597,121 @@ def test_summed_out_coordinate_matches_naive_where_a_vanishes(v, base, m):
     assert_summed_out_matches(v, base, m, base.element_at(base.q - 1))
 
 
+@st.composite
+def planted_chain_cases(draw):
+    """An affine or torus variety of dimension 1-4 over F_2, F_3, F_5 or
+    F_9, a level and a scale c != 0, with f = c_1 y_1^s_1 M_1 + ... +
+    c_k y_k^s_k M_k + B planted on k of its coordinates: s_i is 1, or on a
+    torus 1 or -1, M_i a monomial in y_(i+1)..y_k and the free coordinates,
+    and B any terms in the free ones, a constant among them.  So y_1 is a
+    monomial coordinate, y_2 one once y_1 is summed out, and so on; the
+    coordinates left are free, or read by no term."""
+    base = draw(st.sampled_from([F2, F3, F5, F9]))
+    if base.n == 1:
+        coef, unit = st.integers(-2, base.p), st.integers(1, base.p - 1)
+    else:
+        unit = st.integers(1, base.q - 1).map(base.element_at)
+        coef = st.one_of(st.integers(0, base.p - 1), unit)
+    m = draw(st.integers(1, {2: 3, 3: 2, 5: 2, 9: 1}[base.q]))
+    size = base.q ** m
+    dim = draw(st.integers(1, max(d for d in (1, 2, 3, 4)
+                                  if size ** d <= 5 ** 6)))
+    torus = draw(st.booleans())
+    order = draw(st.permutations(range(dim)))
+    k = draw(st.integers(1, dim))
+    chain, rest = order[:k], order[k:]
+    free = [j for j in rest if draw(st.booleans())]   # the others unread
+    power = st.integers(-2 if torus else 0, 3)
+
+    def monomial(coordinates):
+        exps = [0] * dim
+        for j in coordinates:
+            exps[j] = draw(power)
+        return exps
+
+    f = {}
+    for i, y in enumerate(chain):
+        exps = monomial(chain[i + 1:] + free)
+        exps[y] = draw(st.sampled_from([1, -1] if torus else [1]))
+        f[tuple(exps)] = draw(unit)
+    for _ in range(draw(st.integers(0, 3))):
+        f[tuple(monomial(free))] = draw(coef)
+    v = (VarietySpec.torus if torus else VarietySpec.affine_space)(dim, f)
+    return v, base, m, draw(unit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_chain_cases())
+def test_monomial_chains_match_naive_and_the_enumeration(case):
+    # each monomial coordinate is summed out before any table: the sums of
+    # f and c f match power_sum_naive where it is small enough, and their
+    # histograms those with no monomial coordinate summed out, class by
+    # class
+    v, base, m, c = case
+    got = es._histograms(v, base, m, scales=(1, c))
+    if base.q ** (m * v.dim) <= 625:
+        for counts, scale in zip(got, (1, c)):
+            assert CyclotomicInt.from_poly(base.p, counts) == \
+                power_sum_naive(v.scaled(scale), base, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(es, "_monomial_coordinate", lambda f, dim: None)
+        assert es._histograms(v, base, m, scales=(1, c)) == got
+
+
+def test_plane_builds_no_table(monkeypatch):
+    # x^2 y - x over F_5 through level 6: on the torus y is a monomial
+    # coordinate with A = x^2, and then x one with A = -1; the line y = 0
+    # is -x, and on x = 0 f reads nothing, so every stratum is summed out
+    # to a point before F_(5^m) has a table, orbits or grids
+    def refuse(*args):
+        raise AssertionError("the plane reached a table, orbits or grids")
+
+    for name in ("get_tables", "_frobenius_orbits", "_grids"):
+        monkeypatch.setattr(es, name, refuse)
+    seq = power_sum_table(NEWTON_DEGENERATE, F5, 6)[0]
+    assert seq.values == tuple(CyclotomicInt.from_int(5, 5 ** m)
+                               for m in range(1, 7))
+    assert [pr["counted"] for pr in seq.progress] == \
+        [5 ** (2 * m) for m in range(1, 7)]
+
+
+def test_a_monomial_coordinate_leaves_one_grid(monkeypatch):
+    # x^2 y + x^3 on G_m^2: y is summed out with A = x^2, leaving x^3 on
+    # G_m at weight -1, one run of x's codes from level 2 on; on F_5^*
+    # x^3 is x^-1, a monomial coordinate itself, so level 1 has no grid
+    v = VarietySpec.torus(2, {(2, 1): 1, (3, 0): 1})
+    grids, made = es._grids, []
+
+    def spied(*args):
+        out = grids(*args)
+        made.append([(dim, weight) for _, dim, weight, *_ in out])
+        return out
+
+    monkeypatch.setattr(es, "_grids", spied)
+    seq = power_sum_table(v, F5, 6)[0]
+    assert made == [[(1, -1)]] * 5
+    assert seq.values[:2] == tuple(power_sum_naive(v, F5, m)
+                                   for m in (1, 2))
+
+
 @pytest.mark.parametrize("v,base,largest,summed_out", [
-    pytest.param(NEWTON_DEGENERATE, F5, 1, 2, id="plane"),
-    pytest.param(SQUARE_PLANE, F5, 2, 1, id="square-plane"),
+    pytest.param(NEWTON_DEGENERATE, F5, [], 0, id="plane"),
+    pytest.param(MULTI_EXPONENT, F5, [1], 1, id="multi"),
+    pytest.param(SQUARE_PLANE, F5, [2], 0, id="square-plane"),
     pytest.param(VarietySpec.hypersurface_complement(
         2, {(2, 1): 1, (0, 1): 2, (1, 0): 1}, {(1, 1): 1, (0, 0): 1}, 2),
-                 F3, 2, 0, id="dim2-complement"),
+                 F3, [2], 0, id="dim2-complement"),
 ])
 def test_linear_coordinates_are_summed_out(monkeypatch, v, base, largest,
                                            summed_out):
     # the plane's torus, where f = x^2 y - x, and its line y = 0 are summed
-    # out over their linear coordinate, so no grid is 2-D, and the torus's
-    # run of x's codes is read in windows; on the line x = 0 f reads no
-    # coordinate, so it is a weight on the origin's point.  x^2 y^2 - x
-    # keeps its torus in the 2-D window kernel, as a complement keeps every
-    # stratum
+    # out over their monomial coordinates, and on the line x = 0 f reads no
+    # coordinate, so the plane leaves points alone: no grid, and no window
+    # read.  On the multi job's torus f = x (y + ... + y^7) is linear in x
+    # with an A of seven terms, so x is summed out over a grid of y's codes
+    # read in windows.  x^2 y^2 - x keeps its torus in the 2-D window kernel
+    # (its line y = 0, -x, is summed out before any grid), as a complement
+    # keeps every stratum
     grids, linear, windows = es._grids, es._linear_sum, es._strided_windows
     dims, calls, steps = [], [], []
 
@@ -613,7 +732,8 @@ def test_linear_coordinates_are_summed_out(monkeypatch, v, base, largest,
     monkeypatch.setattr(es, "_linear_sum", spied_linear)
     monkeypatch.setattr(es, "_strided_windows", spied_windows)
     assert power_sum(v, base, 2) == power_sum_naive(v, base, 2)
-    assert dims == [largest] and len(calls) == summed_out and steps
+    assert dims == largest and len(calls) == summed_out
+    assert bool(steps) == bool(largest)
 
 
 def test_galois_equivariance():
@@ -640,7 +760,9 @@ def _size_checked(evaluate, sizes, n):
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("v,base,m", [
-    pytest.param(NEWTON_DEGENERATE, F3, 3, id="plane"),
+    # x is summed out over runs of y's codes, A = y + ... + y^7 decoded from
+    # its trace digits block by block
+    pytest.param(MULTI_EXPONENT, F3, 3, id="multi"),
     pytest.param(KLOOSTERMAN, F5, 2, id="kloosterman"),
     pytest.param(VarietySpec.hypersurface_complement(0, {(): 2}, {(): 3}, 2),
                  F5, 2, id="dim0-complement"),
@@ -773,9 +895,10 @@ def test_one_coordinate_blocks_are_full_whatever_the_exponent(monkeypatch,
 def test_exponents_near_the_group_order_match_naive(monkeypatch, kind, base,
                                                     m):
     # on a torus coordinate only e mod N matters, N = Q - 1: x^N is the
-    # constant 1, x^(N - 1) is x^-1, a run read backwards N wide, and
-    # x^(N/2 + 1) the widest exponent left, read 3 codes wide; where x = 0
-    # the positive exponents still make every such term vanish
+    # constant 1, so 1 + 2x is summed out before any grid, x^(N - 1) is
+    # x^-1, a run read backwards N wide, and x^(N/2 + 1) the widest exponent
+    # left, read 3 codes wide; where x = 0 the positive exponents still make
+    # every such term vanish, and that point is no grid
     n = base.q ** m - 1
     widths = []
     grids = es._grids
@@ -786,13 +909,13 @@ def test_exponents_near_the_group_order_match_naive(monkeypatch, kind, base,
         return out
 
     monkeypatch.setattr(es, "_grids", spied)
-    for e, width in ((n - 1, n + 1), (n, None), (n // 2 + 1, 3)):
+    for e, made in ((n - 1, [n + 1]), (n, []), (n // 2 + 1, [3])):
         terms = {(e,): 1, (1,): 2}
         v = VarietySpec.torus(1, terms) if kind == "torus" \
             else VarietySpec.affine_space(1, terms)
         widths.clear()
         assert power_sum(v, base, m) == power_sum_naive(v, base, m)
-        assert max(widths, key=lambda w: w or 0) == width
+        assert widths == made
 
 
 def test_narrow_rows_match_naive():
@@ -948,13 +1071,6 @@ def test_window_kernel_level_memory_is_bounded():
     assert peak <= 4 << 20
 
 
-# x y + x y^2 + ... + x y^7 on A^2: seven last exponents in one sum, but
-# linear in x; x^2 y + ... + x^2 y^7 is linear in no coordinate of its torus
-MULTI_EXPONENT = VarietySpec.affine_space(2, {(1, k): 1 for k in range(1, 8)})
-MULTI_EXPONENT_SQUARE = VarietySpec.affine_space(
-    2, {(2, k): 1 for k in range(1, 8)})
-
-
 def test_grids_hold_within_the_table_budget():
     # one level of MULTI_EXPONENT_SQUARE over F_5 at m = 6, tables prebuilt:
     # every window reads the one doubled trace table, so what _grids builds
@@ -963,10 +1079,10 @@ def test_grids_hold_within_the_table_budget():
     # bytes per table element, where copies of the table for each last
     # exponent took 40
     T = es.get_tables(build_field(5, 6))
+    _, tori = es._strata(MULTI_EXPONENT_SQUARE, F5, 6)
     tracemalloc.start()
     try:
-        grids = es._grids(T, MULTI_EXPONENT_SQUARE, F5,
-                          [int(T.const_code[1])], es._Scratch())
+        grids = es._grids(T, tori, F5, [int(T.const_code[1])], es._Scratch())
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

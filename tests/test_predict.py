@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expsumlab import _exactpoly
-from expsumlab.predict import (BettiSpec, ChernSpec, CurveSpec, NewtonSpec,
-                               betti_degree, chern_degree, curve_degree,
+from expsumlab.predict import (CHERN_BITS_PER_UNIT, BettiSpec, ChernSpec,
+                               CurveSpec, NewtonSpec, betti_degree,
+                               chern_degree, chern_work, curve_degree,
                                fermat_alternative_value, fermat_chern_spec,
                                fermat_discrepancy_report, fermat_torus_support,
                                newton_degree, newton_report, point_in_hull,
@@ -63,6 +64,34 @@ def _chern_specs(draw):
 @example(ChernSpec(40, (3, 1, 7), (2, 0, 5)))
 def test_chern_matches_the_product_form(spec):
     assert chern_degree(spec) == _chern_product(spec)
+
+
+def _chern_steps(s):
+    """chern_degree's division passes, counted: its steps and the most bits
+    of any integer a step forms, the product c b_(k-1) or the new b_k."""
+    n = s.n
+    E = sum(di * ei for di, ei in zip(s.d, s.e))
+    series = [comb(n + 1, k) for k in range(n + 1)]
+    steps, bits = 0, max(b.bit_length() for b in series)
+    for c in (E, *s.d):
+        for k in range(1, n + 1):
+            product = c * series[k - 1]
+            series[k] -= product
+            steps += 1
+            bits = max(bits, product.bit_length(), series[k].bit_length())
+    assert (-1) ** n * series[n] == chern_degree(s)
+    return steps, bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chern_specs())
+@example(ChernSpec(40, (3, 1, 7), (2, 0, 5)))
+@example(ChernSpec(60, (10 ** 30,) * 3, (10 ** 30,) * 3))
+@example(fermat_chern_spec(60))
+def test_chern_work_bounds_its_steps_and_bits(spec):
+    # a unit per step and CHERN_BITS_PER_UNIT bits of the widest integer
+    steps, bits = _chern_steps(spec)
+    assert chern_work(spec) >= steps * (bits // CHERN_BITS_PER_UNIT + 1)
 
 
 def test_chern_validation():
