@@ -12,32 +12,36 @@ S = (Q^2 - Q) sum_t psi(Tr F(t)) + Q sum_r psi(Tr F(r + 1/r)) in every
 characteristic, over the strata of one affine line and one torus.  On a
 stratum's torus of Q - 1 points only e mod Q - 1 matters, so each exponent
 is read as its residue nearest 0: x^(Q-1) is a constant, x^(Q-2) is 1/x,
-and terms on the same monomial are added.  A coordinate that no term of f
-(or h) reads multiplies the sum by its Q - 1 points, so it is dropped for
-that weight; strata on which f and h restrict to the same terms have the
-same sum, so each distinct restriction is summed once, the strata's
+and terms on the same monomial are added.  Where a complement's h
+restricts to one term c x^a, which never vanishes on the torus,
+f = g / h^k is g c^-k x^(-k a), a torus's function with coefficients in
+F_q (_as_torus).  Strata on which f and h restrict to the same terms have
+the same sum, so each distinct restriction is summed once, the strata's
 weights added.  The strata are planned from the exponents and the
 coefficients in F_q alone, before any table of F_(q^m) exists.
 
-On a torus stratum where f reads a coordinate y in one term alone, with
-exponent 1 or -1, f = A(x') y^(+-1) + B(x') with A a monomial, which never
-vanishes on the torus.  y -> 1/y permutes the torus, and by character
-orthogonality Tr(c A y) takes each value of F_p Q/p times as y runs over
-F_Q^*, 0 once less.  So the stratum's histogram is (Q/p) (Q-1)^(dim-1) in
-every class plus that of B on one coordinate fewer, at minus the weight:
-integers, equal class by class to the enumerated counts.  This repeats on
-B to a fixed point (_sum_out).  A stratum with no coordinate left is a
-point, where Tr(c f) = m Tr_(F_q/F_p)(c f) is base-field arithmetic.  So
+One rule sums a coordinate out.  Where f reads a coordinate y only as
+y^s, s = 1 or -1, f = A(x') y^s + B(x').  y -> 1/y permutes the torus,
+and by character orthogonality, as y runs over F_Q^*, Tr(c A y^s) takes
+each value of F_p Q/p times, 0 once less, where A(x') != 0, and 0 all
+Q - 1 times where A(x') = 0.  Of the coordinates that qualify, the one
+whose A has the fewest terms (the last on a tie) is summed out, and this
+repeats to a fixed point (_linear_coordinate, _sum_out):
+- an A of no terms is a coordinate that neither f nor h reads, which
+  multiplies the weight by its Q - 1 points; on a complement, whose h's
+  code f also reads, it is the only kind that qualifies;
+- an A of one term never vanishes, so the stratum's histogram is
+  (Q/p) (Q-1)^(dim-1) in every class plus that of B on one coordinate
+  fewer, at minus the weight: integers, equal class by class to the
+  enumerated counts;
+- an A of two terms or more is summed out over the grid of x'
+  (_linear_sum): A = 0 exactly where its trace digits are, and the
+  histogram is (Q/p) #{A != 0} + Q H_0 - H, where H counts Tr(c B) over
+  the points x' and H_0 over those where A = 0.
+A stratum with no coordinate left is a point of a torus, where
+Tr(c f) = m Tr_(F_q/F_p)(c f) is base-field arithmetic, and no grid.  So
 F_(q^m)'s table is built only for the strata left: x^2 y - x sums out to
-points at every level and builds none.  On a torus stratum left where
-f = A(x') y + B(x') is linear in y (exponent 0 or 1 in every term) with
-an A of two terms or more, y is summed out over the grid of x': A = 0
-exactly where its trace digits are, and the histogram is
-(Q/p) #{A != 0} + Q H_0 - H, where H counts Tr(c B) over the points x'
-and H_0 over those where A = 0.  One such coordinate is summed out per
-stratum, the one whose A has the fewest terms (the last on a tie); a
-complement's strata are enumerated whole, as h's code is their last
-coordinate.
+points at every level and builds none.
 
 A torus is enumerated by the discrete-log codes of its points in blocked
 numpy integer arrays.  A level's codes are those of F_(q^m) on its
@@ -51,12 +55,12 @@ of its terms' traces, each read from the trace table at a code computed
 by integer arithmetic (_trace_sum), and no field elements are added.  On
 a complement, f = g / h^k is the sum of the terms of g times h^-k, so h's
 code is one more coordinate, which tables.FieldTables.log decodes from
-h's traces at the scales y^(n-1)..y^0, its trace digits.  In dimension
->= 1 a block's last coordinate is a run of consecutive codes, so a term
-reads each row of the block as one window of the table, contiguous for
-exponent 1 in that coordinate and strided otherwise: one row as a view,
-more rows by one gather of the windows; any other term reads the doubled
-table once per point.  The sum is kept mod p, in block buffers that each
+h's traces at the scales y^(n-1)..y^0, its trace digits.  A block's last
+coordinate is a run of consecutive codes, so a term reads each row of the
+block as one window of the table, contiguous for exponent 1 in that
+coordinate and strided otherwise: one row as a view, more rows by one
+gather of the windows; any other term reads the doubled table once per
+point.  The sum is kept mod p, in block buffers that each
 worker thread reuses through a level (_Scratch), and its classes are
 counted by one bincount pass, whatever p is.  The coefficients lie in
 F_q, so x -> x^q permutes the points and fixes Tr(f): in dimension >= 2
@@ -80,7 +84,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _exactpoly, lfun
+from . import lfun
 from .ffield import (CyclotomicInt, FieldCtx, FqElem, additive_character,
                      build_field, galois_twist, trace_to_prime)
 from .lfun import PowerSumSequence
@@ -309,14 +313,21 @@ def _enumeration_work(v: VarietySpec, q: int) -> int:
 # point evaluation 0.4-3 ns (2-vCPU Xeon, Python 3.11.7)
 STRATUM_WORK = 4000
 
+# Work units per update of an s_n coefficient in _sl2_terms, N (N + 1) / 2
+# of them at each level: N = 1,000-4,000 took 77-92 ns an update over F_2
+# and F_5 (2-vCPU Xeon, Python 3.11.7)
+SL2_UPDATE_WORK = 100
+
 
 def _strata_work(v: VarietySpec) -> int:
     """What _grids' walk through _strata costs at each level: the 2^dim
     zero patterns of A^dim or a complement, the one of a torus, or SL2's
-    line and torus, whose F and G have at most N + 1 and 2N + 1 terms."""
+    line and torus, whose F and G have at most N + 1 and 2N + 1 terms,
+    and the updates of the s_n that F is made from."""
     if v.kind == SL2:
         N = len(v.sl2_coeffs)
-        return STRATUM_WORK * (2 * (N + 2) + (2 * N + 2))
+        return (STRATUM_WORK * (2 * (N + 2) + (2 * N + 2))
+                + SL2_UPDATE_WORK * N * (N + 1) // 2)
     patterns = 1 if v.kind == TORUS else 2 ** v.dim
     return STRATUM_WORK * patterns * (1 + len(v.terms + v.g + v.h))
 
@@ -369,7 +380,7 @@ _Run = namedtuple("_Run", "start width")
 
 def _block_shape(coords, run) -> tuple:
     """The shape a block's coordinates broadcast to, the run's rows among
-    them; (1,) in dimension 0."""
+    them if run is not None."""
     last = (1,) if run is None else (np.size(run.start), run.width)
     return np.broadcast_shapes(last, *(x.shape for x in coords))
 
@@ -517,18 +528,18 @@ def _complement_sum(T: FieldTables, g_sum, h_digits, dt,
 
 
 def _linear_sum(T: FieldTables, a, b_sum, scratch: _Scratch):
-    """evaluate() of a torus stratum with f = A(x') y + B(x') and the
-    coordinate y summed out: each point x' of the block stands for the
-    Q - 1 points (x', y), y in F_Q^*.  Where A(x') != 0, A y runs over
-    F_Q^* with y, on which each trace in F_p is taken Q/p times but 0 once
-    less, so class t receives Q/p - [t = Tr(c B)]; where A(x') = 0, class
-    Tr(c B) receives Q - 1.  The block's histogram is therefore
+    """evaluate() of a torus stratum with f = A(x') y^s + B(x'), s = 1 or
+    -1, and the coordinate y summed out: each point x' of the block stands
+    for the Q - 1 points (x', y), y in F_Q^*.  Where A(x') != 0, A y^s runs
+    over F_Q^* with y, on which each trace in F_p is taken Q/p times but 0
+    once less, so class t receives Q/p - [t = Tr(c B)]; where A(x') = 0,
+    class Tr(c B) receives Q - 1.  The block's histogram is therefore
     (Q/p) #{A != 0} + Q H_0 - H, with H the histogram of Tr(c B) that
     b_sum's keys give and H_0 that of the points where A = 0, all in
     integers.
 
-    A monomial A, never 0 on a torus, is summed out before any table is
-    built (_sum_out), so A has two terms or more here.  A = 0 exactly where
+    An A of fewer than two terms is summed out before any table is built
+    (_sum_out), so A has two terms or more here.  A = 0 exactly where
     its trace digits Tr(y^j A), j < n, all are, read as a complement's h
     is, and or-ed into the worker's buffer before b_sum reuses the scratch
     keys."""
@@ -608,15 +619,13 @@ def _grid_blocks(reps, dim: int, n: int, width):
     coordinate fastest.  A block (o0, o1, i0, i1) is a run of indices into
     the outer coordinates (reps times n codes in each further one, in
     dimension >= 2) times a chunk i0..i1 of the last one's n codes, at most
-    `width` wide unless width is None, and as many rows as fit; dimension
-    0 is one point.  In dimension 1 the rows o0..o1 are whole chunks of the
-    run (see _grid_coords), and the codes past them one more block."""
-    outer = len(reps) * n ** (dim - 2) if dim > 1 else 1
-    last = n if dim else 1
-    chunk = min(last, width or _BLOCK, _BLOCK)
+    `width` wide unless width is None, and as many rows as fit.  In
+    dimension 1 the rows o0..o1 are whole chunks of the run (see
+    _grid_coords), and the codes past them one more block."""
+    chunk = min(n, width or _BLOCK, _BLOCK)
     rows = max(1, _BLOCK // chunk)
-    if dim == 1:
-        outer, last = n // chunk, chunk
+    outer, last = ((len(reps) * n ** (dim - 2), n) if dim > 1
+                   else (n // chunk, chunk))
     for o0 in range(0, outer, rows):
         o1 = min(o0 + rows, outer)
         for i0 in range(0, last, chunk):
@@ -627,15 +636,13 @@ def _grid_blocks(reps, dim: int, n: int, width):
 
 def _grid_coords(reps, dim: int, n: int, block):
     """The coordinate arrays of one block of _grid_blocks but the last, and
-    the _Run of codes that the last runs over (None in dimension 0).  The
+    the _Run of codes that the last runs over.  The
     outer indices are decoded into (rows, 1) columns: the orbit
     representative, then digits base n, one per further coordinate, so
     with the run, a (1, chunk) row of codes from i0, they broadcast to the
     block's points without repeating any of them; in dimension 1, row o of
     the run starts at i0 + o chunks."""
     o0, o1, i0, i1 = block
-    if not dim:
-        return [], None
     if dim == 1:
         return [], _Run((i0 + (i1 - i0) * np.arange(o0, o1))[:, None], i1 - i0)
     index, *digits = np.unravel_index(np.arange(o0, o1),
@@ -651,12 +658,13 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     Returns a list of integer count-vectors of length p aligned with
     `scales`; each sums to the number of points #X(k_m).  The strata are
     reduced (_strata) before any table exists: what was summed out is a
-    count in every class, and a point of a torus adds its weight at the
-    trace of c f there, m Tr(c c_0) with Tr from F_q, by base-field
-    arithmetic.  F_(q^m)'s tables are built, and _grids called, only for
-    the strata left.  A tower context is checked for its degree only: the
-    tables are F_(p^(n m))'s own, on its primitive polynomial, whatever the
-    tower's modulus."""
+    count in every class, and an entry with no coordinate left is a point
+    of a torus, which adds its weight at the trace of c f there,
+    m Tr(c c_0) with Tr from F_q, by base-field arithmetic.  F_(q^m)'s
+    tables are built, and _grids called, only for the strata left.  A
+    tower context is checked for its degree only: the tables are
+    F_(p^(n m))'s own, on its primitive polynomial, whatever the tower's
+    modulus."""
     p = base.p
     if m < 1:
         raise ValueError("level must be >= 1")
@@ -669,7 +677,7 @@ def _histograms(v: VarietySpec, base: FieldCtx, m: int, scales,
     flat, tori = _strata(v, base, m)
     totals = [[flat] * p for _ in scales]
     for (dim, f, h), weight in list(tori.items()):
-        if dim or h is not None:
+        if dim:
             continue
         del tori[dim, f, h]
         for counts, c in zip(totals, scales):   # f is 0 or a constant
@@ -744,65 +752,82 @@ def _merge(terms, p: int) -> tuple:
     return tuple((merged[e], e) for e in sorted(merged) if any(merged[e]))
 
 
-def _read(dim: int, f, h, weight: int, n: int):
-    """The entry (dim, f, h) of _strata on the coordinates that a term of f
-    or h reads, and its weight: one that none reads multiplies the weight
-    by its n points.  Coordinates past dim (a complement's h) are kept."""
-    unread = [not any(exps[j] for _, exps in f + (h or ()))
-              for j in range(dim)]
-    return ((dim - sum(unread), _restrict(f, unread),
-             None if h is None else _restrict(h, unread)),
-            weight * n ** sum(unread))
-
-
-def _monomial_coordinate(f, dim: int) -> Optional[int]:
-    """The first coordinate y of a torus entry that f reads in one term
-    alone, with exponent 1 or -1: f = A y^(+-1) + B with A a monomial;
-    None if no coordinate qualifies."""
+def _linear_coordinate(f, h, dim: int):
+    """(size, y): the coordinate y of an entry (dim, f, h) of _strata that
+    f reads only as y^s, s = 1 or -1, so that f = A y^s + B with A of
+    `size` terms, the one whose A has the fewest terms and the last on a
+    tie; None if no coordinate qualifies.  Size 0 is a coordinate that
+    neither f nor h reads, the only kind that qualifies on a complement
+    (h not empty), whose h's code is every term's last coordinate."""
+    best = None
     for y in range(dim):
-        reads = [exps[y] for _, exps in f if exps[y]]
-        if reads in ([1], [-1]):
-            return y
-    return None
+        reads = [exps[y] for _, exps in f + h if exps[y]]
+        if not reads or not h and set(reads) in ({1}, {-1}):
+            if best is None or len(reads) <= best[0]:
+                best = len(reads), y
+    return best
 
 
-def _sum_out(key, weight: int, n: int, p: int):
-    """(closed, key, weight): the torus entry (dim, f, None) of _strata at
-    `weight`, its monomial coordinates summed out (_monomial_coordinate).
-    On G_m^dim, with Q = n + 1 points in F_Q, f = A y^(+-1) + B and A a
-    monomial, which never vanishes: y -> 1/y permutes the torus, and over y
-    in F_Q^* the trace of c A y^(+-1) takes each value of F_p Q/p times, 0
-    once less.  So the entry's histogram is closed = (Q/p) n^(dim-1) weight
-    in every class plus that of B on G_m^(dim-1) at -weight, B's unread
-    coordinates folded into the weight (_read); repeated until no
-    coordinate qualifies.  A complement's entry is returned as it is."""
+def _sum_out(dim: int, f, h, weight: int, n: int, p: int):
+    """(closed, key, weight): the entry (dim, f, h) of _strata at `weight`,
+    summed out over its coordinates (_linear_coordinate) to a fixed point.
+    On G_m^dim, with Q = n + 1 points in F_Q, a coordinate of size 0
+    multiplies the weight by its n points.  On a torus, f = A y^(+-1) + B
+    with A a monomial of size 1, which never vanishes: y -> 1/y permutes
+    the torus, and over y in F_Q^* the trace of c A y^(+-1) takes each
+    value of F_p Q/p times, 0 once less.  So the entry's histogram is
+    closed = (Q/p) n^(dim-1) weight in every class plus that of B on
+    G_m^(dim-1) at -weight.  A coordinate whose A has two terms or more is
+    left to _grids."""
+    def drop(terms):   # the terms that do not read y, without y
+        return tuple((c, e[:y] + e[y + 1:]) for c, e in terms if not e[y])
+
     closed = 0
-    dim, f, h = key
-    while h is None and (y := _monomial_coordinate(f, dim)) is not None:
-        closed += weight * ((n + 1) // p) * n ** (dim - 1)
-        (dim, f, h), weight = _read(
-            dim - 1, tuple((coef, exps[:y] + exps[y + 1:])
-                           for coef, exps in f if not exps[y]),
-            None, -weight, n)
+    while (pick := _linear_coordinate(f, h, dim)) and pick[0] < 2:
+        size, y = pick
+        if size:
+            closed += weight * ((n + 1) // p) * n ** (dim - 1)
+        dim, f, h, weight = (dim - 1, drop(f), drop(h),
+                             -weight if size else weight * n)
     return closed, (dim, f, h), weight
+
+
+def _as_torus(f, h, base: FieldCtx, n: int):
+    """(f, h) of a complement's stratum, where f = g h^e, e = -k read mod n
+    (_nearest), has h's code as the last coordinate of g's terms.  Where h
+    restricts to one term c x^a, which never vanishes on the torus, this
+    is (f, ()) of a torus, f's terms c_g x^b h^e being c_g c^e x^(b + e a),
+    their coefficients computed in F_q; (f, h) as it is otherwise."""
+    if len(h) != 1:
+        return f, h
+    (c, a), = h
+    c = FqElem(base, c)
+    return _merge(_nearest([
+        ((FqElem(base, coef) * c ** exps[-1]).coeffs,
+         tuple(b + exps[-1] * x for b, x in zip(exps, a)))
+        for coef, exps in f], n), base.p), ()
 
 
 def _strata(v: VarietySpec, base: FieldCtx, m: int):
     """(flat, tori): X(k_m) as `flat` points in every trace class plus a
-    Counter of (dimension, f, h or None) -> weight, each point of such a
-    torus standing for `weight` points (possibly negative), built from the
-    exponents and the coefficients' coordinates in base alone.
+    Counter of (dimension, f, h) -> weight, h empty on a torus, each point
+    of such an entry standing for `weight` points (possibly negative),
+    built from the exponents and the coefficients' coordinates in base
+    alone.
 
     The strata of A^dim (see the module docstring), or G_m^dim alone for a
     torus, less those where h restricts to 0: SL2 is the line of traces,
     each point standing for Q^2 - Q matrices, and a torus, each for Q
     (_sl2_terms); a complement's g has h's code as one more, last
     coordinate, with exponent -k.  The terms are _restrict'ed to the
-    stratum, their exponents read mod n = Q - 1 (_nearest), like terms
-    merged (_merge), unread coordinates folded into the weight (_read),
-    and the monomial coordinates of a torus summed out (_sum_out), so
-    entries on which f and h restrict to the same terms are summed once;
-    those whose weights cancel are dropped."""
+    stratum, their exponents read mod n = Q - 1 (_nearest) and like terms
+    merged (_merge); a complement's stratum where h is one term becomes a
+    torus's (_as_torus).  This plan decides how each entry is summed:
+    its coordinates that neither f nor h reads, or that f reads as y^s
+    with a monomial A on a torus, are summed out (_sum_out), and only an
+    entry with a coordinate left reaches _grids.  Entries on which f and h
+    restrict to the same terms are summed once; those whose weights
+    cancel are dropped."""
     Q, p = base.q ** m, base.p
     n = Q - 1
 
@@ -810,41 +835,26 @@ def _strata(v: VarietySpec, base: FieldCtx, m: int):
         return [(_coords(base, coef), tuple(exps)) for coef, exps in terms]
 
     if v.kind == SL2:
-        f, g = map(coords, _sl2_terms(v.sl2_coeffs))
-        pieces = [(1, Q * Q - Q, f, None, False), (1, Q, g, None, True)]
+        f, g = map(coords, _sl2_terms(v.sl2_coeffs, p))
+        pieces = [(1, Q * Q - Q, f, (), False), (1, Q, g, (), True)]
     elif v.kind == COMPLEMENT:
         pieces = [(v.dim, 1, coords([(c, e + (-v.k,)) for c, e in v.g]),
                    coords(v.h), False)]
     else:
-        pieces = [(v.dim, 1, coords(v.terms), None, v.kind == TORUS)]
+        pieces = [(v.dim, 1, coords(v.terms), (), v.kind == TORUS)]
     flat, out = 0, Counter()
     for dim, weight, f, h, torus in pieces:
         for zero in itertools.product((False,) if torus else (False, True),
                                       repeat=dim):
             f_zero, h_zero = (_merge(_nearest(_restrict(terms, zero), n), p)
-                              for terms in (f, h or ()))
-            if h is not None and not h_zero:
+                              for terms in (f, h))
+            if h and not h_zero:   # h = 0 on the stratum
                 continue
-            closed, key, w = _sum_out(*_read(
-                dim - sum(zero), f_zero, None if h is None else h_zero,
-                weight, n), n, p)
+            closed, key, w = _sum_out(dim - sum(zero), *_as_torus(
+                f_zero, h_zero, base, n), weight, n, p)
             flat += closed
             out[key] += w
     return flat, {key: w for key, w in out.items() if w}
-
-
-def _linear_coordinate(f, dim: int) -> Optional[int]:
-    """The coordinate y of a torus stratum to sum out (see _linear_sum): one
-    whose exponent is 0 or 1 in every term of f, so that f = A y + B, the
-    one whose A has the fewest terms, and the last one on a tie; None if no
-    coordinate qualifies."""
-    best = None
-    for y in range(dim):
-        if all(exps[y] in (0, 1) for _, exps in f):
-            size = sum(exps[y] for _, exps in f)
-            if best is None or size <= best[0]:
-                best = size, y
-    return None if best is None else best[1]
 
 
 def _grids(T: FieldTables, tori, base: FieldCtx, scale_codes,
@@ -855,7 +865,8 @@ def _grids(T: FieldTables, tori, base: FieldCtx, scale_codes,
     and every other over the N = Q - 1 codes, each point standing for
     `weight` points, in blocks at most `width` wide along the last
     coordinate (see _grid_blocks); reps is None in dimension 1, one run of
-    the N codes, and in dimension 0, one point.  evaluate(coords, run)
+    the N codes.  No entry is a point: _histograms sums those in F_q.
+    evaluate(coords, run)
     yields, for each scale code, the block's histogram of the traces of
     c*f at its points that lie on X, p ints; run is the _Run of codes of
     the last coordinate, coords the others (see _grid_coords).  Each term
@@ -868,34 +879,36 @@ def _grids(T: FieldTables, tori, base: FieldCtx, scale_codes,
     The coefficients lie in F_q, so x -> x^q permutes the points and fixes
     Tr(f): there the first coordinate runs over the representatives of the
     orbits (see _frobenius_orbits) only, in one grid per orbit size, whose
-    points stand for `size` times as many.  A torus on which f is linear in
-    a coordinate (_linear_coordinate) has it summed out (_linear_sum), so
-    its grid has one coordinate fewer; a complement's strata keep every
-    coordinate, as h's code is their last."""
+    points stand for `size` times as many.  A torus on which f reads a
+    coordinate y as y^s alone, s = 1 or -1, with an A of two terms or
+    more (_linear_coordinate, the chooser _sum_out uses), has it summed
+    out (_linear_sum), so its grid has one coordinate fewer; a
+    complement's strata keep every coordinate, as h's code is their
+    last."""
     n, p = T.group_order, T.p
     dt = _work_dtype(T, [(None, (1,))])   # sums of two codes
     grids = []
     for (dim, f, h), weight in tori.items():
+        pick = _linear_coordinate(f, h, dim)
         f = _term_codes(T, base, f)
-        y = None if h is not None else _linear_coordinate(f, dim)
-        if y is not None:
-            dim -= 1
-            a, f = ([(code, x[:y] + x[y + 1:]) for code, x in f if x[y] == k]
-                    for k in (1, 0))
+        if pick is not None:
+            y, dim = pick[1], dim - 1
+            a, f = ([(code, x[:y] + x[y + 1:]) for code, x in f
+                     if bool(x[y]) is k] for k in (True, False))
             evaluate = _linear_sum(T, a, _trace_sum(T, f, scale_codes,
                                                     scratch), scratch)
             read = a + f
         else:
             evaluate = _trace_sum(T, f, scale_codes, scratch)
-            if h is not None:
+            if h:
                 h = _term_codes(T, base, h)
                 evaluate = _complement_sum(T, evaluate, _trace_sum(
                     T, h, range(T.n - 1, -1, -1), scratch), dt, scratch)
             evaluate = _counted(evaluate, p)
-            read = f if h is None else h
+            read = h or f
         # the windows are read by the terms summed with the last coordinate
         # a run of codes: f's (A's and B's), or on a complement h's
-        e = max((abs(x[-1]) for _, x in read), default=0) if dim else 0
+        e = max((abs(x[-1]) for _, x in read), default=0)
         grids.append((dim, weight, evaluate, n // e + 1 if e else None))
     orbits = [(size, reps.astype(dt, copy=False)) for size, reps in
               _frobenius_orbits(n, base.q, T.n // base.n)] \
@@ -905,22 +918,23 @@ def _grids(T: FieldTables, tori, base: FieldCtx, scale_codes,
             for size, reps in (orbits if dim > 1 else [(1, None)])]
 
 
-def _sl2_terms(coeffs) -> tuple:
+def _sl2_terms(coeffs, p: int) -> tuple:
     """SL2(F_Q) through the trace (see the module docstring): the terms of
     F(t), summed over the line of traces, each point standing for Q^2 - Q
     matrices, and of G(r) = F(r + 1/r), summed over the torus, each point
-    standing for Q.  s_n follows sym_trace's recurrence as an integer
-    polynomial in t, and s_n(r + 1/r) is r^n + r^(n-2) + ... + r^(-n), so
-    G's coefficient of r^(+-e) is the sum of a_n over n >= e, n = e mod 2:
-    each coefficient is accumulated as it is made."""
+    standing for Q.  s_n follows sym_trace's recurrence as a polynomial in
+    t with coefficients mod p, as F is only read in F_q, and
+    s_n(r + 1/r) is r^n + r^(n-2) + ... + r^(-n), so G's coefficient of
+    r^(+-e) is the sum of a_n over n >= e, n = e mod 2: each coefficient
+    is accumulated as it is made."""
     f = [0] * (len(coeffs) + 1)
     s_prev, s = [1], [0, 1]   # s_0 and s_1
     for a in coeffs:
         for k, c in enumerate(s):
             if c:
                 f[k] += a * c
-        s_prev, s = s, _exactpoly.add(_exactpoly.mul([0, 1], s),
-                                      _exactpoly.neg(s_prev))
+        s_prev, s = s, [(x - y) % p   # t s_n - s_(n-1)
+                        for x, y in zip([0] + s, s_prev + [0, 0])]
     g, tail = {}, [0, 0]   # tail[e % 2]: the sum of a_n, n >= e, n = e mod 2
     for e in range(len(coeffs), 0, -1):
         tail[e % 2] = coeffs[e - 1] + tail[e % 2]

@@ -490,6 +490,26 @@ def test_exit_code_budget_counts_strata(tmp_path, capsys, monkeypatch):
     assert "table element" in err and not out
 
 
+def test_exit_code_budget_counts_sl2_terms(tmp_path, capsys, monkeypatch):
+    # SL2 with N = 62,498 coefficients over F_2 at one level: its points,
+    # table and strata fit the default budget, but the N (N + 1) / 2
+    # updates of the s_n that F is made from (minutes of them) do not, so
+    # it is refused before any level runs
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(expsum, "_histograms", no_level)
+    monkeypatch.setattr(expsum, "_strata", no_level)
+    job = write_job(tmp_path, "sl2.json", {"command": "sum", "payload": {
+        "base": {"p": 2}, "levels": 1,
+        "variety": {"kind": "sl2", "coeffs": [1] * 62498}}})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["sum", "--job", job])
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_BUDGET and not out
+    assert GATE_MESSAGE.fullmatch(err)["what"] == "table through level 1 of 1"
+
+
 def _newton_payload(points: int) -> dict:
     """A newton prediction on n = 4 over `points` random points of
     [0, 5]^4, seeded by their number."""
@@ -1040,9 +1060,20 @@ def test_lfun_reports_match_golden_bytes(tmp_path, capsys, name):
 # F_9 = F_3[a], 3 levels each; and two over F_5 recorded when rows that
 # outnumber their codes were read one gather per column: x^313 + 2x on G_m
 # through level 6, whose rows from level 3 on are 3, 3, 10 and 50 codes
-# wide, and x y^313 + 2y + x^2 on G_m^2 through level 4
+# wide, and x y^313 + 2y + x^2 on G_m^2 through level 4; and two over F_5
+# recorded when a complement's strata where h is one term were enumerated
+# as complements, and when a coordinate read as 1/y was enumerated, not
+# summed out: (x^2 y + 2y + x) / (xy)^2 through level 5, and
+# (x + x^2) / y + 2x^3 on G_m^2 through level 6
 SUM_OUTPUTS = Path(__file__).parent / "sum_outputs"
 SUM_GOLDEN_JOBS = {
+    "complement-monomial": {"base": {"p": 5}, "levels": 5, "variety": {
+        "kind": "complement", "dim": 2,
+        "g": [[1, [2, 1]], [2, [0, 1]], [1, [1, 0]]], "h": [[1, [1, 1]]],
+        "k": 2}},
+    "inverse-linear": {"base": {"p": 5}, "levels": 6, "variety": {
+        "kind": "torus", "dim": 2,
+        "f": [[1, [1, -1]], [1, [2, -1]], [2, [3, 0]]]}},
     "narrow-1d": {"base": {"p": 5}, "levels": 6, "variety": {
         "kind": "torus", "dim": 1, "f": [[1, [313]], [2, [1]]]}},
     "narrow-2d": {"base": {"p": 5}, "levels": 4, "variety": {

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expsumlab.expsum as es
+from expsumlab import tables
 from expsumlab.expsum import (BudgetExceededError, PowerSumSequence,
                               VarietySpec, count_points, multiply_terms,
                               power_sum, power_sum_naive, power_sum_table,
@@ -37,6 +38,7 @@ MULTI_EXPONENT_SQUARE = VarietySpec.affine_space(
     2, {(2, k): 1 for k in range(1, 8)})
 KLOOSTERMAN = VarietySpec.torus(1, {(1,): 1, (-1,): 1})
 TORUS_LINEAR = VarietySpec.torus(1, {(1,): 1})
+POINT_COMPLEMENT = VarietySpec.hypersurface_complement(0, {(): 2}, {(): 3}, 2)
 AFFINE_LINEAR = VarietySpec.affine_space(1, {(1,): 1})
 
 
@@ -525,9 +527,10 @@ def test_every_grid_is_a_torus(monkeypatch, v, base, levels_made,
 @st.composite
 def planted_linear_cases(draw):
     """A random affine or torus variety of dimension 1-3 over F_2, F_3, F_5
-    or F_9 with f = A y + B planted in a random coordinate y, A zero, a
-    nonzero constant, a monomial or a sum of two or three terms, a level
-    small enough for power_sum_naive, and a scale c != 0."""
+    or F_9 with f = A y^s + B planted in a random coordinate y, s = 1, or
+    on a torus 1 or -1, A zero, a nonzero constant, a monomial or a sum of
+    two or three terms, a level small enough for power_sum_naive, and a
+    scale c != 0."""
     base = draw(st.sampled_from([F2, F3, F5, F9]))
     if base.n == 1:
         coef, unit = st.integers(-2, base.p), st.integers(1, base.p - 1)
@@ -539,6 +542,7 @@ def planted_linear_cases(draw):
     dim = draw(st.integers(1, max(d for d in (1, 2, 3) if size ** d <= 343)))
     torus = draw(st.booleans())
     y = draw(st.integers(0, dim - 1))
+    s = draw(st.sampled_from([1, -1] if torus else [1]))
     other = st.tuples(*[st.integers(-2 if torus else 0, 3)] * (dim - 1))
     shape = draw(st.sampled_from(["zero", "constant", "monomial", "sum"]))
     a = {"zero": st.just({}),
@@ -546,7 +550,7 @@ def planted_linear_cases(draw):
          "monomial": st.dictionaries(other, unit, min_size=1, max_size=1),
          "sum": st.dictionaries(other, unit, min_size=2, max_size=3),
          }[shape]
-    f = {e[:y] + (1,) + e[y:]: c for e, c in draw(a).items()}
+    f = {e[:y] + (s,) + e[y:]: c for e, c in draw(a).items()}
     f.update({e[:y] + (0,) + e[y:]: c for e, c in
               draw(st.dictionaries(other, coef, max_size=3)).items()})
     v = (VarietySpec.torus if torus else VarietySpec.affine_space)(dim, f)
@@ -556,15 +560,14 @@ def planted_linear_cases(draw):
 def assert_summed_out_matches(v, base, m, c):
     """The sums of f and c f with the linear coordinates summed out match
     power_sum_naive, and their trace histograms match those of the grids
-    with every coordinate enumerated, class by class: no monomial
-    coordinate summed out before the grids, and none in them."""
+    with every coordinate enumerated, class by class: no coordinate summed
+    out before the grids, and none in them."""
     got = es._histograms(v, base, m, scales=(1, c))
     for counts, scale in zip(got, (1, c)):
         assert CyclotomicInt.from_poly(base.p, counts) == \
             power_sum_naive(v.scaled(scale), base, m)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(es, "_monomial_coordinate", lambda f, dim: None)
-        patch.setattr(es, "_linear_coordinate", lambda f, dim: None)
+        patch.setattr(es, "_linear_coordinate", lambda f, h, dim: None)
         assert es._histograms(v, base, m, scales=(1, c)) == got
 
 
@@ -645,8 +648,7 @@ def planted_chain_cases(draw):
 def test_monomial_chains_match_naive_and_the_enumeration(case):
     # each monomial coordinate is summed out before any table: the sums of
     # f and c f match power_sum_naive where it is small enough, and their
-    # histograms those with no monomial coordinate summed out, class by
-    # class
+    # histograms those with no coordinate summed out, class by class
     v, base, m, c = case
     got = es._histograms(v, base, m, scales=(1, c))
     if base.q ** (m * v.dim) <= 625:
@@ -654,8 +656,116 @@ def test_monomial_chains_match_naive_and_the_enumeration(case):
             assert CyclotomicInt.from_poly(base.p, counts) == \
                 power_sum_naive(v.scaled(scale), base, m)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(es, "_monomial_coordinate", lambda f, dim: None)
+        patch.setattr(es, "_linear_coordinate", lambda f, h, dim: None)
         assert es._histograms(v, base, m, scales=(1, c)) == got
+
+
+@st.composite
+def one_term_h_cases(draw):
+    """A complement of dimension 0-3 over F_2, F_3, F_5 or F_9, a level
+    small enough for power_sum_naive and a scale c != 0, whose h restricts
+    to one term on some strata or all: h a nonzero constant, a monomial,
+    or two monomials, one term on the strata where a coordinate that only
+    one of them reads is 0; k in {0, 1, 2} and g any terms."""
+    base = draw(st.sampled_from([F2, F3, F5, F9]))
+    if base.n == 1:
+        coef, unit = st.integers(-2, base.p), st.integers(1, base.p - 1)
+    else:
+        unit = st.integers(1, base.q - 1).map(base.element_at)
+        coef = st.one_of(st.integers(0, base.p - 1), unit)
+    m = draw(st.integers(1, {2: 3, 3: 2, 5: 1, 9: 1}[base.q]))
+    size = base.q ** m
+    dim = draw(st.integers(0, max(d for d in (0, 1, 2, 3)
+                                  if size ** d <= 343)))
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    shape = draw(st.sampled_from(["constant", "monomial", "two"]))
+    h = {"constant": unit.map(lambda c: {(0,) * dim: c}),
+         "monomial": st.dictionaries(exps, unit, min_size=1, max_size=1),
+         "two": st.dictionaries(exps, unit, min_size=2, max_size=2),
+         }[shape if dim else "constant"]
+    v = VarietySpec.hypersurface_complement(
+        dim, draw(st.dictionaries(exps, coef, max_size=3)), draw(h),
+        draw(st.integers(0, 2)))
+    return v, base, m, draw(unit)
+
+
+def constants_only(as_torus):
+    """_as_torus that keeps a complement whose h is one term reading a
+    coordinate, to be enumerated with h's code decoded (T.log)."""
+    return lambda f, h, base, n: (f, h) if h and any(h[0][1]) \
+        else as_torus(f, h, base, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_term_h_cases())
+def test_one_term_h_makes_a_torus(case):
+    # where h restricts to one term c x^a, which never vanishes on the
+    # torus, g / h^k is a torus's f before any table: the sums of f and
+    # c f match power_sum_naive, and their histograms, class by class,
+    # those with each such stratum that reads a coordinate enumerated as
+    # a complement; no grid is a point
+    v, base, m, c = case
+    grids, dims = es._grids, []
+
+    def spied(*args):
+        out = grids(*args)
+        dims.extend(dim for _, dim, *_ in out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(es, "_grids", spied)
+        got = es._histograms(v, base, m, scales=(1, c))
+    assert all(dims)
+    for counts, scale in zip(got, (1, c)):
+        assert CyclotomicInt.from_poly(base.p, counts) == \
+            power_sum_naive(v.scaled(scale), base, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(es, "_as_torus", constants_only(es._as_torus))
+        assert es._histograms(v, base, m, scales=(1, c)) == got
+
+
+@pytest.mark.parametrize("v,base,m,made", [
+    # h = xy, so the lines x = 0 and y = 0 are not on X, and on the torus
+    # f = (x^2 y + 2y + x) / (xy)^2 = 1/y + 2/(x^2 y) + 1/(x y^2), which
+    # reads both coordinates as two powers: one 2-D grid
+    pytest.param(VarietySpec.hypersurface_complement(
+        2, {(2, 1): 1, (0, 1): 2, (1, 0): 1}, {(1, 1): 1}, 2), F5, 2, [2],
+        id="h-xy"),
+    # h = 3 x y^2 over F_5: f = (x + y^3) / (3 x y^2) = 2/y^2 + 2y/x, x
+    # summed out, and 2/y^2 left as one run of y's codes
+    pytest.param(VarietySpec.hypersurface_complement(
+        2, {(1, 0): 1, (0, 3): 1}, {(1, 2): 3}, 1), F5, 2, [1],
+        id="h-3xy^2"),
+    # h = y over F_4: on the torus f = a x^2 + 1/y, y summed out; on the
+    # line x = 0, f = 1/y is summed out to a point
+    pytest.param(VarietySpec.hypersurface_complement(
+        2, {(2, 1): F4.element([0, 1]), (0, 0): 1}, {(0, 1): 1}, 1), F4, 2,
+        [1], id="h-y-F4"),
+    pytest.param(POINT_COMPLEMENT, F5, 2, [], id="h-constant"),
+    # h = x + y is two terms on the torus, whose grid decodes h's code, and
+    # one on each line, where f = 2/y and 2/x are summed out to points
+    pytest.param(VarietySpec.hypersurface_complement(
+        2, {(1, 1): 1, (0, 0): 2}, {(1, 0): 1, (0, 1): 1}, 1), F3, 2, [2],
+        id="h-x+y"),
+])
+def test_a_one_term_h_reaches_no_point_grid_and_no_log(monkeypatch, v, base,
+                                                      m, made):
+    # a complement's strata where h is one term are tori: no grid of
+    # dimension 0 is made, and h's code is decoded (T.log built) only on
+    # a stratum where h has two terms or more
+    grids, dims = es._grids, []
+
+    def spied(*args):
+        out = grids(*args)
+        dims.extend(dim for _, dim, *_ in out)
+        return out
+
+    monkeypatch.setattr(es, "_grids", spied)
+    tables._tables.cache_clear()
+    assert power_sum(v, base, m) == power_sum_naive(v, base, m)
+    assert sorted(set(dims)) == made
+    logs = "log" in vars(es.get_tables(base.p, base.n * m))
+    assert logs == (len(v.h) > 1)
 
 
 def test_plane_builds_no_table(monkeypatch):
@@ -764,8 +874,9 @@ def _size_checked(evaluate, sizes, n):
     # its trace digits block by block
     pytest.param(MULTI_EXPONENT, F3, 3, id="multi"),
     pytest.param(KLOOSTERMAN, F5, 2, id="kloosterman"),
-    pytest.param(VarietySpec.hypersurface_complement(0, {(): 2}, {(): 3}, 2),
-                 F5, 2, id="dim0-complement"),
+    # h = 3 is one term: the complement is a torus point, summed in F_5
+    # with no grid to partition
+    pytest.param(POINT_COMPLEMENT, F5, 2, id="dim0-complement"),
     # h's code is one more coordinate of every term, split with the block
     pytest.param(VarietySpec.hypersurface_complement(
         2, {(2, 1): 1, (0, 1): 2, (1, 0): 1}, {(1, 1): 1, (0, 0): 1}, 2),
@@ -786,7 +897,7 @@ def _size_checked(evaluate, sizes, n):
 ])
 def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
     # blocks of at most 7 points split the last coordinate of every grid,
-    # so in dimension >= 1 its runs of codes start past 0
+    # so its runs of codes start past 0; a point is no grid
     want = power_sum_naive(v, base, m)
     grids, sizes, grid_points = es._grids, [], []
 
@@ -801,7 +912,8 @@ def test_determinism_under_partitioning(monkeypatch, v, base, m, threads):
     monkeypatch.setattr(es, "_BLOCK", 7)
     monkeypatch.setattr(es, "_grids", spied)
     assert power_sum(v, base, m, threads=threads) == want
-    assert sizes and sum(sizes) == sum(grid_points)
+    assert sum(sizes) == sum(grid_points)
+    assert bool(sizes) == (v is not POINT_COMPLEMENT)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -1004,26 +1116,50 @@ def test_sl2_level_memory_is_bounded():
 
 
 def test_sl2_terms_are_accumulated_as_they_are_made():
-    # N = 1,000 coefficients: F's 998 terms and G's 1,999 are summed by
-    # exponent as each is made (~N^2/2 and ~N^2/4 tuples merged at the end
-    # peaked at 148 MB traced), and G's coefficient of r^(+-e) is the sum
-    # of a_n over n >= e, n = e mod 2
+    # N = 1,000 coefficients: F's terms and G's 1,999 are summed by exponent
+    # as each is made (~N^2/2 and ~N^2/4 tuples merged at the end peaked
+    # at 148 MB traced), s_n is kept mod p, and G's coefficient of r^(+-e)
+    # is the sum of a_n over n >= e, n = e mod 2
     coeffs = [n % 5 for n in range(1, 1001)]
     tracemalloc.start()
     try:
-        f, g = es._sl2_terms(coeffs)
+        f, g = es._sl2_terms(coeffs, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 15 * 10 ** 6
-    assert (len(f), len(g)) == (998, 1999)
+    assert len(g) == 1999
     for c, (e,) in g:
         assert c == sum(coeffs[n - 1] for n in range(max(abs(e), 1), 1001)
                         if n % 2 == e % 2)
+    # F mod 5 against s_n as integer polynomials, s_n = t s_(n-1) - s_(n-2)
+    want, s_prev, s = {}, [1], [0, 1]
+    for a in coeffs:
+        for k, c in enumerate(s):
+            want[k] = want.get(k, 0) + a * c
+        s_prev, s = s, [x - y for x, y in itertools.zip_longest(
+            [0] + s, s_prev, fillvalue=0)]
+    assert {e: c % 5 for c, (e,) in f if c % 5} == \
+        {k: c % 5 for k, c in want.items() if c % 5}
     for N in range(1, 7):
         for base, m in ((F2, 2), (F3, 1), (F5, 1)):
             v = VarietySpec.sl2([(3 * n + 1) % base.p for n in range(N)])
             assert power_sum(v, base, m) == power_sum_naive(v, base, m)
+
+
+def test_sl2_terms_are_charged_per_update():
+    # the N (N + 1) / 2 updates of s_n are charged at every level: over
+    # F_2 one level admits N = 4,314 coefficients and refuses 4,315, and
+    # five levels 1,845 and 1,846
+    def work(N, levels):
+        v = VarietySpec.sl2([1] * N)
+        return sum(es._level_work(v, 2 ** m) for m in range(1, levels + 1))
+
+    assert work(4314, 1) <= es.DEFAULT_BUDGET < work(4315, 1)
+    assert work(1845, 5) <= es.DEFAULT_BUDGET < work(1846, 5)
+    assert es._strata_work(VarietySpec.sl2([1] * 4000)) - \
+        es._strata_work(VarietySpec.sl2([1] * 3999)) == \
+        es.STRATUM_WORK * 4 + es.SL2_UPDATE_WORK * 4000
 
 
 def test_frobenius_orbits_of_f5_6():
@@ -1080,6 +1216,10 @@ def test_grids_hold_within_the_table_budget():
     # exponent took 40
     T = es.get_tables(build_field(5, 6))
     _, tori = es._strata(MULTI_EXPONENT_SQUARE, F5, 6)
+    # f = 0 on the lines x = 0 and y = 0, which read no coordinate, so they
+    # are weights on the origin's one point, which _histograms sums in F_5
+    assert [key for key in tori if not key[0]] == [(0, (), ())]
+    tori = {key: w for key, w in tori.items() if key[0]}
     tracemalloc.start()
     try:
         grids = es._grids(T, tori, F5, [int(T.const_code[1])], es._Scratch())
@@ -1088,11 +1228,10 @@ def test_grids_hold_within_the_table_budget():
         tracemalloc.stop()
     assert held <= es.TABLE_BYTES_PER_ELEMENT * T.q
     # the torus in one grid per orbit size d | 6, its blocks as wide as a
-    # window 7 apart allows; f = 0 on the lines x = 0 and y = 0, which read
-    # no coordinate, so they are weights on the origin's one point
-    assert len(grids) == 5
-    assert sorted(dim for _, dim, *_ in grids) == [0, 2, 2, 2, 2]
-    assert {width for *_, width in grids} == {None, 15624 // 7 + 1}
+    # window 7 apart allows
+    assert len(grids) == 4
+    assert sorted(dim for _, dim, *_ in grids) == [2, 2, 2, 2]
+    assert {width for *_, width in grids} == {15624 // 7 + 1}
     for v in (MULTI_EXPONENT, MULTI_EXPONENT_SQUARE):
         assert power_sum(v, F5, 2) == power_sum_naive(v, F5, 2)
 
